@@ -1130,8 +1130,7 @@ mod tests {
                 "crates/sim/src/router.rs",
                 "impl Router { fn run_inner_v2(&mut self) {} }\n\
                  fn advance() {}\n\
-                 fn start_transmission() {}\n\
-                 fn deliver() {}\n",
+                 fn start_transmission() {}\n",
             )],
             &NO_REFS,
         );

@@ -131,7 +131,7 @@ pub const HOT_PATH_INDEX_HINT: &str =
 pub const SHARD_SAFETY: &str = "shard-safety";
 /// Hint for [`SHARD_SAFETY`].
 pub const SHARD_SAFETY_HINT: &str =
-    "fabric shards exchange state only through the mailbox swap in `exchange`; interior mutability or ad-hoc synchronization reintroduces scheduling-order dependence";
+    "fabric shards exchange state only through the log swap in `handoff`; interior mutability or ad-hoc synchronization reintroduces scheduling-order dependence";
 /// Banned tokens for [`SHARD_SAFETY`] (word match). `Atomic` types are
 /// matched by prefix in [`has_atomic_token`].
 pub const SHARD_SAFETY_PATTERNS: &[&str] =
@@ -172,7 +172,8 @@ pub const ROOT_DRIFT_HINT: &str =
     "a renamed/deleted hot-path function disarms the transitive audit — update rules::HOT_ROOTS/SHARD_ROOTS to match the code";
 
 /// Where the transitive hot-path audits start: the event-loop drivers,
-/// the link engine, the fabric's level advance and mailbox exchange,
+/// the link engine, the departure-log append, log-slot pop and log
+/// handoff, the fabric's level advance,
 /// the tandem shim, every scheduler's enqueue/dequeue, the
 /// streaming-telemetry update paths (sketch/heatmap `record`, called
 /// per event when sketches are attached), the tournament-tree
@@ -194,8 +195,12 @@ pub const HOT_ROOTS: &[crate::callgraph::RootSpec] = &[
         name: "start_transmission",
     },
     crate::callgraph::RootSpec::InFile {
-        file: "crates/sim/src/router.rs",
-        name: "deliver",
+        file: "crates/sim/src/event.rs",
+        name: "append",
+    },
+    crate::callgraph::RootSpec::InFile {
+        file: "crates/sim/src/event.rs",
+        name: "pop_log",
     },
     crate::callgraph::RootSpec::InFile {
         file: "crates/sim/src/fabric.rs",
@@ -203,7 +208,7 @@ pub const HOT_ROOTS: &[crate::callgraph::RootSpec] = &[
     },
     crate::callgraph::RootSpec::InFile {
         file: "crates/sim/src/fabric.rs",
-        name: "exchange",
+        name: "handoff",
     },
     crate::callgraph::RootSpec::TraitMethod {
         trait_name: "Scheduler",
@@ -524,7 +529,7 @@ pub const REGISTRY: &[RuleMeta] = &[
     RuleMeta {
         id: SHARD_SAFETY,
         scope: "every fn reachable from rules::SHARD_ROOTS",
-        rationale: "link-level sharding is deterministic only because shards share nothing and exchange through the mailbox swap; interior mutability or ad-hoc sync reintroduces scheduling-order dependence",
+        rationale: "link-level sharding is deterministic only because shards share nothing and exchange through the log handoff; interior mutability or ad-hoc sync reintroduces scheduling-order dependence",
         hint: SHARD_SAFETY_HINT,
         pragma: "qbm-lint: allow(shard-safety)",
     },

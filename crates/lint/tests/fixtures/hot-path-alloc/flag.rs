@@ -5,7 +5,6 @@ impl LinkEngine {
     }
     pub fn advance(&mut self) {}
     pub fn start_transmission(&mut self) {}
-    pub fn deliver(&mut self) {}
 }
 
 fn helper_a() {

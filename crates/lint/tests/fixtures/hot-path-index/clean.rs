@@ -8,6 +8,5 @@ impl LinkEngine {
         self.consume(len, pad);
     }
     pub fn start_transmission(&mut self) {}
-    pub fn deliver(&mut self) {}
     fn consume(&mut self, len: Option<u32>, pad: [u64; 4]) {}
 }

@@ -6,6 +6,5 @@ impl LinkEngine {
         self.consume(len);
     }
     pub fn start_transmission(&mut self) {}
-    pub fn deliver(&mut self) {}
     fn consume(&mut self, len: u32) {}
 }

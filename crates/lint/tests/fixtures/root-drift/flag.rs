@@ -3,5 +3,4 @@ impl LinkEngine {
     pub fn run_inner_v2(&mut self) {}
     pub fn advance(&mut self) {}
     pub fn start_transmission(&mut self) {}
-    pub fn deliver(&mut self) {}
 }

@@ -4,7 +4,7 @@ pub fn advance_level(engines: &mut [LinkEngine]) {
         shard_step(e);
     }
 }
-pub fn exchange(engines: &mut [LinkEngine]) {}
+pub fn handoff(engines: &mut [LinkEngine]) {}
 
 fn shard_step(e: &mut LinkEngine) {
     e.advance();

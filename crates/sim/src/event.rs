@@ -17,6 +17,10 @@
 //!   a cache-resident array per operation.
 //!
 //! Both cores order events by `(time, departure-first, flow index)`.
+//! [`IndexedTimers`] additionally holds one slot per upstream departure
+//! log on a fabric link (see [`crate::fabric`]): the slot is keyed by
+//! its head's `(time, destination flow)`, so a relayed packet competes
+//! exactly as a per-flow timer for that flow would.
 //! The heap nominally breaks same-instant arrival ties by insertion
 //! sequence, but under the router's pull discipline a colliding
 //! arrival was always scheduled at its flow's *previous* emission
@@ -27,6 +31,7 @@
 
 use qbm_core::flow::FlowId;
 use qbm_core::units::Time;
+use qbm_traffic::Emission;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -38,6 +43,9 @@ pub enum Event {
     /// `flow`'s source emits its next packet (the router pulls the
     /// following emission and schedules the next `Arrival`).
     Arrival(FlowId),
+    /// A relayed packet of `len` bytes for `flow`, popped from an
+    /// upstream departure log ([`IndexedTimers`] only).
+    Relay(FlowId, u32),
 }
 
 impl Event {
@@ -45,8 +53,104 @@ impl Event {
     fn priority(self) -> u8 {
         match self {
             Event::Departure => 0,
-            Event::Arrival(_) => 1,
+            Event::Arrival(_) | Event::Relay(..) => 1,
         }
+    }
+}
+
+/// One departure in a link-level log: the destination flow it feeds
+/// and the emission (instant and length) it becomes there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LogEntry {
+    pub(crate) time: Time,
+    pub(crate) flow: u32,
+    pub(crate) len: u32,
+}
+
+/// The departure logs of a recording link: one log per destination
+/// link (a single one for
+/// [`Router::run_recording`](crate::Router::run_recording)), each
+/// appended in departure order with the destination flow every packet
+/// becomes.
+pub(crate) struct Outbox {
+    /// `route[f]` = (log, destination flow) of flow `f`'s departures;
+    /// a flow routed to a log past the last (the fabric's unwired
+    /// sentinel) is not recorded.
+    route: Vec<(u32, u32)>,
+    logs: Vec<Vec<LogEntry>>,
+}
+
+impl Outbox {
+    /// An outbox routing flow `f` to `route[f]`, over `logs` logs.
+    pub(crate) fn new(route: Vec<(u32, u32)>, logs: usize) -> Outbox {
+        Outbox {
+            route,
+            logs: vec![Vec::new(); logs],
+        }
+    }
+
+    /// One log recording every one of `n` flows under its own index.
+    pub(crate) fn per_flow(n: usize) -> Outbox {
+        Outbox::new((0..n as u32).map(|f| (0, f)).collect(), 1)
+    }
+
+    /// Split the single log of a [`Outbox::per_flow`] outbox back into
+    /// one emission trace per flow, each in departure order.
+    pub(crate) fn split(self, n: usize) -> Vec<Vec<Emission>> {
+        let mut traces = vec![Vec::new(); n];
+        for e in self.logs.into_iter().flatten() {
+            traces[e.flow as usize].push(Emission {
+                time: e.time,
+                len: e.len,
+            });
+        }
+        traces
+    }
+
+    /// Mutable access to log `log`, for the fabric's handoff swap.
+    pub(crate) fn log_mut(&mut self, log: usize) -> Option<&mut Vec<LogEntry>> {
+        self.logs.get_mut(log)
+    }
+
+    /// Record flow `flow`'s departure at `now`. Departures arrive in
+    /// time order, so appending keeps each log time-sorted; a
+    /// same-instant run (a transmission time that rounds to 0 ns) is
+    /// kept in destination-flow order, the order the destination's
+    /// per-flow timers would pop it in.
+    #[inline]
+    pub(crate) fn append(&mut self, flow: FlowId, now: Time, len: u32) {
+        let Some(&(log, dst)) = self.route.get(flow.index()) else {
+            return;
+        };
+        let Some(log) = self.logs.get_mut(log as usize) else {
+            return;
+        };
+        let out_of_order = log.last().is_some_and(|p| p.time == now && p.flow > dst);
+        log.push(LogEntry {
+            time: now,
+            flow: dst,
+            len,
+        });
+        if out_of_order {
+            sort_same_instant_tail(log);
+        }
+    }
+}
+
+/// Move a log's last entry back past the same-instant entries of
+/// higher destination flow (stable for equal flows).
+#[cold]
+fn sort_same_instant_tail(log: &mut [LogEntry]) {
+    let Some(&last) = log.last() else { return };
+    let run = log
+        .iter()
+        .rev()
+        .skip(1)
+        .take_while(|e| e.time == last.time && e.flow > last.flow)
+        .count();
+    let from = log.len() - 1 - run;
+    if let Some(tail) = log.get_mut(from..) {
+        tail.rotate_right(1);
     }
 }
 
@@ -125,9 +229,24 @@ impl EventQueue {
 pub trait EventCore {
     /// An empty core for `n_flows` flows.
     fn with_flows(n_flows: usize) -> Self;
+    /// Number of leading flows with an arrival timer. Flows past it
+    /// are relay flows whose packets come from departure logs; only
+    /// [`IndexedTimers`] has any.
+    fn flow_slots(&self) -> usize;
     /// Schedule `flow`'s next arrival at `time`. The router's pull
     /// discipline guarantees the flow has no other pending arrival.
     fn schedule_arrival(&mut self, flow: FlowId, time: Time);
+    /// Schedule the first arrival of every flow in `arrivals` on an
+    /// empty core — the priming pass. [`IndexedTimers`] fills its slots
+    /// and then builds its tree bottom-up once.
+    fn schedule_arrivals<I>(&mut self, arrivals: I)
+    where
+        I: IntoIterator<Item = (FlowId, Time)>,
+    {
+        for (flow, time) in arrivals {
+            self.schedule_arrival(flow, time);
+        }
+    }
     /// Schedule the in-flight packet's departure at `time`. At most one
     /// departure is ever pending (one output link).
     fn schedule_departure(&mut self, time: Time);
@@ -177,6 +296,10 @@ impl EventCore for EventQueue {
         EventQueue::new()
     }
 
+    fn flow_slots(&self) -> usize {
+        usize::MAX
+    }
+
     fn schedule_arrival(&mut self, flow: FlowId, time: Time) {
         self.push(time, Event::Arrival(flow));
     }
@@ -211,39 +334,83 @@ impl EventCore for EventQueue {
 /// The production event core: one timer slot per flow plus a departure
 /// slot, selected by a deterministic tournament (winner) tree.
 ///
-/// Layout: `next_arrival[i]` holds flow `i`'s pending arrival instant
-/// (`Time::MAX` = none). A complete binary tree over the slots — padded
-/// to a power of two — caches at `win[k]` the winning flow index of the
-/// subtree under internal node `k` (`win[1]` is the overall winner), so
-/// a slot update recomputes only its root path: `log₂ n` comparisons
-/// over two flat arrays that fit in L1 for any realistic flow count.
-/// Comparison is on `(time, flow index)`, which makes the index the
-/// same-instant tie-break and lets `Time::MAX` padding lose to every
-/// real timer. `pop` compares the tree winner against the departure
-/// slot, departure winning ties — the full ordering contract in two
-/// extra branches, with no per-event sequence counter at all.
+/// Layout: `next_arrival[i]` holds slot `i`'s pending instant
+/// (`Time::MAX` = none). Slots `0..flows` are per-flow arrival timers;
+/// on a fabric link, slots `flows..flows + logs.len()` each hold the
+/// head of one upstream departure log. A complete binary tree over the
+/// slots — padded to a power of two — caches at `win[k]` the winning
+/// slot of the subtree under internal node `k` (`win[1]` is the overall
+/// winner), so a slot update recomputes only its root path: `log₂ n`
+/// comparisons over two flat arrays that fit in L1 for any realistic
+/// slot count. Comparison is on `(time, tie)`, where the tie of a flow
+/// slot is its flow index and the tie of a log slot is its head's
+/// destination flow — so the flow index is the same-instant tie-break
+/// whichever way a packet arrives, and `Time::MAX` padding loses to
+/// every real timer. `pop` compares the tree winner against the
+/// departure slot, departure winning ties — the full ordering contract
+/// in two extra branches, with no per-event sequence counter at all.
 #[derive(Debug)]
 pub struct IndexedTimers {
-    /// Pending arrival instant per flow; `Time::MAX` = none. Padded to
+    /// Pending instant per slot; `Time::MAX` = none. Padded to
     /// `leaves` entries so the tree is complete.
     next_arrival: Vec<Time>,
     /// `win[k]` = winning slot index under internal node `k` (1-based;
     /// `win[0]` unused). Leaf `i` sits under node `(leaves + i) / 2`.
     win: Vec<u32>,
-    /// Number of (padded) leaf slots — `n_flows.next_power_of_two()`.
+    /// Number of (padded) leaf slots — a power of two.
     leaves: usize,
+    /// Number of per-flow slots; log slots follow them.
+    flows: usize,
+    /// One upstream departure log per log slot, in slot order.
+    logs: Vec<InLog>,
     /// Pending departure instant; `Time::MAX` = none.
     departure: Time,
 }
 
+/// A log slot's backing store: one upstream link's departures for this
+/// link in `(time, destination flow)` order, consumed front to back.
+#[derive(Debug, Default)]
+struct InLog {
+    entries: Vec<LogEntry>,
+    next: usize,
+}
+
+impl InLog {
+    #[inline]
+    fn head(&self) -> Option<&LogEntry> {
+        self.entries.get(self.next)
+    }
+}
+
 impl IndexedTimers {
-    /// Winner of two slots: earlier time, lower index on ties. `MAX`
-    /// sentinels lose to any real timer (and resolve by index among
-    /// themselves, which is irrelevant but keeps the tree total).
+    /// Same-instant tie key of `slot`: the flow index for a flow slot
+    /// (and for padding), the head's destination flow for a log slot.
+    #[inline]
+    fn tie(&self, slot: u32) -> u32 {
+        let s = slot as usize;
+        if s < self.flows {
+            return slot;
+        }
+        self.logs
+            .get(s - self.flows)
+            .and_then(InLog::head)
+            .map_or(slot, |e| e.flow)
+    }
+
+    /// Winner of two slots: earlier time, lower tie key on equal
+    /// times. `MAX` sentinels lose to any real timer (and resolve by
+    /// tie among themselves, which is irrelevant but keeps the tree
+    /// total).
     #[inline]
     fn winner(&self, a: u32, b: u32) -> u32 {
         let (ta, tb) = (self.next_arrival[a as usize], self.next_arrival[b as usize]);
-        if (ta, a) <= (tb, b) {
+        if ta != tb {
+            if ta < tb {
+                a
+            } else {
+                b
+            }
+        } else if self.tie(a) <= self.tie(b) {
             a
         } else {
             b
@@ -271,7 +438,30 @@ impl IndexedTimers {
         }
     }
 
-    /// The earliest pending arrival, if any.
+    /// Establish the tree invariant (`win[k]` = winner under `k`) over
+    /// the current slots in one bottom-up pass: O(leaves), against
+    /// O(leaves · log leaves) for a replay per slot.
+    fn build_tree(&mut self) {
+        let leaves = self.leaves;
+        for node in (1..leaves).rev() {
+            let child = |c: usize| {
+                if c >= leaves {
+                    Some((c - leaves) as u32)
+                } else {
+                    self.win.get(c).copied()
+                }
+            };
+            let (Some(a), Some(b)) = (child(2 * node), child(2 * node + 1)) else {
+                continue;
+            };
+            let w = self.winner(a, b);
+            if let Some(k) = self.win.get_mut(node) {
+                *k = w;
+            }
+        }
+    }
+
+    /// The earliest pending arrival or relay, if any.
     #[inline]
     fn peek_arrival(&self) -> Option<(Time, u32)> {
         let w = if self.leaves == 1 { 0 } else { self.win[1] };
@@ -279,14 +469,27 @@ impl IndexedTimers {
         (t != Time::MAX).then_some((t, w))
     }
 
-    /// Build a core for `n_flows` flows on recycled backing vectors
-    /// (cleared and resized to fit; capacity reused). With empty
-    /// vectors this is exactly [`EventCore::with_flows`] — the arena
-    /// runner hands back the vectors from [`IndexedTimers::into_parts`]
-    /// so a campaign allocates one timer tree per worker, not per cell.
-    pub fn from_recycled(n_flows: usize, slots: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
-        assert!(n_flows > 0, "no flows");
-        let leaves = n_flows.next_power_of_two();
+    /// Pop the head of log slot `slot` and re-key the slot by the next
+    /// entry. The log-slot pop: no source to pull, the refill is the
+    /// log itself.
+    #[inline]
+    fn pop_log(&mut self, slot: u32) -> Option<(Time, Event)> {
+        let s = slot as usize;
+        let log = self.logs.get_mut(s.checked_sub(self.flows)?)?;
+        let e = *log.head()?;
+        log.next += 1;
+        let next = log.head().map_or(Time::MAX, |n| n.time);
+        *self.next_arrival.get_mut(s)? = next;
+        self.replay(s);
+        Some((e.time, Event::Relay(FlowId(e.flow), e.len)))
+    }
+
+    /// A core with `flows` per-flow slots and `logs` log slots on
+    /// recycled backing vectors (cleared and resized to fit; capacity
+    /// reused).
+    fn assemble(flows: usize, logs: usize, slots: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
+        assert!(flows + logs > 0, "no flows");
+        let leaves = (flows + logs).next_power_of_two();
         let mut next_arrival = slots;
         next_arrival.clear();
         next_arrival.resize(leaves, Time::MAX);
@@ -297,15 +500,49 @@ impl IndexedTimers {
             next_arrival,
             win,
             leaves,
+            flows,
+            logs: (0..logs).map(|_| InLog::default()).collect(),
             departure: Time::MAX,
         };
-        // Establish the tree invariant (win[k] = winner under k) over
-        // the all-empty slots, so every later replay sees consistent
-        // sibling caches.
-        for i in (0..leaves).step_by(2) {
-            core.replay(i);
-        }
+        core.build_tree();
         core
+    }
+
+    /// Build a core for `n_flows` flows on recycled backing vectors
+    /// (cleared and resized to fit; capacity reused). With empty
+    /// vectors this is exactly [`EventCore::with_flows`] — the arena
+    /// runner hands back the vectors from [`IndexedTimers::into_parts`]
+    /// so a campaign allocates one timer tree per worker, not per cell.
+    pub fn from_recycled(n_flows: usize, slots: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
+        IndexedTimers::assemble(n_flows, 0, slots, win)
+    }
+
+    /// A fabric link's core: per-flow slots for its first `flows` flows
+    /// (the ones it may originate) and `logs` upstream log slots.
+    pub(crate) fn with_logs(flows: usize, logs: usize) -> IndexedTimers {
+        IndexedTimers::assemble(flows, logs, Vec::new(), Vec::new())
+    }
+
+    /// Hand log slot `log` a fresh batch of upstream departures (in
+    /// `(time, destination flow)` order), leaving the drained buffer in
+    /// `batch`, cleared, for the upstream link to record into next —
+    /// two buffers per log ping-pong with no allocation in the steady
+    /// state.
+    pub(crate) fn refill_log(&mut self, log: usize, batch: &mut Vec<LogEntry>) {
+        let slot = self.flows + log;
+        let Some(l) = self.logs.get_mut(log) else {
+            debug_assert!(false, "no log slot {log}");
+            return;
+        };
+        debug_assert!(l.head().is_none(), "log handed over before it drained");
+        l.entries.clear();
+        std::mem::swap(&mut l.entries, batch);
+        l.next = 0;
+        let head = l.head().map_or(Time::MAX, |e| e.time);
+        if let Some(t) = self.next_arrival.get_mut(slot) {
+            *t = head;
+        }
+        self.replay(slot);
     }
 
     /// Dismantle the core into its backing vectors for recycling via
@@ -320,15 +557,34 @@ impl EventCore for IndexedTimers {
         IndexedTimers::from_recycled(n_flows, Vec::new(), Vec::new())
     }
 
+    fn flow_slots(&self) -> usize {
+        self.flows
+    }
+
     #[inline]
     fn schedule_arrival(&mut self, flow: FlowId, time: Time) {
         debug_assert!(time != Time::MAX, "Time::MAX is the empty sentinel");
+        debug_assert!(flow.index() < self.flows, "flow has no timer slot");
         debug_assert!(
             self.next_arrival[flow.index()] == Time::MAX,
             "flow already has a pending arrival"
         );
         self.next_arrival[flow.index()] = time;
         self.replay(flow.index());
+    }
+
+    fn schedule_arrivals<I>(&mut self, arrivals: I)
+    where
+        I: IntoIterator<Item = (FlowId, Time)>,
+    {
+        for (flow, time) in arrivals {
+            debug_assert!(time != Time::MAX, "Time::MAX is the empty sentinel");
+            debug_assert!(flow.index() < self.flows, "flow has no timer slot");
+            if let Some(slot) = self.next_arrival.get_mut(flow.index()) {
+                *slot = time;
+            }
+        }
+        self.build_tree();
     }
 
     #[inline]
@@ -353,6 +609,7 @@ impl EventCore for IndexedTimers {
     #[inline]
     fn delay_arrival(&mut self, flow: FlowId, at_least: Time) {
         debug_assert!(at_least != Time::MAX, "Time::MAX is the empty sentinel");
+        debug_assert!(flow.index() < self.flows, "flow has no timer slot");
         let i = flow.index();
         if self.next_arrival[i] != Time::MAX && self.next_arrival[i] < at_least {
             self.next_arrival[i] = at_least;
@@ -371,6 +628,9 @@ impl EventCore for IndexedTimers {
             return Some((t, Event::Departure));
         }
         let (t, w) = arrival?;
+        if w as usize >= self.flows {
+            return self.pop_log(w);
+        }
         self.next_arrival[w as usize] = Time::MAX;
         self.replay(w as usize);
         Some((t, Event::Arrival(FlowId(w))))
@@ -380,7 +640,8 @@ impl EventCore for IndexedTimers {
     /// (one replay) and rescheduling the flow's next emission later
     /// (a second replay), write the refill time straight into the
     /// popped slot and replay the root path once. Halves the tree
-    /// work on the arrival-dominated steady state.
+    /// work on the arrival-dominated steady state. A log slot refills
+    /// from its own log and never calls `refill`.
     #[inline]
     fn pop_refill<F>(&mut self, mut refill: F) -> Option<(Time, Event)>
     where
@@ -393,6 +654,9 @@ impl EventCore for IndexedTimers {
             return Some((t, Event::Departure));
         }
         let (t, w) = arrival?;
+        if w as usize >= self.flows {
+            return self.pop_log(w);
+        }
         let flow = FlowId(w);
         let next = refill(flow).unwrap_or(Time::MAX);
         debug_assert!(next >= t, "source emitted into the past");
@@ -612,6 +876,58 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
     }
+    fn entry(ms: u64, flow: u32) -> LogEntry {
+        LogEntry {
+            time: Time::ZERO + Dur::from_millis(ms),
+            flow,
+            len: 500,
+        }
+    }
+
+    #[test]
+    fn log_slots_pop_by_time_then_destination_flow() {
+        // Flow slots 0..2 (flow 1 relayed, its slot dead) and two logs
+        // feeding flows 1 and 3: same-instant ties across flow slots
+        // and logs pop in flow order, departures first.
+        let t = |ms| Time::ZERO + Dur::from_millis(ms);
+        let mut q = IndexedTimers::with_logs(3, 2);
+        q.schedule_arrival(FlowId(2), t(1));
+        q.schedule_arrival(FlowId(0), t(2));
+        let mut a = vec![entry(1, 3), entry(2, 3)];
+        let mut b = vec![entry(1, 1), entry(3, 1)];
+        q.refill_log(0, &mut a);
+        q.refill_log(1, &mut b);
+        assert!(a.is_empty() && b.is_empty(), "drained buffers come back");
+        q.schedule_departure(t(2));
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            got,
+            vec![
+                (t(1), Event::Relay(FlowId(1), 500)),
+                (t(1), Event::Arrival(FlowId(2))),
+                (t(1), Event::Relay(FlowId(3), 500)),
+                (t(2), Event::Departure),
+                (t(2), Event::Arrival(FlowId(0))),
+                (t(2), Event::Relay(FlowId(3), 500)),
+                (t(3), Event::Relay(FlowId(1), 500)),
+            ]
+        );
+    }
+
+    #[test]
+    fn outbox_keeps_same_instant_runs_in_destination_flow_order() {
+        // Flows 0..3 route to destination flows 2, 0, 1 of one log.
+        let mut out = Outbox::new(vec![(0, 2), (0, 0), (0, 1), (u32::MAX, u32::MAX)], 1);
+        let t = Time::ZERO + Dur::from_millis(1);
+        for f in [0, 1, 2, 3, 0] {
+            out.append(FlowId(f), t, 500);
+        }
+        out.append(FlowId(1), t + Dur::from_millis(1), 500);
+        let log = out.log_mut(0).expect("one log");
+        let order: Vec<(u64, u32)> = log.iter().map(|e| (e.time.0, e.flow)).collect();
+        let (t0, t1) = (t.0, t.0 + 1_000_000);
+        assert_eq!(order, vec![(t0, 0), (t0, 1), (t0, 2), (t0, 2), (t1, 0)]);
+    }
 }
 
 #[cfg(test)]
@@ -620,10 +936,7 @@ mod proptests {
     use proptest::prelude::*;
 
     fn prio(ev: Event) -> u8 {
-        match ev {
-            Event::Departure => 0,
-            Event::Arrival(_) => 1,
-        }
+        ev.priority()
     }
 
     proptest! {
@@ -776,6 +1089,7 @@ mod proptests {
                         match got {
                             Some((_, Event::Arrival(f))) => pending[f.index()] = false,
                             Some((_, Event::Departure)) => departing = false,
+                            Some((_, Event::Relay(..))) => prop_assert!(false, "no logs"),
                             None => {}
                         }
                     }
@@ -859,6 +1173,7 @@ mod proptests {
                                 pending[f.index()] = rearm == 1;
                             }
                             Some((_, Event::Departure)) => departing = false,
+                            Some((_, Event::Relay(..))) => prop_assert!(false, "no logs"),
                             None => {}
                         }
                         // The pending/departing bookkeeping above is keyed
@@ -877,6 +1192,97 @@ mod proptests {
                 prop_assert_eq!(ha, heap_plain.pop(), "drain diverged (heap)");
                 if a.is_none() && ha.is_none() {
                     break;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Differential for log slots: a core mixing per-flow slots and
+        /// upstream logs pops in the exact `(time, departure-first,
+        /// flow)` order of a heap that holds every log entry as a timer
+        /// of its own — the per-flow replay the logs replaced. Even
+        /// flows below `n_flows` originate; every other flow of
+        /// `0..12` is relayed by log `flow % n_logs`, so relay flows
+        /// sit both among and past the timed ones. A log is refilled
+        /// (with a `(time, flow)`-sorted batch, as `Outbox::append`
+        /// keeps it) only once drained, as the fabric's handoff does.
+        #[test]
+        fn log_slots_match_per_entry_model(
+            n_flows in 1usize..6,
+            n_logs in 1usize..4,
+            ops in proptest::collection::vec(
+                (0u8..5, 0u8..12, 0u64..40, proptest::collection::vec((0u64..40, 0u8..12), 0..6)),
+                1..150,
+            ),
+        ) {
+            let origin = |f: u32| (f as usize) < n_flows && f.is_multiple_of(2);
+            let relays: Vec<Vec<u32>> = (0..n_logs)
+                .map(|l| (0..12u32).filter(|&f| !origin(f) && f as usize % n_logs == l).collect())
+                .collect();
+            let mut timers = IndexedTimers::with_logs(n_flows, n_logs);
+            // (time, prio, flow, seq, len) — seq keeps a flow's entries in log order.
+            let mut model = BinaryHeap::<Reverse<(Time, u8, u32, u64, u32)>>::new();
+            let (mut seq, mut pending, mut departing) = (0u64, vec![false; n_flows], false);
+            let mut left = vec![0usize; n_logs];
+            for (kind, flow, t, batch) in ops {
+                match kind {
+                    0 => {
+                        let f = flow as u32 % n_flows as u32;
+                        if origin(f) && !pending[f as usize] {
+                            pending[f as usize] = true;
+                            timers.schedule_arrival(FlowId(f), Time(t));
+                            model.push(Reverse((Time(t), 1, f, 0, 0)));
+                        }
+                    }
+                    1 => {
+                        if !departing {
+                            departing = true;
+                            timers.schedule_departure(Time(t));
+                            model.push(Reverse((Time(t), 0, 0, 0, 0)));
+                        }
+                    }
+                    2 => {
+                        let l = flow as usize % n_logs;
+                        if left[l] == 0 && !relays[l].is_empty() {
+                            let mut entries: Vec<LogEntry> = batch
+                                .iter()
+                                .map(|&(bt, k)| LogEntry {
+                                    time: Time(bt),
+                                    flow: relays[l][k as usize % relays[l].len()],
+                                    len: 100 + k as u32,
+                                })
+                                .collect();
+                            entries.sort_by_key(|e| (e.time, e.flow));
+                            for e in &entries {
+                                seq += 1;
+                                model.push(Reverse((e.time, 1, e.flow, seq, e.len)));
+                            }
+                            left[l] = entries.len();
+                            timers.refill_log(l, &mut entries);
+                            prop_assert!(entries.is_empty(), "drained buffer not returned");
+                        }
+                    }
+                    _ => {
+                        let peeked = timers.peek_time();
+                        let got = timers.pop();
+                        prop_assert_eq!(peeked, got.map(|(t, _)| t), "peek/pop time mismatch");
+                        let want = model.pop().map(|Reverse((t, p, f, _, len))| {
+                            let ev = match p {
+                                0 => Event::Departure,
+                                _ if origin(f) => Event::Arrival(FlowId(f)),
+                                _ => Event::Relay(FlowId(f), len),
+                            };
+                            (t, ev)
+                        });
+                        prop_assert_eq!(got, want, "log core diverged from the per-entry model");
+                        match got {
+                            Some((_, Event::Arrival(f))) => pending[f.index()] = false,
+                            Some((_, Event::Departure)) => departing = false,
+                            Some((_, Event::Relay(f, _))) => left[f.index() % n_logs] -= 1,
+                            None => {}
+                        }
+                    }
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! semantics the tandem line has always used (a feed-forward hop
 //! cannot influence its upstream, so replay is not an approximation).
 //!
-//! # Epoch/mailbox execution
+//! # Epoch/log execution
 //!
 //! Running every upstream link to completion before its downstream
 //! starts (the historical tandem strategy) holds the whole trace of a
@@ -20,10 +20,10 @@
 //! 1. links are advanced one topological *level* at a time — every
 //!    link in a level processes exactly its events with time `< H`
 //!    (level-mates share nothing, so they advance in parallel);
-//! 2. after a level finishes, its recorded departure batches are
-//!    handed to the destination flows' replay sources (the
-//!    **mailboxes**) in fixed edge order — serial, on the driving
-//!    thread;
+//! 2. after a level finishes, each of its links hands every
+//!    **departure log** it recorded — one per destination link,
+//!    `(destination flow, emission)` in departure order — whole to the
+//!    destination's log slot, serially on the driving thread;
 //! 3. the next level then advances to the same `H`, already holding
 //!    every arrival it can see before `H`.
 //!
@@ -32,17 +32,19 @@
 //! departures are still outstanding. The event sequence each link
 //! processes is therefore identical to the sequential run, for any
 //! epoch length and any shard-thread count — determinism comes from
-//! the structure (fixed drain order by link index, simulation-time
-//! horizons), not from scheduling luck. Threads only change how many
-//! level-mates advance concurrently.
+//! the structure (fixed handoff order, simulation-time horizons), not
+//! from scheduling luck. Threads only change how many level-mates
+//! advance concurrently.
 //!
-//! Mailbox handoff is allocation-free in the steady state: each edge
-//! ping-pongs two emission buffers between the recorder (upstream
-//! trace buffer) and the replayer (downstream
-//! [`TraceSource`](qbm_traffic::TraceSource)), swapped wholesale at
-//! each exchange.
+//! A log slot is keyed by its head's `(time, destination flow)` — the
+//! key a per-flow timer would carry — and a log keeps same-instant
+//! entries in destination-flow order, so ties resolve exactly as
+//! per-flow replay resolves them, departures first, with one slot per
+//! upstream link instead of one per relayed flow. Each log ping-pongs
+//! two buffers between recorder and log slot: no steady-state
+//! allocation.
 
-use crate::event::{EventCore, IndexedTimers};
+use crate::event::{IndexedTimers, Outbox};
 use crate::router::{FeedbackMode, LinkEngine, Router};
 use crate::stats::SimResult;
 use qbm_core::flow::FlowId;
@@ -50,22 +52,23 @@ use qbm_core::policy::BufferPolicy;
 use qbm_core::units::{Dur, Time};
 use qbm_obs::{NullObserver, Observer};
 use qbm_sched::Scheduler;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Default epoch length: 1 s of simulation time. Long enough that
 /// barrier overhead vanishes against per-epoch event work, short
-/// enough that a relay edge's mailbox holds ~one second of departures
-/// (a few hundred KiB at the paper's rates).
+/// enough that a departure log holds ~one second of departures (a few
+/// hundred KiB per link at the paper's rates).
 pub const DEFAULT_EPOCH: Dur = Dur::from_secs(1);
 
-/// A relay edge: `(src_link, src_flow)`'s departures feed
-/// `(dst_link, dst_flow)`'s arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Edge {
-    src_link: u32,
-    src_flow: u32,
-    dst_link: u32,
-    dst_flow: u32,
+/// The `(link, flow)` endpoint of an unwired flow.
+const UNWIRED: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// Source `src`'s log `log` goes to `dst`'s log slot `slot` (storage positions).
+#[derive(Debug, Clone, Copy)]
+struct Handoff {
+    src: usize,
+    log: usize,
+    dst: usize,
+    slot: usize,
 }
 
 /// A DAG of links with deterministic epoch-synchronized execution.
@@ -81,12 +84,13 @@ where
     S: Scheduler,
 {
     links: Vec<Router<P, S>>,
-    edges: Vec<Edge>,
-    /// Wired edge endpoints, for O(log E) duplicate detection in
-    /// [`Fabric::connect`] — the linear scan it replaces made wiring a
-    /// 10⁶-flow subscriber tree (≈2×10⁶ edges) quadratic.
-    wired_src: BTreeSet<(u32, u32)>,
-    wired_dst: BTreeSet<(u32, u32)>,
+    /// `feeds[l][f]`: the `(link, flow)` link `l`'s flow `f` relays
+    /// into, [`UNWIRED`] if none. Sized at [`Fabric::add_link`], so
+    /// wiring is O(1) per edge.
+    feeds: Vec<Vec<(u32, u32)>>,
+    /// `fed_by[l][f]`: the `(link, flow)` relayed into link `l`'s flow
+    /// `f`, [`UNWIRED`] if none.
+    fed_by: Vec<Vec<(u32, u32)>>,
     epoch: Dur,
 }
 
@@ -109,16 +113,15 @@ where
     pub fn new() -> Fabric<P, S> {
         Fabric {
             links: Vec::new(),
-            edges: Vec::new(),
-            wired_src: BTreeSet::new(),
-            wired_dst: BTreeSet::new(),
+            feeds: Vec::new(),
+            fed_by: Vec::new(),
             epoch: DEFAULT_EPOCH,
         }
     }
 
-    /// Override the epoch (mailbox-exchange horizon) length. Results
-    /// are independent of the choice; only memory held in mailboxes
-    /// and barrier frequency change.
+    /// Override the epoch (log-handoff horizon) length. Results are
+    /// independent of the choice; only memory held in logs and barrier
+    /// frequency change.
     pub fn with_epoch(mut self, epoch: Dur) -> Fabric<P, S> {
         assert!(epoch > Dur::ZERO, "zero fabric epoch");
         self.epoch = epoch;
@@ -126,10 +129,13 @@ where
     }
 
     /// Add a link; returns its index. Link indices are the
-    /// deterministic identity everywhere: edge drain order, observer
+    /// deterministic identity everywhere: handoff order, observer
     /// association, result order, the `link` field on trace records.
     pub fn add_link(&mut self, router: Router<P, S>) -> u32 {
+        let n = router.n_flows();
         self.links.push(router);
+        self.feeds.push(vec![UNWIRED; n]);
+        self.fed_by.push(vec![UNWIRED; n]);
         (self.links.len() - 1) as u32
     }
 
@@ -140,9 +146,9 @@ where
 
     /// Relay `src_link`'s flow `src_flow` into `dst_link`'s flow
     /// `dst_flow`. The destination flow must be backed by a
-    /// [`TraceSource`](qbm_traffic::TraceSource) (typically empty —
-    /// the fabric fills it every epoch); the source flow's departures
-    /// are recorded automatically.
+    /// [`TraceSource`](qbm_traffic::TraceSource), typically empty: the
+    /// flow's packets come from the departure log of `src_link`, whose
+    /// departures are recorded automatically.
     ///
     /// Panics on out-of-range links/flows, or if either endpoint is
     /// already wired (a flow has at most one feeder and one reader —
@@ -160,20 +166,18 @@ where
             "edge references unknown flow"
         );
         assert_ne!(src_link, dst_link, "self-loop edge");
+        let out = &mut self.feeds[src_link as usize][src_flow as usize];
         assert!(
-            self.wired_src.insert((src_link, src_flow)),
+            *out == UNWIRED,
             "flow {src_flow} of link {src_link} already feeds an edge"
         );
+        *out = (dst_link, dst_flow);
+        let feeder = &mut self.fed_by[dst_link as usize][dst_flow as usize];
         assert!(
-            self.wired_dst.insert((dst_link, dst_flow)),
+            *feeder == UNWIRED,
             "flow {dst_flow} of link {dst_link} already has a feeder"
         );
-        self.edges.push(Edge {
-            src_link,
-            src_flow,
-            dst_link,
-            dst_flow,
-        });
+        *feeder = (src_link, src_flow);
     }
 
     /// Topological level of every link (longest path from a root, in
@@ -181,13 +185,17 @@ where
     /// fabric is feed-forward by construction.
     fn levels(&self) -> Vec<u32> {
         let n = self.links.len();
-        let mut indegree = vec![0usize; n];
+        // One edge per run of flows feeding the same link: the level
+        // relation only needs reachability.
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            // Parallel flow edges between the same link pair each
-            // count: the level relation only needs reachability.
-            indegree[e.dst_link as usize] += 1;
-            succ[e.src_link as usize].push(e.dst_link as usize);
+        let mut indegree = vec![0usize; n];
+        for (l, feeds) in self.feeds.iter().enumerate() {
+            for &(dl, _) in feeds.iter().filter(|&&p| p != UNWIRED) {
+                if succ[l].last() != Some(&(dl as usize)) {
+                    succ[l].push(dl as usize);
+                    indegree[dl as usize] += 1;
+                }
+            }
         }
         let mut level = vec![0u32; n];
         let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
@@ -204,6 +212,18 @@ where
         }
         assert_eq!(seen, n, "fabric link graph has a cycle");
         level
+    }
+
+    /// The `(link, flow)` whose source originates the traffic of link
+    /// `l`'s flow `f`: walk the feeder chain up to its root.
+    fn origin_of(&self, mut l: u32, mut f: u32) -> (u32, u32) {
+        loop {
+            let up = self.fed_by[l as usize][f as usize];
+            if up == UNWIRED {
+                return (l, f);
+            }
+            (l, f) = up;
+        }
     }
 
     /// Run the fabric unobserved. See [`Fabric::run_observed`].
@@ -225,6 +245,7 @@ where
     /// Returns one [`SimResult`] per link, in link-index order, all
     /// carrying `seed` (per-link source seeds are the topology
     /// builder's concern — see `scenarios`).
+    /// Preparation is O(links + flows).
     pub fn run_observed<O>(
         self,
         seed: u64,
@@ -260,83 +281,92 @@ where
             level_start[l + 1] += level_start[l];
         }
 
-        // Edges grouped by source level, in (src_link, src_flow)
-        // order within each group — the fixed mailbox drain order.
-        let mut edges = self.edges;
-        edges.sort_by_key(|e| (level[e.src_link as usize], e.src_link, e.src_flow));
-        let mut records = vec![false; n];
-        for e in &edges {
-            records[e.src_link as usize] = true;
-        }
-
-        // Closed-loop path wiring (DESIGN.md §16). Walk every flow's
-        // relay chain back to its path origin; when the origin's
-        // source reacts to feedback, the chain's links are rewired:
-        // the origin applies losses locally (`Local`), every relay
-        // buffers its signals for the end-of-epoch drain (`Remote`),
-        // and only the terminal hop — the one feeding no further edge
-        // — reports `Delivered`.
-        let pred: BTreeMap<(u32, u32), (u32, u32)> = edges
-            .iter()
-            .map(|e| ((e.dst_link, e.dst_flow), (e.src_link, e.src_flow)))
-            .collect();
-        let feeds_edge: BTreeSet<(u32, u32)> =
-            edges.iter().map(|e| (e.src_link, e.src_flow)).collect();
-        let origin_of = |mut l: u32, mut f: u32| {
-            while let Some(&(pl, pf)) = pred.get(&(l, f)) {
-                l = pl;
-                f = pf;
-            }
-            (l, f)
-        };
-        // (link, flow, mode) overrides plus the relay→origin map the
-        // drain uses to route buffered signals home.
-        let mut mode_overrides: Vec<(u32, u32, FeedbackMode)> = Vec::new();
-        let mut fb_origin: BTreeMap<(u32, u32), (u32, u32)> = BTreeMap::new();
-        for (l, link) in self.links.iter().enumerate() {
-            let l = l as u32;
-            for f in 0..link.n_flows() as u32 {
-                let (ol, of) = origin_of(l, f);
-                if !self.links[ol as usize].flow_is_closed_loop(of as usize) {
-                    continue;
-                }
-                let terminal = !feeds_edge.contains(&(l, f));
-                if (ol, of) == (l, f) {
-                    mode_overrides.push((
-                        l,
-                        f,
-                        FeedbackMode::Local {
-                            delivered: terminal,
-                        },
-                    ));
-                } else {
-                    fb_origin.insert((l, f), (ol, of));
-                    mode_overrides.push((
-                        l,
-                        f,
-                        FeedbackMode::Remote {
-                            delivered: terminal,
-                        },
-                    ));
+        // Closed-loop path wiring (DESIGN.md §16), skipped outright on
+        // an open-loop fabric. Walk every flow's relay chain back to
+        // its path origin; when the origin's source reacts to feedback,
+        // the chain's links are rewired: the origin applies losses
+        // locally (`Local`), every relay buffers its signals for the
+        // end-of-epoch drain (`Remote`), and only the terminal hop —
+        // the one feeding no further edge — reports `Delivered`.
+        // `fb_origin[pos][f]` is the (storage position, flow) a relay
+        // signal of flow `f` at storage position `pos` routes home to.
+        let mut mode_overrides: Vec<(usize, u32, FeedbackMode)> = Vec::new();
+        let mut fb_origin: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        let closed = |r: &Router<P, S>| (0..r.n_flows()).any(|f| r.flow_is_closed_loop(f));
+        if self.links.iter().any(closed) {
+            for (l, link) in self.links.iter().enumerate() {
+                for f in 0..link.n_flows() as u32 {
+                    let (ol, of) = self.origin_of(l as u32, f);
+                    if !self.links[ol as usize].flow_is_closed_loop(of as usize) {
+                        continue;
+                    }
+                    let delivered = self.feeds[l][f as usize] == UNWIRED;
+                    let mode = if ol as usize == l {
+                        FeedbackMode::Local { delivered }
+                    } else {
+                        let table = &mut fb_origin[pos_of[l]];
+                        table.resize(link.n_flows(), UNWIRED);
+                        table[f as usize] = (pos_of[ol as usize] as u32, of);
+                        FeedbackMode::Remote { delivered }
+                    };
+                    mode_overrides.push((pos_of[l], f, mode));
                 }
             }
         }
 
         // Wrap each router in a paused engine, permuted into level
-        // order. Only links that feed an edge record departures.
+        // order. Per-flow timer slots cover a link's flows up to its
+        // last unfed one; relay flows past it exist only as log entries.
+        // Each link records one departure log per destination link,
+        // numbered in order of first use; a destination numbers its log
+        // slots in the order its sources are built — storage order, so
+        // the handoff list comes out grouped by source level.
         let mut routers: Vec<Option<Router<P, S>>> = self.links.into_iter().map(Some).collect();
-        let mut engines: Vec<LinkEngine<P, S, IndexedTimers>> = order
-            .iter()
-            .map(|&link| {
-                let router = routers[link].take().expect("each link wrapped once");
-                let flows = router.n_flows();
-                let traces = records[link].then(Vec::new);
-                let events = IndexedTimers::with_flows(flows);
-                LinkEngine::new(router, warmup, end, seed, traces, events, link as u32)
-            })
-            .collect();
-        for &(l, f, mode) in &mode_overrides {
-            engines[pos_of[l as usize]].set_feedback_mode(FlowId(f), mode);
+        let mut engines: Vec<LinkEngine<P, S, IndexedTimers>> = Vec::with_capacity(n);
+        let mut handoffs: Vec<Handoff> = Vec::new();
+        let (mut in_logs, mut log_of) = (vec![0usize; n], vec![usize::MAX; n]);
+        for (pos, &link) in order.iter().enumerate() {
+            let router = routers[link].take().expect("each link wrapped once");
+            let fed_by = &self.fed_by[link];
+            let stubbed =
+                (0..fed_by.len()).all(|f| fed_by[f] == UNWIRED || router.flow_is_trace_fed(f));
+            assert!(stubbed, "a relay flow of link {link} is not trace-fed");
+            let timed = fed_by
+                .iter()
+                .rposition(|&p| p == UNWIRED)
+                .map_or(0, |i| i + 1);
+            let mut dsts: Vec<usize> = Vec::new();
+            let route: Vec<(u32, u32)> = self.feeds[link]
+                .iter()
+                .map(|&(dl, df)| {
+                    let d = dl as usize;
+                    if (dl, df) == UNWIRED {
+                        return UNWIRED;
+                    } else if log_of[d] == usize::MAX {
+                        log_of[d] = dsts.len();
+                        dsts.push(d);
+                    }
+                    (log_of[d] as u32, df)
+                })
+                .collect();
+            for (log, &d) in dsts.iter().enumerate() {
+                let (dst, slot) = (pos_of[d], in_logs[d]);
+                handoffs.push(Handoff {
+                    src: pos,
+                    log,
+                    dst,
+                    slot,
+                });
+                in_logs[d] += 1;
+                log_of[d] = usize::MAX;
+            }
+            let outbox = (!dsts.is_empty()).then(|| Outbox::new(route, dsts.len()));
+            let events = IndexedTimers::with_logs(timed, in_logs[link]);
+            let engine = LinkEngine::new(router, warmup, end, seed, outbox, events, link as u32);
+            engines.push(engine);
+        }
+        for &(pos, f, mode) in &mode_overrides {
+            engines[pos].set_feedback_mode(FlowId(f), mode);
         }
         let mut obs: Vec<Option<&mut O>> = observers.iter_mut().map(Some).collect();
         let mut obs: Vec<&mut O> = order
@@ -349,7 +379,7 @@ where
         }
 
         // The epoch loop: advance level-by-level to each horizon,
-        // exchanging mailboxes between levels.
+        // handing logs down between levels.
         let mut horizon = Time::ZERO;
         while horizon < end {
             horizon = if end.as_nanos() - horizon.as_nanos() <= self.epoch.as_nanos() {
@@ -357,15 +387,13 @@ where
             } else {
                 horizon + self.epoch
             };
-            let mut edge_cursor = 0usize;
+            let mut cursor = 0usize;
             for l in 0..n_levels {
                 let (lo, hi) = (level_start[l], level_start[l + 1]);
                 advance_level(&mut engines[lo..hi], &mut obs[lo..hi], horizon, threads);
-                while edge_cursor < edges.len()
-                    && level[edges[edge_cursor].src_link as usize] as usize == l
-                {
-                    exchange(&mut engines, &pos_of, edges[edge_cursor]);
-                    edge_cursor += 1;
+                while let Some(&h) = handoffs.get(cursor).filter(|h| h.src < hi) {
+                    handoff(&mut engines, h);
+                    cursor += 1;
                 }
             }
             // The feedback return leg: after every level reached this
@@ -375,19 +403,15 @@ where
             // Fixed order + a simulation-time stamp make the drain
             // byte-identical at any shard width; the horizon stamp is
             // also why closed-loop runs quantize feedback latency to
-            // the epoch (see DESIGN.md §16) — unlike the forward
-            // (mailbox) direction, the return leg points *up* the
-            // level order, so it cannot be exact within an epoch.
+            // the epoch (see DESIGN.md §16) — unlike the forward (log)
+            // direction, the return leg points *up* the level order,
+            // so it cannot be exact within an epoch.
             for pos in 0..engines.len() {
                 let buf = engines[pos].take_feedback_out();
-                if !buf.is_empty() {
-                    let link = order[pos] as u32;
-                    for ev in &buf {
-                        let &(ol, of) = fb_origin
-                            .get(&(link, ev.flow.0))
-                            .expect("remote feedback from an unwired flow");
-                        engines[pos_of[ol as usize]].apply_feedback(FlowId(of), horizon, ev.fb);
-                    }
+                let origins = &fb_origin[pos];
+                for ev in &buf {
+                    let (opos, of) = origins[ev.flow.index()];
+                    engines[opos as usize].apply_feedback(FlowId(of), horizon, ev.fb);
                 }
                 engines[pos].put_feedback_out(buf);
             }
@@ -396,7 +420,7 @@ where
         // Close the runs and un-permute into link-index order.
         let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
         for ((pos, engine), o) in engines.into_iter().enumerate().zip(obs) {
-            let (res, _traces, _lanes, _events) = engine.finish(o);
+            let (res, _outbox, _lanes, _events) = engine.finish(o);
             results[order[pos]] = Some(res);
         }
         results
@@ -438,21 +462,23 @@ fn advance_level<P, S, O>(
     });
 }
 
-/// Deliver one edge's mailbox: take the source flow's recorded batch,
-/// swap it into the destination flow's replay source, and put the
-/// recovered spare buffer back as the next recording buffer.
-fn exchange<P, S>(engines: &mut [LinkEngine<P, S, IndexedTimers>], pos_of: &[usize], e: Edge)
+/// Hand one departure log down: swap the source's recorded log into
+/// the destination's (drained) log slot, which gives the source back
+/// the drained buffer to record into next.
+fn handoff<P, S>(engines: &mut [LinkEngine<P, S, IndexedTimers>], h: Handoff)
 where
     P: BufferPolicy,
     S: Scheduler,
 {
-    let (src, dst) = (pos_of[e.src_link as usize], pos_of[e.dst_link as usize]);
-    debug_assert!(src < dst, "edge must point down the level order");
-    let (head, tail) = engines.split_at_mut(dst);
-    let src_buf = head[src].trace_buf_mut(e.src_flow as usize);
-    let mut batch = std::mem::take(src_buf);
-    tail[0].deliver(FlowId(e.dst_flow), &mut batch);
-    *head[src].trace_buf_mut(e.src_flow as usize) = batch;
+    debug_assert!(h.src < h.dst, "a log must point down the level order");
+    let (head, tail) = engines.split_at_mut(h.dst);
+    let (Some(src), Some(dst)) = (head.get_mut(h.src), tail.first_mut()) else {
+        debug_assert!(false, "handoff between unknown engines");
+        return;
+    };
+    if let Some(log) = src.outbox.as_mut().and_then(|o| o.log_mut(h.log)) {
+        dst.events.refill_log(h.slot, log);
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //!   hybrid cases as ready-made configurations, plus topology
 //!   generators (aggregation tree, incast fan-in) for the fabric;
 //! * [`fabric`] — a DAG of links advanced in deterministic
-//!   mailbox-exchange epochs, with link-level sharding across threads
+//!   log-handoff epochs, with link-level sharding across threads
 //!   (extension beyond the paper's single link);
 //! * [`tandem`] — feed-forward multi-hop lines, now a degenerate
 //!   path-graph [`Fabric`].

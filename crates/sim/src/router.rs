@@ -23,7 +23,7 @@
 //! `hot-path-alloc` qbm-lint rule enforces the no-allocation property
 //! on `LinkEngine::advance`/`start_transmission` going forward.
 
-use crate::event::{Event, EventCore, IndexedTimers};
+use crate::event::{Event, EventCore, IndexedTimers, Outbox};
 use crate::stats::{SimResult, StatsCollector, StatsConfig};
 use qbm_core::flow::{FlowId, FlowSpec};
 use qbm_core::policy::{BufferPolicy, DropReason, Verdict};
@@ -121,6 +121,12 @@ where
     /// probe for wiring closed-loop signal paths.
     pub(crate) fn flow_is_closed_loop(&self, flow: usize) -> bool {
         self.lanes.sources[flow].is_closed_loop()
+    }
+
+    /// Whether flow `flow` is backed by a replay source — the stub a
+    /// relay flow must carry.
+    pub(crate) fn flow_is_trace_fed(&self, flow: usize) -> bool {
+        matches!(self.lanes.sources[flow], SourceKind::Trace(_))
     }
 
     /// Assemble a router. `sources[i]` feeds `FlowId(i)`.
@@ -276,34 +282,33 @@ where
         seed: u64,
         obs: &mut O,
     ) -> (SimResult, Vec<Vec<Emission>>) {
-        let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        let (res, traces, _, _) = self.run_inner(warmup, end, seed, Some(Vec::new()), obs, events);
-        (res, traces.expect("recording requested"))
+        let n = self.lanes.sources.len();
+        let events = IndexedTimers::with_flows(n);
+        let outbox = Outbox::per_flow(n);
+        let (res, outbox, _, _) = self.run_inner(warmup, end, seed, Some(outbox), obs, events);
+        (res, outbox.expect("recording requested").split(n))
     }
 
-    /// The event loop, generic over observer and event core. `traces`
-    /// `Some(buffers)` requests departure recording into the supplied
-    /// per-flow buffers (resized/cleared to fit, capacity reused).
-    /// Returns the statistics, the recorded traces, and the spent
-    /// lanes and event core (whose allocations a tandem line or a
-    /// campaign arena recycles). The caller supplies `events` sized
-    /// for `sources.len()` flows.
+    /// The event loop, generic over observer and event core. `outbox`
+    /// `Some(..)` requests departure recording into its logs. Returns
+    /// the statistics, the outbox, and the spent lanes and event core
+    /// (whose allocations a campaign arena recycles). The caller
+    /// supplies `events` sized for `sources.len()` flows.
     ///
     /// The loop itself lives in [`LinkEngine`]: a single-link run is
     /// one engine primed and advanced to `end` in a single epoch, while
     /// the fabric (`crate::fabric`) advances many engines in bounded
-    /// mailbox-exchange epochs. Either way the event sequence is
-    /// identical.
+    /// log-handoff epochs. Either way the event sequence is identical.
     fn run_inner<O: Observer, E: EventCore>(
         self,
         warmup: Time,
         end: Time,
         seed: u64,
-        traces: Option<Vec<Vec<Emission>>>,
+        outbox: Option<Outbox>,
         obs: &mut O,
         events: E,
-    ) -> (SimResult, Option<Vec<Vec<Emission>>>, FlowLanes, E) {
-        let mut engine = LinkEngine::new(self, warmup, end, seed, traces, events, 0);
+    ) -> (SimResult, Option<Outbox>, FlowLanes, E) {
+        let mut engine = LinkEngine::new(self, warmup, end, seed, outbox, events, 0);
         engine.prime(obs);
         engine.advance(end, obs);
         engine.finish(obs)
@@ -311,11 +316,11 @@ where
 }
 
 /// A resumable single-link event loop: [`Router`] state plus its
-/// in-progress run (statistics window, event core, recording buffers).
+/// in-progress run (statistics window, event core, departure logs).
 ///
 /// `Router::run_inner` used to own this loop start-to-finish; the
-/// fabric needs to *pause* a link at an epoch horizon, exchange
-/// recorded departures with downstream links, and resume — so the loop
+/// fabric needs to *pause* a link at an epoch horizon, hand its
+/// departure logs to downstream links, and resume — so the loop
 /// state lives in a struct and [`LinkEngine::advance`] processes
 /// exactly the events strictly before a caller-chosen horizon.
 /// Peeking before popping keeps a horizon-straddling event (and its
@@ -340,9 +345,13 @@ where
     in_flight: Option<PacketRef>,
     seq: u64,
     stats: StatsCollector,
-    /// Per-flow departure recording buffers (`Some` = this link feeds
-    /// downstream links or a tandem hop).
-    traces: Option<Vec<Vec<Emission>>>,
+    /// Departure logs (`Some` = this link feeds downstream links or
+    /// records for [`Router::run_recording`]).
+    pub(crate) outbox: Option<Outbox>,
+    /// Transmission time of the last packet length sent: consecutive
+    /// packets mostly share a length, so the division is paid once per
+    /// change of length, not once per departure.
+    tx_memo: (u32, Dur),
     /// Conservation ledger (debug builds): bytes admitted and not yet
     /// departed, independently of the policy's own accounting. Any
     /// drift between the two is a silent buffer leak.
@@ -357,7 +366,7 @@ where
     /// Cross-link feedback buffer (`Some` on fabric links with any
     /// `Remote`-mode flow; drained by the fabric each epoch).
     fb_out: Option<Vec<FbEvent>>,
-    events: E,
+    pub(crate) events: E,
     end: Time,
     /// This link's index in its fabric (0 for single-router runs),
     /// forwarded on every observer hook.
@@ -371,35 +380,17 @@ where
     E: EventCore,
 {
     /// Wrap a router into a paused engine measuring `[warmup, end)`.
-    /// `traces: Some(buffers)` enables departure recording (buffers are
-    /// resized/cleared to fit, capacity reused).
+    /// `outbox: Some(..)` enables departure recording.
     pub(crate) fn new(
         router: Router<P, S>,
         warmup: Time,
         end: Time,
         seed: u64,
-        mut traces: Option<Vec<Vec<Emission>>>,
+        outbox: Option<Outbox>,
         events: E,
         link: u32,
     ) -> LinkEngine<P, S, E> {
         let n = router.lanes.sources.len();
-        if let Some(bufs) = traces.as_mut() {
-            bufs.resize_with(n, Vec::new);
-            // Pre-size fresh buffers for the expected departure count:
-            // an even split of the link's packet capacity over the run
-            // (recycled buffers already carry their capacity).
-            let est = (end.0 as u128 * router.link_rate.bps() as u128
-                / (qbm_traffic::PACKET_BYTES as u128 * 8 * 1_000_000_000))
-                as usize
-                / n
-                + 64;
-            for b in bufs.iter_mut() {
-                b.clear();
-                if b.capacity() == 0 {
-                    b.reserve(est);
-                }
-            }
-        }
         // A source that reacts to feedback gets the full local loop by
         // default (drops *and* deliveries signalled on this link); the
         // fabric rewires multi-hop flows after construction.
@@ -424,7 +415,8 @@ where
             in_flight: router.in_flight,
             seq: router.seq,
             stats: StatsCollector::with_config(n, warmup, end, seed, router.stats_cfg),
-            traces,
+            outbox,
+            tx_memo: (0, Dur::ZERO),
             queued_bytes: 0,
             prev_sharing: None,
             fb_modes,
@@ -436,7 +428,9 @@ where
     }
 
     /// Emit the initial sharing state and schedule one pending emission
-    /// per source. Call exactly once, before the first `advance`.
+    /// per source with a timer slot (relay flows have none: their
+    /// packets come from departure logs). Call exactly once, before the
+    /// first `advance`.
     pub(crate) fn prime<O: Observer>(&mut self, obs: &mut O) {
         if O::ENABLED {
             if let Some((holes, headroom)) = self.policy.sharing_state() {
@@ -444,12 +438,20 @@ where
                 obs.on_sharing(Time::ZERO, holes, headroom, self.link);
             }
         }
-        for i in 0..self.lanes.sources.len() {
-            if let Some(e) = self.lanes.sources[i].next_emission() {
-                self.lanes.pending[i] = Some(e.len);
-                self.events.schedule_arrival(FlowId(i as u32), e.time);
-            }
-        }
+        let lanes = &mut self.lanes;
+        let timed = self.events.flow_slots();
+        let first = lanes
+            .sources
+            .iter_mut()
+            .zip(lanes.pending.iter_mut())
+            .take(timed)
+            .enumerate()
+            .filter_map(|(i, (source, pending))| {
+                let e = source.next_emission()?;
+                *pending = Some(e.len);
+                Some((FlowId(i as u32), e.time))
+            });
+        self.events.schedule_arrivals(first);
     }
 
     /// Process every pending event with time strictly before `horizon`,
@@ -492,9 +494,13 @@ where
                 }
             });
             let Some((now, ev)) = popped else { break };
-            match ev {
-                Event::Arrival(flow) => {
-                    let len = arrived_len;
+            let arrival = match ev {
+                Event::Arrival(flow) => Some((flow, arrived_len)),
+                Event::Relay(flow, len) => Some((flow, len)),
+                Event::Departure => None,
+            };
+            match arrival {
+                Some((flow, len)) => {
                     if O::ENABLED {
                         obs.on_arrival(now, flow, len, self.link);
                     }
@@ -641,7 +647,7 @@ where
                         }
                     }
                 }
-                Event::Departure => {
+                None => {
                     let Some(pkt) = self.in_flight.take() else {
                         debug_assert!(false, "departure with idle link");
                         continue;
@@ -677,11 +683,8 @@ where
                             }
                         }
                     }
-                    if let Some(tr) = self.traces.as_mut() {
-                        tr[pkt.flow.index()].push(Emission {
-                            time: now,
-                            len: pkt.len,
-                        });
+                    if let Some(out) = self.outbox.as_mut() {
+                        out.append(pkt.flow, now, pkt.len);
                     }
                     // The delivery leg of the signal path, gated per
                     // flow: only the link that terminates the path
@@ -751,30 +754,6 @@ where
         }
     }
 
-    /// Hand a fresh batch of upstream departures to relay flow `flow`
-    /// (which must be trace-fed) and re-arm its pending arrival if the
-    /// flow had gone idle. The fabric's mailbox delivery: `batch` is
-    /// swapped against the spent replay buffer, so the steady state
-    /// recycles the same two allocations per edge.
-    pub(crate) fn deliver(&mut self, flow: FlowId, batch: &mut Vec<Emission>) {
-        let f = flow.index();
-        match &mut self.lanes.sources[f] {
-            SourceKind::Trace(ts) => ts.refill_recycling(batch),
-            // qbm-lint: allow(hot-path-panic) — fabric wiring bug: a non-trace relay flow is a construction error, aborting beats corrupting the run
-            other => panic!("relay flow {f} is not trace-fed (got {other:?})"),
-        }
-        // Re-arm: a relay flow exhausts its mailbox within each epoch
-        // (every delivered emission precedes the epoch horizon), so the
-        // pull discipline has parked it with no pending arrival; pull
-        // the first delivered emission and schedule it.
-        if self.lanes.pending[f].is_none() {
-            if let Some(e) = self.lanes.sources[f].next_emission() {
-                self.lanes.pending[f] = Some(e.len);
-                self.events.schedule_arrival(flow, e.time);
-            }
-        }
-    }
-
     /// Route one feedback signal to flow `flow`'s owning source at
     /// instant `now`: the source updates its window, an RTO request
     /// pushes the flow's pending [`IndexedTimers`] slot out to the
@@ -820,20 +799,12 @@ where
         }
     }
 
-    /// Mutable access to relay flow `flow`'s recording buffer — the
-    /// fabric takes it (`mem::take`), delivers it downstream, and puts
-    /// the swapped-out spare back.
-    pub(crate) fn trace_buf_mut(&mut self, flow: usize) -> &mut Vec<Emission> {
-        // qbm-lint: allow(hot-path-panic, hot-path-index) — only recording links are asked for buffers; a miss is a fabric wiring error
-        &mut self.traces.as_mut().expect("link does not record")[flow]
-    }
-
     /// Close the run: final observer flush, statistics reduction, and
     /// the spent parts for arena/tandem recycling.
     pub(crate) fn finish<O: Observer>(
         self,
         obs: &mut O,
-    ) -> (SimResult, Option<Vec<Vec<Emission>>>, FlowLanes, E) {
+    ) -> (SimResult, Option<Outbox>, FlowLanes, E) {
         if O::ENABLED {
             obs.on_end(self.end, self.link);
         }
@@ -851,13 +822,16 @@ where
         if !aimd.is_empty() {
             result.aimd = Some(aimd);
         }
-        (result, self.traces, self.lanes, self.events)
+        (result, self.outbox, self.lanes, self.events)
     }
 
     fn start_transmission(&mut self, now: Time) {
         debug_assert!(self.in_flight.is_none());
         if let Some(pkt) = self.scheduler.dequeue(now) {
-            let done = now + self.link_rate.transmission_time(pkt.len as u64);
+            if pkt.len != self.tx_memo.0 {
+                self.tx_memo = (pkt.len, self.link_rate.transmission_time(pkt.len as u64));
+            }
+            let done = now + self.tx_memo.1;
             self.in_flight = Some(pkt);
             self.events.schedule_departure(done);
         }

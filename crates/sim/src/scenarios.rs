@@ -318,8 +318,8 @@ fn renumber(specs: &[FlowSpec]) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// An empty replay source — the stub behind every relay flow; the
-/// fabric fills it from its upstream mailbox each epoch.
+/// An empty replay source — the stub behind every relay flow, whose
+/// packets the fabric delivers from the upstream departure log.
 fn relay_stub() -> SourceKind {
     SourceKind::Trace(TraceSource::from_recorded(Vec::new()))
 }

@@ -19,7 +19,7 @@
 //! A line is the degenerate path graph of the general
 //! [`Fabric`](crate::fabric::Fabric): these entry points are thin
 //! shims that wire hop `i`'s flow `f` to hop `i+1`'s flow `f` and run
-//! the fabric single-threaded. The epoch/mailbox execution processes
+//! the fabric single-threaded. The epoch/log execution processes
 //! the exact event sequence the historical run-to-completion
 //! hop-by-hop runner did (see the fabric module docs), so existing
 //! results — including recorded traces — are byte-identical.
@@ -114,8 +114,8 @@ where
             // qbm-lint: allow(hot-path-alloc) — per-hop setup, not per-event
             specs.iter().map(|s| build_source_kind(s, seed)).collect()
         } else {
-            // Relay hops start empty; the fabric fills each flow's
-            // replay source from its upstream mailbox every epoch.
+            // Relay hops carry empty stubs; their packets come from
+            // the upstream hop's departure log every epoch.
             specs
                 .iter()
                 .map(|_| SourceKind::Trace(TraceSource::from_recorded(Vec::new())))

@@ -48,35 +48,6 @@ impl TraceSource {
     pub fn into_inner(self) -> Vec<Emission> {
         self.trace
     }
-
-    /// Replace this source's contents with `batch`, leaving the spent
-    /// backing buffer *in* `batch` (cleared) for the caller to refill —
-    /// the fabric's mailbox handoff: two buffers per relay edge
-    /// ping-pong between recorder and replayer with no allocation in
-    /// the steady state.
-    ///
-    /// When replay has not finished, the unconsumed tail is preserved
-    /// ahead of the delivered batch (`batch` must not start before the
-    /// tail ends — emission times must stay sorted, checked in debug
-    /// builds as in [`TraceSource::from_recorded`]).
-    pub fn refill_recycling(&mut self, batch: &mut Vec<Emission>) {
-        if self.pos >= self.trace.len() {
-            // Fast path (every fabric epoch in practice): fully
-            // consumed, so swap buffers wholesale.
-            self.trace.clear();
-            std::mem::swap(&mut self.trace, batch);
-        } else {
-            // General path: keep the pending tail, append the batch.
-            self.trace.drain(..self.pos);
-            self.trace.append(batch);
-        }
-        self.pos = 0;
-        batch.clear();
-        debug_assert!(
-            self.trace.windows(2).all(|w| w[0].time <= w[1].time),
-            "refilled trace not time-sorted"
-        );
-    }
 }
 
 impl Source for TraceSource {
