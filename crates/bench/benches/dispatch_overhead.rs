@@ -17,7 +17,7 @@ use qbm_core::units::{ByteSize, Time};
 use qbm_sched::Fifo;
 use qbm_sim::scenarios::{paper_experiment, section3_schemes, LINK_RATE};
 use qbm_sim::Router;
-use qbm_traffic::{build_source, Source};
+use qbm_traffic::build_source_kind;
 
 /// Simulated time per iteration; long enough for thousands of packets.
 const SIM_END_MS: u64 = 500;
@@ -44,8 +44,11 @@ fn bench_dispatch(c: &mut Criterion) {
                 .policy
                 .build(cfg.buffer_bytes, cfg.link_rate, &cfg.specs);
             let sched = cfg.sched.build(cfg.link_rate, &cfg.specs);
-            let sources: Vec<Box<dyn Source>> =
-                cfg.specs.iter().map(|s| build_source(s, seed)).collect();
+            let sources: Vec<_> = cfg
+                .specs
+                .iter()
+                .map(|s| build_source_kind(s, seed))
+                .collect();
             let router = Router::new(cfg.link_rate, policy, sched, sources);
             black_box(router.run(Time::ZERO, end, seed))
         });
@@ -61,8 +64,11 @@ fn bench_dispatch(c: &mut Criterion) {
                 &cfg.specs,
                 ThresholdOptions::default(),
             );
-            let sources: Vec<Box<dyn Source>> =
-                cfg.specs.iter().map(|s| build_source(s, seed)).collect();
+            let sources: Vec<_> = cfg
+                .specs
+                .iter()
+                .map(|s| build_source_kind(s, seed))
+                .collect();
             let router = Router::new(cfg.link_rate, policy, Fifo::new(), sources);
             black_box(router.run(Time::ZERO, end, seed))
         });

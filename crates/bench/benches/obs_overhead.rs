@@ -28,7 +28,7 @@ use qbm_obs::{CountingObserver, NullObserver, Observer, Tracer};
 use qbm_sched::Fifo;
 use qbm_sim::scenarios::{paper_experiment, section3_schemes};
 use qbm_sim::{Router, SimResult};
-use qbm_traffic::{build_source, Source};
+use qbm_traffic::build_source_kind;
 
 /// Simulated time per iteration; long enough for thousands of packets.
 const SIM_END_MS: u64 = 500;
@@ -44,7 +44,11 @@ fn run_table1<O: Observer>(cfg: &qbm_sim::ExperimentConfig, obs: &mut O) -> SimR
         &cfg.specs,
         ThresholdOptions::default(),
     );
-    let sources: Vec<Box<dyn Source>> = cfg.specs.iter().map(|s| build_source(s, seed)).collect();
+    let sources: Vec<_> = cfg
+        .specs
+        .iter()
+        .map(|s| build_source_kind(s, seed))
+        .collect();
     let router = Router::new(cfg.link_rate, policy, Fifo::new(), sources);
     router.run_with(Time::ZERO, end, seed, obs)
 }
@@ -73,8 +77,11 @@ fn bench_obs(c: &mut Criterion) {
                 &cfg.specs,
                 ThresholdOptions::default(),
             );
-            let sources: Vec<Box<dyn Source>> =
-                cfg.specs.iter().map(|s| build_source(s, seed)).collect();
+            let sources: Vec<_> = cfg
+                .specs
+                .iter()
+                .map(|s| build_source_kind(s, seed))
+                .collect();
             let router = Router::new(cfg.link_rate, policy, Fifo::new(), sources);
             black_box(router.run(Time::ZERO, end, seed))
         });

@@ -1,7 +1,7 @@
-//! End-to-end simulator throughput: the indexed-timer/enum-source hot
-//! path (`run_once`, the default) against the pre-overhaul reference
-//! path (`run_once_reference`: `BinaryHeap` event queue + boxed `dyn
-//! Source` dispatch) on the paper's workloads.
+//! End-to-end simulator throughput: the indexed-timer event core
+//! (`run_once`, the default) against the reference `BinaryHeap` event
+//! queue (`run_once_reference`), both over the same enum-dispatched
+//! sources, on the paper's workloads.
 //!
 //! Per §3.2 scheme on Table 1, both paths run the identical simulation
 //! (the determinism suite proves byte-identical results); the JSON

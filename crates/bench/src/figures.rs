@@ -998,30 +998,24 @@ pub fn ablate_burstiness(profile: &RunProfile) -> Vec<Figure> {
 /// bottleneck hop, both threshold-protected (extension experiment).
 pub fn tandem_text(profile: &RunProfile) -> String {
     use qbm_core::units::{Rate, Time};
-    use qbm_sim::tandem::{run_line, Hop};
+    use qbm_sim::scenarios::{line, LinkProfile};
     let specs = qbm_traffic::table1();
     let slow = Rate::from_mbps(40.0);
     let needed2 = qbm_core::admission::fifo_required_buffer(slow, &specs).ceil() as u64;
-    let hops = vec![
-        Hop {
-            link_rate: LINK_RATE,
-            buffer_bytes: ByteSize::from_mib(2).bytes(),
-            sched: qbm_sched::SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-        },
-        Hop {
-            link_rate: slow,
-            buffer_bytes: needed2,
-            sched: qbm_sched::SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-        },
+    let threshold = |buffer_bytes| LinkProfile {
+        buffer_bytes,
+        policy: PolicySpec::Kind(PolicyKind::Threshold),
+        ..LinkProfile::default()
+    };
+    let hops = [
+        (LINK_RATE, threshold(ByteSize::from_mib(2).bytes())),
+        (slow, threshold(needed2)),
     ];
-    let res = run_line(
-        &hops,
-        &specs,
+    let res = line(&specs, &hops, 1).run(
         1,
         Time::from_secs(profile.warmup_s),
         Time::from_secs(profile.duration_s),
+        1,
     );
     let mut out = String::from(
         "# tandem — 2-hop line: 48 Mb/s -> 40 Mb/s bottleneck, thresholds at both hops\n",

@@ -113,7 +113,7 @@ mod tests {
 /// Output burstiness of a flow after traversing a node with worst-case
 /// delay `d` — the network-calculus composition rule `σ_out = σ + ρ·d`.
 ///
-/// This is what makes multi-hop planning (the `qbm-sim::tandem`
+/// This is what makes multi-hop planning (the `qbm-sim` multi-hop `line`
 /// extension) conservative: hop `i+1` should be provisioned for the
 /// *inflated* burst, since a node can release up to `ρ·d` extra bytes
 /// back-to-back after holding the flow for `d`.

@@ -586,7 +586,6 @@ fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
         for im in ws.impls.iter().filter(|im| {
             im.trait_name.as_deref() == Some("Source")
                 && !im.in_test
-                && im.type_name != "Box"
                 && im.type_name != "SourceKind"
         }) {
             if !rules::find_word(&kind_code, &im.type_name) {

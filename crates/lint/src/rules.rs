@@ -150,7 +150,7 @@ pub const EXHAUSTIVE_SCHED_HINT: &str =
 pub const EXHAUSTIVE_SOURCE: &str = "exhaustive-source";
 /// Hint for [`EXHAUSTIVE_SOURCE`].
 pub const EXHAUSTIVE_SOURCE_HINT: &str =
-    "wire the variant/type through crates/traffic/src/kind.rs — a wildcard arm or missing variant silently demotes it to dyn dispatch or drops it";
+    "wire the variant/type through crates/traffic/src/kind.rs — a wildcard arm or missing variant silently drops it";
 
 /// Rule name: a `PolicyKind` variant missing from the equivalence
 /// suite.
@@ -173,11 +173,10 @@ pub const ROOT_DRIFT_HINT: &str =
 
 /// Where the transitive hot-path audits start: the event-loop drivers,
 /// the link engine, the departure-log append, log-slot pop and log
-/// handoff, the fabric's level advance,
-/// the tandem shim, every scheduler's enqueue/dequeue, the
-/// streaming-telemetry update paths (sketch/heatmap `record`, called
+/// handoff, the fabric's level advance, every scheduler's
+/// enqueue/dequeue, the streaming-telemetry update paths (sketch/heatmap `record`, called
 /// per event when sketches are attached), the tournament-tree
-/// `replay` inside [`ActiveSet`] (per tag update at tree layouts),
+/// `replay` inside `ActiveSet` (per tag update at tree layouts),
 /// WF²Q+'s batched eligibility `sweep` (per virtual-clock advance),
 /// and every source's `on_feedback` handler (invoked once per
 /// departure/drop when the control loop is closed).
@@ -543,7 +542,7 @@ pub const REGISTRY: &[RuleMeta] = &[
     RuleMeta {
         id: EXHAUSTIVE_SOURCE,
         scope: "workspace cross-check",
-        rationale: "a SourceKind variant missing from next_emission or on_feedback (wildcard arm) silently emits nothing or ignores its control loop; a variant absent from tests/determinism.rs has no pinned behavior; a Source impl outside the enum silently pays dyn dispatch",
+        rationale: "a SourceKind variant missing from next_emission or on_feedback (wildcard arm) silently emits nothing or ignores its control loop; a variant absent from tests/determinism.rs has no pinned behavior; a Source impl outside the enum cannot reach the simulator",
         hint: EXHAUSTIVE_SOURCE_HINT,
         pragma: "none (hard error)",
     },

@@ -13,7 +13,7 @@
 //! coarser, memory stays `O(n·W·buckets)` regardless of horizon.
 //!
 //! Determinism and merge follow the same contract as
-//! [`QuantileSketch`](crate::QuantileSketch): slot placement is pure
+//! [`QuantileSketch`]: slot placement is pure
 //! integer division of simulated time, and because `⌊⌊e/c⌋/c⌋ =
 //! ⌊e/c²⌋`, data lands in the same final cell whether a run advances
 //! in one jump or many. Merging two heatmaps advances both to the

@@ -27,7 +27,7 @@
 //! tree at ISP flow counts) — no `f64` state, no NaN-capable compares,
 //! no heap churn on the hot path. The original float/`BinaryHeap`
 //! formulations are retained verbatim-in-architecture as
-//! `*_reference` schedulers in [`reference`], built via
+//! `*_reference` schedulers in [`reference`](mod@reference), built via
 //! [`SchedKind::build_reference`], for differential testing and as the
 //! performance baseline of `BENCH_sched.json`.
 

@@ -51,7 +51,7 @@
 //! under-uses its rate builds no credit, while in WFQ it would.
 //! Per-flow stamps are non-decreasing, so the earliest stamp overall is
 //! always at some flow's queue head: the packet order lives in an
-//! [`ActiveSet`](crate::ActiveSet) slot per flow instead of a heap.
+//! [`ActiveSet`] slot per flow instead of a heap.
 
 use crate::active_set::ActiveSet;
 use crate::scheduler::{PacketRef, Scheduler};
@@ -61,7 +61,7 @@ use std::collections::VecDeque;
 /// Unsigned Q32.32 fixed-point virtual time (see module docs).
 ///
 /// The all-ones bit pattern is reserved as the [`VirtualTime::MAX`]
-/// sentinel (empty slots in [`ActiveSet`](crate::ActiveSet));
+/// sentinel (empty slots in [`ActiveSet`]);
 /// saturating arithmetic therefore tops out *at* the sentinel, and
 /// callers that feed results into an active set assert they stay below
 /// it — unreachable for any workload whose virtual clock fits 2³²

@@ -34,9 +34,9 @@
 //! pays an ineligible-set `peek`. This implementation instead tracks an
 //! **eligibility frontier**: a lower bound on the smallest ineligible
 //! start tag. Promotion work runs only when the virtual clock has
-//! actually crossed the frontier ([`Wf2q::sweep`], which then batches
+//! actually crossed the frontier (`Wf2q::sweep`, which then batches
 //! every newly eligible head in one pass and re-arms the frontier at
-//! the next start tag); otherwise [`Wf2q::promote`] is a single integer
+//! the next start tag); otherwise `Wf2q::promote` is a single integer
 //! compare. Because the frontier is a certified lower bound, only
 //! provably empty sweeps are skipped — the promotion *order* and every
 //! tag stream are bit-identical to the per-dequeue formulation, which

@@ -31,7 +31,6 @@
 
 use qbm_core::flow::FlowId;
 use qbm_core::units::Time;
-use qbm_traffic::Emission;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -68,10 +67,8 @@ pub(crate) struct LogEntry {
 }
 
 /// The departure logs of a recording link: one log per destination
-/// link (a single one for
-/// [`Router::run_recording`](crate::Router::run_recording)), each
-/// appended in departure order with the destination flow every packet
-/// becomes.
+/// link, each appended in departure order with the destination flow
+/// every packet becomes.
 pub(crate) struct Outbox {
     /// `route[f]` = (log, destination flow) of flow `f`'s departures;
     /// a flow routed to a log past the last (the fabric's unwired
@@ -87,24 +84,6 @@ impl Outbox {
             route,
             logs: vec![Vec::new(); logs],
         }
-    }
-
-    /// One log recording every one of `n` flows under its own index.
-    pub(crate) fn per_flow(n: usize) -> Outbox {
-        Outbox::new((0..n as u32).map(|f| (0, f)).collect(), 1)
-    }
-
-    /// Split the single log of a [`Outbox::per_flow`] outbox back into
-    /// one emission trace per flow, each in departure order.
-    pub(crate) fn split(self, n: usize) -> Vec<Vec<Emission>> {
-        let mut traces = vec![Vec::new(); n];
-        for e in self.logs.into_iter().flatten() {
-            traces[e.flow as usize].push(Emission {
-                time: e.time,
-                len: e.len,
-            });
-        }
-        traces
     }
 
     /// Mutable access to log `log`, for the fabric's handoff swap.

@@ -15,13 +15,14 @@
 //! produce the same bytes.
 
 use crate::arena::SimArena;
-use crate::router::Router;
+use crate::event::EventQueue;
+use crate::router::{FlowLanes, Router};
 use crate::stats::{SimResult, StatsCollector, StatsConfig};
 use qbm_core::flow::FlowSpec;
 use qbm_core::policy::{BufferPolicy, BufferSharing, FixedThreshold, PolicyKind};
 use qbm_core::units::{Dur, Rate, Time};
 use qbm_obs::{NullObserver, Observer};
-use qbm_sched::SchedKind;
+use qbm_sched::{SchedKind, Scheduler};
 use qbm_traffic::{build_source_kind_with_sojourns, AimdConfig, AimdSource, Sojourns, SourceKind};
 use rand::SplitMix64;
 
@@ -102,7 +103,7 @@ pub struct ExperimentConfig {
     pub link_rate: Rate,
     /// Total buffer, bytes.
     pub buffer_bytes: u64,
-    /// Flow set (sources are built per [`qbm_traffic::build_source`]).
+    /// Flow set (sources are built per [`SourceSel`]).
     pub specs: Vec<FlowSpec>,
     /// Scheduler.
     pub sched: SchedKind,
@@ -139,6 +140,22 @@ impl ExperimentConfig {
             .collect()
     }
 
+    /// The router every `run_once*` runs: the configured policy, the
+    /// scheduler `sched`, and one source per spec ([`SourceSel`])
+    /// filled into `lanes`.
+    fn router(&self, seed: u64, sched: Box<dyn Scheduler>, mut lanes: FlowLanes) -> Router {
+        let policy = self
+            .policy
+            .build(self.buffer_bytes, self.link_rate, &self.specs);
+        lanes.sources.extend(self.build_sources(seed));
+        Router::from_lanes(self.link_rate, policy, sched, lanes).with_stats(self.stats)
+    }
+
+    /// The measurement window `[warmup, duration)` as instants.
+    fn window(&self) -> (Time, Time) {
+        (Time::ZERO + self.warmup, Time::ZERO + self.duration)
+    }
+
     /// Run one seed to completion.
     pub fn run_once(&self, seed: u64) -> SimResult {
         self.run_once_with(seed, &mut NullObserver)
@@ -148,47 +165,26 @@ impl ExperimentConfig {
     /// loop (see [`qbm_obs::Observer`]). `run_once` is this with
     /// [`NullObserver`], which monomorphizes the hooks away.
     pub fn run_once_with<O: Observer>(&self, seed: u64, obs: &mut O) -> SimResult {
-        let policy = self
-            .policy
-            .build(self.buffer_bytes, self.link_rate, &self.specs);
-        let sched = self.sched.build(self.link_rate, &self.specs);
-        let sources = self.build_sources(seed);
-        let router = Router::new(self.link_rate, policy, sched, sources).with_stats(self.stats);
-        router.run_with(
-            Time::ZERO + self.warmup,
-            Time::ZERO + self.duration,
-            seed,
-            obs,
-        )
+        self.run_once_pooled_with(seed, obs, &mut SimArena::new())
     }
 
     /// [`ExperimentConfig::run_once_with`] drawing its per-flow lanes
     /// and event core from `arena` instead of allocating them — the
     /// campaign runner calls this so a worker's cells share one set of
-    /// buffers. Byte-identical to `run_once_with` (the determinism
-    /// suite asserts it); the arena only recycles allocations, never
-    /// state.
+    /// buffers. Byte-identical to a fresh arena (the determinism suite
+    /// asserts it); the arena only recycles allocations, never state.
     pub fn run_once_pooled_with<O: Observer>(
         &self,
         seed: u64,
         obs: &mut O,
         arena: &mut SimArena,
     ) -> SimResult {
-        let policy = self
-            .policy
-            .build(self.buffer_bytes, self.link_rate, &self.specs);
+        let (lanes, timers) = arena.checkout(self.specs.len());
         let sched = self.sched.build(self.link_rate, &self.specs);
-        let (mut lanes, timers) = arena.checkout(self.specs.len());
-        lanes.sources.extend(self.build_sources(seed));
-        let router =
-            Router::from_lanes(self.link_rate, policy, sched, lanes).with_stats(self.stats);
-        let (res, lanes, timers) = router.run_pooled(
-            Time::ZERO + self.warmup,
-            Time::ZERO + self.duration,
-            seed,
-            obs,
-            timers,
-        );
+        let (warmup, end) = self.window();
+        let (res, lanes, timers) = self
+            .router(seed, sched, lanes)
+            .run_inner(warmup, end, seed, obs, timers);
         arena.stow(lanes, timers);
         res
     }
@@ -207,43 +203,29 @@ impl ExperimentConfig {
     /// scheduler × policy combination; the `sched_throughput` benchmark
     /// uses it as the before-side of the fixed-point speedup.
     pub fn run_once_sched_reference(&self, seed: u64) -> SimResult {
-        let policy = self
-            .policy
-            .build(self.buffer_bytes, self.link_rate, &self.specs);
+        let (lanes, timers) = SimArena::new().checkout(self.specs.len());
         let sched = self.sched.build_reference(self.link_rate, &self.specs);
-        let sources = self.build_sources(seed);
-        let router = Router::new(self.link_rate, policy, sched, sources).with_stats(self.stats);
-        router.run(Time::ZERO + self.warmup, Time::ZERO + self.duration, seed)
+        let (warmup, end) = self.window();
+        self.router(seed, sched, lanes)
+            .run_inner(warmup, end, seed, &mut NullObserver, timers)
+            .0
     }
 
-    /// [`ExperimentConfig::run_once`] on the pre-overhaul execution
-    /// path: boxed `dyn Source` dispatch and the reference binary-heap
-    /// event core instead of enum sources over [`IndexedTimers`]
-    /// (see [`crate::event`]). Must produce byte-identical results to
-    /// `run_once` — the determinism suite asserts it — and serves as
-    /// the baseline side of the `sim_throughput` benchmark.
+    /// [`ExperimentConfig::run_once`] on the reference binary-heap
+    /// [`EventQueue`] instead of the [`IndexedTimers`] production core
+    /// (see [`crate::event`]), with the same enum sources. Must produce
+    /// byte-identical results to `run_once` — the determinism suite
+    /// asserts it — and serves as the baseline side of the
+    /// `sim_throughput` benchmark.
     ///
     /// [`IndexedTimers`]: crate::event::IndexedTimers
     pub fn run_once_reference(&self, seed: u64) -> SimResult {
-        let policy = self
-            .policy
-            .build(self.buffer_bytes, self.link_rate, &self.specs);
+        let (lanes, _) = SimArena::new().checkout(self.specs.len());
         let sched = self.sched.build(self.link_rate, &self.specs);
-        let sources: Vec<Box<dyn qbm_traffic::Source>> = self
-            .specs
-            .iter()
-            .map(|s| match self.sources {
-                SourceSel::Spec => qbm_traffic::build_source_with_sojourns(s, seed, self.sojourns),
-                SourceSel::Aimd => Box::new(AimdSource::new(AimdConfig {
-                    start: Time::ZERO + Dur::from_micros(s.id.index() as u64),
-                    pace: Some(s.peak),
-                    ..AimdConfig::default()
-                })) as Box<dyn qbm_traffic::Source>,
-            })
-            .collect();
-        Router::new(self.link_rate, policy, sched, sources)
-            .with_stats(self.stats)
-            .run_reference(Time::ZERO + self.warmup, Time::ZERO + self.duration, seed)
+        let (warmup, end) = self.window();
+        self.router(seed, sched, lanes)
+            .run_inner(warmup, end, seed, &mut NullObserver, EventQueue::new())
+            .0
     }
 
     /// Run `n_seeds` independent replications in parallel (the paper

@@ -5,15 +5,16 @@
 //! policy × scheduler × output link, with its own event core) plus
 //! directed edges `(src_link, src_flow) → (dst_link, dst_flow)` along
 //! which packets are relayed: a destination flow replays the source
-//! flow's recorded departures, the same exact store-and-forward
-//! semantics the tandem line has always used (a feed-forward hop
-//! cannot influence its upstream, so replay is not an approximation).
+//! flow's recorded departures — exact store-and-forward semantics (a
+//! feed-forward hop cannot influence its upstream, so replay is not an
+//! approximation). A multi-hop line is the path graph
+//! ([`crate::scenarios::line`]).
 //!
 //! # Epoch/log execution
 //!
 //! Running every upstream link to completion before its downstream
-//! starts (the historical tandem strategy) holds the whole trace of a
-//! link in memory and serializes the topology. The fabric instead
+//! starts holds the whole trace of a link in memory and serializes the
+//! topology. The fabric instead
 //! advances in bounded **epochs**: with horizon `H` stepping by the
 //! epoch length Δ,
 //!
@@ -420,7 +421,7 @@ where
         // Close the runs and un-permute into link-index order.
         let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
         for ((pos, engine), o) in engines.into_iter().enumerate().zip(obs) {
-            let (res, _outbox, _lanes, _events) = engine.finish(o);
+            let (res, _lanes, _events) = engine.finish(o);
             results[order[pos]] = Some(res);
         }
         results

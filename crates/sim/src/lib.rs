@@ -24,12 +24,11 @@
 //!   thread pool with bit-identical results for any thread count;
 //! * [`scenarios`] — the §3.2 schemes, §3.3 sharing setups and §4.2
 //!   hybrid cases as ready-made configurations, plus topology
-//!   generators (aggregation tree, incast fan-in) for the fabric;
+//!   generators (multi-hop line, aggregation tree, incast fan-in) for
+//!   the fabric;
 //! * [`fabric`] — a DAG of links advanced in deterministic
 //!   log-handoff epochs, with link-level sharding across threads
-//!   (extension beyond the paper's single link);
-//! * [`tandem`] — feed-forward multi-hop lines, now a degenerate
-//!   path-graph [`Fabric`].
+//!   (extension beyond the paper's single link).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,7 +40,6 @@ pub mod fabric;
 pub mod router;
 pub mod scenarios;
 pub mod stats;
-pub mod tandem;
 
 pub use arena::SimArena;
 pub use event::{EventCore, EventQueue, IndexedTimers};

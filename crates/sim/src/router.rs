@@ -16,10 +16,10 @@
 //!
 //! The loop is written to be allocation-free per event: sources sit in
 //! a [`SourceKind`] enum (inlined dispatch, no vtable), per-flow state
-//! lives in the SoA [`FlowLanes`] arrays, and events come from the
-//! [`IndexedTimers`] tournament tree — the reference
-//! [`EventQueue`](crate::event::EventQueue) heap remains available via
-//! [`Router::run_reference`] for differential testing. The
+//! lives in the SoA `FlowLanes` arrays, and events come from the
+//! [`IndexedTimers`] tournament tree. The crate's differential tests
+//! run the same loop on the reference
+//! [`EventQueue`](crate::event::EventQueue) heap. The
 //! `hot-path-alloc` qbm-lint rule enforces the no-allocation property
 //! on `LinkEngine::advance`/`start_transmission` going forward.
 
@@ -31,7 +31,7 @@ use qbm_core::token_bucket::TokenBucket;
 use qbm_core::units::{Dur, Rate, Time};
 use qbm_obs::{NullObserver, Observer};
 use qbm_sched::{PacketRef, Scheduler};
-use qbm_traffic::{Emission, Feedback, Source, SourceKind};
+use qbm_traffic::{Feedback, Source, SourceKind};
 
 /// How one flow's feedback signals are routed (see DESIGN.md §16).
 /// Computed once at engine construction from the sources' declared
@@ -99,10 +99,6 @@ where
     policy: P,
     scheduler: S,
     lanes: FlowLanes,
-    /// Packet currently on the wire.
-    in_flight: Option<PacketRef>,
-    /// Global arrival sequence counter (scheduler tie-break).
-    seq: u64,
     /// Streaming-statistics attachments for the collector (sketches).
     stats_cfg: StatsConfig,
 }
@@ -131,33 +127,22 @@ where
 
     /// Assemble a router. `sources[i]` feeds `FlowId(i)`.
     ///
-    /// Accepts anything convertible into [`SourceKind`]: concrete
-    /// source types dispatch through an inlinable enum, while
-    /// `Box<dyn Source>` call sites keep compiling via the
-    /// [`SourceKind::Dyn`] escape hatch.
+    /// Accepts anything convertible into [`SourceKind`], so concrete
+    /// source types dispatch through an inlinable enum.
     pub fn new<K: Into<SourceKind>>(
         link_rate: Rate,
         policy: P,
         scheduler: S,
         sources: Vec<K>,
     ) -> Router<P, S> {
-        assert!(link_rate.bps() > 0, "zero link rate");
-        assert!(!sources.is_empty(), "no sources");
         let n = sources.len();
-        Router {
-            link_rate,
-            policy,
-            scheduler,
-            lanes: FlowLanes {
-                sources: sources.into_iter().map(Into::into).collect(),
-                pending: vec![None; n],
-                meters: None,
-                over: vec![false; n],
-            },
-            in_flight: None,
-            seq: 0,
-            stats_cfg: StatsConfig::default(),
-        }
+        let lanes = FlowLanes {
+            sources: sources.into_iter().map(Into::into).collect(),
+            pending: vec![None; n],
+            meters: None,
+            over: vec![false; n],
+        };
+        Router::from_lanes(link_rate, policy, scheduler, lanes)
     }
 
     /// Assemble a router around pre-built [`FlowLanes`] — the pooled
@@ -179,8 +164,6 @@ where
             policy,
             scheduler,
             lanes,
-            in_flight: None,
-            seq: 0,
             stats_cfg: StatsConfig::default(),
         }
     }
@@ -213,20 +196,7 @@ where
     /// Run until `end`, measuring from `warmup` on. Returns the
     /// per-flow statistics for the window `[warmup, end)`.
     pub fn run(self, warmup: Time, end: Time, seed: u64) -> SimResult {
-        let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, None, &mut NullObserver, events)
-            .0
-    }
-
-    /// [`Router::run`] on the reference [`crate::event::EventQueue`]
-    /// binary heap instead of the [`IndexedTimers`] production core.
-    /// Exists for differential testing (the two cores must produce
-    /// byte-identical statistics) and as the before-side of the
-    /// `sim_throughput` benchmark.
-    pub fn run_reference(self, warmup: Time, end: Time, seed: u64) -> SimResult {
-        let events = crate::event::EventQueue::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, None, &mut NullObserver, events)
-            .0
+        self.run_with(warmup, end, seed, &mut NullObserver)
     }
 
     /// Like [`Router::run`], with every event-loop hook fanned out to
@@ -241,74 +211,29 @@ where
         obs: &mut O,
     ) -> SimResult {
         let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, None, obs, events).0
+        self.run_inner(warmup, end, seed, obs, events).0
     }
 
-    /// [`Router::run_with`] on a caller-supplied event core (typically
-    /// rebuilt from a [`crate::arena::SimArena`]'s recycled vectors),
-    /// returning the spent [`FlowLanes`] and core so the arena can
-    /// reclaim their allocations for the next campaign cell.
-    pub(crate) fn run_pooled<O: Observer>(
-        self,
-        warmup: Time,
-        end: Time,
-        seed: u64,
-        obs: &mut O,
-        events: IndexedTimers,
-    ) -> (SimResult, FlowLanes, IndexedTimers) {
-        let (res, _, lanes, events) = self.run_inner(warmup, end, seed, None, obs, events);
-        (res, lanes, events)
-    }
-
-    /// Like [`Router::run`], additionally recording every departure as
-    /// a per-flow emission trace (completion instants) — the feed for
-    /// the next hop of a [`crate::tandem`] line. Recording covers the
-    /// whole run, not just the measurement window, so downstream hops
-    /// see the full traffic.
-    pub fn run_recording(
-        self,
-        warmup: Time,
-        end: Time,
-        seed: u64,
-    ) -> (SimResult, Vec<Vec<Emission>>) {
-        self.run_recording_with(warmup, end, seed, &mut NullObserver)
-    }
-
-    /// [`Router::run_recording`] with an observer attached.
-    pub fn run_recording_with<O: Observer>(
-        self,
-        warmup: Time,
-        end: Time,
-        seed: u64,
-        obs: &mut O,
-    ) -> (SimResult, Vec<Vec<Emission>>) {
-        let n = self.lanes.sources.len();
-        let events = IndexedTimers::with_flows(n);
-        let outbox = Outbox::per_flow(n);
-        let (res, outbox, _, _) = self.run_inner(warmup, end, seed, Some(outbox), obs, events);
-        (res, outbox.expect("recording requested").split(n))
-    }
-
-    /// The event loop, generic over observer and event core. `outbox`
-    /// `Some(..)` requests departure recording into its logs. Returns
-    /// the statistics, the outbox, and the spent lanes and event core
-    /// (whose allocations a campaign arena recycles). The caller
-    /// supplies `events` sized for `sources.len()` flows.
+    /// The event loop, generic over observer and event core. Returns
+    /// the statistics and the spent lanes and event core (whose
+    /// allocations a campaign arena recycles). The caller supplies
+    /// `events` sized for `sources.len()` flows: the crate runs the
+    /// same loop on recycled [`IndexedTimers`] for campaign cells and
+    /// on the reference heap for differential tests.
     ///
     /// The loop itself lives in [`LinkEngine`]: a single-link run is
     /// one engine primed and advanced to `end` in a single epoch, while
     /// the fabric (`crate::fabric`) advances many engines in bounded
     /// log-handoff epochs. Either way the event sequence is identical.
-    fn run_inner<O: Observer, E: EventCore>(
+    pub(crate) fn run_inner<O: Observer, E: EventCore>(
         self,
         warmup: Time,
         end: Time,
         seed: u64,
-        outbox: Option<Outbox>,
         obs: &mut O,
         events: E,
-    ) -> (SimResult, Option<Outbox>, FlowLanes, E) {
-        let mut engine = LinkEngine::new(self, warmup, end, seed, outbox, events, 0);
+    ) -> (SimResult, FlowLanes, E) {
+        let mut engine = LinkEngine::new(self, warmup, end, seed, None, events, 0);
         engine.prime(obs);
         engine.advance(end, obs);
         engine.finish(obs)
@@ -345,8 +270,8 @@ where
     in_flight: Option<PacketRef>,
     seq: u64,
     stats: StatsCollector,
-    /// Departure logs (`Some` = this link feeds downstream links or
-    /// records for [`Router::run_recording`]).
+    /// Departure logs (`Some` = this link feeds downstream fabric
+    /// links).
     pub(crate) outbox: Option<Outbox>,
     /// Transmission time of the last packet length sent: consecutive
     /// packets mostly share a length, so the division is paid once per
@@ -412,8 +337,8 @@ where
             policy: router.policy,
             scheduler: router.scheduler,
             lanes: router.lanes,
-            in_flight: router.in_flight,
-            seq: router.seq,
+            in_flight: None,
+            seq: 0,
             stats: StatsCollector::with_config(n, warmup, end, seed, router.stats_cfg),
             outbox,
             tx_memo: (0, Dur::ZERO),
@@ -800,11 +725,8 @@ where
     }
 
     /// Close the run: final observer flush, statistics reduction, and
-    /// the spent parts for arena/tandem recycling.
-    pub(crate) fn finish<O: Observer>(
-        self,
-        obs: &mut O,
-    ) -> (SimResult, Option<Outbox>, FlowLanes, E) {
+    /// the spent parts for arena recycling.
+    pub(crate) fn finish<O: Observer>(self, obs: &mut O) -> (SimResult, FlowLanes, E) {
         if O::ENABLED {
             obs.on_end(self.end, self.link);
         }
@@ -822,7 +744,7 @@ where
         if !aimd.is_empty() {
             result.aimd = Some(aimd);
         }
-        (result, self.outbox, self.lanes, self.events)
+        (result, self.lanes, self.events)
     }
 
     fn start_transmission(&mut self, now: Time) {
@@ -850,11 +772,9 @@ mod tests {
     const LINK: Rate = Rate::from_bps(48_000_000);
 
     fn cbr_router(rates_mbps: &[f64], buffer: u64) -> Router {
-        let sources: Vec<Box<dyn Source>> = rates_mbps
+        let sources: Vec<CbrSource> = rates_mbps
             .iter()
-            .map(|&r| {
-                Box::new(CbrSource::new(Rate::from_mbps(r), 500, Time::ZERO)) as Box<dyn Source>
-            })
+            .map(|&r| CbrSource::new(Rate::from_mbps(r), 500, Time::ZERO))
             .collect();
         Router::new(
             LINK,
@@ -933,10 +853,12 @@ mod tests {
         // exercised continuously; both cores must agree exactly.
         let timers =
             cbr_router(&[20.0, 35.0], 80_000).run(Time::from_secs(1), Time::from_secs(4), 7);
-        let heap = cbr_router(&[20.0, 35.0], 80_000).run_reference(
+        let (heap, _, _) = cbr_router(&[20.0, 35.0], 80_000).run_inner(
             Time::from_secs(1),
             Time::from_secs(4),
             7,
+            &mut NullObserver,
+            crate::event::EventQueue::with_flows(2),
         );
         assert_eq!(timers.flows, heap.flows);
     }

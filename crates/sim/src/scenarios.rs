@@ -8,11 +8,11 @@
 //! * §4.2 (Figures 8–13): the 3-queue hybrid on Table 1 (Case 1) and
 //!   Table 2 (Case 2), with Prop-3 rate assignment and per-queue
 //!   thresholds `σⱼ + ρⱼ·Bᵢ/Rᵢ`;
-//! * topology generators for the [`Fabric`]: an ISP-style
-//!   [`aggregation_tree`] (site → access points → subscribers, download
-//!   direction) and a datacenter [`incast_fanin`] (N sender links into
-//!   one aggregator) — multi-link shapes the paper's single-point
-//!   guarantees are evaluated on.
+//! * topology generators for the [`Fabric`]: a feed-forward multi-hop
+//!   [`line()`], an ISP-style [`aggregation_tree`] (site → access points
+//!   → subscribers, download direction) and a datacenter
+//!   [`incast_fanin`] (N sender links into one aggregator) — multi-link
+//!   shapes the paper's single-point guarantees are evaluated on.
 
 use crate::experiment::{derive_cell_seed, ExperimentConfig, PolicySpec};
 use crate::fabric::Fabric;
@@ -334,6 +334,41 @@ fn topology_link(
     let policy = p.policy.build(p.buffer_bytes, rate, specs);
     let sched = p.sched.build(rate, specs);
     Router::new(rate, policy, sched, sources).with_stats(p.stats)
+}
+
+/// A feed-forward multi-hop line: the path graph, an extension of the
+/// paper's single multiplexing point. Hop `i` is a link at `hops[i].0`
+/// with `hops[i].1`'s buffer, scheduler and policy, and every hop
+/// multiplexes all of `specs` (numbered `0..n`). Hop 0 originates the
+/// traffic with `build_source_kind(spec, seed)`; hop `i+1`'s flow `f`
+/// relays hop `i`'s flow `f`, replaying its departures.
+///
+/// The composition facts the tests establish:
+/// * a same-rate downstream hop adds no loss — FIFO output is already
+///   serialized at the link rate, so hop 2's queue never exceeds one
+///   packet per simultaneous upstream;
+/// * at a slower downstream bottleneck, per-hop thresholds keep
+///   protecting conformant flows, provided each hop passes its own
+///   Eq. 9 admission check with the *downstream* rates.
+///
+/// Link indices are hop indices.
+pub fn line(specs: &[FlowSpec], hops: &[(Rate, LinkProfile)], seed: u64) -> Fabric {
+    assert!(!hops.is_empty(), "empty line");
+    let mut fabric = Fabric::new();
+    for (i, (rate, profile)) in hops.iter().enumerate() {
+        let sources = if i == 0 {
+            specs.iter().map(|s| build_source_kind(s, seed)).collect()
+        } else {
+            specs.iter().map(|_| relay_stub()).collect()
+        };
+        let link = fabric.add_link(topology_link(*rate, specs, sources, profile));
+        if i > 0 {
+            for f in 0..specs.len() as u32 {
+                fabric.connect(link - 1, f, link, f);
+            }
+        }
+    }
+    fabric
 }
 
 /// An ISP-style aggregation tree in the download direction (the
@@ -995,6 +1030,99 @@ mod tests {
             core.abs_diff(aps) <= 2 * 100 * 2,
             "tree lost packets without dropping: core {core} vs aps {aps}"
         );
+    }
+
+    /// One FIFO hop of a [`line()`] at `rate` with `buffer` bytes.
+    fn hop(rate: Rate, buffer: u64, policy: PolicyKind) -> (Rate, LinkProfile) {
+        let profile = LinkProfile {
+            buffer_bytes: buffer,
+            policy: PolicySpec::Kind(policy),
+            ..LinkProfile::default()
+        };
+        (rate, profile)
+    }
+
+    #[test]
+    fn same_rate_second_hop_adds_no_loss() {
+        let specs = table1();
+        let b = ByteSize::from_mib(2).bytes();
+        let hops = vec![
+            hop(LINK_RATE, b, PolicyKind::Threshold),
+            // Tiny buffer suffices downstream: arrivals are already
+            // serialized at exactly the link rate.
+            hop(LINK_RATE, ByteSize::from_kib(8).bytes(), PolicyKind::None),
+        ];
+        let res = line(&specs, &hops, 1).run(1, Time::from_secs(1), Time::from_secs(6), 1);
+        assert_eq!(res.len(), 2);
+        let hop2_drops: u64 = res[1].flows.iter().map(|f| f.dropped_pkts).sum();
+        assert_eq!(hop2_drops, 0, "same-rate downstream hop dropped packets");
+        // Conservation across hops: hop 2 delivers what hop 1 delivered
+        // (minus at most the in-flight/windowing edge packets).
+        let d1: u64 = res[0].flows.iter().map(|f| f.delivered_pkts).sum();
+        let d2: u64 = res[1].flows.iter().map(|f| f.delivered_pkts).sum();
+        assert!(
+            (d1 as i64 - d2 as i64).abs() <= specs.len() as i64 * 2,
+            "hop deliveries diverged: {d1} vs {d2}"
+        );
+    }
+
+    #[test]
+    fn slower_bottleneck_still_protects_conformant_flows() {
+        let specs = table1();
+        // Hop 2 runs at 40 Mb/s — above the 32.8 Mb/s reservation but
+        // below hop 1's 48 Mb/s, so excess traffic must be shed there.
+        let slow = Rate::from_mbps(40.0);
+        let needed2 = qbm_core::admission::fifo_required_buffer(slow, &specs).ceil() as u64;
+        let hops = vec![
+            hop(
+                LINK_RATE,
+                ByteSize::from_mib(2).bytes(),
+                PolicyKind::Threshold,
+            ),
+            hop(slow, needed2, PolicyKind::Threshold),
+        ];
+        let res = line(&specs, &hops, 1).run(1, Time::from_secs(1), Time::from_secs(16), 1);
+        // Conformant flows: lossless at both hops.
+        for r in &res {
+            assert_eq!(r.class_loss_ratio(&specs, Conformance::Conformant), 0.0);
+        }
+        // The bottleneck did shed aggressive excess.
+        let aggr_drops: u64 = specs
+            .iter()
+            .filter(|s| s.class == Conformance::Aggressive)
+            .map(|s| res[1].flows[s.id.index()].dropped_pkts)
+            .sum();
+        assert!(aggr_drops > 0, "bottleneck shed nothing");
+        // End-to-end conformant throughput still meets reservations
+        // (within source variance over the short window).
+        for s in specs.iter().filter(|s| s.class.is_conformant()) {
+            let thr = res[1].flow_throughput_bps(s.id);
+            assert!(
+                thr > 0.8 * s.token_rate.bps() as f64,
+                "{}: end-to-end {thr} below reservation",
+                s.id
+            );
+        }
+    }
+
+    #[test]
+    fn line_is_deterministic() {
+        let specs = table1();
+        let hops = vec![
+            hop(LINK_RATE, 1 << 20, PolicyKind::Threshold),
+            hop(Rate::from_mbps(40.0), 1 << 20, PolicyKind::Threshold),
+        ];
+        let run = || line(&specs, &hops, 9).run(9, Time::from_secs(1), Time::from_secs(3), 1);
+        let (a, b) = (run(), run());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.flows, y.flows);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty line")]
+    fn empty_line_rejected() {
+        let _ = line(&table1(), &[], 0);
     }
 
     #[test]

@@ -419,7 +419,7 @@ mod proptests {
             });
             let mut now = Time::ZERO;
             for (kind, dt) in ops {
-                now = now + Dur(dt * 1_000_000);
+                now += Dur(dt * 1_000_000);
                 match kind {
                     0 => { let _ = s.next_emission(); }
                     1 => { let _ = s.on_feedback(now, Feedback::Delivered {
@@ -449,11 +449,11 @@ mod proptests {
             for _ in 0..episodes {
                 // Whole burst lands inside the episode's base RTO
                 // (backoff only lengthens it), far from the next.
-                now = now + Time::from_secs(100).since(Time::ZERO);
+                now += Time::from_secs(100).since(Time::ZERO);
                 for _ in 0..burst {
                     let _ = s.on_feedback(now, Feedback::Lost {
                         cause: DropReason::BufferFull });
-                    now = now + Dur::from_micros(1);
+                    now += Dur::from_micros(1);
                 }
                 expect = (expect / 2).max(1);
                 prop_assert_eq!(s.cwnd(), expect, "episode halved more than once");

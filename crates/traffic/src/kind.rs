@@ -5,10 +5,9 @@
 //! inline. [`SourceKind`] closes the set over the source types the
 //! workloads actually build, so `next_emission` compiles to a jump
 //! table with every arm inlined — and token-bucket/CBR arithmetic
-//! fuses into the event loop. The [`SourceKind::Dyn`] escape hatch
-//! keeps external `Source` impls and historical boxed call sites
-//! working unchanged (`From<Box<dyn Source>>` makes them coerce
-//! silently).
+//! fuses into the event loop. The set is closed: a new source type
+//! joins the simulator as a new variant (qbm-lint's
+//! `exhaustive-source` rule checks the wiring).
 
 use crate::aimd::AimdSource;
 use crate::cbr::CbrSource;
@@ -30,7 +29,8 @@ pub enum SourceKind {
     OnOff(OnOffSource),
     /// Poisson arrivals.
     Poisson(PoissonSource),
-    /// Replay of a recorded emission trace (tandem hops, fixtures).
+    /// Replay of a recorded emission trace (fixtures, and the empty
+    /// stub behind every fabric relay flow).
     Trace(TraceSource),
     /// Leaky-bucket-regulated ON-OFF source — the paper's conformant
     /// flows (§3.2), monomorphized end to end.
@@ -38,9 +38,6 @@ pub enum SourceKind {
     /// Closed-loop AIMD source: window-gated emission driven by
     /// [`Feedback`] from the link it feeds.
     Aimd(AimdSource),
-    /// Escape hatch for source types outside this crate; pays the
-    /// virtual call the other variants avoid.
-    Dyn(Box<dyn Source>),
 }
 
 impl Source for SourceKind {
@@ -53,7 +50,6 @@ impl Source for SourceKind {
             SourceKind::Trace(s) => s.next_emission(),
             SourceKind::Regulated(s) => s.next_emission(),
             SourceKind::Aimd(s) => s.next_emission(),
-            SourceKind::Dyn(s) => s.next_emission(),
         }
     }
 
@@ -69,41 +65,19 @@ impl Source for SourceKind {
             SourceKind::Trace(_) => None,
             SourceKind::Regulated(_) => None,
             SourceKind::Aimd(s) => s.on_feedback(now, fb),
-            SourceKind::Dyn(s) => s.on_feedback(now, fb),
         }
     }
 
     #[inline]
     fn reacts_to_feedback(&self) -> bool {
-        match self {
-            SourceKind::Aimd(_) => true,
-            SourceKind::Dyn(s) => s.reacts_to_feedback(),
-            _ => false,
-        }
+        matches!(self, SourceKind::Aimd(_))
     }
 }
 
 impl SourceKind {
-    /// Recover a [`SourceKind::Trace`]'s backing buffer, cleared but
-    /// with its capacity intact — the tandem runner recycles spent
-    /// replay buffers as the next hop's recording buffers instead of
-    /// reallocating per hop. `None` for every other variant.
-    pub fn into_trace_buffer(self) -> Option<Vec<Emission>> {
-        match self {
-            SourceKind::Trace(t) => {
-                let mut buf = t.into_inner();
-                buf.clear();
-                Some(buf)
-            }
-            _ => None,
-        }
-    }
-
     /// Whether this source reacts to [`Feedback`] — i.e. the engine
     /// must route drop/departure signals back to it and re-pull after
-    /// a `None` emission. `Dyn` defers to the boxed source's
-    /// [`Source::reacts_to_feedback`], so external closed-loop impls
-    /// opt in while historical boxed open-loop sources stay untouched.
+    /// a `None` emission. Only [`SourceKind::Aimd`] does.
     pub fn is_closed_loop(&self) -> bool {
         self.reacts_to_feedback()
     }
@@ -115,12 +89,6 @@ impl SourceKind {
             SourceKind::Aimd(s) => Some(s),
             _ => None,
         }
-    }
-}
-
-impl From<Box<dyn Source>> for SourceKind {
-    fn from(s: Box<dyn Source>) -> SourceKind {
-        SourceKind::Dyn(s)
     }
 }
 
@@ -169,64 +137,7 @@ impl std::fmt::Debug for SourceKind {
             SourceKind::Trace(_) => "Trace",
             SourceKind::Regulated(_) => "Regulated",
             SourceKind::Aimd(_) => "Aimd",
-            SourceKind::Dyn(_) => "Dyn",
         };
         f.debug_tuple(name).finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::source::collect_emissions;
-    use crate::workloads::{build_source, build_source_kind, table1};
-    use qbm_core::units::{Rate, Time};
-
-    #[test]
-    fn enum_and_boxed_paths_emit_identically() {
-        // The enum path must be a pure dispatch change: byte-identical
-        // emission streams for every Table-1 row and seed.
-        for spec in &table1() {
-            for seed in [1u64, 17] {
-                let mut boxed = build_source(spec, seed);
-                let mut kind = build_source_kind(spec, seed);
-                let a = collect_emissions(&mut boxed, 500);
-                let b = collect_emissions(&mut kind, 500);
-                assert_eq!(a, b, "flow {} seed {seed} diverged", spec.id);
-            }
-        }
-    }
-
-    #[test]
-    fn dyn_variant_wraps_external_boxes() {
-        let boxed: Box<dyn Source> =
-            Box::new(CbrSource::new(Rate::from_mbps(2.0), 500, Time::ZERO));
-        let mut kind: SourceKind = boxed.into();
-        assert!(matches!(kind, SourceKind::Dyn(_)));
-        let mut reference = CbrSource::new(Rate::from_mbps(2.0), 500, Time::ZERO);
-        for _ in 0..100 {
-            assert_eq!(kind.next_emission(), reference.next_emission());
-        }
-    }
-
-    #[test]
-    fn trace_buffer_round_trip_keeps_capacity() {
-        let mut buf = Vec::with_capacity(64);
-        buf.push(Emission {
-            time: Time::ZERO,
-            len: 500,
-        });
-        let cap = buf.capacity();
-        let mut kind: SourceKind = TraceSource::new(buf).into();
-        assert!(kind.next_emission().is_some());
-        let recovered = kind.into_trace_buffer().expect("trace variant");
-        assert!(recovered.is_empty());
-        assert_eq!(recovered.capacity(), cap);
-    }
-
-    #[test]
-    fn non_trace_variants_yield_no_buffer() {
-        let kind: SourceKind = CbrSource::new(Rate::from_mbps(2.0), 500, Time::ZERO).into();
-        assert!(kind.into_trace_buffer().is_none());
     }
 }

@@ -68,22 +68,6 @@ pub trait Source: Send {
     }
 }
 
-/// Blanket impl so `Box<dyn Source>` is itself a `Source` — lets
-/// regulators wrap either concrete or boxed sources.
-impl Source for Box<dyn Source> {
-    fn next_emission(&mut self) -> Option<Emission> {
-        (**self).next_emission()
-    }
-
-    fn on_feedback(&mut self, now: Time, fb: Feedback) -> Option<Time> {
-        (**self).on_feedback(now, fb)
-    }
-
-    fn reacts_to_feedback(&self) -> bool {
-        (**self).reacts_to_feedback()
-    }
-}
-
 /// Test/validation helper: drain up to `n` emissions into a vector,
 /// asserting the monotone-time contract along the way.
 pub fn collect_emissions<S: Source>(src: &mut S, n: usize) -> Vec<Emission> {

@@ -26,9 +26,8 @@ impl TraceSource {
     /// Wrap a trace the *caller* recorded in event order — sortedness
     /// holds by construction (a router emits departures at monotone
     /// simulation times), so the O(n) validation scan of
-    /// [`TraceSource::new`] is demoted to a debug assertion. This is
-    /// the tandem runner's per-hop constructor: hop *i*+1 replays hop
-    /// *i*'s departure record without re-walking it.
+    /// [`TraceSource::new`] is demoted to a debug assertion. The
+    /// fabric's relay flows carry an empty one as their stub.
     pub fn from_recorded(trace: Vec<Emission>) -> TraceSource {
         debug_assert!(
             trace.windows(2).all(|w| w[0].time <= w[1].time),
@@ -40,13 +39,6 @@ impl TraceSource {
     /// Remaining emissions.
     pub fn remaining(&self) -> usize {
         self.trace.len() - self.pos
-    }
-
-    /// Consume the source and return its backing buffer (replayed and
-    /// pending emissions alike), so a spent trace's allocation can be
-    /// recycled — see `SourceKind::into_trace_buffer`.
-    pub fn into_inner(self) -> Vec<Emission> {
-        self.trace
     }
 }
 

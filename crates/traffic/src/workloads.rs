@@ -8,7 +8,6 @@
 use crate::kind::SourceKind;
 use crate::onoff::{OnOffSource, Sojourns};
 use crate::regulator::ShapedSource;
-use crate::source::Source;
 use qbm_core::flow::{Conformance, FlowId, FlowSpec};
 use qbm_core::units::{ByteSize, Rate};
 
@@ -142,36 +141,16 @@ pub fn table2() -> Vec<FlowSpec> {
 /// moments; **conformant** flows are additionally passed through a
 /// `(σ, ρ)` leaky-bucket regulator, exactly as in §3.2. The seed is
 /// mixed with the flow id so each flow gets an independent stream while
-/// the whole workload stays reproducible per run seed.
-pub fn build_source(spec: &FlowSpec, run_seed: u64) -> Box<dyn Source> {
-    build_source_with_sojourns(spec, run_seed, Sojourns::Exponential)
-}
-
-/// [`build_source`] with an explicit sojourn family — the
-/// `ablate-burstiness` experiment swaps in heavy-tailed Pareto bursts
-/// while keeping every Table-1/2 moment identical.
-pub fn build_source_with_sojourns(
-    spec: &FlowSpec,
-    run_seed: u64,
-    sojourns: Sojourns,
-) -> Box<dyn Source> {
-    match build_source_kind_with_sojourns(spec, run_seed, sojourns) {
-        SourceKind::Regulated(s) => Box::new(s),
-        SourceKind::OnOff(s) => Box::new(s),
-        other => unreachable!("workload sources are shaped or raw ON-OFF, got {other:?}"),
-    }
-}
-
-/// [`build_source`] without the box: the same source as a
+/// the whole workload stays reproducible per run seed. The result is a
 /// [`SourceKind`], so the simulator's inner loop dispatches through an
-/// inlinable `match` instead of a vtable. This is the hot-path builder;
-/// the boxed variants above are compatibility wrappers around the same
-/// construction.
+/// inlinable `match` instead of a vtable.
 pub fn build_source_kind(spec: &FlowSpec, run_seed: u64) -> SourceKind {
     build_source_kind_with_sojourns(spec, run_seed, Sojourns::Exponential)
 }
 
-/// [`build_source_kind`] with an explicit sojourn family.
+/// [`build_source_kind`] with an explicit sojourn family — the
+/// `ablate-burstiness` experiment swaps in heavy-tailed Pareto bursts
+/// while keeping every Table-1/2 moment identical.
 pub fn build_source_kind_with_sojourns(
     spec: &FlowSpec,
     run_seed: u64,
@@ -270,7 +249,7 @@ mod tests {
     fn sources_built_per_class() {
         let t = table1();
         // Conformant flow: long-run output rate equals the token rate.
-        let mut s0 = build_source(&t[0], 1);
+        let mut s0 = build_source_kind(&t[0], 1);
         let em = collect_emissions(&mut s0, 150_000);
         let r = empirical_rate_bps(&em);
         assert!(
@@ -278,7 +257,7 @@ mod tests {
             "shaped flow 0 rate {r} (expect ≈ 2 Mb/s)"
         );
         // Aggressive flow 8: unshaped, runs at its 16 Mb/s average.
-        let mut s8 = build_source(&t[8], 1);
+        let mut s8 = build_source_kind(&t[8], 1);
         let em8 = collect_emissions(&mut s8, 40_000);
         let r8 = empirical_rate_bps(&em8);
         assert!(
@@ -290,14 +269,14 @@ mod tests {
     #[test]
     fn per_flow_seeds_are_decorrelated() {
         let t = table1();
-        let mut a = build_source(&t[0], 7);
-        let mut b = build_source(&t[1], 7);
+        let mut a = build_source_kind(&t[0], 7);
+        let mut b = build_source_kind(&t[1], 7);
         // Identical specs, same run seed, different flow ids -> traces differ.
         let ea = collect_emissions(&mut a, 100);
         let eb = collect_emissions(&mut b, 100);
         assert_ne!(ea, eb);
         // Same flow same seed -> identical.
-        let mut a2 = build_source(&t[0], 7);
+        let mut a2 = build_source_kind(&t[0], 7);
         assert_eq!(ea, collect_emissions(&mut a2, 100));
     }
 }

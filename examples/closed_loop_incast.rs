@@ -51,11 +51,11 @@ fn main() {
             "{:>5} {:>14} {:>7} {:>7} {:>11} {:>11} {:>9}",
             "flow", "class", "kB out", "share%", "final cwnd", "loss events", "RTO fires"
         );
-        for i in 0..senders {
+        for (i, sender) in res.iter().take(senders).enumerate() {
             // AIMD state lives on the sender link that owns the source;
             // delivery is accounted where contention happens, at the
             // aggregator.
-            let st = res[i]
+            let st = sender
                 .aimd
                 .as_ref()
                 .and_then(|v| v.iter().find(|(f, _)| *f == 0).map(|&(_, s)| s))

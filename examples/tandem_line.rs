@@ -13,8 +13,7 @@ use qos_buffer_mgmt::core::admission::fifo_required_buffer;
 use qos_buffer_mgmt::core::flow::Conformance;
 use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{ByteSize, Rate, Time};
-use qos_buffer_mgmt::sched::SchedKind;
-use qos_buffer_mgmt::sim::tandem::{run_line, Hop};
+use qos_buffer_mgmt::sim::scenarios::{line, LinkProfile};
 use qos_buffer_mgmt::sim::PolicySpec;
 use qos_buffer_mgmt::traffic::table1;
 
@@ -33,18 +32,19 @@ fn main() {
         ByteSize::from_bytes(b2)
     );
 
-    let hop = |rate, buffer| Hop {
-        link_rate: rate,
-        buffer_bytes: buffer,
-        sched: SchedKind::Fifo,
-        policy: PolicySpec::Kind(PolicyKind::Threshold),
+    let hop = |rate, buffer_bytes| {
+        let profile = LinkProfile {
+            buffer_bytes,
+            policy: PolicySpec::Kind(PolicyKind::Threshold),
+            ..LinkProfile::default()
+        };
+        (rate, profile)
     };
-    let res = run_line(
-        &[hop(fast, b1), hop(slow, b2)],
-        &specs,
+    let res = line(&specs, &[hop(fast, b1), hop(slow, b2)], 1).run(
         1,
         Time::from_secs(2),
         Time::from_secs(22),
+        1,
     );
 
     println!(

@@ -10,7 +10,7 @@ use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{Dur, Rate, Time};
 use qos_buffer_mgmt::sched::SchedKind;
 use qos_buffer_mgmt::sim::{ExperimentConfig, PolicySpec, Router};
-use qos_buffer_mgmt::traffic::{CbrSource, Source};
+use qos_buffer_mgmt::traffic::CbrSource;
 
 const LINK: Rate = Rate::from_bps(48_000_000);
 
@@ -99,9 +99,9 @@ proptest! {
         ];
         let b = 500_000u64;
         let policy = PolicyKind::Threshold.build(b, LINK, &specs);
-        let sources: Vec<Box<dyn Source>> = vec![
-            Box::new(CbrSource::new(Rate::from_mbps(rho_mbps), 500, Time::ZERO)),
-            Box::new(CbrSource::greedy(LINK, 500, 2)),
+        let sources = vec![
+            CbrSource::new(Rate::from_mbps(rho_mbps), 500, Time::ZERO),
+            CbrSource::greedy(LINK, 500, 2),
         ];
         let router = Router::new(
             LINK,

@@ -1,6 +1,6 @@
 //! Multi-hop composition: network-calculus burst inflation
-//! (`σ_out = σ + ρ·D`) drives per-hop provisioning, and the tandem
-//! simulator confirms the resulting line is lossless for conformant
+//! (`σ_out = σ + ρ·D`) drives per-hop provisioning, and the multi-hop
+//! line simulation confirms the resulting line is lossless for conformant
 //! flows — the deployment recipe the paper's single-node analysis
 //! enables.
 
@@ -8,8 +8,7 @@ use qos_buffer_mgmt::core::analysis::delay::{fifo_delay_bound, output_burstiness
 use qos_buffer_mgmt::core::flow::{Conformance, FlowSpec};
 use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{Rate, Time};
-use qos_buffer_mgmt::sched::SchedKind;
-use qos_buffer_mgmt::sim::tandem::{run_line, Hop};
+use qos_buffer_mgmt::sim::scenarios::{line, LinkProfile};
 use qos_buffer_mgmt::sim::PolicySpec;
 use qos_buffer_mgmt::traffic::table1;
 
@@ -53,24 +52,26 @@ fn three_hop_line_provisioned_by_network_calculus_is_lossless() {
     let mut hop_specs = specs.clone();
     for &rate in &rates {
         let (inflated, buffer) = provision_hop(&hop_specs, rate, upstream_delay);
-        hops.push(Hop {
-            link_rate: rate,
-            buffer_bytes: buffer,
-            sched: SchedKind::Fifo,
-            // Thresholds computed from the *inflated* specs at this hop.
-            policy: PolicySpec::ExplicitThreshold {
-                thresholds: qos_buffer_mgmt::core::policy::compute_thresholds(
-                    buffer,
-                    rate,
-                    &inflated,
-                    Default::default(),
-                ),
+        hops.push((
+            rate,
+            LinkProfile {
+                buffer_bytes: buffer,
+                // Thresholds computed from the *inflated* specs at this hop.
+                policy: PolicySpec::ExplicitThreshold {
+                    thresholds: qos_buffer_mgmt::core::policy::compute_thresholds(
+                        buffer,
+                        rate,
+                        &inflated,
+                        Default::default(),
+                    ),
+                },
+                ..LinkProfile::default()
             },
-        });
+        ));
         upstream_delay = Some(fifo_delay_bound(buffer, rate, 500));
         hop_specs = inflated;
     }
-    let res = run_line(&hops, &specs, 1, Time::from_secs(1), Time::from_secs(31));
+    let res = line(&specs, &hops, 1).run(1, Time::from_secs(1), Time::from_secs(31), 1);
     assert_eq!(res.len(), 3);
     for (h, r) in res.iter().enumerate() {
         assert_eq!(
@@ -113,22 +114,17 @@ fn under_provisioned_middle_hop_loses_what_calculus_predicts_it_might() {
     // packets there, showing the inflation step is load-bearing.
     let specs = table1();
     let r2 = Rate::from_mbps(40.0);
+    let threshold = |buffer_bytes| LinkProfile {
+        buffer_bytes,
+        policy: PolicySpec::Kind(PolicyKind::Threshold),
+        ..LinkProfile::default()
+    };
     let hops = vec![
-        Hop {
-            link_rate: Rate::from_mbps(48.0),
-            buffer_bytes: 1 << 21,
-            sched: SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-        },
-        Hop {
-            link_rate: r2,
-            // Far below the Eq.9 requirement at 40 Mb/s (≈ 3.3 MiB).
-            buffer_bytes: 128 * 1024,
-            sched: SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-        },
+        (Rate::from_mbps(48.0), threshold(1 << 21)),
+        // Far below the Eq.9 requirement at 40 Mb/s (≈ 3.3 MiB).
+        (r2, threshold(128 * 1024)),
     ];
-    let res = run_line(&hops, &specs, 5, Time::from_secs(1), Time::from_secs(9));
+    let res = line(&specs, &hops, 5).run(5, Time::from_secs(1), Time::from_secs(9), 1);
     let loss2 = res[1].class_loss_ratio(&specs, Conformance::Conformant);
     assert!(
         loss2 > 0.0,

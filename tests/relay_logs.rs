@@ -11,11 +11,9 @@ use qos_buffer_mgmt::core::policy::SharedBuffer;
 use qos_buffer_mgmt::core::units::{Dur, Rate, Time};
 use qos_buffer_mgmt::obs::Observer;
 use qos_buffer_mgmt::sched::Fifo;
-use qos_buffer_mgmt::sim::scenarios::{subscriber_tree, LinkProfile, SubscriberTreeShape};
+use qos_buffer_mgmt::sim::scenarios::{line, subscriber_tree, LinkProfile, SubscriberTreeShape};
 use qos_buffer_mgmt::sim::{Fabric, Router, SimResult};
-use qos_buffer_mgmt::traffic::{
-    build_source_kind, table1, CbrSource, Emission, SourceKind, TraceSource,
-};
+use qos_buffer_mgmt::traffic::{build_source_kind, table1, CbrSource, SourceKind, TraceSource};
 
 /// FNV-1a 64-bit over the text.
 fn fnv64(s: &str) -> u64 {
@@ -201,20 +199,21 @@ fn thousand_flow_subscriber_tree_is_shard_and_epoch_invariant() {
 }
 
 #[test]
-fn recorded_departures_split_per_flow_in_time_order() {
-    // Router::run_recording returns one departure trace per flow.
-    let r = fifo_link(Rate::from_mbps(12.0), vec![cbr(4.0), cbr(6.0), cbr(1.0)]);
-    let (res, traces) = r.run_recording(Time::ZERO, Time::from_secs(1), 0);
-    assert_eq!(traces.len(), 3);
-    for (f, t) in traces.iter().enumerate() {
-        assert_eq!(t.len() as u64, res.flows[f].delivered_pkts);
-        assert!(t.windows(2).all(|w| w[0].time <= w[1].time));
-        assert!(t.iter().all(|e: &Emission| e.len == 500));
+fn two_hop_line_relays_every_departure_downstream() {
+    // Relay is zero-delay, so from t = 0 on every departure hop 1
+    // records arrives at hop 2 inside the window: per flow, hop 2's
+    // offered traffic is exactly hop 1's delivered traffic.
+    let specs = table1();
+    for downstream in [Rate::from_mbps(48.0), Rate::from_mbps(40.0)] {
+        let hops = [
+            (Rate::from_mbps(48.0), LinkProfile::default()),
+            (downstream, LinkProfile::default()),
+        ];
+        let res = line(&specs, &hops, 5).run(5, Time::ZERO, Time::from_secs(2), 1);
+        for (f, (up, down)) in res[0].flows.iter().zip(&res[1].flows).enumerate() {
+            assert!(up.delivered_pkts > 0, "flow {f} delivered nothing");
+            assert_eq!(down.offered_pkts, up.delivered_pkts, "flow {f} packets");
+            assert_eq!(down.offered_bytes, up.delivered_bytes, "flow {f} bytes");
+        }
     }
-    let text = format!("{traces:?}");
-    assert_eq!(
-        fnv64(&text),
-        0xa15c_76c4_ffbf_ac60,
-        "recorded traces drifted"
-    );
 }

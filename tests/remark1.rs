@@ -20,14 +20,14 @@ use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{ByteSize, Rate, Time};
 use qos_buffer_mgmt::sched::Fifo;
 use qos_buffer_mgmt::sim::Router;
-use qos_buffer_mgmt::traffic::{build_source, table1, Source};
+use qos_buffer_mgmt::traffic::{build_source_kind, table1, SourceKind};
 
 const LINK: Rate = Rate::from_bps(48_000_000);
 
 fn metered_table1_run(buffer: u64, seed: u64) -> qos_buffer_mgmt::sim::SimResult {
     let specs = table1();
     let policy = PolicyKind::Threshold.build(buffer, LINK, &specs);
-    let sources: Vec<Box<dyn Source>> = specs.iter().map(|s| build_source(s, seed)).collect();
+    let sources: Vec<SourceKind> = specs.iter().map(|s| build_source_kind(s, seed)).collect();
     Router::new(LINK, policy, Box::new(Fifo::new()), sources)
         .with_meters(&specs)
         .run(Time::ZERO, Time::from_secs(10), seed)
@@ -105,7 +105,7 @@ fn aggressive_flows_deliver_more_than_their_conformant_subflow() {
 fn unmetered_runs_have_no_green_accounting() {
     let specs: Vec<FlowSpec> = table1();
     let policy = PolicyKind::Threshold.build(1 << 20, LINK, &specs);
-    let sources: Vec<Box<dyn Source>> = specs.iter().map(|s| build_source(s, 1)).collect();
+    let sources: Vec<SourceKind> = specs.iter().map(|s| build_source_kind(s, 1)).collect();
     let res = Router::new(LINK, policy, Box::new(Fifo::new()), sources).run(
         Time::ZERO,
         Time::from_secs(2),

@@ -16,7 +16,7 @@ use qos_buffer_mgmt::core::units::{ByteSize, Rate, Time};
 use qos_buffer_mgmt::obs::{verify_trace, TraceRecord, Tracer};
 use qos_buffer_mgmt::sched::Fifo;
 use qos_buffer_mgmt::sim::Router;
-use qos_buffer_mgmt::traffic::{CbrSource, Source};
+use qos_buffer_mgmt::traffic::CbrSource;
 
 /// Packet length used throughout (the workloads' 500-byte cells).
 const PKT: u32 = 500;
@@ -37,9 +37,9 @@ fn crossing_and_denial_times_match_example1_analysis() {
     // greedy 2R CBR — the paper's "greedy flow keeps its share pinned
     // full". Zero headroom: all free space is holes.
     let link = Rate::from_mbps(48.0);
-    let sources: Vec<Box<dyn Source>> = vec![
-        Box::new(CbrSource::new(link, PKT, Time::from_secs(3600))),
-        Box::new(CbrSource::greedy(link, PKT, 2)),
+    let sources = vec![
+        CbrSource::new(link, PKT, Time::from_secs(3600)),
+        CbrSource::greedy(link, PKT, 2),
     ];
     let policy = BufferSharing::with_reserved(b, vec![b1, b2], 0);
     let router = Router::new(link, policy, Fifo::new(), sources);
