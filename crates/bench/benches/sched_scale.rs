@@ -1,6 +1,6 @@
 //! Scheduler scalability: ActiveSet layouts across four orders of
 //! magnitude of slot counts, and end-to-end subscriber-tree fabric
-//! throughput across 10²–10⁵ flows.
+//! throughput across 10²–10⁶ flows.
 //!
 //! Section 1 churns a pre-filled [`ActiveSet`] with the scheduler's
 //! characteristic access pattern — peek the winner, re-tag it with a
@@ -17,7 +17,8 @@
 //! Section 3 times fabric *construction* alone up to the 10⁶-flow
 //! shape — the point that used to stall on quadratic spec renumbering;
 //! the committed figure is the receipt that building the ISP-scale
-//! topology stays linear.
+//! topology stays linear. Each row also records the resident memory
+//! the build added (`VmRSS` after minus before, Linux only), per flow.
 //!
 //! A hand-written `main` exports everything to `BENCH_scale.json` next
 //! to the workspace root. Set `QBM_BENCH_QUICK=1` for the CI
@@ -106,7 +107,7 @@ fn bench_fabric_scale() -> Vec<ScalePoint> {
     let flow_counts: &[usize] = if quick() {
         &[100, 1000]
     } else {
-        &[100, 1000, 10_000, 100_000]
+        &[100, 1000, 10_000, 100_000, 1_000_000]
     };
     let threads = shards();
     let mut out = Vec::new();
@@ -117,7 +118,8 @@ fn bench_fabric_scale() -> Vec<ScalePoint> {
             0..=100 => 1.0,
             101..=1_000 => 0.5,
             1_001..=10_000 => 0.2,
-            _ => 0.05,
+            10_001..=100_000 => 0.05,
+            _ => 0.02,
         };
         let shape = SubscriberTreeShape::for_flows(flows);
         let profile = LinkProfile::default();
@@ -158,11 +160,27 @@ fn bench_fabric_scale() -> Vec<ScalePoint> {
 }
 
 /// One construction-only timing: flow count, links built, wall seconds
-/// to assemble the fabric (no simulation).
+/// to assemble the fabric (no simulation), and the resident bytes per
+/// flow the build added.
 struct BuildPoint {
     flows: usize,
     links: usize,
     build_secs: f64,
+    rss_bytes_per_flow: Option<f64>,
+}
+
+/// This process's resident set size in bytes, from `/proc/self/status`
+/// (`None` where that file does not exist).
+fn vm_rss_bytes() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kib * 1024.0)
 }
 
 fn bench_construction() -> Vec<BuildPoint> {
@@ -175,25 +193,36 @@ fn bench_construction() -> Vec<BuildPoint> {
         .iter()
         .map(|&flows| {
             let shape = SubscriberTreeShape::for_flows(flows);
+            let before = vm_rss_bytes();
             let t = Instant::now();
             let fabric = subscriber_tree(shape, &LinkProfile::default(), 1);
             let build_secs = t.elapsed().as_secs_f64();
+            let rss_bytes_per_flow = vm_rss_bytes()
+                .zip(before)
+                .map(|(after, before)| (after - before) / flows as f64);
             let links = fabric.n_links();
-            println!("subscriber_tree-build/{flows:>7}: {links:>5} links in {build_secs:.3} s");
+            println!(
+                "subscriber_tree-build/{flows:>7}: {links:>5} links in {build_secs:.3} s, \
+                 {} resident bytes per flow",
+                fmt_opt(rss_bytes_per_flow)
+            );
             BuildPoint {
                 flows,
                 links,
                 build_secs,
+                rss_bytes_per_flow,
             }
         })
         .collect()
 }
 
 fn main() {
+    // Construction first, on a fresh heap, so its resident-memory
+    // deltas are not absorbed by memory the other sections freed.
+    let built = bench_construction();
     let mut criterion = Criterion::default();
     bench_active_set(&mut criterion);
     let scale = bench_fabric_scale();
-    let built = bench_construction();
     let results = criterion.results();
 
     let mean_of = |layout: &str, n: usize| {
@@ -258,8 +287,12 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"flows\": {}, \"links\": {}, \"build_secs\": {:.3}}}",
-                p.flows, p.links, p.build_secs
+                "    {{\"flows\": {}, \"links\": {}, \"build_secs\": {:.3}, \
+                 \"rss_bytes_per_flow\": {}}}",
+                p.flows,
+                p.links,
+                p.build_secs,
+                fmt_opt(p.rss_bytes_per_flow)
             )
         })
         .collect();

@@ -230,7 +230,7 @@ pub fn percentile_report(s: &Scenario, multi: &MultiRun, mode: StatsMode) -> Str
                     "flow", "p50", "p90", "p99", "p999", "occ p50", "occ p99"
                 ));
                 for (i, f) in merged.flows.iter().enumerate() {
-                    let (Some(d), Some(o)) = (f.delay_sketch.as_ref(), f.occ_sketch.as_ref())
+                    let (Some(d), Some(o)) = (f.delay_sketch.as_deref(), f.occ_sketch.as_deref())
                     else {
                         continue; // per-flow sketches disabled
                     };

@@ -7,8 +7,10 @@
 //! which packets are relayed: a destination flow replays the source
 //! flow's recorded departures — exact store-and-forward semantics (a
 //! feed-forward hop cannot influence its upstream, so replay is not an
-//! approximation). A multi-hop line is the path graph
-//! ([`crate::scenarios::line`]).
+//! approximation). The destination is a source-less relay flow
+//! ([`Router::relaying`]), so a relayed flow costs its link statistics
+//! and policy/scheduler state but no source or timer slot. A multi-hop
+//! line is the path graph ([`crate::scenarios::line`]).
 //!
 //! # Epoch/log execution
 //!
@@ -146,10 +148,14 @@ where
     }
 
     /// Relay `src_link`'s flow `src_flow` into `dst_link`'s flow
-    /// `dst_flow`. The destination flow must be backed by a
-    /// [`TraceSource`](qbm_traffic::TraceSource), typically empty: the
-    /// flow's packets come from the departure log of `src_link`, whose
-    /// departures are recorded automatically.
+    /// `dst_flow`. The destination flow is normally a relay flow, with
+    /// no source (see [`Router::relaying`]): its packets come from the
+    /// departure log of `src_link`, whose departures are recorded
+    /// automatically. A sourced destination flow is accepted only when
+    /// its source is a [`TraceSource`](qbm_traffic::TraceSource) —
+    /// typically an empty stub, the older form of a relay flow; the run
+    /// rejects any other source with "a relay flow of link N is not
+    /// trace-fed".
     ///
     /// Panics on out-of-range links/flows, or if either endpoint is
     /// already wired (a flow has at most one feeder and one reader —
@@ -322,22 +328,38 @@ where
         // numbered in order of first use; a destination numbers its log
         // slots in the order its sources are built — storage order, so
         // the handoff list comes out grouped by source level.
-        let mut routers: Vec<Option<Router<P, S>>> = self.links.into_iter().map(Some).collect();
+        let Fabric {
+            links,
+            feeds,
+            fed_by,
+            epoch,
+        } = self;
+        let mut routers: Vec<Option<Router<P, S>>> = links.into_iter().map(Some).collect();
         let mut engines: Vec<LinkEngine<P, S, IndexedTimers>> = Vec::with_capacity(n);
         let mut handoffs: Vec<Handoff> = Vec::new();
         let (mut in_logs, mut log_of) = (vec![0usize; n], vec![usize::MAX; n]);
         for (pos, &link) in order.iter().enumerate() {
             let router = routers[link].take().expect("each link wrapped once");
-            let fed_by = &self.fed_by[link];
-            let stubbed =
-                (0..fed_by.len()).all(|f| fed_by[f] == UNWIRED || router.flow_is_trace_fed(f));
-            assert!(stubbed, "a relay flow of link {link} is not trace-fed");
+            let fed_by = &fed_by[link];
+            for (f, &feeder) in fed_by.iter().enumerate() {
+                if feeder == UNWIRED {
+                    assert!(
+                        router.flow_has_source(f),
+                        "flow {f} of link {link} has no source and no feeder"
+                    );
+                } else {
+                    assert!(
+                        router.flow_is_trace_fed(f),
+                        "a relay flow of link {link} is not trace-fed"
+                    );
+                }
+            }
             let timed = fed_by
                 .iter()
                 .rposition(|&p| p == UNWIRED)
                 .map_or(0, |i| i + 1);
             let mut dsts: Vec<usize> = Vec::new();
-            let route: Vec<(u32, u32)> = self.feeds[link]
+            let route: Vec<(u32, u32)> = feeds[link]
                 .iter()
                 .map(|&(dl, df)| {
                     let d = dl as usize;
@@ -369,6 +391,10 @@ where
         for &(pos, f, mode) in &mode_overrides {
             engines[pos].set_feedback_mode(FlowId(f), mode);
         }
+        // The wiring tables are dead once engines and handoffs exist;
+        // free them before the epoch loop instead of holding 16 B per
+        // flow-link through the whole run.
+        drop((feeds, fed_by, mode_overrides));
         let mut obs: Vec<Option<&mut O>> = observers.iter_mut().map(Some).collect();
         let mut obs: Vec<&mut O> = order
             .iter()
@@ -383,10 +409,10 @@ where
         // handing logs down between levels.
         let mut horizon = Time::ZERO;
         while horizon < end {
-            horizon = if end.as_nanos() - horizon.as_nanos() <= self.epoch.as_nanos() {
+            horizon = if end.as_nanos() - horizon.as_nanos() <= epoch.as_nanos() {
                 end
             } else {
-                horizon + self.epoch
+                horizon + epoch
             };
             let mut cursor = 0usize;
             for l in 0..n_levels {
@@ -486,8 +512,10 @@ where
 mod tests {
     use super::*;
     use crate::scenarios::{incast_fanin, LinkProfile, LINK_RATE};
+    use qbm_core::policy::SharedBuffer;
     use qbm_core::units::Rate;
-    use qbm_traffic::table1;
+    use qbm_sched::Fifo;
+    use qbm_traffic::{table1, CbrSource};
 
     fn tiny_incast() -> Fabric {
         incast_fanin(
@@ -532,5 +560,38 @@ mod tests {
     fn double_use_of_a_source_flow_rejected() {
         let mut f = tiny_incast();
         f.connect(0, 1, 1, 0);
+    }
+
+    /// A FIFO link at 48 Mb/s: `sources` 8 Mb/s CBR flows, then
+    /// `relays` relay flows.
+    fn cbr_link(sources: usize, relays: usize) -> Router {
+        let cbr = CbrSource::new(Rate::from_mbps(8.0), 500, Time::ZERO);
+        Router::relaying(
+            Rate::from_mbps(48.0),
+            Box::new(SharedBuffer::new(100_000, sources + relays)),
+            Box::new(Fifo::new()),
+            vec![cbr; sources],
+            relays,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 2 of link 1 has no source and no feeder")]
+    fn unfed_source_less_flow_rejected_at_run_start() {
+        let mut f: Fabric = Fabric::new();
+        let up = f.add_link(cbr_link(1, 0));
+        let dst = f.add_link(cbr_link(1, 2));
+        f.connect(up, 0, dst, 1);
+        let _ = f.run(5, Time::ZERO, Time::from_secs(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a relay flow of link 1 is not trace-fed")]
+    fn fed_flow_with_a_non_trace_source_rejected() {
+        let mut f: Fabric = Fabric::new();
+        let up = f.add_link(cbr_link(1, 0));
+        let dst = f.add_link(cbr_link(2, 0));
+        f.connect(up, 0, dst, 1);
+        let _ = f.run(5, Time::ZERO, Time::from_secs(1), 1);
     }
 }

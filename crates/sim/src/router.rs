@@ -70,6 +70,11 @@ pub(crate) struct FbEvent {
 /// optional meter/observer lanes only when enabled — keeping each
 /// array dense and contiguous instead of scattering the fields across
 /// one large per-flow record.
+///
+/// The sourced flows come first; any relay flows follow them and have
+/// no source lane at all (their packets arrive through fabric
+/// departure logs), so `sources`/`pending` span the sourced flows and
+/// `over` spans every flow.
 pub(crate) struct FlowLanes {
     /// `sources[i]` feeds `FlowId(i)` (enum-dispatched, inlined).
     pub(crate) sources: Vec<SourceKind>,
@@ -84,7 +89,21 @@ pub(crate) struct FlowLanes {
     pub(crate) over: Vec<bool>,
 }
 
+impl FlowLanes {
+    /// Sourced plus relay flows: `over` is the lane spanning both.
+    pub(crate) fn n_flows(&self) -> usize {
+        self.over.len()
+    }
+}
+
 /// A single-output-link router under simulation.
+///
+/// Its flows are the sourced flows `0..sources.len()`, each pulling
+/// packets from its own [`SourceKind`], followed by any relay flows
+/// ([`Router::relaying`]): source-less flows whose packets a
+/// [`Fabric`](crate::Fabric) delivers from an upstream link's
+/// departure log. A relay flow costs per-flow statistics and
+/// scheduler/policy state only — no source slot, no timer slot.
 ///
 /// Generic over the admission policy and scheduler so concrete types
 /// monomorphize to static dispatch; the defaults are trait objects, and
@@ -108,21 +127,34 @@ where
     P: BufferPolicy,
     S: Scheduler,
 {
-    /// Number of flows this router multiplexes.
+    /// Number of flows this router multiplexes, sourced and relay.
     pub(crate) fn n_flows(&self) -> usize {
-        self.lanes.sources.len()
+        self.lanes.n_flows()
+    }
+
+    /// Whether flow `flow` has a source (relay flows have none).
+    pub(crate) fn flow_has_source(&self, flow: usize) -> bool {
+        flow < self.lanes.sources.len()
     }
 
     /// Whether flow `flow`'s source reacts to feedback — the fabric's
-    /// probe for wiring closed-loop signal paths.
+    /// probe for wiring closed-loop signal paths. A relay flow has no
+    /// source, so it never does.
     pub(crate) fn flow_is_closed_loop(&self, flow: usize) -> bool {
-        self.lanes.sources[flow].is_closed_loop()
+        self.lanes
+            .sources
+            .get(flow)
+            .is_some_and(SourceKind::is_closed_loop)
     }
 
-    /// Whether flow `flow` is backed by a replay source — the stub a
-    /// relay flow must carry.
+    /// Whether a departure log may feed flow `flow`: it is a relay flow
+    /// (no source) or is backed by a replay source — the empty stub
+    /// form of a relay flow, still accepted.
     pub(crate) fn flow_is_trace_fed(&self, flow: usize) -> bool {
-        matches!(self.lanes.sources[flow], SourceKind::Trace(_))
+        self.lanes
+            .sources
+            .get(flow)
+            .is_none_or(|s| matches!(s, SourceKind::Trace(_)))
     }
 
     /// Assemble a router. `sources[i]` feeds `FlowId(i)`.
@@ -135,12 +167,29 @@ where
         scheduler: S,
         sources: Vec<K>,
     ) -> Router<P, S> {
+        Router::relaying(link_rate, policy, scheduler, sources, 0)
+    }
+
+    /// Assemble a router whose sourced flows (`sources[i]` feeds
+    /// `FlowId(i)`) are followed by `relays` relay flows, numbered
+    /// `sources.len()..sources.len() + relays`. A relay flow has no
+    /// source: its packets come only from the departure log of the
+    /// fabric edge [`Fabric::connect`](crate::Fabric::connect) wires
+    /// into it, and a fabric run rejects a relay flow left unwired.
+    /// Run on its own, a router's relay flows carry no traffic.
+    pub fn relaying<K: Into<SourceKind>>(
+        link_rate: Rate,
+        policy: P,
+        scheduler: S,
+        sources: Vec<K>,
+        relays: usize,
+    ) -> Router<P, S> {
         let n = sources.len();
         let lanes = FlowLanes {
             sources: sources.into_iter().map(Into::into).collect(),
             pending: vec![None; n],
             meters: None,
-            over: vec![false; n],
+            over: vec![false; n + relays],
         };
         Router::from_lanes(link_rate, policy, scheduler, lanes)
     }
@@ -156,9 +205,9 @@ where
         lanes: FlowLanes,
     ) -> Router<P, S> {
         assert!(link_rate.bps() > 0, "zero link rate");
-        assert!(!lanes.sources.is_empty(), "no sources");
+        assert!(lanes.n_flows() > 0, "no flows");
         debug_assert_eq!(lanes.pending.len(), lanes.sources.len());
-        debug_assert_eq!(lanes.over.len(), lanes.sources.len());
+        debug_assert!(lanes.n_flows() >= lanes.sources.len());
         Router {
             link_rate,
             policy,
@@ -183,7 +232,7 @@ where
     /// the paper's Remark 1. Marking is observational: admission
     /// decisions are unchanged; statistics gain the green counters.
     pub fn with_meters(mut self, specs: &[FlowSpec]) -> Router<P, S> {
-        assert_eq!(specs.len(), self.lanes.sources.len(), "one meter per flow");
+        assert_eq!(specs.len(), self.n_flows(), "one meter per flow");
         self.lanes.meters = Some(
             specs
                 .iter()
@@ -315,16 +364,13 @@ where
         events: E,
         link: u32,
     ) -> LinkEngine<P, S, E> {
-        let n = router.lanes.sources.len();
+        let n = router.n_flows();
         // A source that reacts to feedback gets the full local loop by
         // default (drops *and* deliveries signalled on this link); the
         // fabric rewires multi-hop flows after construction.
-        let fb_modes = router
-            .lanes
-            .sources
-            .iter()
-            .map(|s| {
-                if s.is_closed_loop() {
+        let fb_modes = (0..n)
+            .map(|f| {
+                if router.flow_is_closed_loop(f) {
                     FeedbackMode::Local { delivered: true }
                 } else {
                     FeedbackMode::Off
@@ -861,6 +907,29 @@ mod tests {
             crate::event::EventQueue::with_flows(2),
         );
         assert_eq!(timers.flows, heap.flows);
+    }
+
+    #[test]
+    fn relay_flows_follow_the_sourced_flows() {
+        // Two sourced flows plus three relay flows: every flow gets a
+        // statistics lane, only the sourced ones a source, and a router
+        // run on its own sends nothing on the relays.
+        let sources = vec![CbrSource::new(Rate::from_mbps(10.0), 500, Time::ZERO); 2];
+        let r = Router::relaying(
+            LINK,
+            Box::new(SharedBuffer::new(100_000, 5)),
+            Box::new(Fifo::new()),
+            sources,
+            3,
+        );
+        assert_eq!(r.n_flows(), 5);
+        assert!(r.flow_has_source(1) && !r.flow_has_source(2));
+        assert!(!r.flow_is_trace_fed(1) && r.flow_is_trace_fed(4));
+        assert!(!r.flow_is_closed_loop(4));
+        let res = r.run(Time::ZERO, Time::from_secs(1), 0);
+        assert_eq!(res.flows.len(), 5);
+        assert!(res.flows[..2].iter().all(|f| f.delivered_pkts > 0));
+        assert!(res.flows[2..].iter().all(|f| f.offered_pkts == 0));
     }
 
     #[test]

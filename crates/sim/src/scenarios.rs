@@ -25,7 +25,7 @@ use qbm_core::flow::{Conformance, FlowId, FlowSpec};
 use qbm_core::policy::PolicyKind;
 use qbm_core::units::{ByteSize, Dur, Rate, Time};
 use qbm_sched::SchedKind;
-use qbm_traffic::{build_source_kind, AimdConfig, AimdSource, SourceKind, TraceSource};
+use qbm_traffic::{build_source_kind, AimdConfig, AimdSource, SourceKind};
 
 /// The paper's link rate: 48 Mb/s ("a little over T3 capacity").
 pub const LINK_RATE: Rate = Rate::from_bps(48_000_000);
@@ -318,13 +318,10 @@ fn renumber(specs: &[FlowSpec]) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// An empty replay source — the stub behind every relay flow, whose
-/// packets the fabric delivers from the upstream departure log.
-fn relay_stub() -> SourceKind {
-    SourceKind::Trace(TraceSource::from_recorded(Vec::new()))
-}
-
-/// Build one fabric link from its (renumbered) spec list.
+/// Build one fabric link from its (renumbered) spec list: `sources`
+/// feed the first flows, and every flow past them is a source-less
+/// relay flow, whose packets the fabric delivers from the upstream
+/// departure log.
 fn topology_link(
     rate: Rate,
     specs: &[FlowSpec],
@@ -333,7 +330,8 @@ fn topology_link(
 ) -> Router {
     let policy = p.policy.build(p.buffer_bytes, rate, specs);
     let sched = p.sched.build(rate, specs);
-    Router::new(rate, policy, sched, sources).with_stats(p.stats)
+    let relays = specs.len() - sources.len();
+    Router::relaying(rate, policy, sched, sources, relays).with_stats(p.stats)
 }
 
 /// A feed-forward multi-hop line: the path graph, an extension of the
@@ -359,7 +357,7 @@ pub fn line(specs: &[FlowSpec], hops: &[(Rate, LinkProfile)], seed: u64) -> Fabr
         let sources = if i == 0 {
             specs.iter().map(|s| build_source_kind(s, seed)).collect()
         } else {
-            specs.iter().map(|_| relay_stub()).collect()
+            Vec::new()
         };
         let link = fabric.add_link(topology_link(*rate, specs, sources, profile));
         if i > 0 {
@@ -425,8 +423,7 @@ pub fn aggregation_tree(
     );
     let mut ap_links = Vec::with_capacity(aps);
     for a in 0..aps {
-        let sources = ap_specs.iter().map(|_| relay_stub()).collect();
-        let ap = fabric.add_link(topology_link(ap_rate, &ap_specs, sources, profile));
+        let ap = fabric.add_link(topology_link(ap_rate, &ap_specs, Vec::new(), profile));
         ap_links.push(ap);
         for h in 0..ap_specs.len() as u32 {
             fabric.connect(site, (a * subs_per_ap * k) as u32 + h, ap, h);
@@ -437,8 +434,7 @@ pub fn aggregation_tree(
     let sub_specs = renumber(specs);
     for &ap in ap_links.iter().take(aps) {
         for s in 0..subs_per_ap {
-            let sources = sub_specs.iter().map(|_| relay_stub()).collect();
-            let sub = fabric.add_link(topology_link(sub_rate, &sub_specs, sources, profile));
+            let sub = fabric.add_link(topology_link(sub_rate, &sub_specs, Vec::new(), profile));
             for f in 0..k as u32 {
                 fabric.connect(ap, (s * k) as u32 + f, sub, f);
             }
@@ -480,8 +476,7 @@ pub fn incast_fanin(
             .flat_map(|_| specs.iter().cloned())
             .collect::<Vec<_>>(),
     );
-    let agg_sources = agg_specs.iter().map(|_| relay_stub()).collect();
-    let agg = fabric.add_link(topology_link(agg_rate, &agg_specs, agg_sources, profile));
+    let agg = fabric.add_link(topology_link(agg_rate, &agg_specs, Vec::new(), profile));
     for i in 0..senders as u32 {
         for f in 0..k as u32 {
             fabric.connect(i, f, agg, i * k as u32 + f);
@@ -552,8 +547,7 @@ pub fn incast_closed_loop(senders: usize, agg_rate: Rate, profile: &LinkProfile)
         fabric.add_link(topology_link(agg_rate, &spec, sources, profile));
     }
     let agg_specs = renumber(&(0..senders).map(spec_for).collect::<Vec<_>>());
-    let agg_sources = agg_specs.iter().map(|_| relay_stub()).collect();
-    let agg = fabric.add_link(topology_link(agg_rate, &agg_specs, agg_sources, profile));
+    let agg = fabric.add_link(topology_link(agg_rate, &agg_specs, Vec::new(), profile));
     for i in 0..senders as u32 {
         fabric.connect(i, 0, agg, i);
     }
@@ -746,8 +740,7 @@ fn subscriber_tree_impl(
     for s in 0..shape.sites {
         let block = renumber(&specs[s * per_site..(s + 1) * per_site]);
         let rate = Rate::from_bps(site_rho[s] * 3 / 2);
-        let sources = block.iter().map(|_| relay_stub()).collect();
-        let link = fabric.add_link(topology_link(rate, &block, sources, profile));
+        let link = fabric.add_link(topology_link(rate, &block, Vec::new(), profile));
         site_links.push(link);
         for h in 0..per_site as u32 {
             fabric.connect(core, (s * per_site) as u32 + h, link, h);
@@ -760,11 +753,10 @@ fn subscriber_tree_impl(
             let lo = s * per_site + a * shape.subs_per_ap;
             let block = renumber(&specs[lo..lo + shape.subs_per_ap]);
             let rho: u64 = block.iter().map(|f| f.token_rate.bps()).sum();
-            let sources = block.iter().map(|_| relay_stub()).collect();
             let ap = fabric.add_link(topology_link(
                 Rate::from_bps(rho * 2),
                 &block,
-                sources,
+                Vec::new(),
                 profile,
             ));
             for f in 0..shape.subs_per_ap as u32 {

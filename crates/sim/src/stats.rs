@@ -9,6 +9,7 @@ use qbm_core::flow::{Conformance, FlowId, FlowSpec};
 use qbm_core::policy::DropReason;
 use qbm_core::units::{Dur, Time};
 use qbm_obs::{QuantileSketch, SketchParams};
+use std::borrow::BorrowMut;
 
 /// Optional streaming-statistics attachments for a run. The default is
 /// the classic exact-counters-only collector; enabling `sketches`
@@ -57,17 +58,26 @@ impl StatsConfig {
 
 /// Merge the sketch halves of two results: both present → fold,
 /// only the source present → adopt a copy (keeps the sketch-less
-/// [`StatsCollector::merger`] the merge identity).
-fn merge_sketch(into: &mut Option<QuantileSketch>, from: &Option<QuantileSketch>) {
+/// [`StatsCollector::merger`] the merge identity). Generic over the
+/// inline aggregate sketches and the boxed per-flow ones.
+fn merge_sketch<T>(into: &mut Option<T>, from: &Option<T>)
+where
+    T: BorrowMut<QuantileSketch> + Clone,
+{
     if let Some(b) = from {
         match into {
-            Some(a) => a.merge(b),
+            Some(a) => a.borrow_mut().merge(b.borrow()),
             None => *into = Some(b.clone()),
         }
     }
 }
 
 /// Counters for a single flow over the measurement window.
+///
+/// One is kept per flow on every link, so its size is the per-flow
+/// statistics footprint at ISP scale: the two per-flow sketches sit
+/// behind a `Box` (8 B each when absent, which they are above
+/// [`StatsConfig::per_flow_sketch_limit`]) rather than inline.
 #[derive(Clone, Default, PartialEq)]
 pub struct FlowStats {
     /// Bytes offered to the router (pre-admission).
@@ -107,10 +117,10 @@ pub struct FlowStats {
     /// configured with [`StatsConfig::sketches`] and `per_flow` is on.
     /// Bounded relative error — supersedes the factor-of-2
     /// [`FlowStats::delay_percentile`] for report-facing percentiles.
-    pub delay_sketch: Option<QuantileSketch>,
+    pub delay_sketch: Option<Box<QuantileSketch>>,
     /// Streaming per-flow occupancy sketch (bytes, sampled at every
     /// admission and departure), same gating as `delay_sketch`.
-    pub occ_sketch: Option<QuantileSketch>,
+    pub occ_sketch: Option<Box<QuantileSketch>>,
 }
 
 /// Hand-written so sketch-less results render exactly like the
@@ -299,8 +309,8 @@ impl SimResult {
             // (DESIGN.md §14), so ISP-scale runs keep aggregates only.
             if sp.per_flow && n_flows <= cfg.per_flow_sketch_limit {
                 for f in &mut r.flows {
-                    f.delay_sketch = Some(QuantileSketch::new(sp.precision_bits));
-                    f.occ_sketch = Some(QuantileSketch::new(sp.precision_bits));
+                    f.delay_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
+                    f.occ_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
                 }
             }
         }
@@ -855,5 +865,34 @@ mod tests {
         let c = StatsCollector::with_config(1, Time::ZERO, Time::from_secs(1), 0, cfg);
         let txt2 = format!("{:?}", c.finish().flows);
         assert!(txt2.contains("delay_sketch"), "{txt2}");
+    }
+
+    #[test]
+    fn flow_stats_stay_within_the_per_flow_budget() {
+        // One `FlowStats` per flow per link is the per-flow statistics
+        // footprint at ISP scale; inline sketches would take it to 256 B.
+        assert!(
+            std::mem::size_of::<FlowStats>() <= 160,
+            "FlowStats grew to {} B",
+            std::mem::size_of::<FlowStats>()
+        );
+    }
+
+    #[test]
+    fn boxed_sketch_renders_like_the_inline_one() {
+        // Goldens hash `{:?}` of sketch-carrying flows, so the box must
+        // be invisible: `Some(<the sketch's own Debug>)`.
+        let mut sketch = QuantileSketch::new(SketchParams::default().precision_bits);
+        for d in [1_000, 83_333, 2_500_000] {
+            sketch.record(d);
+        }
+        let f = FlowStats {
+            delay_sketch: Some(Box::new(sketch.clone())),
+            ..FlowStats::default()
+        };
+        let txt = format!("{f:?}");
+        let field = format!("delay_sketch: Some({sketch:?})");
+        assert!(txt.contains(&field), "{txt}");
+        assert!(!txt.contains("occ_sketch"), "{txt}");
     }
 }

@@ -4,7 +4,8 @@
 //! several upstream links whose departures coincide, from one upstream
 //! link whose transmission time rounds to 0 ns, or mixed with flows the
 //! link originates itself. The goldens below pin the schedule itself,
-//! not only its invariance under shard width and epoch length.
+//! not only its invariance under shard width and epoch length. A relay
+//! flow with no source runs exactly like one behind an empty-trace stub.
 
 use qos_buffer_mgmt::core::flow::FlowId;
 use qos_buffer_mgmt::core::policy::SharedBuffer;
@@ -52,17 +53,26 @@ impl Arrivals {
     }
 }
 
+/// An empty replay source behind a fed flow: the older form of a relay
+/// flow, which the fabric still accepts.
 fn relay_stub() -> SourceKind {
     SourceKind::Trace(TraceSource::from_recorded(Vec::new()))
 }
 
 fn fifo_link(rate: Rate, sources: Vec<SourceKind>) -> Router {
-    let n = sources.len();
-    Router::new(
+    fifo_relaying_link(rate, sources, 0)
+}
+
+/// A FIFO link whose `sources` are followed by `relays` source-less
+/// relay flows.
+fn fifo_relaying_link(rate: Rate, sources: Vec<SourceKind>, relays: usize) -> Router {
+    let n = sources.len() + relays;
+    Router::relaying(
         rate,
         Box::new(SharedBuffer::new(200_000, n)),
         Box::new(Fifo::new()),
         sources,
+        relays,
     )
 }
 
@@ -214,6 +224,53 @@ fn two_hop_line_relays_every_departure_downstream() {
             assert!(up.delivered_pkts > 0, "flow {f} delivered nothing");
             assert_eq!(down.offered_pkts, up.delivered_pkts, "flow {f} packets");
             assert_eq!(down.offered_bytes, up.delivered_bytes, "flow {f} bytes");
+        }
+    }
+}
+
+#[test]
+fn source_less_relay_flows_match_empty_trace_stubs() {
+    // The destination originates flows 0 and 1 and relays the upstream
+    // link's flows 1 and 0 into its flows 2 and 3. Built once with
+    // empty-trace stubs behind the relay flows and once with no source
+    // at all, the two fabrics must run identically everywhere.
+    let specs = table1();
+    let build = |stubs: bool| {
+        let mut f = Fabric::new();
+        let up_sources = vec![
+            build_source_kind(&specs[0], 31),
+            build_source_kind(&specs[1], 32),
+        ];
+        let up = f.add_link(fifo_link(Rate::from_mbps(24.0), up_sources));
+        let mut dst_sources = vec![
+            build_source_kind(&specs[2], 33),
+            build_source_kind(&specs[3], 34),
+        ];
+        let dst = if stubs {
+            dst_sources.extend([relay_stub(), relay_stub()]);
+            f.add_link(fifo_link(Rate::from_mbps(16.0), dst_sources))
+        } else {
+            f.add_link(fifo_relaying_link(Rate::from_mbps(16.0), dst_sources, 2))
+        };
+        f.connect(up, 1, dst, 2);
+        f.connect(up, 0, dst, 3);
+        f
+    };
+    let end = Time::from_secs(3);
+    for t in THREADS {
+        for e in EPOCHS {
+            let run = |stubs: bool| {
+                let fabric = build(stubs).with_epoch(e);
+                let mut obs = vec![Arrivals::default(); fabric.n_links()];
+                let res = fabric.run_observed(3, Time::ZERO, end, t, &mut obs);
+                (res, obs)
+            };
+            let ((stub_res, stub_obs), (bare_res, bare_obs)) = (run(true), run(false));
+            assert_eq!(stub_res, bare_res, "results differ at {t} threads, {e:?}");
+            let relayed = bare_obs[1].0.iter().filter(|a| a.1 >= 2).count();
+            assert!(relayed > 0, "no relayed arrivals at {t} threads, {e:?}");
+            let same = stub_obs.iter().zip(&bare_obs).all(|(a, b)| a.0 == b.0);
+            assert!(same, "arrival order differs at {t} threads, {e:?}");
         }
     }
 }
