@@ -62,7 +62,6 @@ fn bench_sketches(c: &mut Criterion) {
     let mut on = cfg.clone();
     on.stats = StatsConfig {
         sketches: Some(SketchParams::default()),
-        ..StatsConfig::default()
     };
     g.bench_with_input(BenchmarkId::new("table1", "sketch_on"), &on, |b, cfg| {
         let mut seed = 0u64;

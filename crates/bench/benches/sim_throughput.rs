@@ -145,7 +145,7 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"simloop\",\n");
     json.push_str(&format!(
-        "  \"workload\": \"{SIM_MS} simulated ms per iter; baseline = BinaryHeap + dyn sources, indexed = IndexedTimers + enum sources\",\n"
+        "  \"workload\": \"{SIM_MS} simulated ms per iter; baseline = BinaryHeap event queue, indexed = IndexedTimers, both over enum sources\",\n"
     ));
     json.push_str(&format!("  \"quick\": {},\n", quick()));
     json.push_str("  \"results\": [\n");

@@ -322,7 +322,6 @@ fn run_topology(s: &Scenario, opts: &Options) {
         policy: qbm_sim::PolicySpec::Kind(s.policy),
         stats: qbm_sim::StatsConfig {
             sketches: opts.sketch_params(),
-            ..qbm_sim::StatsConfig::default()
         },
     };
     let kind = opts.topology.as_deref().unwrap_or("tree");
@@ -355,7 +354,7 @@ fn run_topology(s: &Scenario, opts: &Options) {
                     "warning: {} flows exceed the per-flow sketch limit ({}); \
                      downgrading to aggregate-only sketches (DESIGN.md §14)",
                     shape.flows(),
-                    profile.stats.per_flow_sketch_limit
+                    qbm_sim::stats::PER_FLOW_SKETCH_LIMIT
                 );
             }
             detail_links = 1 + shape.sites;

@@ -6,6 +6,7 @@ use qbm_core::policy::PolicyKind;
 use qbm_core::units::{Dur, Rate};
 use qbm_sched::SchedKind;
 use qbm_sim::{ExperimentConfig, PolicySpec, SourceSel};
+use qbm_traffic::PACKET_BYTES;
 
 /// A parsed scenario, buildable into an [`ExperimentConfig`].
 #[derive(Debug, Clone)]
@@ -93,6 +94,13 @@ impl FlowDraft {
             line,
             message: "flow needs `bucket = <size>`".into(),
         })?;
+        let avg = self.avg.unwrap_or(rate);
+        if let Some(peak) = self.peak.filter(|&p| p > Rate::ZERO && p < avg) {
+            return Err(ScenarioError::BadLine {
+                line,
+                message: format!("flow peak {peak} below its average {avg}"),
+            });
+        }
         let mut out = Vec::with_capacity(self.count as usize);
         for _ in 0..self.count {
             let id = FlowId(*next_id);
@@ -164,8 +172,19 @@ impl Scenario {
                 match key.as_str() {
                     "peak" => d.peak = Some(parse_rate(value).map_err(unit_err)?),
                     "avg" => d.avg = Some(parse_rate(value).map_err(unit_err)?),
-                    "bucket" => d.bucket = Some(parse_size(value).map_err(unit_err)?),
-                    "rate" => d.rate = Some(parse_rate(value).map_err(unit_err)?),
+                    "bucket" => {
+                        let bucket = parse_size(value).map_err(unit_err)?;
+                        if bucket < PACKET_BYTES as u64 {
+                            return Err(ScenarioError::BadLine {
+                                line: line_no,
+                                message: format!(
+                                    "bucket of {bucket} B cannot hold one {PACKET_BYTES} B packet"
+                                ),
+                            });
+                        }
+                        d.bucket = Some(bucket);
+                    }
+                    "rate" => d.rate = Some(positive_rate(value, line_no)?),
                     "burst" => d.burst = Some(parse_size(value).map_err(unit_err)?),
                     "count" => {
                         d.count = value.parse().map_err(|_| ScenarioError::BadLine {
@@ -196,7 +215,7 @@ impl Scenario {
                 continue;
             }
             match key.as_str() {
-                "link" => link = Some(parse_rate(value).map_err(unit_err)?),
+                "link" => link = Some(positive_rate(value, line_no)?),
                 "buffer" => buffer = Some(parse_size(value).map_err(unit_err)?),
                 "duration" => duration = parse_duration(value).map_err(unit_err)?,
                 "warmup" => warmup = parse_duration(value).map_err(unit_err)?,
@@ -282,6 +301,19 @@ impl Scenario {
             sources: self.sources,
         }
     }
+}
+
+/// A rate that must be above zero: the link rate, or a flow's reserved
+/// (token) rate.
+fn positive_rate(value: &str, line: usize) -> Result<Rate, ScenarioError> {
+    let rate = parse_rate(value).map_err(|inner| ScenarioError::BadUnit { line, inner })?;
+    if rate == Rate::ZERO {
+        return Err(ScenarioError::BadLine {
+            line,
+            message: format!("rate `{value}` must be above zero"),
+        });
+    }
+    Ok(rate)
 }
 
 fn parse_policy(value: &str, line: usize) -> Result<PolicyKind, ScenarioError> {
@@ -443,6 +475,56 @@ class = aggressive
             ScenarioError::BadLine { message, .. } => assert!(message.contains("rate")),
             other => panic!("unexpected {other}"),
         }
+    }
+
+    /// The line an invalid one-flow scenario is rejected at, and the
+    /// error text.
+    fn rejected_at(flow: &str) -> (usize, String) {
+        let text = format!("link=10Mbps\nbuffer=1MiB\n[flow]\n{flow}");
+        match Scenario::parse(&text).unwrap_err() {
+            ScenarioError::BadLine { line, message } => (line, message),
+            other => panic!("unexpected {other}"),
+        }
+    }
+
+    #[test]
+    fn zero_link_rate_rejected() {
+        match Scenario::parse("buffer=1MiB\nlink=0Mbps\n[flow]\nrate=1Mbps\nbucket=10KiB\n") {
+            Err(ScenarioError::BadLine { line, message }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("above zero"), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_flow_rate_rejected() {
+        let (line, message) = rejected_at("bucket=10KiB\nrate=0Mbps\n");
+        assert_eq!(line, 5);
+        assert!(message.contains("above zero"), "{message}");
+    }
+
+    #[test]
+    fn bucket_below_one_packet_rejected() {
+        let (line, message) = rejected_at("rate=1Mbps\nbucket=100B\n");
+        assert_eq!(line, 5);
+        assert!(message.contains("500 B packet"), "{message}");
+        // Exactly one packet fits.
+        let ok = "link=10Mbps\nbuffer=1MiB\n[flow]\nrate=1Mbps\nbucket=500B\n";
+        assert!(Scenario::parse(ok).is_ok());
+    }
+
+    #[test]
+    fn peak_below_average_rejected() {
+        // Named at the flow's section header: peak and avg are checked
+        // together once the section is complete.
+        let (line, message) = rejected_at("peak=1Mbps\navg=2Mbps\nrate=2Mbps\nbucket=10KiB\n");
+        assert_eq!(line, 3);
+        assert!(message.contains("below its average"), "{message}");
+        // With no `avg`, the reserved rate is the average.
+        let (line, _) = rejected_at("peak=1Mbps\nrate=2Mbps\nbucket=10KiB\n");
+        assert_eq!(line, 3);
     }
 
     #[test]

@@ -175,8 +175,9 @@ pub const ROOT_DRIFT_HINT: &str =
 /// the link engine, the departure-log append, log-slot pop and log
 /// handoff, the fabric's level advance, every scheduler's
 /// enqueue/dequeue, the streaming-telemetry update paths (sketch/heatmap `record`, called
-/// per event when sketches are attached), the tournament-tree
-/// `replay` inside `ActiveSet` (per tag update at tree layouts),
+/// per event when sketches are attached), the shared tournament-tree
+/// `replay` (per timer update in the event core, per tag update in
+/// `ActiveSet`'s tree layout),
 /// WF²Q+'s batched eligibility `sweep` (per virtual-clock advance),
 /// and every source's `on_feedback` handler (invoked once per
 /// departure/drop when the control loop is closed).
@@ -226,7 +227,7 @@ pub const HOT_ROOTS: &[crate::callgraph::RootSpec] = &[
         name: "record",
     },
     crate::callgraph::RootSpec::InFile {
-        file: "crates/sched/src/active_set.rs",
+        file: "crates/sched/src/tournament.rs",
         name: "replay",
     },
     crate::callgraph::RootSpec::InFile {

@@ -23,8 +23,9 @@
 //!   is O(n) per `peek` and dies at ISP scale (10⁴–10⁶ subscriber
 //!   flows), so large sets keep a `win` index over the same key array —
 //!   `set`/`clear` replay one leaf-to-root path (O(log n), ~20 cache
-//!   lines at 10⁶ slots) and `peek` reads the root. Same idiom as the
-//!   event core's `IndexedTimers`.
+//!   lines at 10⁶ slots) and `peek` reads the root. The tree is the
+//!   shared [`tournament`] module, also behind the event core's
+//!   `IndexedTimers`.
 //!
 //! Both layouts compute the identical minimum — ordering is
 //! `(tag, tie, slot index)` lexicographic, ties preferring the lower
@@ -37,6 +38,7 @@
 //! belongs to class `i` — so schedulers address it positionally, no
 //! lazy-deletion churn.
 
+use crate::tournament;
 use crate::vclock::VirtualTime;
 
 /// Empty-slot sentinel: loses to every real key.
@@ -75,15 +77,14 @@ pub enum Layout {
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
     /// Packed key per slot; [`EMPTY`] = vacant. The tree layout pads to
-    /// the leaf power of two with permanently-[`EMPTY`] keys, which
-    /// lose every comparison and are unaddressable (slot bounds are
-    /// checked against `slots`, not `key.len()`).
+    /// the leaf power of two (at least two leaves) with
+    /// permanently-[`EMPTY`] keys, which lose every comparison and are
+    /// unaddressable (slot bounds are checked against `slots`, not
+    /// `key.len()`).
     key: Vec<u128>,
-    /// Winner tree over `key` (empty in the scan layout — the layout
-    /// dispatch is `win.is_empty()`, one branch on hot paths). `win[k]`
-    /// is the winning slot index under internal node `k`; leaf `i`
-    /// hangs under node `(leaves + i) / 2` and the root winner is
-    /// `win[1]`. `win[0]` is unused.
+    /// [`tournament`] tree over `key` (empty in the scan layout — the
+    /// layout dispatch is `win.is_empty()`, one branch on hot paths);
+    /// the root winner is `win[1]`.
     win: Vec<u32>,
     /// Addressable slot count (`key.len()` may be padded).
     slots: usize,
@@ -106,7 +107,7 @@ impl ActiveSet {
         assert!(n > 0, "no slots");
         let tree = match layout {
             Layout::Scan => false,
-            Layout::Tree => n > 1, // a 1-slot tree degenerates to scan
+            Layout::Tree => true,
             Layout::Adaptive => n > SCAN_TREE_CROSSOVER,
         };
         if !tree {
@@ -117,19 +118,18 @@ impl ActiveSet {
                 len: 0,
             };
         }
-        let leaves = n.next_power_of_two();
-        let mut s = ActiveSet {
-            key: vec![EMPTY; leaves],
-            win: vec![0; leaves],
+        // Padding keys are EMPTY and ties resolve to the lower index,
+        // so the padding is inert; a 1-slot tree pads to two leaves.
+        let leaves = n.next_power_of_two().max(2);
+        let key = vec![EMPTY; leaves];
+        let mut win = vec![0; leaves];
+        tournament::rebuild(&mut win, |a, b| lower(&key, a, b));
+        ActiveSet {
+            key,
+            win,
             slots: n,
             len: 0,
-        };
-        // Establish the winner invariant over the all-empty leaves
-        // (ties resolve to the lower index, so padding is inert).
-        for i in (0..leaves).step_by(2) {
-            s.replay(i);
         }
-        s
     }
 
     /// Occupy slot `i` with key `(tag, tie)`, replacing any previous
@@ -140,10 +140,7 @@ impl ActiveSet {
         let key = pack(tag, tie);
         debug_assert!(key != EMPTY, "the sentinel key is reserved for empty slots");
         self.len += usize::from(self.key[i] == EMPTY);
-        self.key[i] = key;
-        if !self.win.is_empty() {
-            self.replay(i);
-        }
+        self.store(i, key);
     }
 
     /// Vacate slot `i`. No-op if already empty.
@@ -151,10 +148,7 @@ impl ActiveSet {
     pub fn clear(&mut self, i: usize) {
         debug_assert!(i < self.slots, "slot out of range");
         self.len -= usize::from(self.key[i] != EMPTY);
-        self.key[i] = EMPTY;
-        if !self.win.is_empty() {
-            self.replay(i);
-        }
+        self.store(i, EMPTY);
     }
 
     /// The occupied slot with the smallest `(tag, tie, index)`, if any.
@@ -203,37 +197,24 @@ impl ActiveSet {
         }
     }
 
-    /// `a` if `(key[a], a) ≤ (key[b], b)` else `b` — prefers the lower
-    /// index on equal keys, matching the scan's strict-`<` discipline,
-    /// and [`EMPTY`] keys lose to every real key.
+    /// Write slot `i`'s key; the tree layout then replays the slot's
+    /// leaf-to-root path (O(log n)).
     #[inline]
-    fn winner(&self, a: usize, b: usize) -> u32 {
-        if (self.key[a], a) <= (self.key[b], b) {
-            a as u32
-        } else {
-            b as u32
+    fn store(&mut self, i: usize, key: u128) {
+        self.key[i] = key;
+        if !self.win.is_empty() {
+            let key = &self.key;
+            tournament::replay(&mut self.win, i, |a, b| lower(key, a, b));
         }
     }
+}
 
-    /// Recompute the winner path from leaf `i` to the root after its
-    /// key changed — the tree layout's O(log n) update step. Mirrors
-    /// the event core's `IndexedTimers::replay`.
-    #[inline]
-    fn replay(&mut self, i: usize) {
-        let leaves = self.key.len();
-        let mut node = (leaves + i) / 2;
-        let base = node * 2 - leaves;
-        let mut w = self.winner(base, base + 1);
-        loop {
-            self.win[node] = w;
-            if node == 1 {
-                break;
-            }
-            let sibling = self.win[node ^ 1];
-            node /= 2;
-            w = self.winner(w as usize, sibling as usize);
-        }
-    }
+/// Whether slot `a` beats slot `b`: `(key[a], a) ≤ (key[b], b)` —
+/// prefers the lower index on equal keys, matching the scan's
+/// strict-`<` discipline, and [`EMPTY`] keys lose to every real key.
+#[inline]
+fn lower(key: &[u128], a: usize, b: usize) -> bool {
+    (key[a], a) <= (key[b], b)
 }
 
 #[cfg(test)]

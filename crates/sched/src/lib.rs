@@ -41,6 +41,7 @@ pub mod fifo;
 pub mod hybrid;
 pub mod reference;
 pub mod scheduler;
+pub mod tournament;
 pub mod vclock;
 pub mod wf2q;
 pub mod wfq;

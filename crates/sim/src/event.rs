@@ -31,6 +31,7 @@
 
 use qbm_core::flow::FlowId;
 use qbm_core::units::Time;
+use qbm_sched::tournament;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -230,8 +231,11 @@ pub trait EventCore {
     /// departure is ever pending (one output link).
     fn schedule_departure(&mut self, time: Time);
     /// Remove and return the earliest event, ordering ties as
-    /// `(time, departure-first, flow index)`.
-    fn pop(&mut self) -> Option<(Time, Event)>;
+    /// `(time, departure-first, flow index)`: [`EventCore::pop_refill`]
+    /// with nothing to refill.
+    fn pop(&mut self) -> Option<(Time, Event)> {
+        self.pop_refill(|_| None)
+    }
     /// Time of the earliest pending event without removing it — the
     /// horizon gate of a resumable event loop: an epoch-bounded run
     /// peeks before popping so an event at or past the horizon stays
@@ -246,28 +250,17 @@ pub trait EventCore {
     /// identity (and any tie-break state) is untouched unless a real
     /// delay happens.
     fn delay_arrival(&mut self, flow: FlowId, at_least: Time);
-    /// [`EventCore::pop`] fused with the router's pull discipline: when
-    /// the popped event is an arrival, `refill(flow)` is invoked once
-    /// to pull the flow's next emission instant, and the returned time
-    /// (if any) is scheduled as the flow's new pending arrival before
-    /// this call returns. Semantically identical to `pop` followed by
-    /// `schedule_arrival`; cores override it to do both in one
-    /// structure update ([`IndexedTimers`] replays its tournament path
-    /// once instead of twice).
+    /// Remove and return the earliest event (ordered as in
+    /// [`EventCore::pop`]), fused with the router's pull discipline:
+    /// when the popped event is an arrival, `refill(flow)` is invoked
+    /// once to pull the flow's next emission instant, and the returned
+    /// time (if any) is scheduled as the flow's new pending arrival
+    /// before this call returns — pop followed by `schedule_arrival`,
+    /// in one structure update on [`IndexedTimers`] (its tournament
+    /// path replays once instead of twice).
     fn pop_refill<F>(&mut self, refill: F) -> Option<(Time, Event)>
     where
-        F: FnMut(FlowId) -> Option<Time>,
-    {
-        let popped = self.pop();
-        if let Some((t, Event::Arrival(flow))) = popped {
-            let mut refill = refill;
-            if let Some(next) = refill(flow) {
-                debug_assert!(next >= t, "source emitted into the past");
-                self.schedule_arrival(flow, next);
-            }
-        }
-        popped
-    }
+        F: FnMut(FlowId) -> Option<Time>;
 }
 
 impl EventCore for EventQueue {
@@ -287,8 +280,18 @@ impl EventCore for EventQueue {
         self.push(time, Event::Departure);
     }
 
-    fn pop(&mut self) -> Option<(Time, Event)> {
-        EventQueue::pop(self)
+    fn pop_refill<F>(&mut self, mut refill: F) -> Option<(Time, Event)>
+    where
+        F: FnMut(FlowId) -> Option<Time>,
+    {
+        let popped = EventQueue::pop(self);
+        if let Some((t, Event::Arrival(flow))) = popped {
+            if let Some(next) = refill(flow) {
+                debug_assert!(next >= t, "source emitted into the past");
+                self.schedule_arrival(flow, next);
+            }
+        }
+        popped
     }
 
     fn peek_time(&self) -> Option<Time> {
@@ -311,39 +314,71 @@ impl EventCore for EventQueue {
 }
 
 /// The production event core: one timer slot per flow plus a departure
-/// slot, selected by a deterministic tournament (winner) tree.
+/// slot, selected by a deterministic [`tournament`] (winner) tree.
 ///
-/// Layout: `next_arrival[i]` holds slot `i`'s pending instant
+/// Layout: `slots.time[i]` holds slot `i`'s pending instant
 /// (`Time::MAX` = none). Slots `0..flows` are per-flow arrival timers;
 /// on a fabric link, slots `flows..flows + logs.len()` each hold the
-/// head of one upstream departure log. A complete binary tree over the
-/// slots — padded to a power of two — caches at `win[k]` the winning
-/// slot of the subtree under internal node `k` (`win[1]` is the overall
-/// winner), so a slot update recomputes only its root path: `log₂ n`
-/// comparisons over two flat arrays that fit in L1 for any realistic
-/// slot count. Comparison is on `(time, tie)`, where the tie of a flow
-/// slot is its flow index and the tie of a log slot is its head's
-/// destination flow — so the flow index is the same-instant tie-break
-/// whichever way a packet arrives, and `Time::MAX` padding loses to
-/// every real timer. `pop` compares the tree winner against the
-/// departure slot, departure winning ties — the full ordering contract
-/// in two extra branches, with no per-event sequence counter at all.
+/// head of one upstream departure log. The tree runs over the slots,
+/// padded to a power of two (at least two), so a slot update replays
+/// only its root path: `log₂ n` comparisons over two flat arrays that
+/// fit in L1 for any realistic slot count. Comparison is on
+/// `(time, tie)`, where the tie of a flow slot is its flow index and
+/// the tie of a log slot is its head's destination flow — so the flow
+/// index is the same-instant tie-break whichever way a packet arrives,
+/// and `Time::MAX` padding loses to every real timer. A pop compares
+/// the tree winner against the departure slot, departure winning ties
+/// — the full ordering contract in two extra branches, with no
+/// per-event sequence counter at all.
 #[derive(Debug)]
 pub struct IndexedTimers {
-    /// Pending instant per slot; `Time::MAX` = none. Padded to
-    /// `leaves` entries so the tree is complete.
-    next_arrival: Vec<Time>,
-    /// `win[k]` = winning slot index under internal node `k` (1-based;
-    /// `win[0]` unused). Leaf `i` sits under node `(leaves + i) / 2`.
+    slots: Slots,
+    /// Winner tree over `slots` (see [`tournament`]); `win[1]` is the
+    /// earliest slot.
     win: Vec<u32>,
-    /// Number of (padded) leaf slots — a power of two.
-    leaves: usize,
+    /// Pending departure instant; `Time::MAX` = none.
+    departure: Time,
+}
+
+/// The keys under an [`IndexedTimers`] tree.
+#[derive(Debug)]
+struct Slots {
+    /// Pending instant per slot; `Time::MAX` = none. Padded to the
+    /// tree's leaf count.
+    time: Vec<Time>,
     /// Number of per-flow slots; log slots follow them.
     flows: usize,
     /// One upstream departure log per log slot, in slot order.
     logs: Vec<InLog>,
-    /// Pending departure instant; `Time::MAX` = none.
-    departure: Time,
+}
+
+impl Slots {
+    /// Same-instant tie key of `slot`: the flow index for a flow slot
+    /// (and for padding), the head's destination flow for a log slot.
+    #[inline]
+    fn tie(&self, slot: usize) -> u32 {
+        if slot < self.flows {
+            return slot as u32;
+        }
+        self.logs
+            .get(slot - self.flows)
+            .and_then(InLog::head)
+            .map_or(slot as u32, |e| e.flow)
+    }
+
+    /// Whether slot `a` beats slot `b`: earlier time, lower tie key on
+    /// equal times. `MAX` sentinels lose to any real timer (and resolve
+    /// by tie among themselves, which is irrelevant but keeps the tree
+    /// total).
+    #[inline]
+    fn beats(&self, a: usize, b: usize) -> bool {
+        let (ta, tb) = (self.time[a], self.time[b]);
+        if ta != tb {
+            ta < tb
+        } else {
+            self.tie(a) <= self.tie(b)
+        }
+    }
 }
 
 /// A log slot's backing store: one upstream link's departures for this
@@ -362,89 +397,19 @@ impl InLog {
 }
 
 impl IndexedTimers {
-    /// Same-instant tie key of `slot`: the flow index for a flow slot
-    /// (and for padding), the head's destination flow for a log slot.
+    /// Key slot `i` at `t` (`Time::MAX` = empty) and replay its root
+    /// path.
     #[inline]
-    fn tie(&self, slot: u32) -> u32 {
-        let s = slot as usize;
-        if s < self.flows {
-            return slot;
-        }
-        self.logs
-            .get(s - self.flows)
-            .and_then(InLog::head)
-            .map_or(slot, |e| e.flow)
-    }
-
-    /// Winner of two slots: earlier time, lower tie key on equal
-    /// times. `MAX` sentinels lose to any real timer (and resolve by
-    /// tie among themselves, which is irrelevant but keeps the tree
-    /// total).
-    #[inline]
-    fn winner(&self, a: u32, b: u32) -> u32 {
-        let (ta, tb) = (self.next_arrival[a as usize], self.next_arrival[b as usize]);
-        if ta != tb {
-            if ta < tb {
-                a
-            } else {
-                b
-            }
-        } else if self.tie(a) <= self.tie(b) {
-            a
-        } else {
-            b
-        }
-    }
-
-    /// Recompute the root path of leaf `i` after its slot changed.
-    #[inline]
-    fn replay(&mut self, i: usize) {
-        if self.leaves == 1 {
-            return;
-        }
-        let mut node = (self.leaves + i) / 2;
-        // First round pairs two leaves; later rounds pair cached winners.
-        let base = node * 2 - self.leaves;
-        let mut w = self.winner(base as u32, base as u32 + 1);
-        loop {
-            self.win[node] = w;
-            if node == 1 {
-                break;
-            }
-            let sibling = self.win[node ^ 1];
-            node /= 2;
-            w = self.winner(w, sibling);
-        }
-    }
-
-    /// Establish the tree invariant (`win[k]` = winner under `k`) over
-    /// the current slots in one bottom-up pass: O(leaves), against
-    /// O(leaves · log leaves) for a replay per slot.
-    fn build_tree(&mut self) {
-        let leaves = self.leaves;
-        for node in (1..leaves).rev() {
-            let child = |c: usize| {
-                if c >= leaves {
-                    Some((c - leaves) as u32)
-                } else {
-                    self.win.get(c).copied()
-                }
-            };
-            let (Some(a), Some(b)) = (child(2 * node), child(2 * node + 1)) else {
-                continue;
-            };
-            let w = self.winner(a, b);
-            if let Some(k) = self.win.get_mut(node) {
-                *k = w;
-            }
-        }
+    fn set_slot(&mut self, i: usize, t: Time) {
+        self.slots.time[i] = t;
+        tournament::replay(&mut self.win, i, |a, b| self.slots.beats(a, b));
     }
 
     /// The earliest pending arrival or relay, if any.
     #[inline]
     fn peek_arrival(&self) -> Option<(Time, u32)> {
-        let w = if self.leaves == 1 { 0 } else { self.win[1] };
-        let t = self.next_arrival[w as usize];
+        let w = self.win[1];
+        let t = self.slots.time[w as usize];
         (t != Time::MAX).then_some((t, w))
     }
 
@@ -452,39 +417,41 @@ impl IndexedTimers {
     /// entry. The log-slot pop: no source to pull, the refill is the
     /// log itself.
     #[inline]
-    fn pop_log(&mut self, slot: u32) -> Option<(Time, Event)> {
-        let s = slot as usize;
-        let log = self.logs.get_mut(s.checked_sub(self.flows)?)?;
+    fn pop_log(&mut self, slot: usize) -> Option<(Time, Event)> {
+        let log = self
+            .slots
+            .logs
+            .get_mut(slot.checked_sub(self.slots.flows)?)?;
         let e = *log.head()?;
         log.next += 1;
         let next = log.head().map_or(Time::MAX, |n| n.time);
-        *self.next_arrival.get_mut(s)? = next;
-        self.replay(s);
+        self.set_slot(slot, next);
         Some((e.time, Event::Relay(FlowId(e.flow), e.len)))
     }
 
     /// A core with `flows` per-flow slots and `logs` log slots on
     /// recycled backing vectors (cleared and resized to fit; capacity
     /// reused).
-    fn assemble(flows: usize, logs: usize, slots: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
+    fn assemble(flows: usize, logs: usize, time: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
         assert!(flows + logs > 0, "no flows");
-        let leaves = (flows + logs).next_power_of_two();
-        let mut next_arrival = slots;
-        next_arrival.clear();
-        next_arrival.resize(leaves, Time::MAX);
+        let leaves = (flows + logs).next_power_of_two().max(2);
+        let mut time = time;
+        time.clear();
+        time.resize(leaves, Time::MAX);
         let mut win = win;
         win.clear();
         win.resize(leaves, 0);
-        let mut core = IndexedTimers {
-            next_arrival,
-            win,
-            leaves,
+        let slots = Slots {
+            time,
             flows,
             logs: (0..logs).map(|_| InLog::default()).collect(),
-            departure: Time::MAX,
         };
-        core.build_tree();
-        core
+        tournament::rebuild(&mut win, |a, b| slots.beats(a, b));
+        IndexedTimers {
+            slots,
+            win,
+            departure: Time::MAX,
+        }
     }
 
     /// Build a core for `n_flows` flows on recycled backing vectors
@@ -508,8 +475,7 @@ impl IndexedTimers {
     /// two buffers per log ping-pong with no allocation in the steady
     /// state.
     pub(crate) fn refill_log(&mut self, log: usize, batch: &mut Vec<LogEntry>) {
-        let slot = self.flows + log;
-        let Some(l) = self.logs.get_mut(log) else {
+        let Some(l) = self.slots.logs.get_mut(log) else {
             debug_assert!(false, "no log slot {log}");
             return;
         };
@@ -518,16 +484,13 @@ impl IndexedTimers {
         std::mem::swap(&mut l.entries, batch);
         l.next = 0;
         let head = l.head().map_or(Time::MAX, |e| e.time);
-        if let Some(t) = self.next_arrival.get_mut(slot) {
-            *t = head;
-        }
-        self.replay(slot);
+        self.set_slot(self.slots.flows + log, head);
     }
 
     /// Dismantle the core into its backing vectors for recycling via
     /// [`IndexedTimers::from_recycled`].
     pub fn into_parts(self) -> (Vec<Time>, Vec<u32>) {
-        (self.next_arrival, self.win)
+        (self.slots.time, self.win)
     }
 }
 
@@ -537,19 +500,18 @@ impl EventCore for IndexedTimers {
     }
 
     fn flow_slots(&self) -> usize {
-        self.flows
+        self.slots.flows
     }
 
     #[inline]
     fn schedule_arrival(&mut self, flow: FlowId, time: Time) {
         debug_assert!(time != Time::MAX, "Time::MAX is the empty sentinel");
-        debug_assert!(flow.index() < self.flows, "flow has no timer slot");
+        debug_assert!(flow.index() < self.slots.flows, "flow has no timer slot");
         debug_assert!(
-            self.next_arrival[flow.index()] == Time::MAX,
+            self.slots.time[flow.index()] == Time::MAX,
             "flow already has a pending arrival"
         );
-        self.next_arrival[flow.index()] = time;
-        self.replay(flow.index());
+        self.set_slot(flow.index(), time);
     }
 
     fn schedule_arrivals<I>(&mut self, arrivals: I)
@@ -558,12 +520,12 @@ impl EventCore for IndexedTimers {
     {
         for (flow, time) in arrivals {
             debug_assert!(time != Time::MAX, "Time::MAX is the empty sentinel");
-            debug_assert!(flow.index() < self.flows, "flow has no timer slot");
-            if let Some(slot) = self.next_arrival.get_mut(flow.index()) {
+            debug_assert!(flow.index() < self.slots.flows, "flow has no timer slot");
+            if let Some(slot) = self.slots.time.get_mut(flow.index()) {
                 *slot = time;
             }
         }
-        self.build_tree();
+        tournament::rebuild(&mut self.win, |a, b| self.slots.beats(a, b));
     }
 
     #[inline]
@@ -588,16 +550,23 @@ impl EventCore for IndexedTimers {
     #[inline]
     fn delay_arrival(&mut self, flow: FlowId, at_least: Time) {
         debug_assert!(at_least != Time::MAX, "Time::MAX is the empty sentinel");
-        debug_assert!(flow.index() < self.flows, "flow has no timer slot");
+        debug_assert!(flow.index() < self.slots.flows, "flow has no timer slot");
         let i = flow.index();
-        if self.next_arrival[i] != Time::MAX && self.next_arrival[i] < at_least {
-            self.next_arrival[i] = at_least;
-            self.replay(i);
+        let t = self.slots.time[i];
+        if t != Time::MAX && t < at_least {
+            self.set_slot(i, at_least);
         }
     }
 
+    /// The one pop: the refill time is written straight into the
+    /// popped arrival slot, so the root path replays once rather than
+    /// once to clear the slot and again to reschedule the flow. A log
+    /// slot refills from its own log and never calls `refill`.
     #[inline]
-    fn pop(&mut self) -> Option<(Time, Event)> {
+    fn pop_refill<F>(&mut self, mut refill: F) -> Option<(Time, Event)>
+    where
+        F: FnMut(FlowId) -> Option<Time>,
+    {
         let arrival = self.peek_arrival();
         // Departure wins same-instant ties: a departing packet frees
         // buffer space for a simultaneous arrival.
@@ -607,40 +576,13 @@ impl EventCore for IndexedTimers {
             return Some((t, Event::Departure));
         }
         let (t, w) = arrival?;
-        if w as usize >= self.flows {
-            return self.pop_log(w);
-        }
-        self.next_arrival[w as usize] = Time::MAX;
-        self.replay(w as usize);
-        Some((t, Event::Arrival(FlowId(w))))
-    }
-
-    /// The fused pop: instead of clearing the winning arrival slot
-    /// (one replay) and rescheduling the flow's next emission later
-    /// (a second replay), write the refill time straight into the
-    /// popped slot and replay the root path once. Halves the tree
-    /// work on the arrival-dominated steady state. A log slot refills
-    /// from its own log and never calls `refill`.
-    #[inline]
-    fn pop_refill<F>(&mut self, mut refill: F) -> Option<(Time, Event)>
-    where
-        F: FnMut(FlowId) -> Option<Time>,
-    {
-        let arrival = self.peek_arrival();
-        if self.departure != Time::MAX && arrival.is_none_or(|(t, _)| self.departure <= t) {
-            let t = self.departure;
-            self.departure = Time::MAX;
-            return Some((t, Event::Departure));
-        }
-        let (t, w) = arrival?;
-        if w as usize >= self.flows {
-            return self.pop_log(w);
+        if w as usize >= self.slots.flows {
+            return self.pop_log(w as usize);
         }
         let flow = FlowId(w);
         let next = refill(flow).unwrap_or(Time::MAX);
         debug_assert!(next >= t, "source emitted into the past");
-        self.next_arrival[w as usize] = next;
-        self.replay(w as usize);
+        self.set_slot(w as usize, next);
         Some((t, Event::Arrival(flow)))
     }
 }
@@ -1087,10 +1029,10 @@ mod proptests {
         }
 
         /// The fused [`EventCore::pop_refill`] must be observationally
-        /// identical to pop-then-schedule *within each core*: the
-        /// overridden [`IndexedTimers`] fast path against its own
-        /// pop+schedule, and the trait-default path on [`EventQueue`]
-        /// likewise. (The two cores are not compared with each other —
+        /// identical to pop-then-schedule *within each core*:
+        /// [`IndexedTimers`]' one-replay refill against its own
+        /// pop+schedule, and [`EventQueue`]'s likewise. (The two cores
+        /// are not compared with each other —
         /// they tie-break equal-time arrivals differently by design.)
         /// Refill times grow strictly with the op index so they respect
         /// the source contract (no emission into the past).

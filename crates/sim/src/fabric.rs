@@ -48,7 +48,7 @@
 //! allocation.
 
 use crate::event::{IndexedTimers, Outbox};
-use crate::router::{FeedbackMode, LinkEngine, Router};
+use crate::router::{FeedbackMode, Leg, LinkEngine, Router};
 use crate::stats::SimResult;
 use qbm_core::flow::FlowId;
 use qbm_core::policy::BufferPolicy;
@@ -307,16 +307,17 @@ where
                     if !self.links[ol as usize].flow_is_closed_loop(of as usize) {
                         continue;
                     }
-                    let delivered = self.feeds[l][f as usize] == UNWIRED;
-                    let mode = if ol as usize == l {
-                        FeedbackMode::Local { delivered }
+                    let lost = if ol as usize == l {
+                        Leg::Local
                     } else {
                         let table = &mut fb_origin[pos_of[l]];
                         table.resize(link.n_flows(), UNWIRED);
                         table[f as usize] = (pos_of[ol as usize] as u32, of);
-                        FeedbackMode::Remote { delivered }
+                        Leg::Remote
                     };
-                    mode_overrides.push((pos_of[l], f, mode));
+                    let terminal = self.feeds[l][f as usize] == UNWIRED;
+                    let delivered = if terminal { lost } else { Leg::Off };
+                    mode_overrides.push((pos_of[l], f, FeedbackMode { lost, delivered }));
                 }
             }
         }

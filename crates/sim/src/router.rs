@@ -33,27 +33,30 @@ use qbm_obs::{NullObserver, Observer};
 use qbm_sched::{PacketRef, Scheduler};
 use qbm_traffic::{Feedback, Source, SourceKind};
 
-/// How one flow's feedback signals are routed (see DESIGN.md §16).
-/// Computed once at engine construction from the sources' declared
-/// reactivity; the fabric overrides relay flows that carry a
+/// Where one kind of feedback signal goes (see DESIGN.md §16).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leg {
+    /// No signal.
+    Off,
+    /// The owning source sits on this link: apply the signal in place.
+    Local,
+    /// The owning source sits on an upstream link: buffer the signal
+    /// for the fabric's end-of-epoch drain.
+    Remote,
+}
+
+/// How one flow's feedback signals are routed (see DESIGN.md §16):
+/// where a drop's loss signal goes and where a departure's delivery
+/// signal goes. Computed once at engine construction from the sources'
+/// declared reactivity; the fabric overrides relay flows that carry a
 /// closed-loop origin's traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FeedbackMode {
-    /// Open-loop flow: drops and departures generate no signal.
-    Off,
-    /// The owning source sits on this link: apply feedback in place.
-    /// `delivered` gates departure signals — `false` when a downstream
-    /// link owns the delivery leg of a multi-hop path.
-    Local {
-        /// Emit `Delivered` on departures here.
-        delivered: bool,
-    },
-    /// The owning source sits on an upstream link: buffer the signal
-    /// for the fabric's end-of-epoch drain. Same `delivered` gate.
-    Remote {
-        /// Emit `Delivered` on departures here.
-        delivered: bool,
-    },
+pub(crate) struct FeedbackMode {
+    /// Where `Lost` goes.
+    pub(crate) lost: Leg,
+    /// Where `Delivered` goes: [`Leg::Off`] on every hop of a
+    /// multi-hop path but the last.
+    pub(crate) delivered: Leg,
 }
 
 /// A buffered cross-link feedback signal. `flow` is the *local* flow
@@ -334,11 +337,11 @@ where
     /// records are emitted only on transitions (the per-flow leg
     /// lives in `lanes.over`). None when the observer is disabled.
     prev_sharing: Option<(u64, u64)>,
-    /// Per-flow feedback routing; all-`Off` on open-loop links, so the
-    /// hot arms pay one predictable branch.
+    /// Per-flow feedback routing; all-[`Leg::Off`] on open-loop links,
+    /// so the hot arms pay one predictable branch.
     fb_modes: Vec<FeedbackMode>,
     /// Cross-link feedback buffer (`Some` on fabric links with any
-    /// `Remote`-mode flow; drained by the fabric each epoch).
+    /// [`Leg::Remote`] flow; drained by the fabric each epoch).
     fb_out: Option<Vec<FbEvent>>,
     pub(crate) events: E,
     end: Time,
@@ -370,10 +373,14 @@ where
         // fabric rewires multi-hop flows after construction.
         let fb_modes = (0..n)
             .map(|f| {
-                if router.flow_is_closed_loop(f) {
-                    FeedbackMode::Local { delivered: true }
+                let leg = if router.flow_is_closed_loop(f) {
+                    Leg::Local
                 } else {
-                    FeedbackMode::Off
+                    Leg::Off
+                };
+                FeedbackMode {
+                    lost: leg,
+                    delivered: leg,
                 }
             })
             // qbm-lint: allow(hot-path-alloc) — once per link at construction, before the event loop starts
@@ -404,10 +411,7 @@ where
     /// first `advance`.
     pub(crate) fn prime<O: Observer>(&mut self, obs: &mut O) {
         if O::ENABLED {
-            if let Some((holes, headroom)) = self.policy.sharing_state() {
-                self.prev_sharing = Some((holes, headroom));
-                obs.on_sharing(Time::ZERO, holes, headroom, self.link);
-            }
+            self.report_sharing(obs, Time::ZERO);
         }
         let lanes = &mut self.lanes;
         let timed = self.events.flow_slots();
@@ -512,14 +516,7 @@ where
                                 );
                                 // Upward crossing via a sharing borrow:
                                 // occupancy lands above the threshold.
-                                if let Some(limit) = self.policy.threshold(flow) {
-                                    if !self.lanes.over[flow.index()] && q_after > limit {
-                                        self.lanes.over[flow.index()] = true;
-                                        obs.on_threshold(
-                                            now, flow, q_after, limit, true, self.link,
-                                        );
-                                    }
-                                }
+                                self.report_over(obs, now, flow, q_after, false);
                             }
                             let pkt = PacketRef {
                                 flow,
@@ -539,83 +536,25 @@ where
                             // The loss leg of the signal path: tell the
                             // owning source (or buffer for the fabric)
                             // why admission refused its packet.
-                            match self.fb_modes[flow.index()] {
-                                FeedbackMode::Off => {}
-                                FeedbackMode::Local { .. } => {
-                                    if O::ENABLED {
-                                        obs.on_feedback(
-                                            now,
-                                            flow,
-                                            false,
-                                            len,
-                                            Dur::ZERO,
-                                            Some(reason),
-                                            self.link,
-                                        );
-                                    }
-                                    self.apply_feedback(
-                                        flow,
-                                        now,
-                                        Feedback::Lost { cause: reason },
-                                    );
-                                }
-                                FeedbackMode::Remote { .. } => {
-                                    if O::ENABLED {
-                                        obs.on_feedback(
-                                            now,
-                                            flow,
-                                            false,
-                                            len,
-                                            Dur::ZERO,
-                                            Some(reason),
-                                            self.link,
-                                        );
-                                    }
-                                    match self.fb_out.as_mut() {
-                                        Some(buf) => buf.push(FbEvent {
-                                            flow,
-                                            fb: Feedback::Lost { cause: reason },
-                                        }),
-                                        None => {
-                                            debug_assert!(false, "remote feedback, no buffer")
-                                        }
-                                    }
-                                }
+                            let leg = self.fb_modes[flow.index()].lost;
+                            if leg != Leg::Off {
+                                let fb = Feedback::Lost { cause: reason };
+                                self.signal(obs, leg, now, flow, len, fb);
                             }
                             if O::ENABLED {
                                 obs.on_drop(now, flow, len, reason, self.link);
-                                // Upward crossing via refusal: the flow
-                                // hit its limit without ever exceeding
-                                // it (partitioned policies refuse at
-                                // the boundary).
+                                // Upward crossing via refusal at the limit.
                                 if matches!(
                                     reason,
                                     DropReason::OverThreshold | DropReason::NoSharedSpace
                                 ) {
-                                    if let Some(limit) = self.policy.threshold(flow) {
-                                        if !self.lanes.over[flow.index()] {
-                                            self.lanes.over[flow.index()] = true;
-                                            obs.on_threshold(
-                                                now,
-                                                flow,
-                                                q_before + len as u64,
-                                                limit,
-                                                true,
-                                                self.link,
-                                            );
-                                        }
-                                    }
+                                    self.report_over(obs, now, flow, q_before + len as u64, true);
                                 }
                             }
                         }
                     }
                     if O::ENABLED {
-                        if let Some(state) = self.policy.sharing_state() {
-                            if self.prev_sharing != Some(state) {
-                                self.prev_sharing = Some(state);
-                                obs.on_sharing(now, state.0, state.1, self.link);
-                            }
-                        }
+                        self.report_sharing(obs, now);
                     }
                 }
                 None => {
@@ -647,12 +586,7 @@ where
                                 obs.on_threshold(now, pkt.flow, q, limit, false, self.link);
                             }
                         }
-                        if let Some(state) = self.policy.sharing_state() {
-                            if self.prev_sharing != Some(state) {
-                                self.prev_sharing = Some(state);
-                                obs.on_sharing(now, state.0, state.1, self.link);
-                            }
-                        }
+                        self.report_sharing(obs, now);
                     }
                     if let Some(out) = self.outbox.as_mut() {
                         out.append(pkt.flow, now, pkt.len);
@@ -661,48 +595,13 @@ where
                     // flow: only the link that terminates the path
                     // reports `Delivered` (an upstream hop's departure
                     // is just a relay).
-                    match self.fb_modes[pkt.flow.index()] {
-                        FeedbackMode::Off => {}
-                        FeedbackMode::Local { delivered } => {
-                            if delivered {
-                                let delay = now.since(pkt.arrival);
-                                if O::ENABLED {
-                                    obs.on_feedback(
-                                        now, pkt.flow, true, pkt.len, delay, None, self.link,
-                                    );
-                                }
-                                self.apply_feedback(
-                                    pkt.flow,
-                                    now,
-                                    Feedback::Delivered {
-                                        bytes: pkt.len,
-                                        delay,
-                                    },
-                                );
-                            }
-                        }
-                        FeedbackMode::Remote { delivered } => {
-                            if delivered {
-                                let delay = now.since(pkt.arrival);
-                                if O::ENABLED {
-                                    obs.on_feedback(
-                                        now, pkt.flow, true, pkt.len, delay, None, self.link,
-                                    );
-                                }
-                                match self.fb_out.as_mut() {
-                                    Some(buf) => buf.push(FbEvent {
-                                        flow: pkt.flow,
-                                        fb: Feedback::Delivered {
-                                            bytes: pkt.len,
-                                            delay,
-                                        },
-                                    }),
-                                    None => {
-                                        debug_assert!(false, "remote feedback, no buffer")
-                                    }
-                                }
-                            }
-                        }
+                    let leg = self.fb_modes[pkt.flow.index()].delivered;
+                    if leg != Leg::Off {
+                        let fb = Feedback::Delivered {
+                            bytes: pkt.len,
+                            delay: now.since(pkt.arrival),
+                        };
+                        self.signal(obs, leg, now, pkt.flow, pkt.len, fb);
                     }
                     if !self.scheduler.is_empty() {
                         self.start_transmission(now);
@@ -722,6 +621,71 @@ where
                 self.policy.total_occupancy() <= self.policy.capacity(),
                 "policy occupancy above capacity"
             );
+        }
+    }
+
+    /// Report one feedback signal about flow `flow`'s `len`-byte packet
+    /// to the observer, then send it along `leg`: applied in place
+    /// ([`Leg::Local`]) or buffered for the fabric ([`Leg::Remote`]).
+    /// Callers check `leg` before building `fb`, so an open-loop flow
+    /// pays one branch.
+    #[inline]
+    fn signal<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        leg: Leg,
+        now: Time,
+        flow: FlowId,
+        len: u32,
+        fb: Feedback,
+    ) {
+        if O::ENABLED {
+            let (ok, delay, cause) = match fb {
+                Feedback::Delivered { delay, .. } => (true, delay, None),
+                Feedback::Lost { cause } => (false, Dur::ZERO, Some(cause)),
+            };
+            obs.on_feedback(now, flow, ok, len, delay, cause, self.link);
+        }
+        match leg {
+            Leg::Off => {}
+            Leg::Local => self.apply_feedback(flow, now, fb),
+            Leg::Remote => match self.fb_out.as_mut() {
+                Some(buf) => buf.push(FbEvent { flow, fb }),
+                None => debug_assert!(false, "remote feedback, no buffer"),
+            },
+        }
+    }
+
+    /// Observer leg of an upward threshold crossing: flow `flow` at
+    /// occupancy `q` enters the over-threshold regime when it holds
+    /// more than its limit, or when admission `refused` it at the limit
+    /// (partitioned policies refuse at the boundary without ever
+    /// exceeding it).
+    fn report_over<O: Observer>(
+        &mut self,
+        obs: &mut O,
+        now: Time,
+        flow: FlowId,
+        q: u64,
+        refused: bool,
+    ) {
+        if let Some(limit) = self.policy.threshold(flow) {
+            let over = &mut self.lanes.over[flow.index()];
+            if !*over && (refused || q > limit) {
+                *over = true;
+                obs.on_threshold(now, flow, q, limit, true, self.link);
+            }
+        }
+    }
+
+    /// Observer leg of the sharing pools: report the policy's
+    /// holes/headroom whenever they changed since the last report.
+    fn report_sharing<O: Observer>(&mut self, obs: &mut O, now: Time) {
+        if let Some(state) = self.policy.sharing_state() {
+            if self.prev_sharing != Some(state) {
+                self.prev_sharing = Some(state);
+                obs.on_sharing(now, state.0, state.1, self.link);
+            }
         }
     }
 
@@ -750,7 +714,7 @@ where
     /// multi-hop closed-loop paths (cold, construction time).
     pub(crate) fn set_feedback_mode(&mut self, flow: FlowId, mode: FeedbackMode) {
         self.fb_modes[flow.index()] = mode;
-        if matches!(mode, FeedbackMode::Remote { .. }) && self.fb_out.is_none() {
+        if (mode.lost == Leg::Remote || mode.delivered == Leg::Remote) && self.fb_out.is_none() {
             self.fb_out = Some(Vec::new());
         }
     }

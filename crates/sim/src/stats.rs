@@ -16,35 +16,22 @@ use std::borrow::BorrowMut;
 /// attaches bounded-memory mergeable quantile sketches
 /// ([`qbm_obs::QuantileSketch`]) for delay and occupancy, which the
 /// `qbm report` surface renders as p50/p90/p99/p999.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsConfig {
     /// Attach delay + occupancy quantile sketches (aggregate always,
     /// per-flow when [`SketchParams::per_flow`] is set and the flow
-    /// count is within [`StatsConfig::per_flow_sketch_limit`]).
+    /// count is within [`PER_FLOW_SKETCH_LIMIT`]).
     pub sketches: Option<SketchParams>,
-    /// ISP-scale guard on per-flow sketches: above this flow count a
-    /// run downgrades to aggregate-only sketching even when
-    /// [`SketchParams::per_flow`] is requested. Per-flow sketches cost
-    /// ~30 KiB per flow (DESIGN.md §14) — fine at the paper's 9–30
-    /// flows, ~30 GB at the subscriber-tree's 10⁶ — so the default
-    /// limit ([`PER_FLOW_SKETCH_LIMIT`]) keeps big topologies bounded;
-    /// callers who truly want 10⁶ sketches can raise it explicitly.
-    pub per_flow_sketch_limit: usize,
 }
 
-/// Default [`StatsConfig::per_flow_sketch_limit`]: 4096 flows ≈ 120 MiB
-/// of sketch memory worst-case, comfortably above every paper-scale
+/// ISP-scale guard on per-flow sketches: above this flow count a run
+/// downgrades to aggregate-only sketching even when
+/// [`SketchParams::per_flow`] is requested. Per-flow sketches cost
+/// ~30 KiB per flow (DESIGN.md §14) — fine at the paper's 9–30 flows,
+/// ~30 GB at the subscriber-tree's 10⁶ — and 4096 flows ≈ 120 MiB of
+/// sketch memory worst-case, comfortably above every paper-scale
 /// scenario and below the ISP-scale blowup.
 pub const PER_FLOW_SKETCH_LIMIT: usize = 4096;
-
-impl Default for StatsConfig {
-    fn default() -> StatsConfig {
-        StatsConfig {
-            sketches: None,
-            per_flow_sketch_limit: PER_FLOW_SKETCH_LIMIT,
-        }
-    }
-}
 
 impl StatsConfig {
     /// True iff this configuration requests per-flow sketches but
@@ -52,7 +39,7 @@ impl StatsConfig {
     /// aggregate sketches only — surfaced as a CLI warning.
     pub fn per_flow_downgraded(&self, n_flows: usize) -> bool {
         self.sketches
-            .is_some_and(|sp| sp.per_flow && n_flows > self.per_flow_sketch_limit)
+            .is_some_and(|sp| sp.per_flow && n_flows > PER_FLOW_SKETCH_LIMIT)
     }
 }
 
@@ -77,7 +64,7 @@ where
 /// One is kept per flow on every link, so its size is the per-flow
 /// statistics footprint at ISP scale: the two per-flow sketches sit
 /// behind a `Box` (8 B each when absent, which they are above
-/// [`StatsConfig::per_flow_sketch_limit`]) rather than inline.
+/// [`PER_FLOW_SKETCH_LIMIT`]) rather than inline.
 #[derive(Clone, Default, PartialEq)]
 pub struct FlowStats {
     /// Bytes offered to the router (pre-admission).
@@ -307,7 +294,7 @@ impl SimResult {
             r.occ_sketch = Some(QuantileSketch::new(sp.precision_bits));
             // The flow-count guard: per-flow sketches are ~30 KiB each
             // (DESIGN.md §14), so ISP-scale runs keep aggregates only.
-            if sp.per_flow && n_flows <= cfg.per_flow_sketch_limit {
+            if sp.per_flow && n_flows <= PER_FLOW_SKETCH_LIMIT {
                 for f in &mut r.flows {
                     f.delay_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
                     f.occ_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
@@ -787,7 +774,6 @@ mod tests {
     fn sketches_attach_record_and_merge() {
         let cfg = StatsConfig {
             sketches: Some(SketchParams::default()),
-            ..StatsConfig::default()
         };
         let mut c = StatsCollector::with_config(1, Time::ZERO, Time::from_secs(1), 0, cfg);
         assert!(c.sketching());
@@ -816,7 +802,6 @@ mod tests {
                 per_flow: false,
                 ..SketchParams::default()
             }),
-            ..StatsConfig::default()
         };
         let mut c = StatsCollector::with_config(2, Time::ZERO, Time::from_secs(1), 0, cfg);
         c.on_departure(Time::ZERO + Dur::from_millis(1), FlowId(1), 500, Time::ZERO);
@@ -832,16 +817,16 @@ mod tests {
     fn per_flow_sketches_downgrade_above_the_flow_limit() {
         let cfg = StatsConfig {
             sketches: Some(SketchParams::default()),
-            per_flow_sketch_limit: 3,
         };
         // Within the limit: per-flow sketches attach.
         let within = StatsCollector::with_config(3, Time::ZERO, Time::from_secs(1), 0, cfg);
-        assert!(!cfg.per_flow_downgraded(3));
+        assert!(!cfg.per_flow_downgraded(PER_FLOW_SKETCH_LIMIT));
         let r = within.finish();
         assert!(r.flows[0].delay_sketch.is_some());
         // Above it: aggregate-only, and the downgrade is queryable.
-        let above = StatsCollector::with_config(4, Time::ZERO, Time::from_secs(1), 0, cfg);
-        assert!(cfg.per_flow_downgraded(4));
+        let n = PER_FLOW_SKETCH_LIMIT + 1;
+        let above = StatsCollector::with_config(n, Time::ZERO, Time::from_secs(1), 0, cfg);
+        assert!(cfg.per_flow_downgraded(n));
         let r = above.finish();
         assert!(r.delay_sketch.is_some(), "aggregate sketch survives");
         assert!(r.flows.iter().all(|f| f.delay_sketch.is_none()));
@@ -860,7 +845,6 @@ mod tests {
         assert!(!txt.contains("sketch"), "{txt}");
         let cfg = StatsConfig {
             sketches: Some(SketchParams::default()),
-            ..StatsConfig::default()
         };
         let c = StatsCollector::with_config(1, Time::ZERO, Time::from_secs(1), 0, cfg);
         let txt2 = format!("{:?}", c.finish().flows);

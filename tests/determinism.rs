@@ -699,6 +699,69 @@ fn closed_loop_incast_golden_and_shard_thread_invariant() {
 }
 
 #[test]
+fn closed_loop_subscriber_tree_multi_hop_golden() {
+    // The three-hop feedback leg: AIMD sources at the core, a relay hop
+    // at each site link that reports losses upstream but no deliveries,
+    // and the terminal AP hop that reports both. Pins statistics and
+    // the merged feedback-enabled trace, shard-thread invariant, and
+    // checks that every delivery signal comes from an AP link.
+    use qos_buffer_mgmt::core::units::Time;
+    use qos_buffer_mgmt::obs::TraceRecord;
+    use qos_buffer_mgmt::sim::scenarios::{
+        subscriber_tree_closed_loop, LinkProfile, SubscriberTreeShape,
+    };
+    let shape = SubscriberTreeShape::for_flows(100);
+    let run = |threads: usize| {
+        let fabric = subscriber_tree_closed_loop(shape, &LinkProfile::default());
+        let mut tracers =
+            vec![Tracer::new(1 << 14).with_link_dim().with_feedback(); fabric.n_links()];
+        let res = fabric.run_observed(
+            13,
+            Time::from_secs_f64(0.1),
+            Time::from_secs_f64(0.5),
+            threads,
+            &mut tracers,
+        );
+        let delivered_links: Vec<u32> = tracers
+            .iter()
+            .flat_map(Tracer::records)
+            .filter_map(|r| match *r {
+                TraceRecord::Feedback {
+                    delivered: true,
+                    link,
+                    ..
+                } => Some(link),
+                _ => None,
+            })
+            .collect();
+        (
+            fnv64(&format!("{res:?}")),
+            Tracer::merged_links_jsonl(&tracers),
+            delivered_links,
+        )
+    };
+    let (stats1, trace1, delivered) = run(1);
+    let (stats4, trace4, _) = run(4);
+    assert_eq!(stats1, stats4, "multi-hop stats depend on shard threads");
+    assert_eq!(trace1, trace4, "multi-hop trace depends on shard threads");
+    verify_trace(&trace1).expect("merged multi-hop trace must pass the schema check");
+    assert!(!delivered.is_empty(), "no delivery signal reached a source");
+    assert!(
+        delivered.iter().all(|&l| l as usize > shape.sites),
+        "a delivery signal came from the core or a site link"
+    );
+    assert_eq!(
+        stats1, 0x6f4f_6ada_8b7c_fd9a,
+        "multi-hop stats digest drifted"
+    );
+    assert_eq!(
+        fnv64(&trace1),
+        0x5c56_2c82_c390_80dd,
+        "multi-hop trace digest drifted"
+    );
+}
+
+#[test]
 fn closed_loop_incast_polices_aggressive_flow() {
     // The paper's qualitative claim, closed-loop: a non-responsive
     // (floor-windowed) sender sharing a buffer with responsive AIMD

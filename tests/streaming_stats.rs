@@ -39,7 +39,6 @@ fn cfg(duration: Dur) -> ExperimentConfig {
         sojourns: Default::default(),
         stats: StatsConfig {
             sketches: Some(SketchParams::default()),
-            ..StatsConfig::default()
         },
         sources: Default::default(),
     }
