@@ -25,14 +25,11 @@
 //! perf-smoke variant (fewer points, shorter horizons).
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+use qbm_bench::bench_file::{self, quick};
 use qbm_core::units::Time;
 use qbm_sched::{ActiveSet, Layout, VirtualTime, SCAN_TREE_CROSSOVER};
 use qbm_sim::scenarios::{subscriber_tree, LinkProfile, SubscriberTreeShape};
 use std::time::Instant;
-
-fn quick() -> bool {
-    std::env::var("QBM_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 fn shards() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
@@ -216,7 +213,7 @@ fn bench_construction() -> Vec<BuildPoint> {
         .collect()
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     // Construction first, on a fresh heap, so its resident-memory
     // deltas are not absorbed by memory the other sections freed.
     let built = bench_construction();
@@ -312,11 +309,7 @@ fn main() {
         }
     }
     json.push_str("\n}\n");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    }
+    bench_file::write("BENCH_scale.json", &json)
 }
 
 fn fmt_opt(v: Option<f64>) -> String {

@@ -17,6 +17,7 @@
 //! samples, the headline `table1/wfq+thresh` pair only).
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+use qbm_bench::bench_file::{self, quick};
 use qbm_core::policy::PolicyKind;
 use qbm_core::units::{ByteSize, Dur};
 use qbm_sched::SchedKind;
@@ -25,10 +26,6 @@ use qbm_sim::{ExperimentConfig, PolicySpec};
 
 /// Simulated time measured per iteration (plus 100 ms warmup).
 const SIM_MS: u64 = 1000;
-
-fn quick() -> bool {
-    std::env::var("QBM_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 /// The virtual-time schedulers under test, each over the threshold
 /// policy (the paper's §3.2 operating point for WFQ).
@@ -129,7 +126,7 @@ fn bench_sched(c: &mut Criterion) -> Vec<(String, u64)> {
     labelled_events
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut criterion = Criterion::default();
     let labelled_events = bench_sched(&mut criterion);
     let results = criterion.results();
@@ -146,18 +143,8 @@ fn main() {
         "  \"workload\": \"{SIM_MS} simulated ms per iter; reference = f64 GPS clocks over lazy BinaryHeaps, fixed = Q32.32 VirtualTime over flat indexed ActiveSets\",\n"
     ));
     json.push_str(&format!("  \"quick\": {},\n", quick()));
-    json.push_str("  \"results\": [\n");
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"id\": \"{}\", \"mean_ns_per_iter\": {:.1}, \"iters\": {}}}",
-                r.id, r.mean_ns, r.iters
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n  \"fixed_over_reference\": {\n");
+    json.push_str(&bench_file::results_member(results));
+    json.push_str(",\n  \"fixed_over_reference\": {\n");
     let mut ratio_rows = Vec::new();
     for (label, events) in &labelled_events {
         let (Some(base), Some(idx)) = (
@@ -178,11 +165,5 @@ fn main() {
     }
     json.push_str(&ratio_rows.join(",\n"));
     json.push_str("\n  }\n}\n");
-
-    // Anchor to the workspace root (cargo runs benches from the
-    // package directory).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    }
+    bench_file::write("BENCH_sched.json", &json)
 }

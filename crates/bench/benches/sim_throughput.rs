@@ -19,16 +19,13 @@
 //! samples, fifo+thresh only, no committed JSON churn expected).
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+use qbm_bench::bench_file::{self, quick};
 use qbm_core::units::{ByteSize, Dur, Rate, Time};
 use qbm_sim::scenarios::{incast_closed_loop, paper_experiment, section3_schemes, LinkProfile};
 use qbm_sim::ExperimentConfig;
 
 /// Simulated time measured per iteration (plus 100 ms warmup).
 const SIM_MS: u64 = 1000;
-
-fn quick() -> bool {
-    std::env::var("QBM_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 /// Arrivals + departures the config's event loop processes at seed 1 —
 /// turns mean wall time into an events-per-second figure.
@@ -130,7 +127,7 @@ fn bench_closed_loop(c: &mut Criterion) -> u64 {
     events
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut criterion = Criterion::default();
     let labelled_events = bench_sim(&mut criterion);
     let closed_loop_events = bench_closed_loop(&mut criterion);
@@ -148,18 +145,8 @@ fn main() {
         "  \"workload\": \"{SIM_MS} simulated ms per iter; baseline = BinaryHeap event queue, indexed = IndexedTimers, both over enum sources\",\n"
     ));
     json.push_str(&format!("  \"quick\": {},\n", quick()));
-    json.push_str("  \"results\": [\n");
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"id\": \"{}\", \"mean_ns_per_iter\": {:.1}, \"iters\": {}}}",
-                r.id, r.mean_ns, r.iters
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n  \"indexed_over_baseline\": {\n");
+    json.push_str(&bench_file::results_member(results));
+    json.push_str(",\n  \"indexed_over_baseline\": {\n");
     let mut ratio_rows = Vec::new();
     for (label, events) in &labelled_events {
         let (Some(base), Some(idx)) = (
@@ -191,11 +178,5 @@ fn main() {
         );
     }
     json.push_str("\n}\n");
-
-    // Anchor to the workspace root (cargo runs benches from the
-    // package directory).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simloop.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    }
+    bench_file::write("BENCH_simloop.json", &json)
 }

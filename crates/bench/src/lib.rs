@@ -12,11 +12,13 @@
 //!   `results/`;
 //! * the Criterion benches (`benches/`) measure the per-packet costs
 //!   behind the paper's scalability argument: O(1) policy admission vs
-//!   O(log N) WFQ scheduling.
+//!   O(log N) WFQ scheduling; those that keep a committed `BENCH_*.json`
+//!   write it through [`bench_file`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod bench_file;
 pub mod figures;
 pub mod report;
 

@@ -95,7 +95,8 @@ impl FlowDraft {
             message: "flow needs `bucket = <size>`".into(),
         })?;
         let avg = self.avg.unwrap_or(rate);
-        if let Some(peak) = self.peak.filter(|&p| p > Rate::ZERO && p < avg) {
+        let peak = self.peak.unwrap_or(avg);
+        if peak < avg {
             return Err(ScenarioError::BadLine {
                 line,
                 message: format!("flow peak {peak} below its average {avg}"),
@@ -106,6 +107,8 @@ impl FlowDraft {
             let id = FlowId(*next_id);
             *next_id += 1;
             let mut b = FlowSpec::builder(id)
+                .peak(peak)
+                .avg(avg)
                 .token_rate(rate)
                 .bucket(bucket)
                 .class(self.class)
@@ -113,12 +116,6 @@ impl FlowDraft {
                     self.class,
                     Conformance::Conformant | Conformance::ModeratelyNonConformant
                 ));
-            if let Some(p) = self.peak {
-                b = b.peak(p);
-            }
-            if let Some(a) = self.avg {
-                b = b.avg(a);
-            }
             if let Some(mb) = self.burst {
                 b = b.mean_burst(mb);
             }
@@ -170,8 +167,8 @@ impl Scenario {
             };
             if let Some((ref mut d, _)) = draft {
                 match key.as_str() {
-                    "peak" => d.peak = Some(parse_rate(value).map_err(unit_err)?),
-                    "avg" => d.avg = Some(parse_rate(value).map_err(unit_err)?),
+                    "peak" => d.peak = Some(positive_rate(value, line_no)?),
+                    "avg" => d.avg = Some(positive_rate(value, line_no)?),
                     "bucket" => {
                         let bucket = parse_size(value).map_err(unit_err)?;
                         if bucket < PACKET_BYTES as u64 {
@@ -304,7 +301,7 @@ impl Scenario {
 }
 
 /// A rate that must be above zero: the link rate, or a flow's reserved
-/// (token) rate.
+/// (token), average or peak rate.
 fn positive_rate(value: &str, line: usize) -> Result<Rate, ScenarioError> {
     let rate = parse_rate(value).map_err(|inner| ScenarioError::BadUnit { line, inner })?;
     if rate == Rate::ZERO {
@@ -428,9 +425,17 @@ class = aggressive
         assert_eq!(s.policy, PolicyKind::Threshold);
         assert_eq!(s.seeds, 5);
         assert_eq!(s.flows.len(), 1);
-        // avg defaults to the reserved rate, adaptive set for conformant.
+        // avg defaults to the reserved rate and peak to avg, adaptive
+        // set for conformant.
         assert_eq!(s.flows[0].avg.bps(), 1_000_000);
+        assert_eq!(s.flows[0].peak.bps(), 1_000_000);
         assert!(s.flows[0].adaptive);
+        // The defaulted flow builds a source and delivers traffic.
+        let mut cfg = s.to_config();
+        cfg.duration = Dur::from_millis(300);
+        cfg.warmup = Dur::from_millis(100);
+        let res = cfg.run_once(1);
+        assert!(res.flows[0].delivered_pkts > 0);
     }
 
     #[test]
@@ -501,6 +506,16 @@ class = aggressive
     #[test]
     fn zero_flow_rate_rejected() {
         let (line, message) = rejected_at("bucket=10KiB\nrate=0Mbps\n");
+        assert_eq!(line, 5);
+        assert!(message.contains("above zero"), "{message}");
+    }
+
+    #[test]
+    fn zero_peak_or_average_rejected() {
+        let (line, message) = rejected_at("rate=1Mbps\nbucket=10KiB\npeak=0Mbps\n");
+        assert_eq!(line, 6);
+        assert!(message.contains("above zero"), "{message}");
+        let (line, message) = rejected_at("rate=1Mbps\navg=0Mbps\nbucket=10KiB\n");
         assert_eq!(line, 5);
         assert!(message.contains("above zero"), "{message}");
     }

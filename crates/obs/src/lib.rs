@@ -12,8 +12,8 @@
 //! `O::ENABLED`, a `const`. For [`NullObserver`] (`ENABLED = false`)
 //! the guards are constant-false branches that monomorphization deletes
 //! outright, so an unobserved run compiles to the same machine code as
-//! the pre-instrumentation simulator (`BENCH_obs.json` keeps the
-//! receipt).
+//! the pre-instrumentation simulator (the `obs_overhead` bench's
+//! `noop_over_baseline` in `BENCH_obs.json` keeps the receipt).
 //!
 //! Every hook carries a **link id** — the index of the emitting link in
 //! a multi-link fabric (`qbm-sim::fabric`). Single-router runs pass

@@ -14,11 +14,10 @@
 //!   branchless O(1) stores and `peek` is a linear scan. At the paper's
 //!   scales (9–30 classes) the keys are one or two contiguous cache
 //!   lines and the scan is a short branch-predictable loop of wide
-//!   integer compares — measured faster than any pointer structure
-//!   (`prim_costs`): a tournament tree's `log₂ n` replay path costs
-//!   ~20 ns per update (data-dependent winner branches), while the
-//!   scan's one `peek` per dequeue costs under half that and the update
-//!   cost vanishes.
+//!   integer compares with no per-update work. `sched_scale`'s
+//!   `active_set` rows (`BENCH_scale.json`) put its set+peek cycle level
+//!   with the tree's at 9–16 slots, and end to end the two layouts are
+//!   at parity up to 64 slots (DESIGN.md §11.3).
 //! * **Tournament (winner) tree** (above the crossover): the flat scan
 //!   is O(n) per `peek` and dies at ISP scale (10⁴–10⁶ subscriber
 //!   flows), so large sets keep a `win` index over the same key array —
@@ -44,11 +43,11 @@ use crate::vclock::VirtualTime;
 /// Empty-slot sentinel: loses to every real key.
 const EMPTY: u128 = u128::MAX;
 
-/// Slot count at or below which the flat scan out-runs the tournament
-/// tree, measured by the `prim_costs` layout sweep (2⁴–2²⁰ slots, see
-/// DESIGN.md §15): at 64 slots a set+peek cycle costs about the same in
-/// both layouts (scan wins while the keys fit in a handful of cache
-/// lines), and by 256 slots the tree is several times faster.
+/// Slot count at or below which the flat scan is kept, measured by
+/// `sched_scale`'s `active_set` sweep (9–2²⁰ slots, `BENCH_scale.json`,
+/// DESIGN.md §15): up to 64 slots the two layouts run at parity end to
+/// end (the churn microbench has the tree ahead by ≈25 ns at 64), and
+/// by 256 slots the tree is several times faster.
 pub const SCAN_TREE_CROSSOVER: usize = 64;
 
 /// `(tag, tie)` packed so lexicographic order becomes one wide integer
@@ -101,8 +100,7 @@ impl ActiveSet {
 
     /// An all-empty set with `n` slots in an explicit layout — both
     /// layouts compute identical minima; forcing one exists for the
-    /// crossover benchmarks (`prim_costs`, `sched_scale`) and the
-    /// differential tests.
+    /// crossover benchmark (`sched_scale`) and the differential tests.
     pub fn with_layout(n: usize, layout: Layout) -> ActiveSet {
         assert!(n > 0, "no slots");
         let tree = match layout {

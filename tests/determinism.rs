@@ -3,13 +3,13 @@
 //! every scheduler × policy combination, and different seeds must give
 //! different traces.
 
-use qos_buffer_mgmt::core::policy::PolicyKind;
-use qos_buffer_mgmt::core::units::{ByteSize, Dur};
+use qos_buffer_mgmt::core::policy::{BufferPolicy, FixedThreshold, PolicyKind, ThresholdOptions};
+use qos_buffer_mgmt::core::units::{ByteSize, Dur, Time};
 use qos_buffer_mgmt::obs::{verify_trace, Tracer};
-use qos_buffer_mgmt::sched::SchedKind;
+use qos_buffer_mgmt::sched::{Fifo, SchedKind, Scheduler, Wfq};
 use qos_buffer_mgmt::sim::scenarios::{case1_grouping, plan_hybrid, LINK_RATE};
-use qos_buffer_mgmt::sim::{Campaign, ExperimentConfig, PolicySpec};
-use qos_buffer_mgmt::traffic::{table1, table2};
+use qos_buffer_mgmt::sim::{Campaign, ExperimentConfig, PolicySpec, Router, SimResult};
+use qos_buffer_mgmt::traffic::{build_source_kind, table1, table2};
 
 fn cfg(sched: SchedKind, policy: PolicySpec) -> ExperimentConfig {
     ExperimentConfig {
@@ -301,6 +301,59 @@ fn indexed_timers_match_reference_heap_end_to_end() {
             t2.run_once_reference(seed).flows,
             "table2 seed {seed}: indexed timers diverged from reference heap"
         );
+    }
+}
+
+#[test]
+fn monomorphic_and_boxed_dispatch_give_identical_results() {
+    // `Router<P, S>` defaults to `Box<dyn ..>` policy and scheduler,
+    // which is what `PolicyKind`/`SchedKind` build for every campaign.
+    // The statically typed instantiation must run the same simulation.
+    fn run<P: BufferPolicy, S: Scheduler>(
+        c: &ExperimentConfig,
+        p: P,
+        s: S,
+        seed: u64,
+    ) -> SimResult {
+        let sources = c.specs.iter().map(|f| build_source_kind(f, seed)).collect();
+        Router::new(c.link_rate, p, s, sources).run(
+            Time::ZERO + c.warmup,
+            Time::ZERO + c.duration,
+            seed,
+        )
+    }
+    for (table, specs) in [("table1", table1()), ("table2", table2())] {
+        for sched in [SchedKind::Fifo, SchedKind::Wfq] {
+            let mut c = cfg(sched.clone(), PolicySpec::Kind(PolicyKind::Threshold));
+            c.specs = specs.clone();
+            c.duration = Dur::from_secs(2);
+            let thresh = || {
+                FixedThreshold::new(
+                    c.buffer_bytes,
+                    c.link_rate,
+                    &c.specs,
+                    ThresholdOptions::default(),
+                )
+            };
+            let weights: Vec<u64> = c.specs.iter().map(|f| f.token_rate.bps().max(1)).collect();
+            for seed in [1u64, 2] {
+                let boxed = run(
+                    &c,
+                    c.policy.build(c.buffer_bytes, c.link_rate, &c.specs),
+                    sched.build(c.link_rate, &c.specs),
+                    seed,
+                );
+                assert_eq!(boxed, c.run_once(seed), "{table} {sched:?} seed {seed}");
+                let mono = match sched {
+                    SchedKind::Fifo => run(&c, thresh(), Fifo::new(), seed),
+                    _ => run(&c, thresh(), Wfq::new(c.link_rate, weights.clone()), seed),
+                };
+                assert_eq!(
+                    mono, boxed,
+                    "{table} {sched:?} seed {seed}: monomorphic dispatch diverged from boxed"
+                );
+            }
+        }
     }
 }
 
