@@ -14,7 +14,7 @@
 //! * `--threads N` — shard `run`/`sweep` replications across N workers
 //!   (default `QBM_THREADS`, else one per core); results are identical
 //!   for any N. With `--topology`, N is the fabric shard width (how
-//!   many same-level links advance concurrently).
+//!   many wave-mate links advance concurrently).
 //! * `--topology tree|incast|subscriber-tree` — with `run`: instead of
 //!   the single link, run a multi-link fabric and report per link.
 //!   `tree`/`incast` are fixed small shapes carrying the scenario's
@@ -22,7 +22,9 @@
 //!   incast: 3 senders into 1 aggregator); `subscriber-tree` is the
 //!   generated ISP hierarchy (sites → APs → heavy-tailed subscriber
 //!   plans under the §4 hybrid at the core) sized by `--flows`.
-//!   Byte-identical for any `--threads`.
+//!   Byte-identical for any `--threads`. A fabric run is open loop and
+//!   unprofiled: `--sources aimd` (or `sources = aimd` in the scenario
+//!   file), `--probe-interval` and `--profile` are usage errors there.
 //! * `--flows N` — subscriber count for `--topology subscriber-tree`
 //!   (default 100; 10²–10⁶ supported).
 //! * `--trace <path>` — also write a JSONL event trace of the first
@@ -265,19 +267,9 @@ fn traced_run(s: &Scenario, trace_path: &str, probe_interval: Option<Dur>) -> u6
     let seed = 1;
     // A disabled probe's first tick sits at u64::MAX ns — never reached.
     let interval = probe_interval.unwrap_or(Dur(u64::MAX));
-    // Closed-loop runs capture `fb` records (schema v2); open-loop
-    // traces keep their exact v1 bytes.
-    let tracer = if s.sources == SourceSel::Aimd {
-        Tracer::default().with_feedback()
-    } else {
-        Tracer::default()
-    };
     let mut obs = (
-        tracer,
-        (
-            TimeSeriesProbe::new(interval).with_per_flow(),
-            CountingObserver::default(),
-        ),
+        Tracer::default(),
+        (TimeSeriesProbe::new(interval), CountingObserver::default()),
     );
     let _ = s.to_config().run_once_with(seed, &mut obs);
     let (tracer, (probe, counter)) = obs;
@@ -308,12 +300,24 @@ fn traced_run(s: &Scenario, trace_path: &str, probe_interval: Option<Dur>) -> u6
 /// fabric scales the paper's single-link experiment out to several
 /// multiplexing points. Results are byte-identical for any
 /// `--threads` value.
+///
+/// AIMD sources, the time-series probe and the self-profile have no
+/// fabric path: asking for one is a usage error naming the input.
 fn run_topology(s: &Scenario, opts: &Options) {
     use qbm_cli::report::{fmt_bytes, fmt_ns, heatmap_sparkline};
     use qbm_obs::{HeatmapObserver, HeatmapParams};
     use qbm_sim::scenarios::{
         aggregation_tree, incast_fanin, subscriber_tree, LinkProfile, SubscriberTreeShape,
     };
+    let unsupported = [
+        (opts.sources == Some(SourceSel::Aimd), "--sources aimd"),
+        (s.sources == SourceSel::Aimd, "scenario `sources = aimd`"),
+        (opts.probe_interval.is_some(), "--probe-interval"),
+        (opts.profile, "--profile"),
+    ];
+    if let Some((_, input)) = unsupported.iter().find(|(set, _)| *set) {
+        flag_error(&format!("{input} is not supported with --topology"));
+    }
     let seed = 1;
     let sketching = opts.sketch_params().is_some();
     let profile = LinkProfile {
@@ -402,7 +406,7 @@ fn run_topology(s: &Scenario, opts: &Options) {
             let mut obs: Vec<(Tracer, HeatmapObserver)> = (0..n_links)
                 .map(|_| {
                     (
-                        Tracer::default().with_link_dim(),
+                        Tracer::default(),
                         HeatmapObserver::new(HeatmapParams::default()),
                     )
                 })
@@ -413,7 +417,7 @@ fn run_topology(s: &Scenario, opts: &Options) {
             (res, Some(heat))
         }
         (Some(path), false) => {
-            let mut tracers = vec![Tracer::default().with_link_dim(); n_links];
+            let mut tracers = vec![Tracer::default(); n_links];
             let res = fabric.run_observed(seed, warmup, end, threads, &mut tracers);
             print_trace(&tracers, path);
             (res, None)

@@ -18,9 +18,9 @@
 //! Every hook carries a **link id** — the index of the emitting link in
 //! a multi-link fabric (`qbm-sim::fabric`). Single-router runs pass
 //! link 0; observers that predate the fabric simply ignore the
-//! parameter, and the JSONL trace schema emits it only when a
-//! [`Tracer`] opts in (see [`Tracer::with_link_dim`]), keeping
-//! single-link traces byte-identical to schema v1 output.
+//! parameter, and the JSONL trace schema emits it only in a merged
+//! fabric trace ([`Tracer::merged_links_jsonl`]), keeping single-link
+//! traces byte-identical to schema v1 output.
 //!
 //! Concrete observers:
 //! - [`Tracer`] — bounded ring buffer of [`TraceRecord`]s, serialized
@@ -334,54 +334,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 }
 
-/// `&mut O` forwards to `O`, so an observer can be threaded through
-/// helper layers (e.g. the fabric runner) without moving it.
-impl<O: Observer + ?Sized> Observer for &mut O {
-    const ENABLED: bool = true;
-
-    fn on_arrival(&mut self, now: Time, flow: FlowId, len: u32, link: u32) {
-        (**self).on_arrival(now, flow, len, link);
-    }
-    fn on_enqueue(
-        &mut self,
-        now: Time,
-        flow: FlowId,
-        len: u32,
-        flow_occ: u64,
-        total_occ: u64,
-        link: u32,
-    ) {
-        (**self).on_enqueue(now, flow, len, flow_occ, total_occ, link);
-    }
-    fn on_drop(&mut self, now: Time, flow: FlowId, len: u32, reason: DropReason, link: u32) {
-        (**self).on_drop(now, flow, len, reason, link);
-    }
-    fn on_departure(&mut self, now: Time, flow: FlowId, len: u32, arrival: Time, link: u32) {
-        (**self).on_departure(now, flow, len, arrival, link);
-    }
-    fn on_threshold(&mut self, now: Time, flow: FlowId, occ: u64, limit: u64, up: bool, link: u32) {
-        (**self).on_threshold(now, flow, occ, limit, up, link);
-    }
-    fn on_sharing(&mut self, now: Time, holes: u64, headroom: u64, link: u32) {
-        (**self).on_sharing(now, holes, headroom, link);
-    }
-    fn on_feedback(
-        &mut self,
-        now: Time,
-        flow: FlowId,
-        delivered: bool,
-        len: u32,
-        delay: Dur,
-        cause: Option<DropReason>,
-        link: u32,
-    ) {
-        (**self).on_feedback(now, flow, delivered, len, delay, cause, link);
-    }
-    fn on_end(&mut self, end: Time, link: u32) {
-        (**self).on_end(end, link);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,15 +387,5 @@ mod tests {
         pair.on_drop(Time::ZERO, FlowId(0), 100, DropReason::OverThreshold, 3);
         assert_eq!(pair.0.counts.total(), 2);
         assert_eq!(pair.1.counts.total(), 2);
-    }
-
-    #[test]
-    fn mut_ref_forwards() {
-        let mut c = CountingObserver::default();
-        {
-            let mut r = &mut c;
-            Observer::on_arrival(&mut r, Time::ZERO, FlowId(0), 1, 0);
-        }
-        assert_eq!(c.counts.arrivals, 1);
     }
 }

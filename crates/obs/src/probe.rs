@@ -24,9 +24,7 @@ pub struct Sample {
     /// The grid instant.
     pub t: Time,
     /// Per-flow buffer occupancy, bytes (indexed by flow; flows first
-    /// seen later in the run make later samples longer). Empty unless
-    /// the probe was built [`with_per_flow`](TimeSeriesProbe::with_per_flow)
-    /// — cloning a vector per sample is too expensive to pay by default.
+    /// seen later in the run make later samples longer).
     pub per_flow: Vec<u64>,
     /// Aggregate occupancy, bytes.
     pub total: u64,
@@ -43,14 +41,12 @@ pub struct TimeSeriesProbe {
     total: u64,
     pools: Option<(u64, u64)>,
     samples: Vec<Sample>,
-    track_per_flow: bool,
     dropped: u64,
 }
 
 impl TimeSeriesProbe {
     /// A probe emitting one sample every `interval` of simulated time.
-    /// Samples carry the aggregate occupancy and pools; per-flow
-    /// columns are opt-in via [`with_per_flow`](Self::with_per_flow).
+    /// Samples carry the per-flow and aggregate occupancy and the pools.
     pub fn new(interval: Dur) -> TimeSeriesProbe {
         assert!(!interval.is_zero(), "zero probe interval");
         TimeSeriesProbe {
@@ -60,17 +56,8 @@ impl TimeSeriesProbe {
             total: 0,
             pools: None,
             samples: Vec::new(),
-            track_per_flow: false,
             dropped: 0,
         }
-    }
-
-    /// Also clone the per-flow occupancy vector into every sample
-    /// (`q0..qN` export columns). Costs O(flows) per sample, so it is
-    /// off by default.
-    pub fn with_per_flow(mut self) -> TimeSeriesProbe {
-        self.track_per_flow = true;
-        self
     }
 
     /// Emit every grid boundary strictly before `now`, then catch up.
@@ -93,11 +80,7 @@ impl TimeSeriesProbe {
             }
             self.samples.push(Sample {
                 t: self.next,
-                per_flow: if self.track_per_flow {
-                    self.occ.clone()
-                } else {
-                    Vec::new()
-                },
+                per_flow: self.occ.clone(),
                 total: self.total,
                 pools: self.pools,
             });
@@ -216,19 +199,15 @@ impl Observer for TimeSeriesProbe {
     ) {
         self.flush_until(now);
         self.total += len as u64;
-        if self.track_per_flow {
-            self.ensure_flow(flow);
-            self.occ[flow.index()] += len as u64;
-        }
+        self.ensure_flow(flow);
+        self.occ[flow.index()] += len as u64;
     }
 
     fn on_departure(&mut self, now: Time, flow: FlowId, len: u32, _arrival: Time, _link: u32) {
         self.flush_until(now);
         self.total -= len as u64;
-        if self.track_per_flow {
-            self.ensure_flow(flow);
-            self.occ[flow.index()] -= len as u64;
-        }
+        self.ensure_flow(flow);
+        self.occ[flow.index()] -= len as u64;
     }
 
     fn on_sharing(&mut self, now: Time, holes: u64, headroom: u64, _link: u32) {
@@ -243,11 +222,7 @@ impl Observer for TimeSeriesProbe {
             if self.samples.len() < MAX_SAMPLES {
                 self.samples.push(Sample {
                     t: end,
-                    per_flow: if self.track_per_flow {
-                        self.occ.clone()
-                    } else {
-                        Vec::new()
-                    },
+                    per_flow: self.occ.clone(),
                     total: self.total,
                     pools: self.pools,
                 });
@@ -295,7 +270,7 @@ mod tests {
 
     #[test]
     fn csv_has_pool_columns_only_when_reported() {
-        let mut p = TimeSeriesProbe::new(Dur::from_millis(1)).with_per_flow();
+        let mut p = TimeSeriesProbe::new(Dur::from_millis(1));
         p.on_enqueue(Time::ZERO, FlowId(1), 100, 100, 100, 0);
         p.on_end(Time::ZERO + Dur::from_millis(2), 0);
         let csv = p.to_csv();
@@ -312,7 +287,7 @@ mod tests {
 
     #[test]
     fn json_export_is_field_ordered() {
-        let mut p = TimeSeriesProbe::new(Dur::from_millis(1)).with_per_flow();
+        let mut p = TimeSeriesProbe::new(Dur::from_millis(1));
         p.on_enqueue(Time::ZERO, FlowId(0), 42, 42, 42, 0);
         p.on_end(Time::ZERO + Dur::from_millis(1), 0);
         assert_eq!(
@@ -322,16 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn per_flow_columns_are_opt_in() {
-        // Default probe: aggregate series only — no per-flow clone cost,
-        // no q columns in the exports.
+    fn per_flow_columns_grow_with_flows_seen_and_pad_in_csv() {
         let mut p = TimeSeriesProbe::new(Dur::from_millis(1));
-        p.on_enqueue(Time::ZERO, FlowId(1), 100, 100, 100, 0);
+        p.on_enqueue(Time::ZERO, FlowId(0), 100, 100, 100, 0);
+        p.on_enqueue(Time(1_500_000), FlowId(2), 50, 50, 150, 0);
         p.on_end(Time::ZERO + Dur::from_millis(2), 0);
-        assert!(p.samples().iter().all(|s| s.per_flow.is_empty()));
-        assert!(p.to_csv().starts_with("t_ns,total\n"));
-        assert!(p.to_csv().contains("1000000,100\n"));
-        assert_eq!(p.samples()[0].total, 100);
+        let per_flow: Vec<&[u64]> = p.samples().iter().map(|s| &s.per_flow[..]).collect();
+        assert_eq!(per_flow, [&[100][..], &[100, 0, 50][..]]);
+        let csv = p.to_csv();
+        assert!(csv.starts_with("t_ns,total,q0,q1,q2\n"));
+        assert!(csv.contains("1000000,100,100,0,0\n"));
+        assert!(csv.contains("2000000,150,100,0,50\n"));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! | `cell` | `cell`, `seed` | campaign cell boundary in a merged trace; resets the time watermark |
 //!
 //! Every event record additionally carries an optional `link` field —
-//! the emitting link's index in a multi-link fabric — emitted only by
-//! link-dimensioned tracers ([`crate::Tracer::with_link_dim`]).
+//! the emitting link's index in a multi-link fabric — emitted only in a
+//! merged fabric trace ([`crate::Tracer::merged_links_jsonl`]).
 //! Single-link traces omit it entirely, so their bytes are unchanged
 //! from pre-fabric output and the schema version stays 1; verifiers
 //! accept both forms.
@@ -340,7 +340,7 @@ pub fn header(flows: usize, truncated: u64) -> String {
 }
 
 /// [`header`] with an explicit schema version — v2 headers are written
-/// by tracers that may hold `fb` records ([`crate::Tracer::with_feedback`]).
+/// by tracers that captured an `fb` record.
 pub fn header_with_version(flows: usize, truncated: u64, version: u32) -> String {
     format!(
         "{{\"schema\":\"{SCHEMA_NAME}\",\"version\":{version},\"flows\":{flows},\"truncated\":{truncated}}}"

@@ -7,9 +7,13 @@
 //! whether it is looking at the whole run or its tail.
 //!
 //! Fabric traces: every record stores the link index its hook call
-//! carried, but the JSONL writer emits the `link` field only when the
-//! tracer was built with [`Tracer::with_link_dim`] — single-link traces
-//! stay byte-identical to pre-fabric output (schema v1 either way).
+//! carried, but only the merged fabric trace
+//! ([`Tracer::merged_links_jsonl`]) writes the `link` field —
+//! single-link traces stay byte-identical to pre-fabric output.
+//!
+//! Closed-loop runs raise `fb` hooks; a tracer that recorded one writes
+//! a schema-v2 header. Open-loop runs never raise them, so their traces
+//! keep their exact v1 bytes.
 
 use std::collections::VecDeque;
 
@@ -32,9 +36,7 @@ pub struct Tracer {
     truncated: u64,
     /// Highest flow index seen + 1 (header `flows` field).
     flows: usize,
-    /// Emit the per-record `link` field in JSONL output.
-    link_dim: bool,
-    /// Capture `fb` records and write a schema-v2 header.
+    /// An `fb` record was captured: the header is schema v2.
     feedback: bool,
 }
 
@@ -53,31 +55,12 @@ impl Tracer {
             buf: VecDeque::with_capacity(capacity.min(1 << 12)),
             truncated: 0,
             flows: 0,
-            link_dim: false,
             feedback: false,
         }
     }
 
-    /// Enable the fabric dimension: JSONL output gains a `"link":N`
-    /// field on every event record (the link id each hook call
-    /// carried). Off by default so single-link traces keep their exact
-    /// historical bytes.
-    pub fn with_link_dim(mut self) -> Tracer {
-        self.link_dim = true;
-        self
-    }
-
-    /// Enable closed-loop capture: the tracer records `fb` events
-    /// (feedback signals routed to adaptive sources) and writes a
-    /// schema-v2 header. Off by default so every open-loop trace keeps
-    /// its exact historical v1 bytes.
-    pub fn with_feedback(mut self) -> Tracer {
-        self.feedback = true;
-        self
-    }
-
-    /// Schema version this tracer's header advertises: v2 when `fb`
-    /// records may appear, v1 otherwise.
+    /// Schema version this tracer's header advertises: v2 once it
+    /// captured an `fb` record, v1 otherwise.
     fn version(&self) -> u32 {
         if self.feedback {
             SCHEMA_VERSION
@@ -131,11 +114,7 @@ impl Tracer {
     /// building block for campaign-merged traces.
     fn body_jsonl(&self, out: &mut String) {
         for rec in &self.buf {
-            if self.link_dim {
-                out.push_str(&rec.to_json_with_link());
-            } else {
-                out.push_str(&rec.to_json());
-            }
+            out.push_str(&rec.to_json());
             out.push('\n');
         }
     }
@@ -281,9 +260,7 @@ impl Observer for Tracer {
         cause: Option<DropReason>,
         link: u32,
     ) {
-        if !self.feedback {
-            return;
-        }
+        self.feedback = true;
         self.saw_flow(flow);
         self.push(TraceRecord::Feedback {
             t: now,
@@ -340,32 +317,27 @@ mod tests {
     }
 
     #[test]
-    fn link_dim_adds_field_without_changing_plain_output() {
-        let mut plain = Tracer::new(4);
-        plain.on_arrival(Time(5), FlowId(1), 500, 3);
-        let mut dim = Tracer::new(4).with_link_dim();
-        dim.on_arrival(Time(5), FlowId(1), 500, 3);
-        let plain_text = plain.to_jsonl();
-        let dim_text = dim.to_jsonl();
+    fn only_the_merged_fabric_trace_writes_the_link_field() {
+        let mut tr = Tracer::new(4);
+        tr.on_arrival(Time(5), FlowId(1), 500, 3);
+        let plain_text = tr.to_jsonl();
+        let link_text = Tracer::merged_links_jsonl(&[tr]);
         assert!(plain_text.contains("{\"ev\":\"arr\",\"t\":5,\"flow\":1,\"len\":500}\n"));
-        assert!(dim_text.contains("{\"ev\":\"arr\",\"t\":5,\"flow\":1,\"len\":500,\"link\":3}\n"));
+        assert!(link_text.contains("{\"ev\":\"arr\",\"t\":5,\"flow\":1,\"len\":500,\"link\":3}\n"));
         verify_trace(&plain_text).expect("plain form verifies");
-        verify_trace(&dim_text).expect("link form verifies");
+        verify_trace(&link_text).expect("link form verifies");
     }
 
     #[test]
-    fn feedback_records_need_opt_in_and_bump_the_schema() {
+    fn feedback_records_bump_the_schema() {
         use qbm_core::policy::DropReason;
-        // Without the opt-in, fb hooks are ignored and the header
-        // stays v1 — open-loop traces keep their historical bytes.
+        // No fb hook, no v2: open-loop traces keep their historical bytes.
         let mut plain = Tracer::new(8);
         plain.on_arrival(Time(5), FlowId(0), 500, 0);
-        plain.on_feedback(Time(9), FlowId(0), true, 500, Dur(4), None, 0);
         let plain_text = plain.to_jsonl();
         assert!(plain_text.contains("\"version\":1,"));
-        assert!(!plain_text.contains("\"ev\":\"fb\""));
 
-        let mut fb = Tracer::new(8).with_feedback();
+        let mut fb = Tracer::new(8);
         fb.on_arrival(Time(5), FlowId(0), 500, 0);
         fb.on_feedback(Time(9), FlowId(0), true, 500, Dur(4), None, 0);
         fb.on_feedback(
@@ -391,7 +363,7 @@ mod tests {
     #[test]
     fn merged_trace_takes_the_max_version_across_inputs() {
         let a = Tracer::new(4); // v1
-        let mut b = Tracer::new(4).with_feedback(); // v2
+        let mut b = Tracer::new(4);
         b.on_feedback(Time(3), FlowId(0), true, 100, Dur::ZERO, None, 1);
         let text = Tracer::merged_links_jsonl(&[a, b]);
         assert!(text.contains("\"version\":2,"));

@@ -12,6 +12,12 @@
 //! and policy/scheduler state but no source or timer slot. A multi-hop
 //! line is the path graph ([`crate::scenarios::line`]).
 //!
+//! Links are added upstream first: every edge runs from a lower link
+//! index to a higher one ([`Fabric::connect`] rejects the rest). Link
+//! index is therefore a topological order and the only order a run
+//! knows — engines, observers, log handoffs, feedback routes and results
+//! are all indexed by link.
+//!
 //! # Epoch/log execution
 //!
 //! Running every upstream link to completion before its downstream
@@ -20,14 +26,16 @@
 //! advances in bounded **epochs**: with horizon `H` stepping by the
 //! epoch length Δ,
 //!
-//! 1. links are advanced one topological *level* at a time — every
-//!    link in a level processes exactly its events with time `< H`
-//!    (level-mates share nothing, so they advance in parallel);
-//! 2. after a level finishes, each of its links hands every
+//! 1. links are advanced one *wave* at a time — a run of consecutive
+//!    links, a new wave opening at the first link fed by one of the
+//!    current wave's links — and every link in a wave processes exactly
+//!    its events with time `< H` (wave-mates share no edge, so they
+//!    advance in parallel);
+//! 2. after a wave finishes, each of its links hands every
 //!    **departure log** it recorded — one per destination link,
 //!    `(destination flow, emission)` in departure order — whole to the
 //!    destination's log slot, serially on the driving thread;
-//! 3. the next level then advances to the same `H`, already holding
+//! 3. the next wave then advances to the same `H`, already holding
 //!    every arrival it can see before `H`.
 //!
 //! Step 3 is why the schedule is *exact*, not approximate: a
@@ -36,7 +44,7 @@
 //! processes is therefore identical to the sequential run, for any
 //! epoch length and any shard-thread count — determinism comes from
 //! the structure (fixed handoff order, simulation-time horizons), not
-//! from scheduling luck. Threads only change how many level-mates
+//! from scheduling luck. Threads only change how many wave-mates
 //! advance concurrently.
 //!
 //! A log slot is keyed by its head's `(time, destination flow)` — the
@@ -65,7 +73,7 @@ pub const DEFAULT_EPOCH: Dur = Dur::from_secs(1);
 /// The `(link, flow)` endpoint of an unwired flow.
 const UNWIRED: (u32, u32) = (u32::MAX, u32::MAX);
 
-/// Source `src`'s log `log` goes to `dst`'s log slot `slot` (storage positions).
+/// Link `src`'s log `log` goes to link `dst`'s log slot `slot`.
 #[derive(Debug, Clone, Copy)]
 struct Handoff {
     src: usize,
@@ -76,7 +84,8 @@ struct Handoff {
 
 /// A DAG of links with deterministic epoch-synchronized execution.
 ///
-/// Build with [`Fabric::add_link`] / [`Fabric::connect`], run with
+/// Build with [`Fabric::add_link`] / [`Fabric::connect`], upstream
+/// links first, and run with
 /// [`Fabric::run`] or [`Fabric::run_observed`]. Generic over policy
 /// and scheduler exactly like [`Router`] (all links share the
 /// concrete types; the boxed defaults keep heterogeneous
@@ -157,22 +166,30 @@ where
     /// rejects any other source with "a relay flow of link N is not
     /// trace-fed".
     ///
-    /// Panics on out-of-range links/flows, or if either endpoint is
-    /// already wired (a flow has at most one feeder and one reader —
-    /// fan-out is expressed by giving the source link one flow per
-    /// destination, as the schedulers see them as distinct flows
-    /// anyway).
+    /// Edges point down the link order: `src_link < dst_link`, so a
+    /// fabric is built upstream first and its link order is a
+    /// topological order. That rules out self-loops and cycles.
+    ///
+    /// Panics on a backward edge, on out-of-range links/flows, or if
+    /// either endpoint is already wired (a flow has at most one feeder
+    /// and one reader — fan-out is expressed by giving the source link
+    /// one flow per destination, as the schedulers see them as distinct
+    /// flows anyway).
     pub fn connect(&mut self, src_link: u32, src_flow: u32, dst_link: u32, dst_flow: u32) {
         let flows = |l: u32| self.links[l as usize].n_flows() as u32;
         assert!(
-            (src_link as usize) < self.links.len() && (dst_link as usize) < self.links.len(),
+            (dst_link as usize) < self.links.len(),
             "edge references unknown link"
+        );
+        assert!(
+            src_link < dst_link,
+            "edge {src_link} → {dst_link} points backward: links are added upstream \
+             first, so a backward edge could close a cycle"
         );
         assert!(
             src_flow < flows(src_link) && dst_flow < flows(dst_link),
             "edge references unknown flow"
         );
-        assert_ne!(src_link, dst_link, "self-loop edge");
         let out = &mut self.feeds[src_link as usize][src_flow as usize];
         assert!(
             *out == UNWIRED,
@@ -185,40 +202,6 @@ where
             "flow {dst_flow} of link {dst_link} already has a feeder"
         );
         *feeder = (src_link, src_flow);
-    }
-
-    /// Topological level of every link (longest path from a root, in
-    /// link-graph terms). Panics if the link graph has a cycle — the
-    /// fabric is feed-forward by construction.
-    fn levels(&self) -> Vec<u32> {
-        let n = self.links.len();
-        // One edge per run of flows feeding the same link: the level
-        // relation only needs reachability.
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indegree = vec![0usize; n];
-        for (l, feeds) in self.feeds.iter().enumerate() {
-            for &(dl, _) in feeds.iter().filter(|&&p| p != UNWIRED) {
-                if succ[l].last() != Some(&(dl as usize)) {
-                    succ[l].push(dl as usize);
-                    indegree[dl as usize] += 1;
-                }
-            }
-        }
-        let mut level = vec![0u32; n];
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(u) = ready.pop() {
-            seen += 1;
-            for &v in &succ[u] {
-                level[v] = level[v].max(level[u] + 1);
-                indegree[v] -= 1;
-                if indegree[v] == 0 {
-                    ready.push(v);
-                }
-            }
-        }
-        assert_eq!(seen, n, "fabric link graph has a cycle");
-        level
     }
 
     /// The `(link, flow)` whose source originates the traffic of link
@@ -244,7 +227,7 @@ where
     /// carries the link index, so per-link tracers can later be merged
     /// with [`Tracer::merged_links_jsonl`](qbm_obs::Tracer)).
     ///
-    /// `threads` is the shard width: how many level-mate links advance
+    /// `threads` is the shard width: how many wave-mate links advance
     /// concurrently inside each epoch. Results — statistics and every
     /// observer's record stream — are byte-identical for any value;
     /// see the module docs for why.
@@ -267,26 +250,6 @@ where
         let n = self.links.len();
         assert!(n > 0, "empty fabric");
         assert_eq!(observers.len(), n, "one observer per link");
-        let level = self.levels();
-        let n_levels = level.iter().max().copied().unwrap_or(0) as usize + 1;
-
-        // Level-contiguous storage: engines sorted by (level, link
-        // index), so each level is one contiguous slice to shard
-        // across threads. `order[pos]` maps storage position back to
-        // link index.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (level[i], i));
-        let mut pos_of = vec![0usize; n];
-        for (pos, &link) in order.iter().enumerate() {
-            pos_of[link] = pos;
-        }
-        let mut level_start = vec![0usize; n_levels + 1];
-        for &l in &level {
-            level_start[l as usize + 1] += 1;
-        }
-        for l in 0..n_levels {
-            level_start[l + 1] += level_start[l];
-        }
 
         // Closed-loop path wiring (DESIGN.md §16), skipped outright on
         // an open-loop fabric. Walk every flow's relay chain back to
@@ -295,8 +258,8 @@ where
         // locally (`Local`), every relay buffers its signals for the
         // end-of-epoch drain (`Remote`), and only the terminal hop —
         // the one feeding no further edge — reports `Delivered`.
-        // `fb_origin[pos][f]` is the (storage position, flow) a relay
-        // signal of flow `f` at storage position `pos` routes home to.
+        // `fb_origin[l][f]` is the (link, flow) a relay signal of link
+        // `l`'s flow `f` routes home to.
         let mut mode_overrides: Vec<(usize, u32, FeedbackMode)> = Vec::new();
         let mut fb_origin: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         let closed = |r: &Router<P, S>| (0..r.n_flows()).any(|f| r.flow_is_closed_loop(f));
@@ -310,38 +273,42 @@ where
                     let lost = if ol as usize == l {
                         Leg::Local
                     } else {
-                        let table = &mut fb_origin[pos_of[l]];
+                        let table = &mut fb_origin[l];
                         table.resize(link.n_flows(), UNWIRED);
-                        table[f as usize] = (pos_of[ol as usize] as u32, of);
+                        table[f as usize] = (ol, of);
                         Leg::Remote
                     };
                     let terminal = self.feeds[l][f as usize] == UNWIRED;
                     let delivered = if terminal { lost } else { Leg::Off };
-                    mode_overrides.push((pos_of[l], f, FeedbackMode { lost, delivered }));
+                    mode_overrides.push((l, f, FeedbackMode { lost, delivered }));
                 }
             }
         }
 
-        // Wrap each router in a paused engine, permuted into level
-        // order. Per-flow timer slots cover a link's flows up to its
-        // last unfed one; relay flows past it exist only as log entries.
-        // Each link records one departure log per destination link,
-        // numbered in order of first use; a destination numbers its log
-        // slots in the order its sources are built — storage order, so
-        // the handoff list comes out grouped by source level.
+        // Wrap each router in a paused engine. Per-flow timer slots
+        // cover a link's flows up to its last unfed one; relay flows
+        // past it exist only as log entries. Each link records one
+        // departure log per destination link, numbered in order of
+        // first use; a destination numbers its log slots in link order
+        // of its sources, so the handoff list comes out sorted by
+        // source link. A link opens a new wave when one of its feeders
+        // is in the current wave: `waves` holds each wave's first link.
         let Fabric {
             links,
             feeds,
             fed_by,
             epoch,
         } = self;
-        let mut routers: Vec<Option<Router<P, S>>> = links.into_iter().map(Some).collect();
         let mut engines: Vec<LinkEngine<P, S, IndexedTimers>> = Vec::with_capacity(n);
         let mut handoffs: Vec<Handoff> = Vec::new();
+        let mut waves: Vec<usize> = vec![0];
         let (mut in_logs, mut log_of) = (vec![0usize; n], vec![usize::MAX; n]);
-        for (pos, &link) in order.iter().enumerate() {
-            let router = routers[link].take().expect("each link wrapped once");
+        for (link, router) in links.into_iter().enumerate() {
             let fed_by = &fed_by[link];
+            let wave = waves.last().copied().unwrap_or(0);
+            if fed_by.iter().any(|&p| p != UNWIRED && p.0 as usize >= wave) {
+                waves.push(link);
+            }
             for (f, &feeder) in fed_by.iter().enumerate() {
                 if feeder == UNWIRED {
                     assert!(
@@ -373,41 +340,36 @@ where
                     (log_of[d] as u32, df)
                 })
                 .collect();
-            for (log, &d) in dsts.iter().enumerate() {
-                let (dst, slot) = (pos_of[d], in_logs[d]);
+            for (log, &dst) in dsts.iter().enumerate() {
                 handoffs.push(Handoff {
-                    src: pos,
+                    src: link,
                     log,
                     dst,
-                    slot,
+                    slot: in_logs[dst],
                 });
-                in_logs[d] += 1;
-                log_of[d] = usize::MAX;
+                in_logs[dst] += 1;
+                log_of[dst] = usize::MAX;
             }
             let outbox = (!dsts.is_empty()).then(|| Outbox::new(route, dsts.len()));
             let events = IndexedTimers::with_logs(timed, in_logs[link]);
             let engine = LinkEngine::new(router, warmup, end, seed, outbox, events, link as u32);
             engines.push(engine);
         }
-        for &(pos, f, mode) in &mode_overrides {
-            engines[pos].set_feedback_mode(FlowId(f), mode);
+        waves.push(n);
+        for &(l, f, mode) in &mode_overrides {
+            engines[l].set_feedback_mode(FlowId(f), mode);
         }
         // The wiring tables are dead once engines and handoffs exist;
         // free them before the epoch loop instead of holding 16 B per
         // flow-link through the whole run.
         drop((feeds, fed_by, mode_overrides));
-        let mut obs: Vec<Option<&mut O>> = observers.iter_mut().map(Some).collect();
-        let mut obs: Vec<&mut O> = order
-            .iter()
-            .map(|&link| obs[link].take().expect("each observer used once"))
-            .collect();
 
-        for (e, o) in engines.iter_mut().zip(obs.iter_mut()) {
-            e.prime(&mut **o);
+        for (e, o) in engines.iter_mut().zip(observers.iter_mut()) {
+            e.prime(o);
         }
 
-        // The epoch loop: advance level-by-level to each horizon,
-        // handing logs down between levels.
+        // The epoch loop: advance wave by wave to each horizon, handing
+        // logs down between waves.
         let mut horizon = Time::ZERO;
         while horizon < end {
             horizon = if end.as_nanos() - horizon.as_nanos() <= epoch.as_nanos() {
@@ -416,55 +378,54 @@ where
                 horizon + epoch
             };
             let mut cursor = 0usize;
-            for l in 0..n_levels {
-                let (lo, hi) = (level_start[l], level_start[l + 1]);
-                advance_level(&mut engines[lo..hi], &mut obs[lo..hi], horizon, threads);
+            for w in waves.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                advance_level(
+                    &mut engines[lo..hi],
+                    &mut observers[lo..hi],
+                    horizon,
+                    threads,
+                );
                 while let Some(&h) = handoffs.get(cursor).filter(|h| h.src < hi) {
                     handoff(&mut engines, h);
                     cursor += 1;
                 }
             }
-            // The feedback return leg: after every level reached this
+            // The feedback return leg: after every wave reached this
             // horizon, drain each link's buffered cross-link signals —
-            // serially, in fixed storage (level, link) order — and
-            // apply them to the origin flow stamped at the horizon.
-            // Fixed order + a simulation-time stamp make the drain
-            // byte-identical at any shard width; the horizon stamp is
-            // also why closed-loop runs quantize feedback latency to
-            // the epoch (see DESIGN.md §16) — unlike the forward (log)
-            // direction, the return leg points *up* the level order,
-            // so it cannot be exact within an epoch.
-            for pos in 0..engines.len() {
-                let buf = engines[pos].take_feedback_out();
-                let origins = &fb_origin[pos];
-                for ev in &buf {
-                    let (opos, of) = origins[ev.flow.index()];
-                    engines[opos as usize].apply_feedback(FlowId(of), horizon, ev.fb);
+            // serially, in link order — and apply them to the origin
+            // flow stamped at the horizon. Fixed order + a
+            // simulation-time stamp make the drain byte-identical at
+            // any shard width; the horizon stamp is also why
+            // closed-loop runs quantize feedback latency to the epoch
+            // (see DESIGN.md §16) — unlike the forward (log) direction,
+            // the return leg points *up* the link order, so it cannot be
+            // exact within an epoch. An origin always precedes its
+            // relays, so it lies in the `head` half of the split.
+            for (l, origins) in fb_origin.iter().enumerate() {
+                let (head, tail) = engines.split_at_mut(l);
+                for ev in tail[0].fb_out.drain(..) {
+                    let (ol, of) = origins[ev.flow.index()];
+                    head[ol as usize].apply_feedback(FlowId(of), horizon, ev.fb);
                 }
-                engines[pos].put_feedback_out(buf);
             }
         }
 
-        // Close the runs and un-permute into link-index order.
-        let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
-        for ((pos, engine), o) in engines.into_iter().enumerate().zip(obs) {
-            let (res, _lanes, _events) = engine.finish(o);
-            results[order[pos]] = Some(res);
-        }
-        results
+        engines
             .into_iter()
-            .map(|r| r.expect("each link finished once"))
+            .zip(observers.iter_mut())
+            .map(|(engine, o)| engine.finish(o).0)
             .collect()
     }
 }
 
-/// Advance every engine of one topological level to `horizon`,
-/// sharding the level across up to `threads` scoped threads. Chunking
-/// is by position only — engines share nothing, so the split affects
-/// wall-clock, never results.
+/// Advance every engine of one wave to `horizon`, sharding the wave
+/// across up to `threads` scoped threads. Chunking is by position only
+/// — engines share nothing, so the split affects wall-clock, never
+/// results.
 fn advance_level<P, S, O>(
     engines: &mut [LinkEngine<P, S, IndexedTimers>],
-    obs: &mut [&mut O],
+    obs: &mut [O],
     horizon: Time,
     threads: usize,
 ) where
@@ -474,7 +435,7 @@ fn advance_level<P, S, O>(
 {
     if threads <= 1 || engines.len() <= 1 {
         for (e, o) in engines.iter_mut().zip(obs.iter_mut()) {
-            e.advance(horizon, &mut **o);
+            e.advance(horizon, o);
         }
         return;
     }
@@ -483,7 +444,7 @@ fn advance_level<P, S, O>(
         for (es, os) in engines.chunks_mut(chunk).zip(obs.chunks_mut(chunk)) {
             s.spawn(move || {
                 for (e, o) in es.iter_mut().zip(os.iter_mut()) {
-                    e.advance(horizon, &mut **o);
+                    e.advance(horizon, o);
                 }
             });
         }
@@ -498,7 +459,7 @@ where
     P: BufferPolicy,
     S: Scheduler,
 {
-    debug_assert!(h.src < h.dst, "a log must point down the level order");
+    debug_assert!(h.src < h.dst, "a log must point down the link order");
     let (head, tail) = engines.split_at_mut(h.dst);
     let (Some(src), Some(dst)) = (head.get_mut(h.src), tail.first_mut()) else {
         debug_assert!(false, "handoff between unknown engines");
@@ -574,6 +535,46 @@ mod tests {
             vec![cbr; sources],
             relays,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "points backward")]
+    fn backward_edge_rejected_at_connect() {
+        let mut f: Fabric = Fabric::new();
+        f.add_link(cbr_link(1, 1));
+        f.add_link(cbr_link(1, 0));
+        f.connect(1, 0, 0, 0);
+    }
+
+    /// `[A, B fed by A, C]` runs in waves `{A}, {B, C}`; the same links
+    /// added as `[A, C, B fed by A]` run in waves `{A, C}, {B}`. Matched
+    /// by link, the results agree at any shard width and epoch.
+    #[test]
+    fn independent_link_after_a_relay_matches_link_before_it() {
+        let build = |c_before_b: bool, epoch: Dur| {
+            let mut f: Fabric = Fabric::new().with_epoch(epoch);
+            let a = f.add_link(cbr_link(3, 0));
+            let (b, c) = if c_before_b {
+                let c = f.add_link(cbr_link(4, 0));
+                (f.add_link(cbr_link(3, 1)), c)
+            } else {
+                let b = f.add_link(cbr_link(3, 1));
+                (b, f.add_link(cbr_link(4, 0)))
+            };
+            f.connect(a, 0, b, 3);
+            (f, [a, b, c])
+        };
+        let (warmup, end) = (Time::from_secs_f64(0.1), Time::from_secs(1));
+        for epoch in [DEFAULT_EPOCH, Dur::from_millis(37)] {
+            for threads in [1, 4] {
+                let runs = [false, true].map(|c_before_b| {
+                    let (f, ids) = build(c_before_b, epoch);
+                    let res = f.run(5, warmup, end, threads);
+                    ids.map(|l| res[l as usize].clone())
+                });
+                assert_eq!(runs[0], runs[1], "epoch {epoch:?}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -340,9 +340,9 @@ where
     /// Per-flow feedback routing; all-[`Leg::Off`] on open-loop links,
     /// so the hot arms pay one predictable branch.
     fb_modes: Vec<FeedbackMode>,
-    /// Cross-link feedback buffer (`Some` on fabric links with any
-    /// [`Leg::Remote`] flow; drained by the fabric each epoch).
-    fb_out: Option<Vec<FbEvent>>,
+    /// Cross-link feedback buffer: the signals of [`Leg::Remote`]
+    /// flows, drained in place by the fabric each epoch.
+    pub(crate) fb_out: Vec<FbEvent>,
     pub(crate) events: E,
     end: Time,
     /// This link's index in its fabric (0 for single-router runs),
@@ -398,7 +398,7 @@ where
             queued_bytes: 0,
             prev_sharing: None,
             fb_modes,
-            fb_out: None,
+            fb_out: Vec::new(),
             events,
             end,
             link,
@@ -649,10 +649,7 @@ where
         match leg {
             Leg::Off => {}
             Leg::Local => self.apply_feedback(flow, now, fb),
-            Leg::Remote => match self.fb_out.as_mut() {
-                Some(buf) => buf.push(FbEvent { flow, fb }),
-                None => debug_assert!(false, "remote feedback, no buffer"),
-            },
+            Leg::Remote => self.fb_out.push(FbEvent { flow, fb }),
         }
     }
 
@@ -714,24 +711,6 @@ where
     /// multi-hop closed-loop paths (cold, construction time).
     pub(crate) fn set_feedback_mode(&mut self, flow: FlowId, mode: FeedbackMode) {
         self.fb_modes[flow.index()] = mode;
-        if (mode.lost == Leg::Remote || mode.delivered == Leg::Remote) && self.fb_out.is_none() {
-            self.fb_out = Some(Vec::new());
-        }
-    }
-
-    /// Take the buffered cross-link feedback, leaving an empty buffer
-    /// behind (the fabric returns it via
-    /// [`LinkEngine::put_feedback_out`] so the allocation recycles).
-    pub(crate) fn take_feedback_out(&mut self) -> Vec<FbEvent> {
-        self.fb_out.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Return a drained cross-link buffer for reuse next epoch.
-    pub(crate) fn put_feedback_out(&mut self, mut buf: Vec<FbEvent>) {
-        if let Some(slot) = self.fb_out.as_mut() {
-            buf.clear();
-            *slot = buf;
-        }
     }
 
     /// Close the run: final observer flush, statistics reduction, and

@@ -522,7 +522,7 @@ fn fabric_digests(
     threads: usize,
 ) -> (u64, String) {
     use qos_buffer_mgmt::core::units::Time;
-    let mut tracers = vec![Tracer::new(1 << 16).with_link_dim(); fabric.n_links()];
+    let mut tracers = vec![Tracer::new(1 << 16); fabric.n_links()];
     let res = fabric.run_observed(
         seed,
         Time::from_secs(1),
@@ -645,7 +645,7 @@ proptest::proptest! {
     // The mailbox-handoff ordering invariant, fuzzed over topology
     // shape, seed and epoch length: for ANY aggregation tree, the
     // merged statistics and the merged per-link trace text are
-    // byte-identical whether level-mates advance on 1, 2 or 8 shard
+    // byte-identical whether wave-mates advance on 1, 2 or 8 shard
     // threads — the fabric's schedule is a pure function of
     // (topology, seed), never of the thread interleaving.
     #[test]
@@ -665,7 +665,7 @@ proptest::proptest! {
         let run = |threads: usize| {
             let fabric = aggregation_tree(aps, subs, specs, rates, &LinkProfile::default(), seed)
                 .with_epoch(Dur::from_millis(epoch_ms));
-            let mut tracers = vec![Tracer::new(4096).with_link_dim(); fabric.n_links()];
+            let mut tracers = vec![Tracer::new(4096); fabric.n_links()];
             let res = fabric.run_observed(
                 seed,
                 Time::from_secs_f64(0.1),
@@ -712,8 +712,7 @@ fn closed_loop_incast_golden_and_shard_thread_invariant() {
     use qos_buffer_mgmt::sim::scenarios::{incast_closed_loop, LinkProfile};
     let run = |threads: usize| {
         let fabric = incast_closed_loop(4, Rate::from_mbps(40.0), &LinkProfile::default());
-        let mut tracers =
-            vec![Tracer::new(1 << 14).with_link_dim().with_feedback(); fabric.n_links()];
+        let mut tracers = vec![Tracer::new(1 << 14); fabric.n_links()];
         let res = fabric.run_observed(
             3,
             Time::from_secs_f64(0.1),
@@ -766,8 +765,7 @@ fn closed_loop_subscriber_tree_multi_hop_golden() {
     let shape = SubscriberTreeShape::for_flows(100);
     let run = |threads: usize| {
         let fabric = subscriber_tree_closed_loop(shape, &LinkProfile::default());
-        let mut tracers =
-            vec![Tracer::new(1 << 14).with_link_dim().with_feedback(); fabric.n_links()];
+        let mut tracers = vec![Tracer::new(1 << 14); fabric.n_links()];
         let res = fabric.run_observed(
             13,
             Time::from_secs_f64(0.1),
