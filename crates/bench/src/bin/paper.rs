@@ -12,16 +12,17 @@
 //!   fig8 fig9 fig10          §4.2 hybrid, Case 1      (one shared grid)
 //!   fig11 fig12 fig13        §4.2 hybrid, Case 2      (one shared grid)
 //!   frontier example1 hybrid-savings hybrid-plan1 hybrid-plan2   (analytic)
-//!   ablate-scaleup ablate-queues ablate-adaptive ablate-burstiness (ablations)
+//!   ablate-scaleup ablate-queues ablate-adaptive ablate-burstiness
+//!   ablate-scale                                    (ablations)
 //!   comparators delays tandem                       (extension experiments)
 //!   all                      everything above
 //! ```
 //!
 //! Output goes to stdout and `results/<id>.txt` (+ `.json` for
-//! simulation figures). `--quick` (or `QBM_PROFILE=quick`) runs a
-//! reduced protocol for smoke testing; `--threads N` (or `QBM_THREADS`)
-//! sets the campaign worker pool — any value produces identical
-//! numbers, it only changes wall-clock time.
+//! simulation figures). `--quick` runs a reduced protocol for smoke
+//! testing; `--threads N` (or `QBM_THREADS`) sets the campaign worker
+//! pool — any value produces identical numbers, it only changes
+//! wall-clock time.
 
 use qbm_bench::figures;
 use qbm_bench::{Figure, RunProfile};

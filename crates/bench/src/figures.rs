@@ -14,6 +14,8 @@ use qbm_core::analysis::hybrid::{
 use qbm_core::flow::{Conformance, FlowId, FlowSpec};
 use qbm_core::policy::{compute_thresholds, PolicyKind, ThresholdOptions};
 use qbm_core::units::{ByteSize, Dur};
+use qbm_sched::SchedKind;
+use qbm_sim::experiment::summarize_samples;
 use qbm_sim::scenarios::{
     buffer_sweep, case1_grouping, case2_grouping, default_headroom, headroom_sweep, hybrid_schemes,
     paper_experiment, plan_hybrid, section3_schemes, sharing_schemes, Scheme, LINK_RATE,
@@ -22,6 +24,31 @@ use qbm_sim::{Campaign, ExperimentConfig, MultiRun, PolicySpec, SeedMode, SimRes
 
 /// Simulated link capacity in Mb/s (for utilization percentages).
 const LINK_MBPS: f64 = 48.0;
+
+const BUFFER_AXIS: &str = "total buffer (MiB)";
+const UTIL_AXIS: &str = "link utilization (%)";
+const LOSS_AXIS: &str = "conformant packet loss (%)";
+
+/// Run every point `replications` times as one [`Campaign`] under the
+/// profile's window and worker pool. [`SeedMode::BaseOffset`] with base
+/// seed 1 gives every point seeds `1..=replications` — the historical
+/// per-point `run_many(1, replications)` numbers, for any thread count.
+pub fn run_points(
+    mut points: Vec<ExperimentConfig>,
+    replications: usize,
+    profile: &RunProfile,
+) -> Vec<MultiRun> {
+    for cfg in &mut points {
+        cfg.warmup = Dur::from_secs(profile.warmup_s);
+        cfg.duration = Dur::from_secs(profile.duration_s);
+    }
+    let mut campaign = Campaign::new(&points);
+    campaign.replications = replications;
+    campaign.campaign_seed = 1;
+    campaign.seed_mode = SeedMode::BaseOffset;
+    campaign.threads = profile.threads;
+    campaign.run()
+}
 
 /// A computed grid of runs: `runs[scheme][x]`.
 pub struct Grid {
@@ -35,16 +62,63 @@ pub struct Grid {
     pub runs: Vec<Vec<MultiRun>>,
 }
 
-fn apply_profile(cfg: &mut ExperimentConfig, profile: &RunProfile) {
-    cfg.warmup = Dur::from_secs(profile.warmup_s);
-    cfg.duration = Dur::from_secs(profile.duration_s);
+impl Grid {
+    /// Run `points`, one per (x, scheme) in x-major order, at the
+    /// profile's seed count.
+    fn run(
+        labels: Vec<String>,
+        xs: &[u64],
+        specs: &[FlowSpec],
+        points: Vec<ExperimentConfig>,
+        profile: &RunProfile,
+    ) -> Grid {
+        let mut runs = vec![Vec::with_capacity(xs.len()); labels.len()];
+        for (i, mr) in run_points(points, profile.seeds, profile)
+            .into_iter()
+            .enumerate()
+        {
+            runs[i % labels.len()].push(mr);
+        }
+        Grid {
+            labels,
+            xs: xs.to_vec(),
+            specs: specs.to_vec(),
+            runs,
+        }
+    }
+
+    /// One series per scheme: `metric` against `x_of(x)`.
+    pub fn series(
+        &self,
+        x_of: impl Fn(u64) -> f64,
+        metric: impl Fn(&SimResult) -> f64,
+    ) -> Vec<Series> {
+        let xs: Vec<f64> = self.xs.iter().map(|&x| x_of(x)).collect();
+        self.labels
+            .iter()
+            .zip(&self.runs)
+            .map(|(label, runs)| point_series(label.clone(), &xs, runs, &metric))
+            .collect()
+    }
+
+    /// Per scheme, one throughput series (Mb/s against the buffer in
+    /// MiB) for each of `flows`, labelled `"<scheme> f<flow>"`.
+    pub fn flow_series(&self, flows: &[u32]) -> Vec<Series> {
+        let xs: Vec<f64> = self.xs.iter().map(|&x| mib(x)).collect();
+        let mut out = Vec::new();
+        for (label, runs) in self.labels.iter().zip(&self.runs) {
+            for &flow in flows {
+                out.push(point_series(format!("{label} f{flow}"), &xs, runs, |r| {
+                    r.flow_throughput_bps(FlowId(flow)) / 1e6
+                }));
+            }
+        }
+        out
+    }
 }
 
-/// Run `scheme_fn(x)` for every x, collecting the full grid. All
-/// `xs.len() × schemes × seeds` cells run as one [`Campaign`], sharded
-/// across the profile's worker threads; [`SeedMode::BaseOffset`] with
-/// base seed 1 reproduces the historical per-point `run_many(1, seeds)`
-/// numbers exactly.
+/// Run `scheme_fn(x)` for every x, collecting the full grid as one
+/// [`run_points`] campaign.
 pub fn run_grid(
     specs: &[FlowSpec],
     xs: &[u64],
@@ -52,61 +126,101 @@ pub fn run_grid(
     scheme_fn: impl Fn(u64) -> Vec<Scheme>,
 ) -> Grid {
     let labels: Vec<String> = scheme_fn(xs[0]).iter().map(|s| s.label.clone()).collect();
-    // Flatten the grid into campaign points, x-major.
     let mut points = Vec::with_capacity(xs.len() * labels.len());
     for &x in xs {
         let schemes = scheme_fn(x);
         assert_eq!(schemes.len(), labels.len(), "scheme set changed across x");
+        // Headroom sweeps fix the buffer inside the scheme; buffer
+        // sweeps take it from x.
         for scheme in &schemes {
-            let mut cfg = paper_experiment(specs, scheme, scheme_buffer(scheme, x));
-            apply_profile(&mut cfg, profile);
-            points.push(cfg);
+            let buffer = scheme.buffer_override.unwrap_or(x);
+            points.push(paper_experiment(specs, scheme, buffer));
         }
     }
-    let mut campaign = Campaign::new(&points);
-    campaign.replications = profile.seeds;
-    campaign.campaign_seed = 1;
-    campaign.seed_mode = SeedMode::BaseOffset;
-    campaign.threads = profile.threads;
-    let mut results = campaign.run().into_iter();
-    let mut runs: Vec<Vec<MultiRun>> = vec![Vec::new(); labels.len()];
-    for _ in xs {
-        for per_scheme in runs.iter_mut() {
-            per_scheme.push(results.next().expect("one MultiRun per point"));
-        }
-    }
-    Grid {
-        labels,
-        xs: xs.to_vec(),
-        specs: specs.to_vec(),
-        runs,
-    }
+    Grid::run(labels, xs, specs, points, profile)
 }
 
-/// For buffer sweeps x *is* the buffer; headroom sweeps fix the buffer
-/// inside the scheme and pass it through unchanged. The scheme carries
-/// an optional buffer override for that case.
-fn scheme_buffer(scheme: &Scheme, x: u64) -> u64 {
-    scheme.buffer_override.unwrap_or(x)
-}
-
-/// Build a [`Series`] from a grid with an x transform and metric.
-fn series_from(
-    grid: &Grid,
-    scheme_idx: usize,
-    label: &str,
-    x_of: impl Fn(u64) -> f64,
+/// One series over parallel `xs` and `runs`.
+fn point_series(
+    label: String,
+    xs: &[f64],
+    runs: &[MultiRun],
     metric: impl Fn(&SimResult) -> f64,
 ) -> Series {
     Series {
-        label: label.to_string(),
-        points: grid
-            .xs
+        label,
+        points: xs
             .iter()
-            .zip(&grid.runs[scheme_idx])
-            .map(|(&x, mr)| (x_of(x), mr.summarize(&metric)))
+            .zip(runs)
+            .map(|(&x, mr)| (x, mr.summarize(&metric)))
             .collect(),
     }
+}
+
+/// Append `suffix` to every series label.
+fn suffixed(mut series: Vec<Series>, suffix: &str) -> Vec<Series> {
+    for s in &mut series {
+        s.label.push_str(suffix);
+    }
+    series
+}
+
+/// A figure with the total buffer (MiB) on its x axis.
+fn buffer_figure(
+    id: impl Into<String>,
+    title: impl Into<String>,
+    y_label: &str,
+    series: Vec<Series>,
+    notes: &[String],
+) -> Figure {
+    Figure {
+        id: id.into(),
+        title: title.into(),
+        x_label: BUFFER_AXIS.into(),
+        y_label: y_label.into(),
+        series,
+        notes: notes.to_vec(),
+    }
+}
+
+/// The utilization and conformant-loss figures of a buffer sweep.
+fn util_loss(
+    grid: &Grid,
+    ids: [impl Into<String>; 2],
+    titles: [&str; 2],
+    notes: &[String],
+) -> Vec<Figure> {
+    let [util_id, loss_id] = ids;
+    let util = grid.series(mib, util_pct);
+    let loss = grid.series(mib, conf_loss_pct(&grid.specs));
+    vec![
+        buffer_figure(util_id, titles[0], UTIL_AXIS, util, notes),
+        buffer_figure(loss_id, titles[1], LOSS_AXIS, loss, notes),
+    ]
+}
+
+/// Figures `first`..`first + 2`: [`util_loss`] plus the throughput of
+/// the two contrasting non-conformant flows (6: small excess on a
+/// 0.4 Mb/s floor; 8: large excess on 2 Mb/s) — Figures 1–3 and 4–6.
+fn util_loss_flows(grid: &Grid, first: u32, titles: [&str; 3], notes: &[String]) -> Vec<Figure> {
+    let [util, loss, flows] = titles;
+    let ids = [first, first + 1].map(|n| format!("fig{n}"));
+    let mut out = util_loss(grid, ids, [util, loss], notes);
+    let series = grid.flow_series(&[6, 8]);
+    let id = format!("fig{}", first + 2);
+    out.push(buffer_figure(
+        id,
+        flows,
+        "flow throughput (Mb/s)",
+        series,
+        notes,
+    ));
+    out
+}
+
+/// A `sched` scheme under the paper's per-flow thresholds.
+fn thresh(label: &str, sched: SchedKind) -> Scheme {
+    Scheme::new(label, sched, PolicySpec::Kind(PolicyKind::Threshold))
 }
 
 fn mib(x: u64) -> f64 {
@@ -121,64 +235,27 @@ fn conf_loss_pct(specs: &[FlowSpec]) -> impl Fn(&SimResult) -> f64 + '_ {
     move |r| r.class_loss_ratio(specs, Conformance::Conformant) * 100.0
 }
 
+fn class_throughput_mbps(
+    specs: &[FlowSpec],
+    class: Conformance,
+) -> impl Fn(&SimResult) -> f64 + '_ {
+    move |r| r.class_throughput_bps(specs, class) / 1e6
+}
+
 /// Figures 1–3 share the §3.2 grid (four schemes × buffer sweep).
 pub fn section3_figures(profile: &RunProfile) -> Vec<Figure> {
     let specs = qbm_traffic::table1();
     let grid = run_grid(&specs, &buffer_sweep(), profile, |_| section3_schemes());
-    let notes = protocol_notes(profile);
-    let mut figs = Vec::new();
-
-    figs.push(Figure {
-        id: "fig1".into(),
-        title: "Aggregate throughput with threshold based buffer management".into(),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "link utilization (%)".into(),
-        series: grid
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| series_from(&grid, i, l, mib, util_pct))
-            .collect(),
-        notes: notes.clone(),
-    });
-
-    figs.push(Figure {
-        id: "fig2".into(),
-        title: "Loss for conformant flows with threshold based buffer management".into(),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "conformant packet loss (%)".into(),
-        series: grid
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| series_from(&grid, i, l, mib, conf_loss_pct(&grid.specs)))
-            .collect(),
-        notes: notes.clone(),
-    });
-
-    // Figure 3: throughput of the two contrasting non-conformant flows
-    // (6: small excess on a 0.4 Mb/s floor; 8: large excess on 2 Mb/s).
-    let mut series = Vec::new();
-    for (i, l) in grid.labels.iter().enumerate() {
-        for flow in [6u32, 8u32] {
-            series.push(series_from(
-                &grid,
-                i,
-                &format!("{l} f{flow}"),
-                mib,
-                move |r| r.flow_throughput_bps(FlowId(flow)) / 1e6,
-            ));
-        }
-    }
-    figs.push(Figure {
-        id: "fig3".into(),
-        title: "Throughput for non-conformant flows with threshold based buffer management".into(),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "flow throughput (Mb/s)".into(),
-        series,
-        notes,
-    });
-    figs
+    util_loss_flows(
+        &grid,
+        1,
+        [
+            "Aggregate throughput with threshold based buffer management",
+            "Loss for conformant flows with threshold based buffer management",
+            "Throughput for non-conformant flows with threshold based buffer management",
+        ],
+        &protocol_notes(profile),
+    )
 }
 
 /// Figures 4–6 share the §3.3 grid (sharing schemes, H = 2 MB).
@@ -188,57 +265,16 @@ pub fn sharing_figures(profile: &RunProfile) -> Vec<Figure> {
     let grid = run_grid(&specs, &buffer_sweep(), profile, |_| sharing_schemes(h));
     let mut notes = protocol_notes(profile);
     notes.push("headroom H = 2 MiB (paper's §3.3 setting)".into());
-    let mut figs = Vec::new();
-
-    figs.push(Figure {
-        id: "fig4".into(),
-        title: "Aggregate throughput with Buffer Sharing".into(),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "link utilization (%)".into(),
-        series: grid
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| series_from(&grid, i, l, mib, util_pct))
-            .collect(),
-        notes: notes.clone(),
-    });
-
-    figs.push(Figure {
-        id: "fig5".into(),
-        title: "Loss for conformant flows in Buffer Sharing".into(),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "conformant packet loss (%)".into(),
-        series: grid
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| series_from(&grid, i, l, mib, conf_loss_pct(&grid.specs)))
-            .collect(),
-        notes: notes.clone(),
-    });
-
-    let mut series = Vec::new();
-    for (i, l) in grid.labels.iter().enumerate() {
-        for flow in [6u32, 8u32] {
-            series.push(series_from(
-                &grid,
-                i,
-                &format!("{l} f{flow}"),
-                mib,
-                move |r| r.flow_throughput_bps(FlowId(flow)) / 1e6,
-            ));
-        }
-    }
-    figs.push(Figure {
-        id: "fig6".into(),
-        title: "Throughput for non-conformant flows with Buffer Sharing".into(),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "flow throughput (Mb/s)".into(),
-        series,
-        notes,
-    });
-    figs
+    util_loss_flows(
+        &grid,
+        4,
+        [
+            "Aggregate throughput with Buffer Sharing",
+            "Loss for conformant flows in Buffer Sharing",
+            "Throughput for non-conformant flows with Buffer Sharing",
+        ],
+        &notes,
+    )
 }
 
 /// Figure 7: conformant loss as the headroom H varies. The paper runs
@@ -252,9 +288,9 @@ pub fn fig7(profile: &RunProfile) -> Figure {
         sharing_schemes(h)
             .into_iter()
             .filter(|s| s.label.contains("sharing"))
-            .map(|mut s| {
-                s.buffer_override = Some(b);
-                s
+            .map(|s| Scheme {
+                buffer_override: Some(b),
+                ..s
             })
             .collect()
     });
@@ -264,13 +300,8 @@ pub fn fig7(profile: &RunProfile) -> Figure {
         id: "fig7".into(),
         title: "Effect of varying the headroom in terms of loss for conformant flows".into(),
         x_label: "headroom H (KiB)".into(),
-        y_label: "conformant packet loss (%)".into(),
-        series: grid
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| series_from(&grid, i, l, kib, conf_loss_pct(&grid.specs)))
-            .collect(),
+        y_label: LOSS_AXIS.into(),
+        series: grid.series(kib, conf_loss_pct(&grid.specs)),
         notes,
     }
 }
@@ -281,108 +312,70 @@ fn kib(x: u64) -> f64 {
 
 /// Figures 8–10 (hybrid Case 1) / 11–13 (hybrid Case 2).
 pub fn hybrid_figures(profile: &RunProfile, case2: bool) -> Vec<Figure> {
-    let (specs, grouping, base) = if case2 {
-        (qbm_traffic::table2(), case2_grouping(), 11)
+    let (specs, grouping, base, case) = if case2 {
+        (qbm_traffic::table2(), case2_grouping(), 11, "Case 2")
     } else {
-        (qbm_traffic::table1(), case1_grouping(), 8)
+        (qbm_traffic::table1(), case1_grouping(), 8, "Case 1")
     };
     let h = default_headroom();
     let grid = run_grid(&specs, &buffer_sweep(), profile, |b| {
         hybrid_schemes(&specs, &grouping, b, h)
     });
-    let case = if case2 { "Case 2" } else { "Case 1" };
     let mut notes = protocol_notes(profile);
     notes.push(format!(
         "3-queue hybrid, Prop-3 rate split, per-queue thresholds σj + ρj·Bi/Ri ({case})"
     ));
-    let mut figs = Vec::new();
-
-    figs.push(Figure {
-        id: format!("fig{base}"),
-        title: format!("Hybrid System, {case}: Aggregate throughput with Buffer Sharing"),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "link utilization (%)".into(),
-        series: grid
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| series_from(&grid, i, l, mib, util_pct))
-            .collect(),
-        notes: notes.clone(),
-    });
-
-    // Loss figure: Case 1 tracks conformant flows; Case 2 additionally
-    // tracks the moderately non-conformant class (the paper's Fig. 12).
-    let mut series: Vec<Series> = grid
-        .labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            series_from(
-                &grid,
-                i,
-                &format!("{l} conf"),
-                mib,
-                conf_loss_pct(&grid.specs),
-            )
-        })
-        .collect();
-    if case2 {
-        for (i, l) in grid.labels.iter().enumerate() {
-            let specs_m = grid.specs.clone();
-            series.push(series_from(&grid, i, &format!("{l} mod"), mib, move |r| {
-                r.class_loss_ratio(&specs_m, Conformance::ModeratelyNonConformant) * 100.0
-            }));
-        }
-    }
-    figs.push(Figure {
-        id: format!("fig{}", base + 1),
-        title: format!(
-            "Hybrid System, {case}: Loss for conformant{} flows with Buffer Sharing",
-            if case2 {
-                " and moderately conformant"
-            } else {
-                ""
-            }
-        ),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "packet loss (%)".into(),
-        series,
-        notes: notes.clone(),
-    });
-
+    // Loss: Case 1 tracks conformant flows; Case 2 additionally tracks
+    // the moderately non-conformant class (the paper's Fig. 12).
     // Non-conformant throughput: Case 1 tracks flows 6 and 8; Case 2
     // the aggressive class aggregate.
-    let mut series = Vec::new();
-    for (i, l) in grid.labels.iter().enumerate() {
-        if case2 {
-            let specs_a = grid.specs.clone();
-            series.push(series_from(&grid, i, &format!("{l} aggr"), mib, move |r| {
-                r.class_throughput_bps(&specs_a, Conformance::Aggressive) / 1e6
-            }));
-        } else {
-            for flow in [6u32, 8u32] {
-                series.push(series_from(
-                    &grid,
-                    i,
-                    &format!("{l} f{flow}"),
-                    mib,
-                    move |r| r.flow_throughput_bps(FlowId(flow)) / 1e6,
-                ));
-            }
-        }
-    }
-    figs.push(Figure {
-        id: format!("fig{}", base + 2),
-        title: format!(
-            "Hybrid System, {case}: Throughput for non-conformant flows with Buffer Sharing"
+    let mut loss = suffixed(grid.series(mib, conf_loss_pct(&specs)), " conf");
+    let throughput = if case2 {
+        loss.extend(suffixed(
+            grid.series(mib, |r| {
+                r.class_loss_ratio(&specs, Conformance::ModeratelyNonConformant) * 100.0
+            }),
+            " mod",
+        ));
+        suffixed(
+            grid.series(mib, class_throughput_mbps(&specs, Conformance::Aggressive)),
+            " aggr",
+        )
+    } else {
+        grid.flow_series(&[6, 8])
+    };
+    let moderate = if case2 {
+        " and moderately conformant"
+    } else {
+        ""
+    };
+    vec![
+        buffer_figure(
+            format!("fig{base}"),
+            format!("Hybrid System, {case}: Aggregate throughput with Buffer Sharing"),
+            UTIL_AXIS,
+            grid.series(mib, util_pct),
+            &notes,
         ),
-        x_label: "total buffer (MiB)".into(),
-        y_label: "throughput (Mb/s)".into(),
-        series,
-        notes,
-    });
-    figs
+        buffer_figure(
+            format!("fig{}", base + 1),
+            format!(
+                "Hybrid System, {case}: Loss for conformant{moderate} flows with Buffer Sharing"
+            ),
+            "packet loss (%)",
+            loss,
+            &notes,
+        ),
+        buffer_figure(
+            format!("fig{}", base + 2),
+            format!(
+                "Hybrid System, {case}: Throughput for non-conformant flows with Buffer Sharing"
+            ),
+            "throughput (Mb/s)",
+            throughput,
+            &notes,
+        ),
+    ]
 }
 
 /// Tables 1 and 2 as text (workload definitions).
@@ -405,11 +398,7 @@ pub fn workload_table(case2: bool) -> String {
             s.avg.mbps(),
             s.bucket_bytes as f64 / 1024.0,
             s.token_rate.mbps(),
-            match s.class {
-                Conformance::Conformant => "conformant",
-                Conformance::ModeratelyNonConformant => "moderate",
-                Conformance::Aggressive => "aggressive",
-            },
+            s.class.label(),
             s.mean_burst_bytes as f64 / 1024.0,
         ));
     }
@@ -426,27 +415,15 @@ pub fn workload_table(case2: bool) -> String {
 /// byte of Σσ, FIFO+thresholds vs WFQ.
 pub fn frontier_figure() -> Figure {
     let us: Vec<f64> = (0..=19).map(|i| i as f64 * 0.05).collect();
-    let fifo = Series {
-        label: "fifo 1/(1-u)".into(),
+    let curve = |label: &str, f: fn(f64) -> f64| Series {
+        label: label.into(),
         points: us
             .iter()
-            .map(|&u| {
-                (
-                    u,
-                    qbm_sim::experiment::summarize_samples(&[
-                        qbm_core::admission::buffer_inflation(u),
-                    ]),
-                )
-            })
+            .map(|&u| (u, summarize_samples(&[f(u)])))
             .collect(),
     };
-    let wfq = Series {
-        label: "wfq (=1)".into(),
-        points: us
-            .iter()
-            .map(|&u| (u, qbm_sim::experiment::summarize_samples(&[1.0])))
-            .collect(),
-    };
+    let fifo = curve("fifo 1/(1-u)", qbm_core::admission::buffer_inflation);
+    let wfq = curve("wfq (=1)", |_| 1.0);
     Figure {
         id: "frontier".into(),
         title: "Eq. 10: buffer inflation vs reserved utilization".into(),
@@ -465,12 +442,7 @@ pub fn example1_figure() -> Figure {
         label: label.into(),
         points: ivs
             .iter()
-            .map(|iv| {
-                (
-                    iv.i as f64,
-                    qbm_sim::experiment::summarize_samples(&[f(iv)]),
-                )
-            })
+            .map(|iv| (iv.i as f64, summarize_samples(&[f(iv)])))
             .collect(),
     };
     Figure {
@@ -548,54 +520,29 @@ pub fn ablate_scaleup(profile: &RunProfile) -> Vec<Figure> {
             },
         );
         vec![
-            Scheme {
-                label: "scale-up (paper)".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::Threshold),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "raw thresholds".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::ExplicitThreshold {
+            thresh("scale-up (paper)", SchedKind::Fifo),
+            Scheme::new(
+                "raw thresholds",
+                SchedKind::Fifo,
+                PolicySpec::ExplicitThreshold {
                     thresholds: no_scale,
                 },
-                buffer_override: None,
-            },
+            ),
         ]
     });
-    let notes = vec![
+    let notes = [
         "footnote 5: when Σ(σi + ρiB/R) < B, scale thresholds to tile the buffer".into(),
         "without scale-up, large buffers go unused and utilization plateaus".into(),
     ];
-    vec![
-        Figure {
-            id: "ablate-scaleup-util".into(),
-            title: "Ablation: threshold scale-up — link utilization".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "link utilization (%)".into(),
-            series: grid
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| series_from(&grid, i, l, mib, util_pct))
-                .collect(),
-            notes: notes.clone(),
-        },
-        Figure {
-            id: "ablate-scaleup-loss".into(),
-            title: "Ablation: threshold scale-up — conformant loss".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "conformant packet loss (%)".into(),
-            series: grid
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| series_from(&grid, i, l, mib, conf_loss_pct(&grid.specs)))
-                .collect(),
-            notes,
-        },
-    ]
+    util_loss(
+        &grid,
+        ["ablate-scaleup-util", "ablate-scaleup-loss"],
+        [
+            "Ablation: threshold scale-up — link utilization",
+            "Ablation: threshold scale-up — conformant loss",
+        ],
+        &notes,
+    )
 }
 
 /// Ablation: number of hybrid queues k (Table 2 workload, DP grouping).
@@ -603,41 +550,32 @@ pub fn ablate_queues(profile: &RunProfile) -> Figure {
     let specs = qbm_traffic::table2();
     let b = ByteSize::from_mib_f64(1.5).bytes();
     let h = ByteSize::from_kib(512).bytes();
-    let ks: Vec<u64> = (1..=5).collect();
-    let mut series = vec![
-        Series {
-            label: "conf loss (%)".into(),
-            points: Vec::new(),
-        },
-        Series {
-            label: "util (%)".into(),
-            points: Vec::new(),
-        },
-        Series {
-            label: "B_hyb analytic (MiB)".into(),
-            points: Vec::new(),
-        },
-    ];
-    for &k in &ks {
-        let grouping = Grouping::optimize_contiguous(&specs, k as usize);
-        let scheme = hybrid_schemes(&specs, &grouping, b, h)
-            .into_iter()
-            .find(|s| s.label.starts_with("hybrid"))
-            .unwrap();
-        let mut cfg = paper_experiment(&specs, &scheme, b);
-        apply_profile(&mut cfg, profile);
-        let mr = cfg.run_many_threaded(1, profile.seeds, profile.threads);
-        series[0].points.push((
-            k as f64,
-            mr.summarize(|r| r.class_loss_ratio(&specs, Conformance::Conformant) * 100.0),
-        ));
-        series[1].points.push((k as f64, mr.summarize(util_pct)));
-        let b_hyb = hybrid_buffer_eq19(LINK_RATE.bps() as f64, &grouping.profiles(&specs));
-        series[2].points.push((
-            k as f64,
-            qbm_sim::experiment::summarize_samples(&[b_hyb / (1u64 << 20) as f64]),
-        ));
-    }
+    let groupings: Vec<Grouping> = (1..=5)
+        .map(|k| Grouping::optimize_contiguous(&specs, k))
+        .collect();
+    let points = groupings
+        .iter()
+        .map(|grouping| {
+            let scheme = hybrid_schemes(&specs, grouping, b, h)
+                .into_iter()
+                .find(|s| s.label.starts_with("hybrid"))
+                .unwrap();
+            paper_experiment(&specs, &scheme, b)
+        })
+        .collect();
+    let runs = run_points(points, profile.seeds, profile);
+    let ks: Vec<f64> = (1..=groupings.len()).map(|k| k as f64).collect();
+    let b_hyb = Series {
+        label: "B_hyb analytic (MiB)".into(),
+        points: ks
+            .iter()
+            .zip(&groupings)
+            .map(|(&k, grouping)| {
+                let b_hyb = hybrid_buffer_eq19(LINK_RATE.bps() as f64, &grouping.profiles(&specs));
+                (k, summarize_samples(&[b_hyb / (1u64 << 20) as f64]))
+            })
+            .collect(),
+    };
     let mut notes = protocol_notes(profile);
     notes.push("B = 1.5 MiB, H = 512 KiB; grouping via σ/ρ-sorted DP".into());
     Figure {
@@ -645,7 +583,11 @@ pub fn ablate_queues(profile: &RunProfile) -> Figure {
         title: "Ablation: number of hybrid queues k (Table 2)".into(),
         x_label: "queues k".into(),
         y_label: "mixed (see series labels)".into(),
-        series,
+        series: vec![
+            point_series("conf loss (%)".into(), &ks, &runs, conf_loss_pct(&specs)),
+            point_series("util (%)".into(), &ks, &runs, util_pct),
+            b_hyb,
+        ],
         notes,
     }
 }
@@ -660,57 +602,38 @@ pub fn ablate_adaptive(profile: &RunProfile) -> Vec<Figure> {
         .collect();
     let grid = run_grid(&specs, &xs, profile, |_| {
         vec![
-            Scheme {
-                label: "sharing (all)".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::Sharing { headroom_bytes: h }),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "adaptive-only".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::AdaptiveSharing { headroom_bytes: h }),
-                buffer_override: None,
-            },
+            Scheme::new(
+                "sharing (all)",
+                SchedKind::Fifo,
+                PolicySpec::Kind(PolicyKind::Sharing { headroom_bytes: h }),
+            ),
+            Scheme::new(
+                "adaptive-only",
+                SchedKind::Fifo,
+                PolicySpec::Kind(PolicyKind::AdaptiveSharing { headroom_bytes: h }),
+            ),
         ]
     });
-    let notes = vec![
+    let notes = [
         "§5 future work: only adaptive-marked flows (the conformant set in Table 1) may \
          borrow shared buffers; aggressive flows are held to their reserved shares"
             .into(),
     ];
     vec![
-        Figure {
-            id: "ablate-adaptive-loss".into(),
-            title: "Ablation: adaptive-only sharing — conformant loss".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "conformant packet loss (%)".into(),
-            series: grid
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| series_from(&grid, i, l, mib, conf_loss_pct(&grid.specs)))
-                .collect(),
-            notes: notes.clone(),
-        },
-        Figure {
-            id: "ablate-adaptive-aggr".into(),
-            title: "Ablation: adaptive-only sharing — aggressive-class throughput".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "aggressive throughput (Mb/s)".into(),
-            series: grid
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| {
-                    let specs_a = grid.specs.clone();
-                    series_from(&grid, i, l, mib, move |r| {
-                        r.class_throughput_bps(&specs_a, Conformance::Aggressive) / 1e6
-                    })
-                })
-                .collect(),
-            notes,
-        },
+        buffer_figure(
+            "ablate-adaptive-loss",
+            "Ablation: adaptive-only sharing — conformant loss",
+            LOSS_AXIS,
+            grid.series(mib, conf_loss_pct(&specs)),
+            &notes,
+        ),
+        buffer_figure(
+            "ablate-adaptive-aggr",
+            "Ablation: adaptive-only sharing — aggressive-class throughput",
+            "aggressive throughput (Mb/s)",
+            grid.series(mib, class_throughput_mbps(&specs, Conformance::Aggressive)),
+            &notes,
+        ),
     ]
 }
 
@@ -770,61 +693,28 @@ fn protocol_notes(profile: &RunProfile) -> Vec<String> {
 /// Clock scheduler (the timestamp family of \[8\]) — on Table 1.
 pub fn comparator_figures(profile: &RunProfile) -> Vec<Figure> {
     let specs = qbm_traffic::table1();
+    let fifo = |label, policy| Scheme::new(label, SchedKind::Fifo, PolicySpec::Kind(policy));
     let grid = run_grid(&specs, &buffer_sweep(), profile, |_| {
         vec![
-            Scheme {
-                label: "fifo+thresh".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::Threshold),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "fifo+dyn-thresh".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::DynamicThreshold {
+            fifo("fifo+thresh", PolicyKind::Threshold),
+            fifo(
+                "fifo+dyn-thresh",
+                PolicyKind::DynamicThreshold {
                     alpha_num: 1,
                     alpha_den: 1,
-                }),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "fifo+red".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::Red { seed: 42 }),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "fifo+pbs".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::PartialSharing {
+                },
+            ),
+            fifo("fifo+red", PolicyKind::Red { seed: 42 }),
+            fifo(
+                "fifo+pbs",
+                PolicyKind::PartialSharing {
                     threshold_permille: 800,
-                }),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "fifo+fred".into(),
-                sched: qbm_sched::SchedKind::Fifo,
-                policy: PolicySpec::Kind(PolicyKind::Fred { seed: 42 }),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "vclock+thresh".into(),
-                sched: qbm_sched::SchedKind::VirtualClock,
-                policy: PolicySpec::Kind(PolicyKind::Threshold),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "edf+thresh".into(),
-                sched: qbm_sched::SchedKind::Edf,
-                policy: PolicySpec::Kind(PolicyKind::Threshold),
-                buffer_override: None,
-            },
-            Scheme {
-                label: "wf2q+thresh".into(),
-                sched: qbm_sched::SchedKind::Wf2q,
-                policy: PolicySpec::Kind(PolicyKind::Threshold),
-                buffer_override: None,
-            },
+                },
+            ),
+            fifo("fifo+fred", PolicyKind::Fred { seed: 42 }),
+            thresh("vclock+thresh", SchedKind::VirtualClock),
+            thresh("edf+thresh", SchedKind::Edf),
+            thresh("wf2q+thresh", SchedKind::Wf2q),
         ]
     });
     let mut notes = protocol_notes(profile);
@@ -833,34 +723,15 @@ pub fn comparator_figures(profile: &RunProfile) -> Vec<Figure> {
          conformant flows; Virtual Clock is the cheaper timestamp scheduler"
             .into(),
     );
-    vec![
-        Figure {
-            id: "comparators-loss".into(),
-            title: "Comparator policies: loss for conformant flows (Table 1)".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "conformant packet loss (%)".into(),
-            series: grid
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| series_from(&grid, i, l, mib, conf_loss_pct(&grid.specs)))
-                .collect(),
-            notes: notes.clone(),
-        },
-        Figure {
-            id: "comparators-util".into(),
-            title: "Comparator policies: aggregate throughput (Table 1)".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "link utilization (%)".into(),
-            series: grid
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(i, l)| series_from(&grid, i, l, mib, util_pct))
-                .collect(),
-            notes,
-        },
-    ]
+    util_loss(
+        &grid,
+        ["comparators-util", "comparators-loss"],
+        [
+            "Comparator policies: aggregate throughput (Table 1)",
+            "Comparator policies: loss for conformant flows (Table 1)",
+        ],
+        &notes,
+    )
 }
 
 /// The §1 delay trade-off, measured: analytic FIFO/WFQ bounds next to
@@ -869,19 +740,11 @@ pub fn delays_text(profile: &RunProfile) -> String {
     use qbm_core::analysis::delay::{fifo_delay_bound, wfq_delay_bound};
     let specs = qbm_traffic::table1();
     let b = ByteSize::from_mib(1).bytes();
-    let run = |sched: qbm_sched::SchedKind| {
-        let scheme = Scheme {
-            label: "x".into(),
-            sched,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-            buffer_override: None,
-        };
-        let mut cfg = paper_experiment(&specs, &scheme, b);
-        apply_profile(&mut cfg, profile);
-        cfg.run_once(1)
-    };
-    let fifo = run(qbm_sched::SchedKind::Fifo);
-    let wfq = run(qbm_sched::SchedKind::Wfq);
+    let points = [SchedKind::Fifo, SchedKind::Wfq]
+        .map(|sched| paper_experiment(&specs, &thresh("", sched), b))
+        .to_vec();
+    let runs = run_points(points, 1, profile);
+    let (fifo, wfq) = (&runs[0].runs[0], &runs[1].runs[0]);
     let fifo_bound = fifo_delay_bound(b, LINK_RATE, 500);
     let mut out = String::from(
         "# delays — §1 trade-off: FIFO worst-case bound vs WFQ per-flow bounds (B = 1 MiB)\n",
@@ -933,65 +796,37 @@ pub fn delays_text(profile: &RunProfile) -> String {
 pub fn ablate_burstiness(profile: &RunProfile) -> Vec<Figure> {
     use qbm_traffic::Sojourns;
     let specs = qbm_traffic::table1();
-    let mut grids = Vec::new();
-    for (label, soj) in [
+    let families = [
         ("exponential", Sojourns::Exponential),
         ("pareto a=1.5", Sojourns::Pareto { shape: 1.5 }),
-    ] {
-        let scheme = Scheme {
-            label: label.into(),
-            sched: qbm_sched::SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-            buffer_override: None,
-        };
-        let mut runs = Vec::new();
-        for &b in &buffer_sweep() {
-            let mut cfg = paper_experiment(&specs, &scheme, b);
-            apply_profile(&mut cfg, profile);
-            cfg.sojourns = soj;
-            runs.push(cfg.run_many_threaded(1, profile.seeds, profile.threads));
-        }
-        grids.push((label.to_string(), runs));
-    }
+    ];
     let xs = buffer_sweep();
-    let mk = |metric: &dyn Fn(&SimResult) -> f64| -> Vec<Series> {
-        grids
-            .iter()
-            .map(|(label, runs)| Series {
-                label: label.clone(),
-                points: xs
-                    .iter()
-                    .zip(runs)
-                    .map(|(&x, mr)| (mib(x), mr.summarize(metric)))
-                    .collect(),
-            })
-            .collect()
-    };
+    let scheme = thresh("fifo+thresh", SchedKind::Fifo);
+    let mut points = Vec::with_capacity(xs.len() * families.len());
+    for &b in &xs {
+        for (_, sojourns) in families {
+            let mut cfg = paper_experiment(&specs, &scheme, b);
+            cfg.sojourns = sojourns;
+            points.push(cfg);
+        }
+    }
+    let labels = families.iter().map(|(l, _)| l.to_string()).collect();
+    let grid = Grid::run(labels, &xs, &specs, points, profile);
     let mut notes = protocol_notes(profile);
     notes.push(
         "same Table-1 moments; Pareto sojourns (infinite variance) stress the \
          thresholds with much larger worst-case bursts"
             .into(),
     );
-    let specs_l = specs.clone();
-    vec![
-        Figure {
-            id: "ablate-burstiness-loss".into(),
-            title: "Ablation: heavy-tailed bursts — conformant loss (FIFO+thresholds)".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "conformant packet loss (%)".into(),
-            series: mk(&|r| r.class_loss_ratio(&specs_l, Conformance::Conformant) * 100.0),
-            notes: notes.clone(),
-        },
-        Figure {
-            id: "ablate-burstiness-util".into(),
-            title: "Ablation: heavy-tailed bursts — utilization (FIFO+thresholds)".into(),
-            x_label: "total buffer (MiB)".into(),
-            y_label: "link utilization (%)".into(),
-            series: mk(&util_pct),
-            notes,
-        },
-    ]
+    util_loss(
+        &grid,
+        ["ablate-burstiness-util", "ablate-burstiness-loss"],
+        [
+            "Ablation: heavy-tailed bursts — utilization (FIFO+thresholds)",
+            "Ablation: heavy-tailed bursts — conformant loss (FIFO+thresholds)",
+        ],
+        &notes,
+    )
 }
 
 /// Tandem-line artifact: Table 1 through a 48 Mb/s hop then a 40 Mb/s
@@ -1036,11 +871,7 @@ pub fn tandem_text(profile: &RunProfile) -> String {
             res[0].flows[s.id.index()].loss_ratio() * 100.0,
             res[1].flow_throughput_bps(s.id) / 1e6,
             res[1].flows[s.id.index()].loss_ratio() * 100.0,
-            match s.class {
-                Conformance::Conformant => "conformant",
-                Conformance::ModeratelyNonConformant => "moderate",
-                Conformance::Aggressive => "aggressive",
-            },
+            s.class.label(),
         ));
     }
     out.push_str("# conformant rows must show 0.00 loss at both hops (composition).\n");
@@ -1050,48 +881,30 @@ pub fn tandem_text(profile: &RunProfile) -> String {
 /// Scalability ablation: the same 68 %-reserved mix split across
 /// 9·k flows (k = 1..32), FIFO+thresholds at B = 2 MiB. The paper's
 /// whole pitch is that per-flow state stays O(1) as sessions multiply:
-/// conformant protection must survive the split and wall-clock cost
-/// must grow only with packet volume, not flow count.
+/// conformant protection must survive the split. The per-flow cost
+/// side is host time, measured by the `policy_overhead` bench and
+/// perfbench, not here.
 pub fn ablate_scale(profile: &RunProfile) -> Figure {
     let b = ByteSize::from_mib(2).bytes();
-    let mut series = vec![
-        Series {
-            label: "conf loss (%)".into(),
-            points: Vec::new(),
-        },
-        Series {
-            label: "util (%)".into(),
-            points: Vec::new(),
-        },
-        Series {
-            label: "runtime (ms/sim-s)".into(),
-            points: Vec::new(),
-        },
-    ];
-    for k in [1u32, 2, 4, 8, 16, 32] {
-        let specs = qbm_traffic::table1_scaled(k);
-        let scheme = Scheme {
-            label: "fifo+thresh".into(),
-            sched: qbm_sched::SchedKind::Fifo,
-            policy: PolicySpec::Kind(PolicyKind::Threshold),
-            buffer_override: None,
-        };
-        let mut cfg = paper_experiment(&specs, &scheme, b);
-        apply_profile(&mut cfg, profile);
-        let t0 = std::time::Instant::now();
-        let mr = cfg.run_many_threaded(1, profile.seeds.min(3), profile.threads);
-        let wall = t0.elapsed().as_secs_f64() * 1e3
-            / (profile.seeds.min(3) as f64 * profile.duration_s as f64);
-        let n = specs.len() as f64;
-        series[0].points.push((
-            n,
-            mr.summarize(|r| r.class_loss_ratio(&specs, Conformance::Conformant) * 100.0),
-        ));
-        series[1].points.push((n, mr.summarize(util_pct)));
-        series[2]
-            .points
-            .push((n, qbm_sim::experiment::summarize_samples(&[wall])));
-    }
+    let scheme = thresh("fifo+thresh", SchedKind::Fifo);
+    let specs: Vec<Vec<FlowSpec>> = [1, 2, 4, 8, 16, 32]
+        .into_iter()
+        .map(qbm_traffic::table1_scaled)
+        .collect();
+    let points = specs
+        .iter()
+        .map(|s| paper_experiment(s, &scheme, b))
+        .collect();
+    let runs = run_points(points, profile.seeds.min(3), profile);
+    let ns: Vec<f64> = specs.iter().map(|s| s.len() as f64).collect();
+    let loss = Series {
+        label: "conf loss (%)".into(),
+        points: ns
+            .iter()
+            .zip(specs.iter().zip(&runs))
+            .map(|(&n, (s, mr))| (n, mr.summarize(conf_loss_pct(s))))
+            .collect(),
+    };
     let mut notes = protocol_notes(profile);
     notes.push("same aggregate mix (68 % reserved) split across 9·k flows; B = 2 MiB".into());
     Figure {
@@ -1099,7 +912,7 @@ pub fn ablate_scale(profile: &RunProfile) -> Figure {
         title: "Ablation: flow-count scaling at constant load (FIFO+thresholds)".into(),
         x_label: "number of flows".into(),
         y_label: "mixed (see series labels)".into(),
-        series,
+        series: vec![loss, point_series("util (%)".into(), &ns, &runs, util_pct)],
         notes,
     }
 }
@@ -1177,7 +990,8 @@ mod tests {
         let grid = run_grid(&specs, &xs, &fast(), |_| section3_schemes());
         assert_eq!(grid.labels.len(), 4);
         assert_eq!(grid.runs[0].len(), 2);
-        let s = series_from(&grid, 0, "fifo+none", mib, util_pct);
+        let s = &grid.series(mib, util_pct)[0];
+        assert_eq!(s.label, "fifo+none");
         assert_eq!(s.points.len(), 2);
         // FIFO with no management on an overloaded link should push
         // utilization well above 50 % even in one second.

@@ -39,14 +39,10 @@ impl RunProfile {
         }
     }
 
-    /// Select via the `QBM_PROFILE` environment variable
-    /// (`quick`/`full`, default full); `QBM_THREADS` caps the worker
-    /// pool (default: one per core).
+    /// The full protocol with the worker pool capped by the
+    /// `QBM_THREADS` environment variable (default: one per core).
     pub fn from_env() -> RunProfile {
-        let mut profile = match std::env::var("QBM_PROFILE").as_deref() {
-            Ok("quick") => RunProfile::quick(),
-            _ => RunProfile::full(),
-        };
+        let mut profile = RunProfile::full();
         if let Ok(t) = std::env::var("QBM_THREADS") {
             if let Ok(t) = t.parse() {
                 profile.threads = t;

@@ -137,11 +137,7 @@ pub fn simulation_report(s: &Scenario, multi: &MultiRun) -> String {
             format!("{:.2}Mb/s", thr.mean),
             format!("{:.2}", loss.mean),
             format!("{:.2}ms", delay.mean),
-            match f.class {
-                Conformance::Conformant => "conformant",
-                Conformance::ModeratelyNonConformant => "moderate",
-                Conformance::Aggressive => "aggressive",
-            },
+            f.class.label(),
         ));
     }
     let agg = multi.summarize(|r| r.aggregate_throughput_bps() / 1e6);

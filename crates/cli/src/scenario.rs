@@ -190,17 +190,14 @@ impl Scenario {
                         })?
                     }
                     "class" => {
-                        d.class = match value.to_ascii_lowercase().as_str() {
-                            "conformant" => Conformance::Conformant,
-                            "moderate" => Conformance::ModeratelyNonConformant,
-                            "aggressive" => Conformance::Aggressive,
-                            other => {
-                                return Err(ScenarioError::BadLine {
-                                    line: line_no,
-                                    message: format!("unknown class `{other}`"),
-                                })
-                            }
-                        }
+                        let name = value.to_ascii_lowercase();
+                        d.class = Conformance::ALL
+                            .into_iter()
+                            .find(|c| c.label() == name)
+                            .ok_or_else(|| ScenarioError::BadLine {
+                                line: line_no,
+                                message: format!("unknown class `{name}`"),
+                            })?;
                     }
                     other => {
                         return Err(ScenarioError::BadLine {
@@ -402,6 +399,14 @@ class = aggressive
         // Ids dense in order.
         for (i, f) in s.flows.iter().enumerate() {
             assert_eq!(f.id.0 as usize, i);
+        }
+        // Every class label parses back to its class.
+        for class in Conformance::ALL {
+            let text = format!(
+                "link = 10Mbps\nbuffer = 100KiB\n[flow]\nrate = 1Mbps\nbucket = 10KiB\nclass = {}\n",
+                class.label()
+            );
+            assert_eq!(Scenario::parse(&text).unwrap().flows[0].class, class);
         }
     }
 

@@ -45,9 +45,26 @@ pub enum Conformance {
 }
 
 impl Conformance {
+    /// Every class, in the paper's order.
+    pub const ALL: [Conformance; 3] = [
+        Conformance::Conformant,
+        Conformance::ModeratelyNonConformant,
+        Conformance::Aggressive,
+    ];
+
     /// Flows the paper's "loss for conformant flows" figures track.
     pub fn is_conformant(self) -> bool {
         matches!(self, Conformance::Conformant)
+    }
+
+    /// The class's name in tables, reports and scenario files:
+    /// `conformant`, `moderate` or `aggressive`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Conformance::Conformant => "conformant",
+            Conformance::ModeratelyNonConformant => "moderate",
+            Conformance::Aggressive => "aggressive",
+        }
     }
 }
 

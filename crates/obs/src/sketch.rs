@@ -32,19 +32,11 @@ pub struct SketchParams {
     /// `(65 - m)·2^m` u64 buckets per sketch. The default `m = 5`
     /// costs 1920 buckets (15 KiB) for ≤ 3.125 % error.
     pub precision_bits: u32,
-    /// Also attach one delay + one occupancy sketch per flow (the
-    /// aggregate pair is always attached). ~30 KiB per flow at the
-    /// default precision; switch off for 10⁶-flow scale runs where the
-    /// aggregate view suffices.
-    pub per_flow: bool,
 }
 
 impl Default for SketchParams {
     fn default() -> Self {
-        SketchParams {
-            precision_bits: 5,
-            per_flow: true,
-        }
+        SketchParams { precision_bits: 5 }
     }
 }
 

@@ -131,9 +131,11 @@ where
         }
     }
 
-    /// Override the epoch (log-handoff horizon) length. Results are
-    /// independent of the choice; only memory held in logs and barrier
-    /// frequency change.
+    /// Override the epoch (log-handoff horizon) length. For an
+    /// open-loop fabric results are independent of the choice; only
+    /// memory held in logs and barrier frequency change. A closed-loop
+    /// fabric applies cross-link feedback at each horizon (DESIGN.md
+    /// §16), so its results depend on the epoch length.
     pub fn with_epoch(mut self, epoch: Dur) -> Fabric<P, S> {
         assert!(epoch > Dur::ZERO, "zero fabric epoch");
         self.epoch = epoch;

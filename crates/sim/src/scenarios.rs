@@ -50,7 +50,8 @@ pub struct Scheme {
 }
 
 impl Scheme {
-    fn new(label: &str, sched: SchedKind, policy: PolicySpec) -> Scheme {
+    /// A scheme with no buffer override.
+    pub fn new(label: &str, sched: SchedKind, policy: PolicySpec) -> Scheme {
         Scheme {
             label: label.to_string(),
             sched,

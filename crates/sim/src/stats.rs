@@ -19,14 +19,13 @@ use std::borrow::BorrowMut;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsConfig {
     /// Attach delay + occupancy quantile sketches (aggregate always,
-    /// per-flow when [`SketchParams::per_flow`] is set and the flow
-    /// count is within [`PER_FLOW_SKETCH_LIMIT`]).
+    /// per-flow when the flow count is within
+    /// [`PER_FLOW_SKETCH_LIMIT`]).
     pub sketches: Option<SketchParams>,
 }
 
 /// ISP-scale guard on per-flow sketches: above this flow count a run
-/// downgrades to aggregate-only sketching even when
-/// [`SketchParams::per_flow`] is requested. Per-flow sketches cost
+/// downgrades to aggregate-only sketching. Per-flow sketches cost
 /// ~30 KiB per flow (DESIGN.md §14) — fine at the paper's 9–30 flows,
 /// ~30 GB at the subscriber-tree's 10⁶ — and 4096 flows ≈ 120 MiB of
 /// sketch memory worst-case, comfortably above every paper-scale
@@ -34,12 +33,11 @@ pub struct StatsConfig {
 pub const PER_FLOW_SKETCH_LIMIT: usize = 4096;
 
 impl StatsConfig {
-    /// True iff this configuration requests per-flow sketches but
-    /// `n_flows` exceeds the guard, so the run will silently carry
-    /// aggregate sketches only — surfaced as a CLI warning.
+    /// True iff this configuration turns sketches on but `n_flows`
+    /// exceeds the guard, so the run will silently carry aggregate
+    /// sketches only — surfaced as a CLI warning.
     pub fn per_flow_downgraded(&self, n_flows: usize) -> bool {
-        self.sketches
-            .is_some_and(|sp| sp.per_flow && n_flows > PER_FLOW_SKETCH_LIMIT)
+        self.sketches.is_some() && n_flows > PER_FLOW_SKETCH_LIMIT
     }
 }
 
@@ -101,7 +99,8 @@ pub struct FlowStats {
     /// Bytes delivered that were marked green at arrival.
     pub green_delivered_bytes: u64,
     /// Streaming delay sketch (ns), populated only when the run was
-    /// configured with [`StatsConfig::sketches`] and `per_flow` is on.
+    /// configured with [`StatsConfig::sketches`] and the flow count is
+    /// within [`PER_FLOW_SKETCH_LIMIT`].
     /// Bounded relative error — supersedes the factor-of-2
     /// [`FlowStats::delay_percentile`] for report-facing percentiles.
     pub delay_sketch: Option<Box<QuantileSketch>>,
@@ -294,7 +293,7 @@ impl SimResult {
             r.occ_sketch = Some(QuantileSketch::new(sp.precision_bits));
             // The flow-count guard: per-flow sketches are ~30 KiB each
             // (DESIGN.md §14), so ISP-scale runs keep aggregates only.
-            if sp.per_flow && n_flows <= PER_FLOW_SKETCH_LIMIT {
+            if n_flows <= PER_FLOW_SKETCH_LIMIT {
                 for f in &mut r.flows {
                     f.delay_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
                     f.occ_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
@@ -793,24 +792,6 @@ mod tests {
         let m = acc.finish();
         assert_eq!(m.delay_sketch, r.delay_sketch);
         assert_eq!(m.flows[0].occ_sketch, r.flows[0].occ_sketch);
-    }
-
-    #[test]
-    fn per_flow_sketches_can_be_disabled() {
-        let cfg = StatsConfig {
-            sketches: Some(SketchParams {
-                per_flow: false,
-                ..SketchParams::default()
-            }),
-        };
-        let mut c = StatsCollector::with_config(2, Time::ZERO, Time::from_secs(1), 0, cfg);
-        c.on_departure(Time::ZERO + Dur::from_millis(1), FlowId(1), 500, Time::ZERO);
-        c.on_occupancy(Time::ZERO + Dur::from_millis(1), FlowId(1), 500, 500);
-        let r = c.finish();
-        assert!(r.delay_sketch.is_some());
-        assert!(r.flows[1].delay_sketch.is_none());
-        assert!(r.flows[1].occ_sketch.is_none());
-        assert_eq!(r.delay_sketch.as_ref().unwrap().count(), 1);
     }
 
     #[test]

@@ -51,11 +51,7 @@ fn main() {
             f.loss_ratio() * 100.0,
             format!("{}", f.mean_delay()),
             format!("{}", Dur(f.delay_max_ns)),
-            match s.class {
-                Conformance::Conformant => "conformant",
-                Conformance::ModeratelyNonConformant => "moderate",
-                Conformance::Aggressive => "aggressive",
-            }
+            s.class.label()
         );
     }
     println!(

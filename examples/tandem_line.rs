@@ -60,11 +60,7 @@ fn main() {
             res[0].flows[s.id.index()].loss_ratio() * 100.0,
             res[1].flow_throughput_bps(s.id) / 1e6,
             res[1].flows[s.id.index()].loss_ratio() * 100.0,
-            match s.class {
-                Conformance::Conformant => "conformant",
-                Conformance::ModeratelyNonConformant => "moderate",
-                Conformance::Aggressive => "aggressive",
-            },
+            s.class.label(),
         );
     }
     let conf_loss: f64 = res
