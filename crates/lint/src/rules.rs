@@ -173,7 +173,8 @@ pub const ROOT_DRIFT_HINT: &str =
 
 /// Where the transitive hot-path audits start: the event-loop drivers,
 /// the link engine, the departure-log append, log-slot pop and log
-/// handoff, the fabric's level advance, every scheduler's
+/// handoff, the fabric's level advance and its source stages'
+/// chunk-fill loop, every scheduler's
 /// enqueue/dequeue, the streaming-telemetry update paths (sketch/heatmap `record`, called
 /// per event when sketches are attached), the shared tournament-tree
 /// `replay` (per timer update in the event core, per tag update in
@@ -209,6 +210,10 @@ pub const HOT_ROOTS: &[crate::callgraph::RootSpec] = &[
     crate::callgraph::RootSpec::InFile {
         file: "crates/sim/src/fabric.rs",
         name: "handoff",
+    },
+    crate::callgraph::RootSpec::InFile {
+        file: "crates/sim/src/fabric.rs",
+        name: "fill",
     },
     crate::callgraph::RootSpec::TraitMethod {
         trait_name: "Scheduler",

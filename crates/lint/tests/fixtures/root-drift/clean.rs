@@ -7,6 +7,9 @@ impl LinkEngine {
 //@ file: crates/sim/src/fabric.rs
 pub fn advance_level(engines: &mut [LinkEngine]) {}
 pub fn handoff(engines: &mut [LinkEngine]) {}
+impl SourceStage {
+    fn fill(&mut self) {}
+}
 //@ file: crates/sim/src/event.rs
 impl IndexedTimers {
     fn pop_log(&mut self) {}

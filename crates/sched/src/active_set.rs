@@ -149,6 +149,33 @@ impl ActiveSet {
         self.store(i, EMPTY);
     }
 
+    /// Whether slot `i` is occupied.
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.key.get(i).is_some_and(|&k| k != EMPTY)
+    }
+
+    /// Vacate every occupied slot, passing each one's `(slot, tag, tie)`
+    /// to `visit` (in no promised order). The scan layout sweeps its
+    /// array once; the tree layout pops its occupants one by one, so
+    /// the cost is O(occupied · log n), not O(n).
+    pub fn drain(&mut self, mut visit: impl FnMut(usize, VirtualTime, u64)) {
+        if self.win.is_empty() {
+            for (i, k) in self.key.iter_mut().enumerate() {
+                if *k != EMPTY {
+                    visit(i, VirtualTime::from_raw((*k >> 64) as u64), *k as u64);
+                    *k = EMPTY;
+                }
+            }
+            self.len = 0;
+            return;
+        }
+        while let Some((i, tag, tie)) = self.peek() {
+            visit(i, tag, tie);
+            self.clear(i);
+        }
+    }
+
     /// The occupied slot with the smallest `(tag, tie, index)`, if any.
     #[inline]
     pub fn peek(&self) -> Option<(usize, VirtualTime, u64)> {
@@ -254,6 +281,31 @@ mod tests {
             s.set(0, vt(20), 1);
             assert_eq!(s.len(), 2, "overwrite is not an insert");
             assert_eq!(s.peek(), Some((1, vt(9), 0)), "{layout:?}");
+        }
+    }
+
+    #[test]
+    fn drain_visits_every_occupant_and_empties() {
+        for layout in LAYOUTS {
+            let mut s = ActiveSet::with_layout(70, layout);
+            for (i, tag) in [(3, 9), (0, 4), (69, 4), (41, 1)] {
+                s.set(i, vt(tag), i as u64);
+            }
+            assert!(s.contains(69) && !s.contains(68));
+            let mut seen = Vec::new();
+            s.drain(|i, tag, tie| seen.push((i, tag.raw(), tie)));
+            seen.sort();
+            assert_eq!(seen, vec![(0, 4, 0), (3, 9, 3), (41, 1, 41), (69, 4, 69)]);
+            assert!(
+                s.is_empty() && s.peek().is_none() && !s.contains(3),
+                "{layout:?}"
+            );
+            s.set(5, vt(2), 0);
+            assert_eq!(
+                s.peek(),
+                Some((5, vt(2), 0)),
+                "{layout:?}: usable after drain"
+            );
         }
     }
 

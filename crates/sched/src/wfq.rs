@@ -19,11 +19,12 @@
 //! * transmission order is an indexed [`ActiveSet`] with one slot per
 //!   class, keyed by the head packet's `(finish, seq)` — per-class tags
 //!   are non-decreasing, so the global minimum is always a head;
-//! * GPS expiry needs only each class's *last* finish tag
-//!   (`class_finish`), and its minimum is consulted only on the rare
-//!   slow path (a crossed deadline or an idle class), so the float
-//!   implementation's lazy-deletion heap collapses to a linear scan
-//!   there — enqueue maintains no expiry structure at all.
+//! * GPS expiry needs only each GPS-active class's *last* finish tag
+//!   (`class_finish`): a second [`ActiveSet`] keyed `(finish, class)`
+//!   holds exactly the GPS-active classes, so the next class to expire
+//!   is its minimum, and the remaining GPS work is kept as a running
+//!   sum `Σ_active finish·φ`, so no GPS step scans the classes —
+//!   O(log n) per update at any class count.
 //!
 //! The original float implementation is retained as
 //! [`WfqReference`](crate::reference::WfqReference) for differential
@@ -54,14 +55,17 @@ pub(crate) struct WfqCore {
     last_update: Time,
     /// Σφ over GPS-active classes (integer, so idle detection is exact).
     active_weight: u64,
-    /// Last GPS finish tag per class — the GPS expiry keys. The expiry
-    /// *minimum* is found by a linear scan on the (rare) slow path
-    /// rather than kept in a second priority structure: class counts
-    /// here are at most a few dozen, so one scan per expiry step costs
-    /// less than maintaining an index on every enqueue would.
+    /// Last GPS finish tag per class — the GPS expiry keys.
     class_finish: Vec<VirtualTime>,
-    /// GPS-active flags.
-    class_active: Vec<bool>,
+    /// The GPS-active classes keyed `(class_finish, class)`: membership
+    /// is GPS activity, and the minimum is the next class to expire,
+    /// ties to the lowest class index.
+    gps: ActiveSet,
+    /// `Σ_active class_finish·φ` in Q32.32 bit units, kept with
+    /// wrapping arithmetic — exact whenever the true sum fits, which
+    /// it does by a wide margin — so the remaining GPS work is
+    /// `finish_weight − V·Σφ` without a scan.
+    finish_weight: u128,
     /// Cached *lower bound* on the real instant at which the earliest
     /// active class completes its GPS backlog (`Time::MAX` when idle).
     /// Makes the expiry test in [`WfqCore::advance`] an integer compare
@@ -110,7 +114,8 @@ impl WfqCore {
             last_update: Time::ZERO,
             active_weight: 0,
             class_finish: vec![VirtualTime::ZERO; n],
-            class_active: vec![false; n],
+            gps: ActiveSet::with_slots(n),
+            finish_weight: 0,
             next_expiry: Time::MAX,
             deadline_key: NO_DEADLINE,
             deadline_weight: 0,
@@ -126,13 +131,28 @@ impl WfqCore {
     /// the lowest class index — the next class whose backlog expires.
     #[inline]
     fn expiry_head(&self) -> Option<(usize, VirtualTime)> {
-        let mut best: Option<(usize, VirtualTime)> = None;
-        for (c, &f) in self.class_finish.iter().enumerate() {
-            if self.class_active[c] && best.is_none_or(|(_, bf)| f < bf) {
-                best = Some((c, f));
-            }
+        self.gps.peek().map(|(c, f, _)| (c, f))
+    }
+
+    /// Give class `class` the last finish tag `finish` and make it
+    /// GPS-active (activating an idle class), keeping `gps`,
+    /// `finish_weight` and `active_weight` in step.
+    #[inline]
+    fn retag(&mut self, class: usize, finish: VirtualTime) {
+        let (Some(tag), Some(&w)) = (self.class_finish.get_mut(class), self.weights.get(class))
+        else {
+            debug_assert!(false, "class out of range");
+            return;
+        };
+        let phi = w as u128;
+        if self.gps.contains(class) {
+            self.finish_weight = self.finish_weight.wrapping_sub(tag.raw() as u128 * phi);
+        } else {
+            self.active_weight += w;
         }
-        best
+        self.finish_weight = self.finish_weight.wrapping_add(finish.raw() as u128 * phi);
+        *tag = finish;
+        self.gps.set(class, finish, class as u64);
     }
 
     /// Bring [`WfqCore::next_expiry`] in line with the current expiry
@@ -190,16 +210,20 @@ impl WfqCore {
     /// compared cross-multiplied in integers, no division. Both engines
     /// (this and the float reference) take the same branch on the same
     /// state, which keeps the rounded value streams identical.
+    ///
+    /// `Σ_active (f_c − V)·φ_c = Σ_active f_c·φ_c − V·Σφ`, read off the
+    /// running sum. It equals the per-class sum of clamped terms
+    /// `max(f_c − V, 0)·φ_c` because no active class finishes before V.
     #[inline]
     fn drains_by(&self, now: Time) -> bool {
-        let mut work: u128 = 0; // Σ (f−V)·φ, Q32.32 bit units
-        for (c, &f) in self.class_finish.iter().enumerate() {
-            if self.class_active[c] {
-                work = work.saturating_add(
-                    f.saturating_sub(self.vtime).raw() as u128 * self.weights[c] as u128,
-                );
-            }
-        }
+        debug_assert!(
+            self.gps.peek().is_none_or(|(_, f, _)| f >= self.vtime),
+            "a GPS-active class has a finish tag below V"
+        );
+        // Σ (f−V)·φ, Q32.32 bit units.
+        let work = self
+            .finish_weight
+            .wrapping_sub(self.vtime.raw() as u128 * self.active_weight as u128);
         let elapsed = now.since(self.last_update).as_nanos() as u128;
         elapsed
             .saturating_mul(self.link_bps as u128)
@@ -219,14 +243,10 @@ impl WfqCore {
                 // below, the common case for bursty workloads whose
                 // GPS backlog drains between bursts.
                 let mut vmax = self.vtime;
-                for (c, &f) in self.class_finish.iter().enumerate() {
-                    if self.class_active[c] {
-                        self.class_active[c] = false;
-                        vmax = vmax.max(f);
-                    }
-                }
+                self.gps.drain(|_, f, _| vmax = vmax.max(f));
                 self.vtime = vmax;
                 self.active_weight = 0;
+                self.finish_weight = 0;
                 self.deadline_key = NO_DEADLINE;
                 self.deadline_weight = 0;
                 self.next_expiry = Time::MAX;
@@ -240,10 +260,14 @@ impl WfqCore {
                 // `refresh_deadline` pinned the genuine head.
                 let (c, f) = self.deadline_key;
                 debug_assert_eq!(Some((c, f)), self.expiry_head(), "stale expiry deadline");
+                let phi = self.weights[c];
                 self.vtime = f;
                 self.last_update = self.next_expiry;
-                self.class_active[c] = false;
-                self.active_weight -= self.weights[c];
+                self.gps.clear(c);
+                self.active_weight -= phi;
+                self.finish_weight = self
+                    .finish_weight
+                    .wrapping_sub(f.raw() as u128 * phi as u128);
                 self.refresh_deadline();
             }
         }
@@ -271,13 +295,13 @@ impl WfqCore {
         // clock stays pinned at `last_update` and the next slow path
         // (idle/expiring class, or a crossed deadline) catches it up
         // over the whole interval at once.
-        if self.class_active[class] && now < self.next_expiry {
+        if self.gps.contains(class) && now < self.next_expiry {
             // Growing an active class's finish tag moves the true
             // expiry deadline later (or not at all), so the cached
             // bound stays valid without a refresh — the fast path
-            // touches no GPS bookkeeping beyond the tag itself.
+            // touches no GPS bookkeeping beyond the tag's own keys.
             let finish = self.class_finish[class].saturating_add(self.service(class, pkt.len));
-            self.class_finish[class] = finish;
+            self.retag(class, finish);
             if self.queues[class].is_empty() {
                 self.heads.set(class, finish, pkt.seq);
             }
@@ -288,11 +312,7 @@ impl WfqCore {
         self.advance(now);
         let start = self.vtime.max(self.class_finish[class]);
         let finish = start.saturating_add(self.service(class, pkt.len));
-        self.class_finish[class] = finish;
-        if !self.class_active[class] {
-            self.class_active[class] = true;
-            self.active_weight += self.weights[class];
-        }
+        self.retag(class, finish);
         // Re-pin the deadline only when this finish tag becomes the new
         // expiry head (covers first-activation: the idle sentinel key
         // is `VirtualTime::MAX`). Otherwise the head kept its tag and

@@ -25,6 +25,7 @@ use qbm_obs::{NullObserver, Observer};
 use qbm_sched::{SchedKind, Scheduler};
 use qbm_traffic::{build_source_kind_with_sojourns, AimdConfig, AimdSource, Sojourns, SourceKind};
 use rand::SplitMix64;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How to build the admission policy — either a standard
 /// [`PolicyKind`], or explicit per-flow shares (used by the §4 hybrid,
@@ -277,9 +278,9 @@ pub fn derive_cell_seed(campaign_seed: u64, point: u64, replication: u64) -> u64
 /// A deterministic, parallel experiment sweep: every scenario point
 /// runs `replications` times, each cell seeded by [`SeedMode`], with
 /// the `points × replications` grid sharded across `threads` scoped
-/// workers. Workers claim cells by index stride and write results back
-/// into per-cell slots, so the outcome is byte-identical for any thread
-/// count.
+/// workers. Workers claim the next unclaimed cell from a shared counter
+/// and write results back into per-cell slots, so the outcome is
+/// byte-identical for any thread count and any claim order.
 #[derive(Debug, Clone)]
 pub struct Campaign<'a> {
     /// The scenario grid, one configuration per point.
@@ -350,26 +351,30 @@ impl<'a> Campaign<'a> {
                 *slot = Some((res, obs));
             }
         } else {
-            // Shard by index stride; each worker returns (index, result)
-            // pairs that are scattered back into the grid, so neither
-            // scheduling nor completion order can reorder results. Each
-            // worker owns one arena — buffers are recycled across its
-            // cells but never shared across threads.
+            // Workers claim cells dynamically — a cheap cell never
+            // leaves its worker idle behind a stride of dear ones — and
+            // return (index, result) pairs that are scattered back into
+            // the grid, so neither claim nor completion order can
+            // reorder results. Each worker owns one arena — buffers are
+            // recycled across its cells but never shared across threads.
+            let next = AtomicUsize::new(0);
             let buckets: Vec<Vec<(usize, (SimResult, O))>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
-                    .map(|w| {
+                    .map(|_| {
                         let me: &Campaign<'a> = self;
-                        let make = &make;
+                        let (make, next) = (&make, &next);
                         scope.spawn(move || {
                             let mut arena = SimArena::new();
-                            (w..cells)
-                                .step_by(workers)
-                                .map(|idx| {
-                                    let mut obs = make(idx);
-                                    let res = me.run_cell_with(idx, &mut obs, &mut arena);
-                                    (idx, (res, obs))
-                                })
-                                .collect()
+                            std::iter::from_fn(|| {
+                                let idx = next.fetch_add(1, Ordering::Relaxed);
+                                (idx < cells).then_some(idx)
+                            })
+                            .map(|idx| {
+                                let mut obs = make(idx);
+                                let res = me.run_cell_with(idx, &mut obs, &mut arena);
+                                (idx, (res, obs))
+                            })
+                            .collect()
                         })
                     })
                     .collect();

@@ -97,6 +97,46 @@ impl FlowLanes {
     pub(crate) fn n_flows(&self) -> usize {
         self.over.len()
     }
+
+    /// Schedule one pending emission per source with a timer slot in
+    /// `events` (relay flows have none: their packets come from
+    /// departure logs) — the priming pass of the pull discipline.
+    pub(crate) fn prime<E: EventCore>(&mut self, events: &mut E) {
+        let timed = events.flow_slots();
+        let first = self
+            .sources
+            .iter_mut()
+            .zip(self.pending.iter_mut())
+            .take(timed)
+            .enumerate()
+            .filter_map(|(i, (source, pending))| {
+                let e = source.next_emission()?;
+                *pending = Some(e.len);
+                Some((FlowId(i as u32), e.time))
+            });
+        events.schedule_arrivals(first);
+    }
+
+    /// The pull step of the pull discipline: flow `f`'s pending
+    /// emission arrives now, so pull the source's next one. Returns the
+    /// arriving emission's length and the next emission's instant
+    /// (`None` once the source is exhausted). The link's event loop and
+    /// a fabric source stage both pull through here.
+    #[inline]
+    pub(crate) fn pull(&mut self, f: usize) -> (u32, Option<Time>) {
+        let (Some(source), Some(pending)) = (self.sources.get_mut(f), self.pending.get_mut(f))
+        else {
+            debug_assert!(false, "pull of a flow without a source");
+            return (0, None);
+        };
+        let Some(len) = *pending else {
+            debug_assert!(false, "arrival without pending emission");
+            return (0, None);
+        };
+        let next = source.next_emission();
+        *pending = next.map(|e| e.len);
+        (len, next.map(|e| e.time))
+    }
 }
 
 /// A single-output-link router under simulation.
@@ -217,6 +257,19 @@ where
             scheduler,
             lanes,
             stats_cfg: StatsConfig::default(),
+        }
+    }
+
+    /// Move the sourced flows' `sources` and `pending` lanes out,
+    /// leaving the router with no source to pull: a fabric source stage
+    /// pulls them ahead of the link instead, feeding the link's event
+    /// loop through a log slot.
+    pub(crate) fn take_sources(&mut self) -> FlowLanes {
+        FlowLanes {
+            sources: std::mem::take(&mut self.lanes.sources),
+            pending: std::mem::take(&mut self.lanes.pending),
+            meters: None,
+            over: Vec::new(),
         }
     }
 
@@ -413,20 +466,7 @@ where
         if O::ENABLED {
             self.report_sharing(obs, Time::ZERO);
         }
-        let lanes = &mut self.lanes;
-        let timed = self.events.flow_slots();
-        let first = lanes
-            .sources
-            .iter_mut()
-            .zip(lanes.pending.iter_mut())
-            .take(timed)
-            .enumerate()
-            .filter_map(|(i, (source, pending))| {
-                let e = source.next_emission()?;
-                *pending = Some(e.len);
-                Some((FlowId(i as u32), e.time))
-            });
-        self.events.schedule_arrivals(first);
+        self.lanes.prime(&mut self.events);
     }
 
     /// Process every pending event with time strictly before `horizon`,
@@ -449,24 +489,9 @@ where
             }
             let lanes = &mut self.lanes;
             let popped = self.events.pop_refill(|flow| {
-                let f = flow.index();
-                arrived_len = match lanes.pending[f] {
-                    Some(len) => len,
-                    None => {
-                        debug_assert!(false, "arrival without pending emission");
-                        0
-                    }
-                };
-                match lanes.sources[f].next_emission() {
-                    Some(e) => {
-                        lanes.pending[f] = Some(e.len);
-                        Some(e.time)
-                    }
-                    None => {
-                        lanes.pending[f] = None;
-                        None
-                    }
-                }
+                let (len, next) = lanes.pull(flow.index());
+                arrived_len = len;
+                next
             });
             let Some((now, ev)) = popped else { break };
             let arrival = match ev {
