@@ -14,7 +14,7 @@
 //! builds offline like the rest of the workspace. It is lexical: string
 //! and char-literal contents are blanked and comments stripped before
 //! rules run, and `#[cfg(test)]` items are exempt (invariants guard
-//! shipping library code; see [`rules`] for the rule table).
+//! shipping library code; [`rules::REGISTRY`] states every rule).
 //!
 //! Suppression: append `qbm-lint: allow(<rule>)` in a plain `//`
 //! comment on the offending line (or the line just above). Suppressions
@@ -83,16 +83,7 @@ pub struct Suppression {
     pub via: &'static str,
 }
 
-/// Outcome of scanning one file.
-#[derive(Debug, Default)]
-pub struct FileScan {
-    /// Unsuppressed violations.
-    pub findings: Vec<Finding>,
-    /// Silenced matches (still reported in the summary).
-    pub suppressions: Vec<Suppression>,
-}
-
-/// Outcome of a whole-repository pass.
+/// Outcome of an analysis pass.
 #[derive(Debug, Default)]
 pub struct Report {
     /// All unsuppressed violations, ordered by (file, line).
@@ -108,193 +99,42 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
+
+    /// Record a match: suppressed by a pragma naming its rule in
+    /// `allowed` (the pragmas in effect on its line), else by the
+    /// `float-cast` allowlist, else reported.
+    fn emit(&mut self, allowed: &[String], f: Finding) {
+        let via = if allowed.iter().any(|r| r == f.rule) {
+            "pragma"
+        } else if f.rule == rules::FLOAT_CAST && rules::float_cast_allowance(&f.file).is_some() {
+            "allowlist"
+        } else {
+            self.findings.push(f);
+            return;
+        };
+        self.suppressions.push(Suppression {
+            file: f.file,
+            line: f.line,
+            rule: f.rule,
+            via,
+        });
+    }
 }
 
-/// Scan one file's source text under its repository-relative path.
-///
-/// This is the unit the fixture tests drive directly; [`run_repo`] is a
-/// directory walk over it.
-pub fn scan_file(rel: &str, src: &str) -> FileScan {
-    let lines = scan::preprocess(src);
-    // Pragmas on line N silence matches on lines N and N+1.
-    let mut allowed: Vec<Vec<String>> = vec![Vec::new(); lines.len()];
-    for (i, line) in lines.iter().enumerate() {
-        for rule in scan::pragma_rules(&line.comment) {
-            allowed[i].push(rule.clone());
-            if i + 1 < lines.len() {
-                allowed[i + 1].push(rule);
-            }
+impl Finding {
+    /// A finding carrying its rule's registry hint.
+    pub(crate) fn new(rule: &'static str, file: String, line: usize, message: String) -> Finding {
+        let hint = rules::meta(rule)
+            .expect("every rule ID has a REGISTRY row")
+            .hint;
+        Finding {
+            file,
+            line,
+            rule,
+            message,
+            hint,
         }
     }
-
-    let mut out = FileScan::default();
-    let emit = |file_scan: &mut FileScan, lineno: usize, rule, message: String, hint| {
-        if allowed[lineno].iter().any(|r| r == rule) {
-            file_scan.suppressions.push(Suppression {
-                file: rel.to_string(),
-                line: lineno + 1,
-                rule,
-                via: "pragma",
-            });
-        } else if let Some((_, _reason)) =
-            rules::float_cast_allowance(rel).filter(|_| rule == rules::FLOAT_CAST)
-        {
-            file_scan.suppressions.push(Suppression {
-                file: rel.to_string(),
-                line: lineno + 1,
-                rule,
-                via: "allowlist",
-            });
-        } else {
-            file_scan.findings.push(Finding {
-                file: rel.to_string(),
-                line: lineno + 1,
-                rule,
-                message,
-                hint,
-            });
-        }
-    };
-
-    for (i, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.as_str();
-
-        if rules::determinism_applies(rel) {
-            for pat in rules::WALL_CLOCK_PATTERNS {
-                if rules::find_word(code, pat) {
-                    emit(
-                        &mut out,
-                        i,
-                        rules::WALL_CLOCK,
-                        format!("`{pat}` in a determinism-critical crate"),
-                        rules::WALL_CLOCK_HINT,
-                    );
-                }
-            }
-            for pat in rules::NONDET_RNG_PATTERNS {
-                if rules::find_word(code, pat) {
-                    emit(
-                        &mut out,
-                        i,
-                        rules::NONDET_RNG,
-                        format!("`{pat}` in a determinism-critical crate"),
-                        rules::NONDET_RNG_HINT,
-                    );
-                }
-            }
-        }
-
-        if rules::unordered_applies(rel) {
-            for pat in ["HashMap", "HashSet"] {
-                if rules::find_word(code, pat) {
-                    emit(
-                        &mut out,
-                        i,
-                        rules::UNORDERED,
-                        format!(
-                            "`{pat}` in qbm-sim (stats/merge paths must iterate in a fixed order)"
-                        ),
-                        rules::UNORDERED_HINT,
-                    );
-                }
-            }
-        }
-
-        for (col, op) in rules::float_eq_matches(code) {
-            emit(
-                &mut out,
-                i,
-                rules::FLOAT_EQ,
-                format!("float `{op}` comparison at column {col}"),
-                rules::FLOAT_EQ_HINT,
-            );
-        }
-
-        if rules::float_cast_applies(rel) {
-            for pat in ["as f64", "as f32"] {
-                if rules::find_word(code, pat) {
-                    emit(
-                        &mut out,
-                        i,
-                        rules::FLOAT_CAST,
-                        format!("`{pat}` outside the sanctioned unit boundary"),
-                        rules::FLOAT_CAST_HINT,
-                    );
-                }
-            }
-        }
-
-        if rules::sched_float_applies(rel) {
-            for pat in rules::SCHED_FLOAT_PATTERNS {
-                if rules::find_word(code, pat) {
-                    emit(
-                        &mut out,
-                        i,
-                        rules::SCHED_FLOAT,
-                        format!("`{pat}` virtual-time state in a production scheduler"),
-                        rules::SCHED_FLOAT_HINT,
-                    );
-                }
-            }
-        }
-
-        if rules::print_applies(rel) {
-            for pat in ["println!", "eprintln!", "print!", "eprint!", "dbg!"] {
-                if rules::find_word(code, pat) {
-                    emit(
-                        &mut out,
-                        i,
-                        rules::PRINT,
-                        format!("`{pat}` in library code"),
-                        rules::PRINT_HINT,
-                    );
-                }
-            }
-        }
-
-        if rules::obs_wall_applies(rel) {
-            for pat in rules::WALL_CLOCK_PATTERNS {
-                if rules::find_word(code, pat) {
-                    emit(
-                        &mut out,
-                        i,
-                        rules::OBS_HYGIENE,
-                        format!("`{pat}` outside the sanctioned profiling module"),
-                        rules::OBS_WALL_HINT,
-                    );
-                }
-            }
-        }
-
-        if rules::obs_trace_applies(rel) && rules::find_word(code, "writeln!") {
-            emit(
-                &mut out,
-                i,
-                rules::OBS_HYGIENE,
-                "`writeln!` — ad-hoc trace emission in the simulator".to_string(),
-                rules::OBS_TRACE_HINT,
-            );
-        }
-    }
-
-    if rules::is_crate_root(rel) {
-        for attr in ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"] {
-            if !lines.iter().any(|l| l.code.trim() == attr) {
-                emit(
-                    &mut out,
-                    0,
-                    rules::HYGIENE,
-                    format!("crate root is missing `{attr}`"),
-                    rules::HYGIENE_HINT,
-                );
-            }
-        }
-    }
-
-    out
 }
 
 /// Reference material the exhaustiveness cross-checks read: the
@@ -315,16 +155,25 @@ pub struct RefSet {
     pub fixture_ids: Option<Vec<String>>,
 }
 
-/// The workspace-level analysis pass: item model → call graph →
-/// transitive hot-path/panic/index audit, sharding-safety audit, and
-/// the exhaustiveness cross-checks. Complements the per-file
-/// [`scan_file`] rules; [`run_repo`] runs both.
-pub fn analyze_workspace(files: &[(String, String)], refs: &RefSet) -> FileScan {
+/// The analysis pass over `(rel_path, source_text)` pairs: item model
+/// → call graph → hot and shard cones, then one pass over every line
+/// that runs each [`rules::REGISTRY`] line check where it applies, plus
+/// the special cases — `crate-hygiene`, `root-drift` and the
+/// exhaustiveness cross-checks.
+///
+/// Every match goes through one emit order: a pragma naming the rule on
+/// the line or the line above, then the `float-cast` allowlist, then a
+/// finding. Findings and suppressions come back ordered by (file,
+/// line); the line checks' matches on one line keep registry order.
+pub fn analyze_workspace(files: &[(String, String)], refs: &RefSet) -> Report {
     let ws = model::Workspace::build(files);
     let graph = callgraph::Graph::build(&ws);
     let hot = callgraph::reach(&ws, &graph, rules::HOT_ROOTS);
     let shard = callgraph::reach(&ws, &graph, rules::SHARD_ROOTS);
-    let mut out = FileScan::default();
+    let mut out = Report {
+        files_scanned: files.len(),
+        ..Report::default()
+    };
 
     // Root drift is a hard error with no pragma escape: a root that
     // matches nothing silently disarms everything downstream of it.
@@ -332,13 +181,15 @@ pub fn analyze_workspace(files: &[(String, String)], refs: &RefSet) -> FileScan 
     drifted.sort();
     drifted.dedup();
     for desc in drifted {
-        out.findings.push(Finding {
-            file: "crates/lint/src/rules.rs".to_string(),
-            line: 1,
-            rule: rules::ROOT_DRIFT,
-            message: format!("audit root `{desc}` matches no live function"),
-            hint: rules::ROOT_DRIFT_HINT,
-        });
+        out.emit(
+            &[],
+            Finding::new(
+                rules::ROOT_DRIFT,
+                "crates/lint/src/rules.rs".to_string(),
+                1,
+                format!("audit root `{desc}` matches no live function"),
+            ),
+        );
     }
 
     // Cold-pruned functions are a visible suppression surface, exactly
@@ -358,8 +209,8 @@ pub fn analyze_workspace(files: &[(String, String)], refs: &RefSet) -> FileScan 
         }
     }
 
-    // Line pass over every fn the audits reach.
     for fm in &ws.files {
+        // Pragmas on line N silence matches on lines N and N+1.
         let mut allowed: Vec<Vec<String>> = vec![Vec::new(); fm.lines.len()];
         for (i, line) in fm.lines.iter().enumerate() {
             for rule in scan::pragma_rules(&line.comment) {
@@ -369,92 +220,51 @@ pub fn analyze_workspace(files: &[(String, String)], refs: &RefSet) -> FileScan 
                 }
             }
         }
+
+        if rules::is_crate_root(&fm.rel) {
+            for attr in ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"] {
+                if !fm.lines.iter().any(|l| l.code.trim() == attr) {
+                    out.emit(
+                        allowed.first().map_or(&[], Vec::as_slice),
+                        Finding::new(
+                            rules::HYGIENE,
+                            fm.rel.clone(),
+                            1,
+                            format!("crate root is missing `{attr}`"),
+                        ),
+                    );
+                }
+            }
+        }
+
         for (li, line) in fm.lines.iter().enumerate() {
             if line.in_test {
                 continue;
             }
-            let Some(fni) = fm.fn_of_line[li] else {
-                continue;
-            };
-            let mut emit = |rule: &'static str, message: String, hint: &'static str| {
-                if allowed[li].iter().any(|r| r == rule) {
-                    out.suppressions.push(Suppression {
-                        file: fm.rel.clone(),
-                        line: li + 1,
-                        rule,
-                        via: "pragma",
-                    });
-                } else {
-                    out.findings.push(Finding {
-                        file: fm.rel.clone(),
-                        line: li + 1,
-                        rule,
-                        message,
-                        hint,
-                    });
-                }
-            };
-            let qn = ws.fns[fni].qname();
-            let code = line.code.as_str();
-            if hot.reachable[fni] {
-                for pat in rules::HOT_PATH_ALLOC_PATTERNS {
-                    if rules::find_word(code, pat) {
-                        emit(
-                            rules::HOT_PATH_ALLOC,
-                            format!("`{pat}` in hot-path fn `{qn}`"),
-                            rules::HOT_PATH_ALLOC_HINT,
+            let fni = fm.fn_of_line[li];
+            for rule in rules::REGISTRY {
+                for check in rule.checks {
+                    let applies = match check.applies {
+                        rules::Applies::Path(on) => on(&fm.rel),
+                        rules::Applies::Hot => fni.is_some_and(|f| hot.reachable[f]),
+                        rules::Applies::Shard => fni.is_some_and(|f| shard.reachable[f]),
+                    };
+                    if !applies {
+                        continue;
+                    }
+                    for (col, pat) in check.matcher.hits(&line.code) {
+                        let qname = fni.map(|f| ws.fns[f].qname()).unwrap_or_default();
+                        out.emit(
+                            &allowed[li],
+                            Finding {
+                                file: fm.rel.clone(),
+                                line: li + 1,
+                                rule: rule.id,
+                                message: check.render(col, pat, &qname),
+                                hint: check.hint.unwrap_or(rule.hint),
+                            },
                         );
                     }
-                }
-                for pat in rules::PANIC_METHOD_PATTERNS {
-                    if code.contains(pat) {
-                        emit(
-                            rules::HOT_PATH_PANIC,
-                            format!("`{pat}…)` in hot-path fn `{qn}`"),
-                            rules::HOT_PATH_PANIC_HINT,
-                        );
-                    }
-                }
-                for pat in rules::PANIC_MACRO_PATTERNS {
-                    if rules::find_word(code, pat) {
-                        emit(
-                            rules::HOT_PATH_PANIC,
-                            format!("`{pat}` in hot-path fn `{qn}`"),
-                            rules::HOT_PATH_PANIC_HINT,
-                        );
-                    }
-                }
-                for _ in 0..rules::index_exprs(code) {
-                    emit(
-                        rules::HOT_PATH_INDEX,
-                        format!("indexing expression in hot-path fn `{qn}`"),
-                        rules::HOT_PATH_INDEX_HINT,
-                    );
-                }
-            }
-            if shard.reachable[fni] {
-                for pat in rules::SHARD_SAFETY_PATTERNS {
-                    if rules::find_word(code, pat) {
-                        emit(
-                            rules::SHARD_SAFETY,
-                            format!("`{pat}` in sharded fn `{qn}`"),
-                            rules::SHARD_SAFETY_HINT,
-                        );
-                    }
-                }
-                if rules::find_word(code, "static mut") {
-                    emit(
-                        rules::SHARD_SAFETY,
-                        format!("`static mut` in sharded fn `{qn}`"),
-                        rules::SHARD_SAFETY_HINT,
-                    );
-                }
-                if rules::has_atomic_token(code) {
-                    emit(
-                        rules::SHARD_SAFETY,
-                        format!("`Atomic*` type in sharded fn `{qn}`"),
-                        rules::SHARD_SAFETY_HINT,
-                    );
                 }
             }
         }
@@ -463,13 +273,19 @@ pub fn analyze_workspace(files: &[(String, String)], refs: &RefSet) -> FileScan 
     exhaustiveness(&ws, refs, &mut out);
     out.findings
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    out.suppressions
+        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }
 
-/// The cross-file exhaustiveness checks (tentpole part 2): scheduler
+/// The cross-file exhaustiveness checks: scheduler
 /// and policy coverage in the equivalence suite, source dispatch
 /// coverage, and the linter's own doc/fixture coverage.
-fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
+fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut Report) {
+    // Cross-check findings have no pragma escape.
+    let mut flag = |rule, file: &str, line, message| {
+        out.emit(&[], Finding::new(rule, file.to_string(), line, message));
+    };
     if let Some(suite) = refs.suite.as_deref() {
         let differential = refs.differential.as_deref();
         for im in ws.impls.iter().filter(|im| {
@@ -487,49 +303,35 @@ fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
                 (suite, "tests/determinism.rs")
             };
             if !rules::find_word(hay, &im.type_name) {
-                out.findings.push(Finding {
-                    file: ws.files[im.file].rel.clone(),
-                    line: im.line + 1,
-                    rule: rules::EXHAUSTIVE_SCHED,
-                    message: format!(
+                flag(
+                    rules::EXHAUSTIVE_SCHED,
+                    &ws.files[im.file].rel,
+                    im.line + 1,
+                    format!(
                         "`impl Scheduler for {}` is not exercised by {home}",
                         im.type_name
                     ),
-                    hint: rules::EXHAUSTIVE_SCHED_HINT,
-                });
+                );
             }
         }
-        for (ename, rule, hint) in [
-            (
-                "SchedKind",
-                rules::EXHAUSTIVE_SCHED,
-                rules::EXHAUSTIVE_SCHED_HINT,
-            ),
-            (
-                "PolicyKind",
-                rules::EXHAUSTIVE_POLICY,
-                rules::EXHAUSTIVE_POLICY_HINT,
-            ),
-            (
-                "SourceKind",
-                rules::EXHAUSTIVE_SOURCE,
-                rules::EXHAUSTIVE_SOURCE_HINT,
-            ),
+        for (ename, rule) in [
+            ("SchedKind", rules::EXHAUSTIVE_SCHED),
+            ("PolicyKind", rules::EXHAUSTIVE_POLICY),
+            ("SourceKind", rules::EXHAUSTIVE_SOURCE),
         ] {
             let Some(e) = ws.enum_def(ename) else {
                 continue;
             };
             for (v, vline) in &e.variants {
                 if !rules::find_word(suite, &format!("{ename}::{v}")) {
-                    out.findings.push(Finding {
-                        file: ws.files[e.file].rel.clone(),
-                        line: vline + 1,
+                    flag(
                         rule,
-                        message: format!(
+                        &ws.files[e.file].rel,
+                        vline + 1,
+                        format!(
                             "enum variant `{ename}::{v}` never appears in tests/determinism.rs"
                         ),
-                        hint,
-                    });
+                    );
                 }
             }
         }
@@ -556,25 +358,19 @@ fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
                         .join("\n");
                     for (v, vline) in &e.variants {
                         if !body.contains(&format!("SourceKind::{v}")) {
-                            out.findings.push(Finding {
-                                file: kind_file.rel.clone(),
-                                line: vline + 1,
-                                rule: rules::EXHAUSTIVE_SOURCE,
-                                message: format!(
-                                    "variant `SourceKind::{v}` is not dispatched in {fn_name} (wildcard arm?)"
-                                ),
-                                hint: rules::EXHAUSTIVE_SOURCE_HINT,
-                            });
+                            let message = format!(
+                                "variant `SourceKind::{v}` is not dispatched in {fn_name} (wildcard arm?)"
+                            );
+                            flag(rules::EXHAUSTIVE_SOURCE, &kind_file.rel, vline + 1, message);
                         }
                     }
                 }
-                None => out.findings.push(Finding {
-                    file: kind_file.rel.clone(),
-                    line: 1,
-                    rule: rules::EXHAUSTIVE_SOURCE,
-                    message: format!("`SourceKind` has no `{fn_name}` dispatch impl"),
-                    hint: rules::EXHAUSTIVE_SOURCE_HINT,
-                }),
+                None => flag(
+                    rules::EXHAUSTIVE_SOURCE,
+                    &kind_file.rel,
+                    1,
+                    format!("`SourceKind` has no `{fn_name}` dispatch impl"),
+                ),
             }
         }
         let kind_code: String = kind_file
@@ -589,16 +385,15 @@ fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
                 && im.type_name != "SourceKind"
         }) {
             if !rules::find_word(&kind_code, &im.type_name) {
-                out.findings.push(Finding {
-                    file: ws.files[im.file].rel.clone(),
-                    line: im.line + 1,
-                    rule: rules::EXHAUSTIVE_SOURCE,
-                    message: format!(
+                flag(
+                    rules::EXHAUSTIVE_SOURCE,
+                    &ws.files[im.file].rel,
+                    im.line + 1,
+                    format!(
                         "`impl Source for {}` is not wired into the SourceKind dispatch enum",
                         im.type_name
                     ),
-                    hint: rules::EXHAUSTIVE_SOURCE_HINT,
-                });
+                );
             }
         }
     }
@@ -608,37 +403,36 @@ fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut FileScan) {
     if let Some(md) = refs.rules_md.as_deref() {
         for m in rules::REGISTRY {
             if !rules::find_word(md, m.id) {
-                out.findings.push(Finding {
-                    file: "RULES.md".to_string(),
-                    line: 1,
-                    rule: rules::EXHAUSTIVE_RULE_DOC,
-                    message: format!("rule `{}` has no RULES.md entry", m.id),
-                    hint: rules::EXHAUSTIVE_RULE_DOC_HINT,
-                });
+                flag(
+                    rules::EXHAUSTIVE_RULE_DOC,
+                    "RULES.md",
+                    1,
+                    format!("rule `{}` has no RULES.md entry", m.id),
+                );
             }
         }
     }
     if let Some(ids) = &refs.fixture_ids {
         for m in rules::REGISTRY {
             if !ids.iter().any(|i| i == m.id) {
-                out.findings.push(Finding {
-                    file: "crates/lint/tests/fixtures".to_string(),
-                    line: 1,
-                    rule: rules::EXHAUSTIVE_RULE_DOC,
-                    message: format!("rule `{}` has no fixture pair under tests/fixtures/", m.id),
-                    hint: rules::EXHAUSTIVE_RULE_DOC_HINT,
-                });
+                flag(
+                    rules::EXHAUSTIVE_RULE_DOC,
+                    "crates/lint/tests/fixtures",
+                    1,
+                    format!("rule `{}` has no fixture pair under tests/fixtures/", m.id),
+                );
             }
         }
     }
 }
 
-/// Walk `<root>/crates` and `<root>/src`, scan every `.rs` file, run
-/// the workspace analysis over the collected set, and aggregate.
-/// `tests/`, `benches/` and `target/` directories are skipped: the
-/// rules guard shipping library code, and integration tests are all
-/// test code by construction (the exhaustiveness pass reads the test
-/// suites as *reference text* via [`RefSet`], not as lint subjects).
+/// Walk `<root>/crates` and `<root>/src` for `.rs` files and run
+/// [`analyze_workspace`] over them, with the reference files read from
+/// their fixed paths under `root`. `tests/`, `benches/` and `target/`
+/// directories are skipped: the rules guard shipping library code, and
+/// integration tests are all test code by construction (the
+/// exhaustiveness checks read the test suites as *reference text* via
+/// [`RefSet`], not as lint subjects).
 pub fn run_repo(root: &Path) -> io::Result<Report> {
     let mut paths: Vec<PathBuf> = Vec::new();
     for top in ["crates", "src"] {
@@ -661,14 +455,6 @@ pub fn run_repo(root: &Path) -> io::Result<Report> {
         files.push((rel, fs::read_to_string(path)?));
     }
 
-    let mut report = Report::default();
-    for (rel, src) in &files {
-        let scan = scan_file(rel, src);
-        report.findings.extend(scan.findings);
-        report.suppressions.extend(scan.suppressions);
-        report.files_scanned += 1;
-    }
-
     let refs = RefSet {
         suite: Some(read_or_empty(&root.join("tests/determinism.rs"))),
         differential: Some(read_or_empty(
@@ -677,17 +463,7 @@ pub fn run_repo(root: &Path) -> io::Result<Report> {
         rules_md: Some(read_or_empty(&root.join("RULES.md"))),
         fixture_ids: Some(list_dirs(&root.join("crates/lint/tests/fixtures"))),
     };
-    let ws_scan = analyze_workspace(&files, &refs);
-    report.findings.extend(ws_scan.findings);
-    report.suppressions.extend(ws_scan.suppressions);
-
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    report
-        .suppressions
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(report)
+    Ok(analyze_workspace(&files, &refs))
 }
 
 /// Read a reference file, mapping *absence* to the empty string so the
@@ -734,12 +510,17 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 mod tests {
     use super::*;
 
+    /// One source file through the analysis pass. A lone snippet at a
+    /// root's path (`router.rs`, `event.rs`) anchors audit roots it does
+    /// not define, so the `root-drift` findings that raises are dropped.
+    fn scan(rel: &str, src: &str) -> Report {
+        let mut r = analyze(&[(rel, src)], &NO_REFS);
+        r.findings.retain(|f| f.rule != rules::ROOT_DRIFT);
+        r
+    }
+
     fn findings_of(rel: &str, src: &str) -> Vec<&'static str> {
-        scan_file(rel, src)
-            .findings
-            .iter()
-            .map(|f| f.rule)
-            .collect()
+        scan(rel, src).findings.iter().map(|f| f.rule).collect()
     }
 
     #[test]
@@ -831,7 +612,7 @@ mod tests {
             findings_of("crates/core/src/policy/none.rs", src),
             vec![rules::FLOAT_CAST]
         );
-        let red = scan_file("crates/core/src/policy/red.rs", src);
+        let red = scan("crates/core/src/policy/red.rs", src);
         assert!(red.findings.is_empty());
         assert_eq!(red.suppressions.len(), 1);
         assert_eq!(red.suppressions[0].via, "allowlist");
@@ -861,7 +642,7 @@ mod tests {
     #[test]
     fn float_cast_in_sched_allowlisted_only_in_reference() {
         let src = "fn t(x: u64) -> f64 { x as f64 }\n";
-        let r = scan_file("crates/sched/src/reference.rs", src);
+        let r = scan("crates/sched/src/reference.rs", src);
         assert!(r.findings.is_empty());
         assert_eq!(r.suppressions.len(), 1);
         assert_eq!(r.suppressions[0].via, "allowlist");
@@ -874,14 +655,14 @@ mod tests {
     #[test]
     fn pragma_suppresses_and_is_counted() {
         let same_line = "fn t(x: f64) -> bool { x == 0.0 } // qbm-lint: allow(float-eq)\n";
-        let s = scan_file("crates/fluid/src/mux.rs", same_line);
+        let s = scan("crates/fluid/src/mux.rs", same_line);
         assert!(s.findings.is_empty());
         assert_eq!(s.suppressions.len(), 1);
         assert_eq!(s.suppressions[0].via, "pragma");
 
         let line_above = "// qbm-lint: allow(float-eq)\n\
                           fn t(x: f64) -> bool { x == 0.0 }\n";
-        let s2 = scan_file("crates/fluid/src/mux.rs", line_above);
+        let s2 = scan("crates/fluid/src/mux.rs", line_above);
         assert!(s2.findings.is_empty());
         assert_eq!(s2.suppressions.len(), 1);
 
@@ -927,7 +708,7 @@ mod tests {
     #[test]
     fn findings_carry_location_and_hint() {
         let src = "fn a() {}\nfn t() { let _ = std::time::Instant::now(); }\n";
-        let s = scan_file("crates/sim/src/event.rs", src);
+        let s = scan("crates/sim/src/event.rs", src);
         assert_eq!(s.findings.len(), 1);
         let f = &s.findings[0];
         assert_eq!((f.file.as_str(), f.line), ("crates/sim/src/event.rs", 2));
@@ -943,7 +724,7 @@ mod tests {
         let src = "#[cfg(test)]\n\
                    fn helper(x: f64) -> bool { x == 0.0 }\n\
                    fn live(x: f64) -> bool { x == 1.0 }\n";
-        let f = scan_file("crates/fluid/src/mux.rs", src).findings;
+        let f = scan("crates/fluid/src/mux.rs", src).findings;
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);
     }
@@ -993,7 +774,7 @@ mod tests {
         assert!(findings_of("crates/lint/src/main.rs", src).is_empty());
     }
 
-    fn analyze(files: &[(&str, &str)], refs: &RefSet) -> FileScan {
+    fn analyze(files: &[(&str, &str)], refs: &RefSet) -> Report {
         let owned: Vec<(String, String)> = files
             .iter()
             .map(|(a, b)| (a.to_string(), b.to_string()))
@@ -1008,7 +789,7 @@ mod tests {
         fixture_ids: None,
     };
 
-    fn rules_hit(scan: &FileScan, rule: &str) -> Vec<usize> {
+    fn rules_hit(scan: &Report, rule: &str) -> Vec<usize> {
         scan.findings
             .iter()
             .filter(|f| f.rule == rule)
@@ -1119,6 +900,36 @@ mod tests {
             .suppressions
             .iter()
             .any(|s| s.via == "pragma" && s.line == 3));
+    }
+
+    #[test]
+    fn one_line_trips_path_and_cone_rules_in_registry_order() {
+        // `record` in sketch.rs is a hot root; the comparison is a
+        // float `==` (path-scoped) on an indexing expression (cone).
+        let body = "fn record(&mut self, v: usize) {\n\
+                    let hit = self.w[v] == 0.5;\n\
+                    }\n";
+        let scan = analyze(&[("crates/obs/src/sketch.rs", body)], &NO_REFS);
+        let fired: Vec<(&str, usize)> = scan.findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(
+            fired,
+            vec![(rules::FLOAT_EQ, 2), (rules::HOT_PATH_INDEX, 2)]
+        );
+
+        // A pragma on the line above silences only the rule it names.
+        let allowed = "fn record(&mut self, v: usize) {\n\
+                       // qbm-lint: allow(hot-path-index)\n\
+                       let hit = self.w[v] == 0.5;\n\
+                       }\n";
+        let scan = analyze(&[("crates/obs/src/sketch.rs", allowed)], &NO_REFS);
+        assert_eq!(rules_hit(&scan, rules::FLOAT_EQ), vec![3]);
+        assert!(rules_hit(&scan, rules::HOT_PATH_INDEX).is_empty());
+        let silenced: Vec<(&str, usize, &str)> = scan
+            .suppressions
+            .iter()
+            .map(|s| (s.rule, s.line, s.via))
+            .collect();
+        assert_eq!(silenced, vec![(rules::HOT_PATH_INDEX, 3, "pragma")]);
     }
 
     #[test]

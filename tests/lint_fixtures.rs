@@ -1,7 +1,7 @@
 //! Fixture-corpus harness: every lint rule has a true-positive
 //! (`flag.rs`) and a near-miss (`clean.rs`) fixture under
 //! `crates/lint/tests/fixtures/<rule-id>/`, and this test drives the
-//! scanner over each pair. A rule whose flag fixture goes quiet has
+//! analysis pass over each pair. A rule whose flag fixture goes quiet has
 //! silently stopped firing; a rule whose clean fixture trips has grown
 //! a false-positive — both fail tier-1.
 //!
@@ -16,7 +16,7 @@
 //!   generated docs / the real fixture-directory listing;
 //! * `//@ fixtures: id id …` — a literal fixture-ID list.
 
-use qbm_lint::{analyze_workspace, emit, rules, scan_file, RefSet};
+use qbm_lint::{analyze_workspace, emit, rules, RefSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -96,21 +96,14 @@ fn parse_fixture(path: &Path) -> Fixture {
     fx
 }
 
-/// Run the per-file rules and the workspace analysis over a fixture and
-/// collect the set of rule IDs that fired (findings only — suppressions
-/// are the *absence* of a finding).
+/// Run the analysis pass over a fixture and collect the rule IDs that
+/// fired (findings only — suppressions are the *absence* of a finding).
 fn rules_fired(fx: &Fixture) -> Vec<&'static str> {
-    let mut out = Vec::new();
-    for (rel, src) in &fx.files {
-        out.extend(scan_file(rel, src).findings.into_iter().map(|f| f.rule));
-    }
-    out.extend(
-        analyze_workspace(&fx.files, &fx.refs)
-            .findings
-            .into_iter()
-            .map(|f| f.rule),
-    );
-    out
+    analyze_workspace(&fx.files, &fx.refs)
+        .findings
+        .into_iter()
+        .map(|f| f.rule)
+        .collect()
 }
 
 /// The corpus exists for every registry entry, the flag fixture trips
