@@ -692,7 +692,10 @@ where
         refused: bool,
     ) {
         if let Some(limit) = self.policy.threshold(flow) {
-            let over = &mut self.lanes.over[flow.index()];
+            let Some(over) = self.lanes.over.get_mut(flow.index()) else {
+                debug_assert!(false, "threshold report for an unknown flow");
+                return;
+            };
             if !*over && (refused || q > limit) {
                 *over = true;
                 obs.on_threshold(now, flow, q, limit, true, self.link);
@@ -720,13 +723,19 @@ where
     #[inline]
     pub(crate) fn apply_feedback(&mut self, flow: FlowId, now: Time, fb: Feedback) {
         let f = flow.index();
-        if let Some(at_least) = self.lanes.sources[f].on_feedback(now, fb) {
+        let (Some(source), Some(pending)) =
+            (self.lanes.sources.get_mut(f), self.lanes.pending.get_mut(f))
+        else {
+            debug_assert!(false, "feedback for a flow without a source");
+            return;
+        };
+        if let Some(at_least) = source.on_feedback(now, fb) {
             self.events.delay_arrival(flow, at_least);
         }
-        if self.lanes.pending[f].is_none() {
-            if let Some(e) = self.lanes.sources[f].next_emission() {
+        if pending.is_none() {
+            if let Some(e) = source.next_emission() {
                 debug_assert!(e.time >= now, "source emitted into the past");
-                self.lanes.pending[f] = Some(e.len);
+                *pending = Some(e.len);
                 self.events.schedule_arrival(flow, e.time);
             }
         }
