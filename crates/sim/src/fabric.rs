@@ -417,14 +417,15 @@ where
         // flow-link through the whole run.
         drop((feeds, fed_by, mode_overrides));
 
-        for (e, o) in engines.iter_mut().zip(observers.iter_mut()) {
-            e.prime(o);
-        }
-
         // The epoch loop: advance wave by wave to each horizon, handing
-        // logs down between waves.
+        // logs down between waves. A wave is primed — its per-flow
+        // statistics built — just before its first advance, and on this
+        // thread, not in a shard thread whose malloc arena would keep
+        // the memory; its source stages are freed once it reaches
+        // `end`. So a link holds its per-flow memory only while it runs.
         let mut horizon = Time::ZERO;
         while horizon < end {
+            let first = horizon == Time::ZERO;
             horizon = if end.as_nanos() - horizon.as_nanos() <= epoch.as_nanos() {
                 end
             } else {
@@ -433,6 +434,11 @@ where
             let mut cursor = 0usize;
             for w in waves.windows(2) {
                 let (lo, hi) = (w[0], w[1]);
+                if first {
+                    for (e, o) in engines[lo..hi].iter_mut().zip(&mut observers[lo..hi]) {
+                        e.prime(o);
+                    }
+                }
                 advance_level(
                     &mut engines[lo..hi],
                     &mut stages[lo..hi],
@@ -440,6 +446,9 @@ where
                     horizon,
                     threads,
                 );
+                if horizon == end {
+                    stages[lo..hi].fill_with(|| None);
+                }
                 while let Some(&h) = handoffs.get(cursor).filter(|h| h.src < hi) {
                     handoff(&mut engines, h);
                     cursor += 1;
@@ -699,8 +708,10 @@ where
 mod tests {
     use super::*;
     use crate::scenarios::{incast_fanin, LinkProfile, LINK_RATE};
-    use qbm_core::policy::SharedBuffer;
+    use qbm_core::flow::FlowSpec;
+    use qbm_core::policy::{BufferSharing, SharedBuffer};
     use qbm_core::units::Rate;
+    use qbm_obs::Tracer;
     use qbm_sched::Fifo;
     use qbm_traffic::{table1, CbrSource, Emission, SourceKind, TraceSource};
 
@@ -853,6 +864,61 @@ mod tests {
                 f.add_link(in_phase_origin(n));
                 let got = f.run(5, warmup, end, threads);
                 assert!(got == [want.clone()], "epoch {epoch:?}, {threads} threads");
+            }
+        }
+    }
+
+    /// A §3.3 sharing link of 48 in-phase 400 kb/s CBR flows (500 B)
+    /// into a 20 Mb/s FIFO with a 40-packet buffer: every 10 ms burst
+    /// overruns it, and its observer gets a `share` record when primed
+    /// and at every change of the pools.
+    fn sharing_origin() -> Router {
+        let rate = Rate::from_mbps(20.0);
+        let specs: Vec<FlowSpec> = (0..48)
+            .map(|i| {
+                FlowSpec::builder(FlowId(i))
+                    .token_rate(Rate::from_kbps(400.0))
+                    .bucket(1000)
+                    .build()
+            })
+            .collect();
+        let cbr = CbrSource::new(Rate::from_kbps(400.0), 500, Time::ZERO);
+        Router::new(
+            rate,
+            Box::new(BufferSharing::new(20_000, rate, &specs, 5_000)),
+            Box::new(Fifo::new()),
+            vec![cbr; 48],
+        )
+    }
+
+    /// A staged link is primed when its wave first runs: its trace,
+    /// from the t = 0 `share` record on, and its results equal the
+    /// router run of the same sources, inline and threaded stage, at
+    /// two epochs.
+    #[test]
+    fn staged_link_traces_like_a_router_run() {
+        let (warmup, end) = (Time::from_secs_f64(0.1), Time::from_secs_f64(1.2));
+        let mut tracer = Tracer::default();
+        let want = sharing_origin().run_with(warmup, end, 5, &mut tracer);
+        let want_trace = tracer.to_jsonl();
+        assert_eq!(tracer.truncated(), 0, "the trace must be complete");
+        let first = want_trace.lines().nth(1).unwrap_or_default();
+        assert!(first.starts_with(r#"{"ev":"share","t":0,"#), "{first}");
+        assert!(
+            want.flows.iter().any(|f| f.dropped_pkts > 0),
+            "no congestion"
+        );
+        for epoch in [DEFAULT_EPOCH, Dur::from_millis(250)] {
+            for threads in [1, 2] {
+                let mut f: Fabric = Fabric::new().with_epoch(epoch);
+                f.add_link(sharing_origin());
+                let mut tracers = [Tracer::default()];
+                let got = f.run_observed(5, warmup, end, threads, &mut tracers);
+                assert!(got == [want.clone()], "epoch {epoch:?}, {threads} threads");
+                assert!(
+                    tracers[0].to_jsonl() == want_trace,
+                    "trace differs: epoch {epoch:?}, {threads} threads"
+                );
             }
         }
     }

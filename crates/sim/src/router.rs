@@ -374,7 +374,12 @@ where
     lanes: FlowLanes,
     in_flight: Option<PacketRef>,
     seq: u64,
+    /// Per-flow statistics. An empty placeholder until
+    /// [`LinkEngine::prime`] builds the collector, so a fabric link
+    /// holds them only from its first epoch on.
     stats: StatsCollector,
+    /// What `prime` builds `stats` from: warmup, seed and attachments.
+    stats_init: (Time, u64, StatsConfig),
     /// Departure logs (`Some` = this link feeds downstream fabric
     /// links).
     pub(crate) outbox: Option<Outbox>,
@@ -445,7 +450,8 @@ where
             lanes: router.lanes,
             in_flight: None,
             seq: 0,
-            stats: StatsCollector::with_config(n, warmup, end, seed, router.stats_cfg),
+            stats: StatsCollector::merger(0, seed),
+            stats_init: (warmup, seed, router.stats_cfg),
             outbox,
             tx_memo: (0, Dur::ZERO),
             queued_bytes: 0,
@@ -458,11 +464,15 @@ where
         }
     }
 
-    /// Emit the initial sharing state and schedule one pending emission
-    /// per source with a timer slot (relay flows have none: their
-    /// packets come from departure logs). Call exactly once, before the
-    /// first `advance`.
+    /// Build the per-flow statistics, emit the initial sharing state
+    /// and schedule one pending emission per source with a timer slot
+    /// (relay flows have none: their packets come from departure logs).
+    /// Call exactly once, before the first `advance`, on the thread
+    /// that owns the run: an allocation made on a scoped shard thread
+    /// would stay in that thread's malloc arena after it ends.
     pub(crate) fn prime<O: Observer>(&mut self, obs: &mut O) {
+        let (warmup, seed, cfg) = self.stats_init;
+        self.stats = StatsCollector::with_config(self.lanes.n_flows(), warmup, self.end, seed, cfg);
         if O::ENABLED {
             self.report_sharing(obs, Time::ZERO);
         }

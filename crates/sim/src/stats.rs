@@ -90,6 +90,12 @@ pub struct FlowStats {
     /// Log₂-bucketed delay histogram: `delay_hist[k]` counts delivered
     /// packets with delay in `[2^k, 2^(k+1))` ns (k = 0 also covers
     /// 0–1 ns). Drives the percentile accessors.
+    ///
+    /// Holds buckets only up to the largest one recorded (at most 64):
+    /// no trailing zero bucket, and a bucket past the end counts zero.
+    /// A flow whose delays stay under 2¹⁹ ns (≈ 0.5 ms) keeps at most
+    /// 19 buckets instead of 64. `Debug` renders a non-empty histogram
+    /// padded to 64 buckets.
     pub delay_hist: Vec<u64>,
     /// Remark-1 coloring (only populated when the router has meters):
     /// bytes that arrived within the flow's declared envelope.
@@ -112,9 +118,18 @@ pub struct FlowStats {
 /// Hand-written so sketch-less results render exactly like the
 /// pre-sketch derived output: the golden-digest determinism tests hash
 /// `format!("{:?}", flows)`, and attaching no sketches must not move a
-/// byte. The sketch fields appear only when populated.
+/// byte. The sketch fields appear only when populated, and a non-empty
+/// delay histogram renders padded to the 64 buckets it once always had.
 impl std::fmt::Debug for FlowStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut padded = [0u64; 64];
+        let hist = match self.delay_hist.len() {
+            n @ 1..=63 => {
+                padded[..n].copy_from_slice(&self.delay_hist);
+                &padded[..]
+            }
+            _ => &self.delay_hist[..],
+        };
         let mut s = f.debug_struct("FlowStats");
         s.field("offered_bytes", &self.offered_bytes)
             .field("offered_pkts", &self.offered_pkts)
@@ -127,7 +142,7 @@ impl std::fmt::Debug for FlowStats {
             .field("delivered_pkts", &self.delivered_pkts)
             .field("delay_sum_ns", &self.delay_sum_ns)
             .field("delay_max_ns", &self.delay_max_ns)
-            .field("delay_hist", &self.delay_hist)
+            .field("delay_hist", &hist)
             .field("green_offered_bytes", &self.green_offered_bytes)
             .field("green_offered_pkts", &self.green_offered_pkts)
             .field("green_delivered_bytes", &self.green_delivered_bytes);
@@ -185,13 +200,11 @@ impl FlowStats {
         self.delivered_pkts += other.delivered_pkts;
         self.delay_sum_ns += other.delay_sum_ns;
         self.delay_max_ns = self.delay_max_ns.max(other.delay_max_ns);
-        if !other.delay_hist.is_empty() {
-            if self.delay_hist.is_empty() {
-                self.delay_hist = vec![0; other.delay_hist.len()];
-            }
-            for (a, b) in self.delay_hist.iter_mut().zip(&other.delay_hist) {
-                *a += b;
-            }
+        if self.delay_hist.len() < other.delay_hist.len() {
+            self.delay_hist.resize(other.delay_hist.len(), 0);
+        }
+        for (a, b) in self.delay_hist.iter_mut().zip(&other.delay_hist) {
+            *a += b;
         }
         self.green_offered_bytes += other.green_offered_bytes;
         self.green_offered_pkts += other.green_offered_pkts;
@@ -453,12 +466,17 @@ impl StatsCollector {
         let d = now.since(arrival).as_nanos();
         f.delay_sum_ns += d as u128;
         f.delay_max_ns = f.delay_max_ns.max(d);
-        if f.delay_hist.is_empty() {
-            // qbm-lint: allow(hot-path-alloc) — lazy one-time histogram allocation, once per flow per run
-            f.delay_hist = vec![0; 64];
+        let bucket = (63 - d.max(1).leading_zeros()) as usize;
+        match f.delay_hist.get_mut(bucket) {
+            Some(count) => *count += 1,
+            // A new largest bucket: grow to exactly it (at most 64
+            // buckets per flow per run, so at most 64 growths).
+            None => {
+                f.delay_hist.reserve_exact(bucket + 1 - f.delay_hist.len());
+                f.delay_hist.resize(bucket, 0);
+                f.delay_hist.push(1);
+            }
         }
-        let bucket = (64 - d.max(1).leading_zeros()).saturating_sub(1) as usize;
-        f.delay_hist[bucket.min(63)] += 1;
         if let Some(s) = f.delay_sketch.as_mut() {
             s.record(d);
         }
@@ -836,11 +854,54 @@ mod tests {
     fn flow_stats_stay_within_the_per_flow_budget() {
         // One `FlowStats` per flow per link is the per-flow statistics
         // footprint at ISP scale; inline sketches would take it to 256 B.
-        assert!(
-            std::mem::size_of::<FlowStats>() <= 160,
-            "FlowStats grew to {} B",
-            std::mem::size_of::<FlowStats>()
+        // Pinned exactly, so an added field shows as a footprint change.
+        assert_eq!(std::mem::size_of::<FlowStats>(), 160, "FlowStats footprint");
+    }
+
+    /// One in-window departure of each delay, in ns.
+    fn departures(delays: &[u64]) -> FlowStats {
+        let mut c = StatsCollector::new(1, Time::ZERO, Time::MAX, 0);
+        for &d in delays {
+            c.on_departure(Time::ZERO + Dur(d), FlowId(0), 500, Time::ZERO);
+        }
+        c.finish().flows.remove(0)
+    }
+
+    #[test]
+    fn delay_hist_ends_at_the_largest_recorded_bucket() {
+        // 10 ns is in bucket 3, 600 ns in bucket 9.
+        let f = departures(&[10, 600, 12]);
+        assert_eq!(f.delay_hist.len(), 10);
+        assert_eq!((f.delay_hist[3], f.delay_hist[9]), (2, 1));
+        // Goldens hash `{:?}`: it renders the 64 buckets every
+        // histogram used to carry.
+        let mut padded = f.delay_hist.clone();
+        padded.resize(64, 0);
+        let old = FlowStats {
+            delay_hist: padded,
+            ..f.clone()
+        };
+        assert_eq!(format!("{f:?}"), format!("{old:?}"));
+        assert_eq!(format!("{f:#?}"), format!("{old:#?}"));
+        assert!(format!("{:?}", FlowStats::default()).contains("delay_hist: [],"));
+    }
+
+    #[test]
+    fn merge_extends_the_shorter_histogram() {
+        let short = departures(&[600, 700]);
+        let long = departures(&[10, 10_000]);
+        assert_eq!((short.delay_hist.len(), long.delay_hist.len()), (10, 14));
+        let mut ab = short.clone();
+        ab.merge(&long);
+        let mut ba = long.clone();
+        ba.merge(&short);
+        assert_eq!(ab.delay_hist.len(), 14);
+        assert_eq!(
+            (ab.delay_hist[3], ab.delay_hist[9], ab.delay_hist[13]),
+            (1, 2, 1)
         );
+        assert_eq!(ab, ba);
+        assert_eq!(ab, departures(&[600, 700, 10, 10_000]));
     }
 
     #[test]
@@ -859,5 +920,43 @@ mod tests {
         let field = format!("delay_sketch: Some({sketch:?})");
         assert!(txt.contains(&field), "{txt}");
         assert!(!txt.contains("occ_sketch"), "{txt}");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The grown-to-fit histogram, zero-padded to 64 buckets, is an
+        /// independent 64-bucket count of the same delays, and the
+        /// percentiles read from the two agree.
+        #[test]
+        fn grown_histogram_matches_a_full_count(
+            draws in proptest::collection::vec((0..u64::MAX, 0u32..64), 1..200),
+        ) {
+            let mut c = StatsCollector::new(1, Time::ZERO, Time::MAX, 0);
+            let mut full = vec![0u64; 64];
+            // A random word shifted right by a random amount spreads
+            // the delays over every bucket, 0 included.
+            for d in draws.into_iter().map(|(r, shift)| r >> shift) {
+                c.on_departure(Time::ZERO + Dur(d), FlowId(0), 500, Time::ZERO);
+                let k = (0..64).rev().find(|&k| d >> k != 0).unwrap_or(0);
+                full[k] += 1;
+            }
+            let got = c.finish().flows.remove(0);
+            prop_assert_ne!(got.delay_hist.last(), Some(&0), "trailing zero bucket");
+            let mut padded = got.delay_hist.clone();
+            padded.resize(64, 0);
+            prop_assert_eq!(&padded, &full);
+            let want = FlowStats {
+                delay_hist: full,
+                ..got.clone()
+            };
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                prop_assert_eq!(got.delay_percentile(q), want.delay_percentile(q));
+            }
+        }
     }
 }
