@@ -10,7 +10,8 @@
 //! is merged into tier 1 (slot width `Δ·c`), and so on for `n` tiers;
 //! whatever ages past the deepest tier collapses into one absorbing
 //! overflow sketch. Recent history stays sharp, old history gets
-//! coarser, memory stays `O(n·W·buckets)` regardless of horizon.
+//! coarser, memory stays `O(n·W·buckets)` regardless of horizon (each
+//! cell stores only its recorded value span, so that bound is a cap).
 //!
 //! Determinism and merge follow the same contract as
 //! [`QuantileSketch`]: slot placement is pure
@@ -77,7 +78,8 @@ pub struct TemporalHeatmap {
     tiers: Vec<Tier>,
     /// Absorbs everything older than the deepest tier's window.
     overflow: QuantileSketch,
-    /// Recycled eviction buffer — the advance path never allocates.
+    /// Recycled eviction buffer — evicted cells swap allocations with it
+    /// rather than allocating.
     scratch: QuantileSketch,
     /// Total values recorded.
     count: u64,
@@ -85,7 +87,7 @@ pub struct TemporalHeatmap {
 
 impl TemporalHeatmap {
     /// An empty heatmap with the given shape.
-    // qbm-lint: cold(one-time construction; record/advance never allocate)
+    // qbm-lint: cold(one-time construction; record/advance only widen cell spans)
     pub fn new(params: HeatmapParams) -> TemporalHeatmap {
         assert!(params.slot_width > Dur::ZERO, "slot width must be nonzero");
         assert!(params.slots_per_tier >= 2, "need at least 2 slots per tier");
@@ -112,8 +114,9 @@ impl TemporalHeatmap {
         }
     }
 
-    /// Record `v` at simulated instant `now`. O(tiers) amortized,
-    /// allocation-free — a `qbm-lint` hot-path audit root.
+    /// Record `v` at simulated instant `now`. O(tiers) amortized; it
+    /// allocates only when a cell's value span reaches a new exponent
+    /// group — a `qbm-lint` hot-path audit root.
     #[inline]
     pub fn record(&mut self, now: Time, v: u64) {
         self.count += 1;
@@ -270,8 +273,10 @@ impl TemporalHeatmap {
         self.overflow.count()
     }
 
-    /// Heap + inline footprint in bytes. Constant for the heatmap's
-    /// lifetime: `(tiers · W + 2)` sketches plus the spine.
+    /// Heap + inline footprint in bytes: `(tiers · W + 2)` sketches
+    /// plus the spine. Each sketch stores only its recorded span, so
+    /// the total follows the value range, never the run length, and is
+    /// capped at every sketch holding its full layout.
     pub fn mem_bytes(&self) -> usize {
         let cells: usize = self
             .tiers
@@ -393,7 +398,8 @@ impl HeatmapObserver {
         }
     }
 
-    /// Total footprint of all three heatmaps in bytes (constant).
+    /// Total footprint of all three heatmaps in bytes (capped; see
+    /// [`TemporalHeatmap::mem_bytes`]).
     pub fn mem_bytes(&self) -> usize {
         self.delay.mem_bytes() + self.occupancy.mem_bytes() + self.drops.mem_bytes()
     }
@@ -498,12 +504,35 @@ mod tests {
 
     #[test]
     fn memory_is_run_length_independent() {
+        // 2 tiers × 4 slots + overflow + scratch, each at most the full
+        // (65 - 3)·2^3-bucket layout.
+        let sketches = 2 * 4 + 2;
+        let inline = core::mem::size_of::<QuantileSketch>();
+        let group = 8 * 8;
         let mut h = TemporalHeatmap::new(tiny());
         let empty = h.mem_bytes();
+        let cap = empty + sketches * QuantileSketch::bucket_count(3) * 8;
+        // An empty heatmap's sketches hold no buckets.
+        let spine = core::mem::size_of::<TemporalHeatmap>() + 2 * core::mem::size_of::<Tier>();
+        assert_eq!(empty, spine + sketches * inline);
+        // One value in [2^20, 2^21) stores exactly one group of 2^3.
+        h.record(at_ms(0), 1 << 20);
+        assert_eq!(h.mem_bytes(), empty + group);
+        // A long run in that group stores at most one group per sketch.
         for i in 0..50_000u64 {
-            h.record(at_ms(i), i % 977);
+            h.record(at_ms(i), (1 << 20) + i % 977);
         }
-        assert_eq!(h.mem_bytes(), empty);
+        assert!(h.mem_bytes() <= empty + sketches * group);
+        // A long run over a wide span stays within the full-layout cap.
+        let mut h = TemporalHeatmap::new(tiny());
+        for i in 0..50_000u64 {
+            h.record(at_ms(i), (i % 977) << (i % 50));
+        }
+        assert!(h.mem_bytes() <= cap);
+        for i in 50_000..500_000u64 {
+            h.record(at_ms(i), (i % 977) << (i % 50));
+        }
+        assert!(h.mem_bytes() <= cap);
     }
 
     #[test]

@@ -200,14 +200,22 @@ impl Observer for TimeSeriesProbe {
         self.flush_until(now);
         self.total += len as u64;
         self.ensure_flow(flow);
-        self.occ[flow.index()] += len as u64;
+        let Some(occ) = self.occ.get_mut(flow.index()) else {
+            debug_assert!(false, "ensure_flow left the flow unsized");
+            return;
+        };
+        *occ += len as u64;
     }
 
     fn on_departure(&mut self, now: Time, flow: FlowId, len: u32, _arrival: Time, _link: u32) {
         self.flush_until(now);
         self.total -= len as u64;
         self.ensure_flow(flow);
-        self.occ[flow.index()] -= len as u64;
+        let Some(occ) = self.occ.get_mut(flow.index()) else {
+            debug_assert!(false, "ensure_flow left the flow unsized");
+            return;
+        };
+        *occ -= len as u64;
     }
 
     fn on_sharing(&mut self, now: Time, holes: u64, headroom: u64, _link: u32) {

@@ -4,33 +4,46 @@
 //! per counter — fine for means and totals, useless for tails. The
 //! legacy `delay_percentile` accessor answers from a log₂ histogram,
 //! i.e. within a *factor of two*. [`QuantileSketch`] closes that gap
-//! with the classic log-bucketed layout (the HdrHistogram family): a
-//! fixed array of `u64` counters whose bucket edges grow geometrically
-//! after an exact low range, giving a guaranteed relative error of
-//! `2^-m` for `m` precision bits at `(65 - m)·2^m` buckets — 1920
-//! buckets ≈ 15 KiB at the default `m = 5` (error ≤ 3.125 %),
-//! regardless of how many values are recorded or how large they get.
+//! with the classic log-bucketed layout (the HdrHistogram family):
+//! `u64` counters whose bucket edges grow geometrically after an exact
+//! low range, giving a guaranteed relative error of `2^-m` for `m`
+//! precision bits over `(65 - m)·2^m` logical buckets — 1920 buckets
+//! at the default `m = 5` (error ≤ 3.125 %).
+//!
+//! The sketch stores only the logical buckets between the lowest and
+//! highest it has recorded, rounded out to whole exponent groups of
+//! `2^m` buckets; the rest count zero. Its footprint therefore follows
+//! the recorded *span* (a value range within a factor of 2^k holds
+//! about `k + 1` groups, 256 B each at `m = 5`), never the number of
+//! values, and is capped at the full layout — 15 KiB at `m = 5` — for
+//! a sketch whose values span all of `u64`.
 //!
 //! Design constraints inherited from the repo's determinism rules:
 //!
 //! * **Integer-only update path.** [`QuantileSketch::record`] is a
-//!   leading-zeros count plus shifts — no floats, no allocation, no
-//!   panics, no indexing (it is a `qbm-lint` hot-path audit root, like
-//!   the scheduler's virtual clock). Queries ([`QuantileSketch::quantile`])
-//!   may use `f64`: they run once per report, never per event.
+//!   leading-zeros count plus shifts — no floats, no panics, no
+//!   indexing (it is a `qbm-lint` hot-path audit root, like the
+//!   scheduler's virtual clock). It allocates only when a value lands
+//!   in a new exponent group, at most `65 - m` times per sketch.
+//!   Queries ([`QuantileSketch::quantile`]) may use `f64`: they run
+//!   once per report, never per event.
 //! * **Merge algebra.** [`QuantileSketch::merge`] adds counters
 //!   element-wise and resolves min/max monotonically, so it is
 //!   commutative and associative with the empty sketch as identity —
 //!   the same contract `StatsCollector::merge` guarantees, which is
 //!   what lets sketch-carrying campaign results stay byte-identical
-//!   across thread counts.
+//!   across thread counts. Equality and the `{:?}` digest read the
+//!   logical buckets, so neither depends on how wide a span is stored.
 
 /// Parameters for the streaming sketches a run can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchParams {
-    /// Precision bits `m`: relative error ≤ `2^-m`, memory
-    /// `(65 - m)·2^m` u64 buckets per sketch. The default `m = 5`
-    /// costs 1920 buckets (15 KiB) for ≤ 3.125 % error.
+    /// Precision bits `m`: relative error ≤ `2^-m`, memory at most
+    /// `(65 - m)·2^m` u64 buckets per sketch — only the exponent groups
+    /// of `2^m` buckets that the recorded span reaches are stored. The
+    /// default `m = 5` caps a sketch at 1920 buckets (15 KiB) for
+    /// ≤ 3.125 % error; a span within a factor of 2^k costs about
+    /// `(k + 1)·256` B.
     pub precision_bits: u32,
 }
 
@@ -40,15 +53,21 @@ impl Default for SketchParams {
     }
 }
 
-/// A fixed-size, integer-only, mergeable quantile sketch over `u64`
+/// A span-trimmed, integer-only, mergeable quantile sketch over `u64`
 /// values. See the module docs for the layout and guarantees.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct QuantileSketch {
     /// Precision bits `m` (1 ..= 16).
     m: u32,
-    /// `(65 - m) << m` bucket counters; values `< 2^m` map one-to-one,
-    /// larger values keep their top `m + 1` significant bits.
-    buckets: Box<[u64]>,
+    /// Logical index of `buckets[0]`, a multiple of `2^m` (`u32`, not
+    /// `usize`, so it packs beside `m` and the header stays 64 B).
+    lo: u32,
+    /// The stored span of the `(65 - m) << m` logical bucket counters:
+    /// whole exponent groups of `2^m` covering every bucket recorded so
+    /// far; buckets outside `lo..lo + len` count zero. Values `< 2^m`
+    /// map one-to-one, larger values keep their top `m + 1` significant
+    /// bits.
+    buckets: Vec<u64>,
     /// Values recorded.
     count: u64,
     /// Saturating sum of recorded values (exact mean until ~1.8e19).
@@ -60,13 +79,14 @@ pub struct QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// Number of buckets for `m` precision bits.
+    /// Number of logical buckets for `m` precision bits — the most a
+    /// sketch ever stores.
     pub const fn bucket_count(precision_bits: u32) -> usize {
         (65 - precision_bits as usize) << precision_bits
     }
 
-    /// An empty sketch with `2^-m` relative error.
-    // qbm-lint: cold(one-time construction; the update path never allocates)
+    /// An empty sketch with `2^-m` relative error. Allocates nothing:
+    /// buckets appear as values land in them.
     pub fn new(precision_bits: u32) -> QuantileSketch {
         assert!(
             (1..=16).contains(&precision_bits),
@@ -74,7 +94,8 @@ impl QuantileSketch {
         );
         QuantileSketch {
             m: precision_bits,
-            buckets: vec![0u64; Self::bucket_count(precision_bits)].into_boxed_slice(),
+            lo: 0,
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -82,8 +103,11 @@ impl QuantileSketch {
         }
     }
 
-    /// Record one value. O(1), allocation-free, integer-only — this is
-    /// the per-departure hot path and a `qbm-lint` hot-path audit root.
+    /// Record one value. O(1) amortized, integer-only, panic-free —
+    /// this is the per-departure hot path and a `qbm-lint` hot-path
+    /// audit root. A value outside the stored span widens it once per
+    /// new exponent group, so a sketch reallocates at most `65 - m`
+    /// times in its life.
     #[inline]
     pub fn record(&mut self, v: u64) {
         self.count += 1;
@@ -95,11 +119,64 @@ impl QuantileSketch {
             self.max = v;
         }
         let i = self.bucket_of(v);
-        let Some(slot) = self.buckets.get_mut(i) else {
+        if let Some(slot) = self.buckets.get_mut(i.wrapping_sub(self.lo as usize)) {
+            *slot += 1;
+            return;
+        }
+        self.cover(i, i);
+        let Some(slot) = self.buckets.get_mut(i.wrapping_sub(self.lo as usize)) else {
             debug_assert!(false, "sketch bucket out of range");
             return;
         };
         *slot += 1;
+    }
+
+    /// Widen the stored span to cover logical buckets `first..=last`,
+    /// rounded out to whole exponent groups. Off the steady-state path:
+    /// callers reach it only when a value or merge lands outside the
+    /// stored span, i.e. in a new group.
+    #[cold]
+    #[inline(never)]
+    fn cover(&mut self, first: usize, last: usize) {
+        let m = self.m;
+        let want_lo = (first >> m) << m;
+        let want_hi = ((last >> m) + 1) << m;
+        debug_assert!(want_hi <= Self::bucket_count(m), "bucket past the layout");
+        let (lo, hi) = if self.buckets.is_empty() {
+            (want_lo, want_hi)
+        } else {
+            let lo = self.lo as usize;
+            (lo.min(want_lo), (lo + self.buckets.len()).max(want_hi))
+        };
+        let mut grown = Vec::with_capacity(hi - lo);
+        if !self.buckets.is_empty() {
+            grown.resize(self.lo as usize - lo, 0);
+            grown.extend_from_slice(&self.buckets);
+        }
+        grown.resize(hi - lo, 0);
+        self.buckets = grown;
+        self.lo = lo as u32;
+    }
+
+    /// Logical bucket `i`'s counter: zero outside the stored span.
+    fn bucket(&self, i: usize) -> u64 {
+        self.buckets
+            .get(i.wrapping_sub(self.lo as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The stored buckets with their zero ends trimmed, as (logical
+    /// index of the first, counters); `(0, [])` when all are zero.
+    fn trimmed(&self) -> (usize, &[u64]) {
+        let Some(first) = self.buckets.iter().position(|&c| c != 0) else {
+            return (0, &[]);
+        };
+        let last = self.buckets.iter().rposition(|&c| c != 0).unwrap_or(first);
+        (
+            self.lo as usize + first,
+            self.buckets.get(first..=last).unwrap_or_default(),
+        )
     }
 
     /// Bucket index of `v`: identity below `2^m`, then the exponent
@@ -141,10 +218,12 @@ impl QuantileSketch {
         }
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (j, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return self.upper_edge(i).clamp(self.min, self.max);
+                return self
+                    .upper_edge(self.lo as usize + j)
+                    .clamp(self.min, self.max);
             }
         }
         self.max
@@ -159,8 +238,10 @@ impl QuantileSketch {
         self.absorb(other);
     }
 
-    /// The allocation-free merge core (shared with the heatmap's
-    /// eviction path, which runs per-event and must stay hot-clean).
+    /// The merge core (shared with the heatmap's eviction path, which
+    /// runs per-event and must stay hot-clean): widens `self` to
+    /// `other`'s non-zero span, which allocates only when that reaches
+    /// a new exponent group, then adds over it.
     #[inline]
     pub(crate) fn absorb(&mut self, other: &QuantileSketch) {
         debug_assert_eq!(self.m, other.m);
@@ -172,15 +253,25 @@ impl QuantileSketch {
         if other.max > self.max {
             self.max = other.max;
         }
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        let (first, counts) = other.trimmed();
+        if counts.is_empty() {
+            return;
+        }
+        let end = first + counts.len();
+        if first < self.lo as usize || end > self.lo as usize + self.buckets.len() {
+            self.cover(first, end - 1);
+        }
+        let skip = first - self.lo as usize;
+        for (a, b) in self.buckets.iter_mut().skip(skip).zip(counts) {
             *a += b;
         }
     }
 
-    /// Zero all counters in place (no allocation — the heatmap recycles
-    /// evicted ring slots through this).
+    /// Zero all counters in place, keeping the stored span's allocation
+    /// for reuse (the heatmap recycles evicted ring slots through this).
+    /// The result equals [`QuantileSketch::new`] of the same precision.
     #[inline]
-    pub(crate) fn reset_counts(&mut self) {
+    pub fn reset_counts(&mut self) {
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -218,22 +309,45 @@ impl QuantileSketch {
         1.0 / (1u64 << self.m) as f64
     }
 
-    /// Heap + inline footprint in bytes. Constant for the sketch's
-    /// lifetime — the memory-bound tests assert exactly this.
+    /// Heap + inline footprint in bytes: the inline struct plus the
+    /// stored span's capacity. Follows the recorded span, one exponent
+    /// group of `2^m` buckets at a time, and never exceeds
+    /// `size_of::<QuantileSketch>() + 8 · (65 - m)·2^m` however many
+    /// values are recorded — the memory-bound tests assert this cap.
     pub fn mem_bytes(&self) -> usize {
-        core::mem::size_of::<QuantileSketch>() + self.buckets.len() * core::mem::size_of::<u64>()
+        core::mem::size_of::<QuantileSketch>()
+            + self.buckets.capacity() * core::mem::size_of::<u64>()
     }
 }
 
+/// Equal iff the precision, the counters and every logical bucket
+/// agree. The stored span is not canonical — `reset_counts` keeps its
+/// allocation and a merge may widen past the recorded values — so the
+/// buckets compare with their zero ends trimmed.
+impl PartialEq for QuantileSketch {
+    fn eq(&self, other: &QuantileSketch) -> bool {
+        self.m == other.m
+            && self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+            && self.trimmed() == other.trimmed()
+    }
+}
+
+impl Eq for QuantileSketch {}
+
 /// Compact, deterministic rendering: full bucket contents would print
-/// kilobytes per flow, so the buckets appear as an FNV-1a digest. Any
-/// single-counter difference still changes the output — the campaign
-/// byte-identity tests format results through this.
+/// kilobytes per flow, so the buckets appear as an FNV-1a digest over
+/// all `(65 - m)·2^m` logical buckets, the implied zeros outside the
+/// stored span included. Any single-counter difference still changes
+/// the output — the campaign byte-identity tests format results
+/// through this.
 impl core::fmt::Debug for QuantileSketch {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in self.buckets.iter() {
-            for byte in b.to_le_bytes() {
+        for i in 0..Self::bucket_count(self.m) {
+            for byte in self.bucket(i).to_le_bytes() {
                 h ^= byte as u64;
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
@@ -302,11 +416,18 @@ mod tests {
     fn bucket_count_matches_layout() {
         for m in 1..=10 {
             let mut s = QuantileSketch::new(m);
-            assert_eq!(s.buckets.len(), QuantileSketch::bucket_count(m));
+            let last = QuantileSketch::bucket_count(m) - 1;
             // The maximum value maps to the last bucket.
-            assert_eq!(s.bucket_of(u64::MAX), s.buckets.len() - 1);
+            assert_eq!(s.bucket_of(u64::MAX), last);
             s.record(u64::MAX);
-            assert_eq!(s.buckets[s.buckets.len() - 1], 1);
+            assert_eq!(s.bucket(last), 1);
+            // 0 and u64::MAX together store the whole layout.
+            s.record(0);
+            assert_eq!(s.bucket(0), 1);
+            assert_eq!(
+                s.mem_bytes(),
+                core::mem::size_of::<QuantileSketch>() + (last + 1) * 8
+            );
         }
     }
 
@@ -354,9 +475,19 @@ mod tests {
         let mut s = QuantileSketch::new(4);
         s.record(7);
         s.record(7_000_000);
+        let recorded = s.mem_bytes();
         s.reset_counts();
         assert_eq!(s, QuantileSketch::new(4));
-        assert_eq!(s.mem_bytes(), QuantileSketch::new(4).mem_bytes());
+        assert_eq!(format!("{s:?}"), format!("{:?}", QuantileSketch::new(4)));
+        // The reset keeps the span's allocation for reuse, within the cap.
+        assert_eq!(s.mem_bytes(), recorded);
+        let cap = core::mem::size_of::<QuantileSketch>() + QuantileSketch::bucket_count(4) * 8;
+        assert!(s.mem_bytes() <= cap);
+        // An empty sketch holds no buckets.
+        assert_eq!(
+            QuantileSketch::new(4).mem_bytes(),
+            core::mem::size_of::<QuantileSketch>()
+        );
     }
 
     #[test]
@@ -396,12 +527,34 @@ mod tests {
 
     #[test]
     fn mem_bytes_is_run_length_independent() {
+        let inline = core::mem::size_of::<QuantileSketch>();
+        let cap = inline + 1920 * 8;
         let mut s = QuantileSketch::new(5);
-        let empty = s.mem_bytes();
+        // An empty sketch holds no buckets.
+        assert_eq!(s.mem_bytes(), inline);
+        // Values in [2^20, 2^21) hold exactly one group of 2^5 buckets,
+        // however many are recorded.
+        for i in 0..100_000u64 {
+            s.record((1 << 20) + i * 10);
+        }
+        assert_eq!(s.mem_bytes(), inline + 32 * 8);
+        // [0, 3.7e6) reaches groups 0 ..= 17 (⌊log₂ 3.7e6⌋ = 21).
+        let mut s = QuantileSketch::new(5);
         for i in 0..100_000u64 {
             s.record(i * 37);
         }
-        assert_eq!(s.mem_bytes(), empty);
-        assert_eq!(empty, core::mem::size_of::<QuantileSketch>() + 1920 * 8);
+        let spanned = s.mem_bytes();
+        assert_eq!(spanned, inline + 18 * 32 * 8);
+        for i in 0..100_000u64 {
+            s.record(i * 37);
+        }
+        assert_eq!(s.mem_bytes(), spanned);
+        // The full layout stays the hard cap.
+        s.record(u64::MAX);
+        assert_eq!(s.mem_bytes(), cap);
+        for i in 0..100_000u64 {
+            s.record(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        }
+        assert!(s.mem_bytes() <= cap);
     }
 }

@@ -25,11 +25,13 @@ pub struct StatsConfig {
 }
 
 /// ISP-scale guard on per-flow sketches: above this flow count a run
-/// downgrades to aggregate-only sketching. Per-flow sketches cost
-/// ~30 KiB per flow (DESIGN.md §14) — fine at the paper's 9–30 flows,
-/// ~30 GB at the subscriber-tree's 10⁶ — and 4096 flows ≈ 120 MiB of
-/// sketch memory worst-case, comfortably above every paper-scale
-/// scenario and below the ISP-scale blowup.
+/// downgrades to aggregate-only sketching. A sketch stores only its
+/// recorded value span (DESIGN.md §14), so a flow's pair costs up to
+/// 30 KiB worst case (values spanning all of `u64`) and ≈ 6 KiB for a
+/// `paper_campaign` flow. The guard is sized on the worst case: fine at
+/// the paper's 9–30 flows, ~30 GB at the subscriber-tree's 10⁶ — and
+/// 4096 flows ≈ 120 MiB of sketch memory worst case, comfortably above
+/// every paper-scale scenario and below the ISP-scale blowup.
 pub const PER_FLOW_SKETCH_LIMIT: usize = 4096;
 
 impl StatsConfig {
@@ -304,8 +306,9 @@ impl SimResult {
         if let Some(sp) = cfg.sketches {
             r.delay_sketch = Some(QuantileSketch::new(sp.precision_bits));
             r.occ_sketch = Some(QuantileSketch::new(sp.precision_bits));
-            // The flow-count guard: per-flow sketches are ~30 KiB each
-            // (DESIGN.md §14), so ISP-scale runs keep aggregates only.
+            // The flow-count guard: a per-flow pair is up to 30 KiB worst
+            // case, ≈ 6 KiB for a `paper_campaign` flow (DESIGN.md §14),
+            // so ISP-scale runs keep aggregates only.
             if n_flows <= PER_FLOW_SKETCH_LIMIT {
                 for f in &mut r.flows {
                     f.delay_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));

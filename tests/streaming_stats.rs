@@ -1,13 +1,14 @@
 //! Streaming-telemetry acceptance (DESIGN.md §14): over a horizon 100×
 //! the paper's 22 s experiment, the delay quantile sketch agrees with an
 //! exact oracle within its configured relative-error bound, telemetry
-//! memory stays flat with run length, and sketch-carrying campaign runs
-//! are byte-identical for any thread count.
+//! memory stays within its cap whatever the run length, and
+//! sketch-carrying campaign runs are byte-identical for any thread
+//! count.
 
 use qos_buffer_mgmt::core::flow::{Conformance, FlowId, FlowSpec};
 use qos_buffer_mgmt::core::policy::PolicyKind;
 use qos_buffer_mgmt::core::units::{ByteSize, Dur, Rate, Time};
-use qos_buffer_mgmt::obs::{HeatmapObserver, HeatmapParams, Observer};
+use qos_buffer_mgmt::obs::{HeatmapObserver, HeatmapParams, Observer, QuantileSketch};
 use qos_buffer_mgmt::sched::SchedKind;
 use qos_buffer_mgmt::sim::{ExperimentConfig, PolicySpec, SimResult, SketchParams, StatsConfig};
 
@@ -106,24 +107,56 @@ fn run_with_heatmap(duration: Dur) -> (SimResult, HeatmapObserver) {
     (res, obs)
 }
 
+/// Bytes a directly recorded default-precision sketch stores: its
+/// [min, max] value span rounded out to whole exponent groups of 2^5
+/// buckets (group 0 holds 0..32, group g ≥ 1 holds [2^(g+4), 2^(g+5))).
+fn span_bytes(s: &QuantileSketch) -> usize {
+    let group = |v: u64| (64 - v.leading_zeros() as usize).saturating_sub(5);
+    match (s.min(), s.max()) {
+        (Some(lo), Some(hi)) => (group(hi) - group(lo) + 1) * 32 * 8,
+        _ => 0,
+    }
+}
+
 #[test]
 fn telemetry_memory_is_independent_of_run_length() {
+    let inline = core::mem::size_of::<QuantileSketch>();
+    // An empty sketch holds no buckets; a full one holds 1920.
+    assert_eq!(QuantileSketch::new(5).mem_bytes(), inline);
+    let sketch_cap = inline + QuantileSketch::bucket_count(5) * 8;
+    // Three heatmaps of (3 tiers × 32 slots + 2) cells at m = 3.
+    let params = HeatmapParams::default();
+    let cells = 3 * (params.tiers * params.slots_per_tier + 2);
+    let heatmap_cap = HeatmapObserver::new(params).mem_bytes()
+        + cells * QuantileSketch::bucket_count(params.precision_bits) * 8;
     let (res_short, hm_short) = run_with_heatmap(Dur::from_secs(22));
     let (res_long, hm_long) = run_with_heatmap(Dur::from_secs(2200));
-    // The long run records ~100× the events into the same O(buckets ×
-    // slots) footprint — ring eviction into coarser tiers, never growth.
+    // The long run records ~100× the events into the same capped
+    // O(buckets × slots) footprint — ring eviction into coarser tiers,
+    // and cells that store only their value span.
     assert!(hm_long.delay.count() > 10 * hm_short.delay.count());
-    assert_eq!(hm_short.mem_bytes(), hm_long.mem_bytes());
-    let mem = |r: &SimResult| {
-        r.delay_sketch.as_ref().unwrap().mem_bytes()
-            + r.occ_sketch.as_ref().unwrap().mem_bytes()
-            + r.flows
-                .iter()
-                .filter_map(|f| f.delay_sketch.as_ref())
-                .map(|s| s.mem_bytes())
-                .sum::<usize>()
+    assert!(hm_short.mem_bytes() <= heatmap_cap);
+    assert!(hm_long.mem_bytes() <= heatmap_cap);
+    let sketches = |r: &SimResult| {
+        let mut all: Vec<QuantileSketch> = vec![
+            r.delay_sketch.clone().unwrap(),
+            r.occ_sketch.clone().unwrap(),
+        ];
+        for f in &r.flows {
+            all.extend(f.delay_sketch.as_deref().cloned());
+            all.extend(f.occ_sketch.as_deref().cloned());
+        }
+        all
     };
-    assert_eq!(mem(&res_short), mem(&res_long));
+    for r in [&res_short, &res_long] {
+        let all = sketches(r);
+        assert_eq!(all.len(), 2 + 2 * r.flows.len());
+        for s in &all {
+            // Exactly the recorded span, however many values it took.
+            assert_eq!(s.mem_bytes(), inline + span_bytes(s));
+            assert!(s.mem_bytes() <= sketch_cap);
+        }
+    }
 }
 
 #[test]
