@@ -1,8 +1,8 @@
 //! End-to-end scheduler throughput: the Q32.32 fixed-point virtual-time
 //! schedulers (`run_once`, the default) against the retained float
-//! references (`run_once_sched_reference`: f64 GPS clocks over lazy
-//! `BinaryHeap`s, same shared integer quantization) on the paper's
-//! workloads.
+//! references (`qbm_oracle::run_once_sched_reference`: f64 GPS clocks
+//! over lazy `BinaryHeap`s, same shared integer quantization) on the
+//! paper's workloads.
 //!
 //! Both sides run the identical simulation — the determinism suite
 //! proves byte-identical statistics for every scheduler × policy
@@ -20,6 +20,7 @@ use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use qbm_bench::bench_file::{self, quick};
 use qbm_core::policy::PolicyKind;
 use qbm_core::units::{ByteSize, Dur};
+use qbm_oracle::run_once_sched_reference;
 use qbm_sched::SchedKind;
 use qbm_sim::scenarios::{case1_grouping, paper_experiment, plan_hybrid, Scheme};
 use qbm_sim::{ExperimentConfig, PolicySpec};
@@ -73,7 +74,7 @@ fn bench_pair(g: &mut criterion::BenchmarkGroup<'_>, label: &str, cfg: &Experime
         BenchmarkId::new(label, "reference"),
         || {
             seed_r += 1;
-            black_box(cfg.run_once_sched_reference(seed_r));
+            black_box(run_once_sched_reference(cfg, seed_r));
         },
         BenchmarkId::new(label, "fixed"),
         || {

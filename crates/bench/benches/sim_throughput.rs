@@ -1,7 +1,7 @@
 //! End-to-end simulator throughput: the indexed-timer event core
 //! (`run_once`, the default) against the reference `BinaryHeap` event
-//! queue (`run_once_reference`), both over the same enum-dispatched
-//! sources, on the paper's workloads.
+//! queue (`qbm_oracle::run_once_reference`), both over the same
+//! enum-dispatched sources, on the paper's workloads.
 //!
 //! Per §3.2 scheme on Table 1, both paths run the identical simulation
 //! (the determinism suite proves byte-identical results); the JSON
@@ -21,6 +21,7 @@
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use qbm_bench::bench_file::{self, quick};
 use qbm_core::units::{ByteSize, Dur, Rate, Time};
+use qbm_oracle::run_once_reference;
 use qbm_sim::scenarios::{incast_closed_loop, paper_experiment, section3_schemes, LinkProfile};
 use qbm_sim::ExperimentConfig;
 
@@ -42,7 +43,7 @@ fn bench_pair(g: &mut criterion::BenchmarkGroup<'_>, label: &str, cfg: &Experime
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(cfg.run_once_reference(seed))
+            black_box(run_once_reference(cfg, seed))
         });
     });
     g.bench_with_input(BenchmarkId::new(label, "indexed"), cfg, |b, cfg| {

@@ -116,7 +116,7 @@ fn main() {
             };
             let multi = cfg.run_many_threaded(1, scenario.seeds, opts.threads);
             prof.phase("simulate");
-            print!("{}", percentile_report(&scenario, &multi, mode));
+            print!("{}", percentile_report(&multi, mode));
             if opts.profile {
                 println!();
                 print!("{}", prof.finish(sim_events(&multi)).render());
@@ -133,7 +133,7 @@ fn main() {
             print!("{}", simulation_report(&scenario, &multi));
             if let Some(mode) = opts.stats {
                 println!();
-                print!("{}", percentile_report(&scenario, &multi, mode));
+                print!("{}", percentile_report(&multi, mode));
             }
             let mut events = sim_events(&multi);
             if let Some(path) = &opts.trace {

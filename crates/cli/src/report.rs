@@ -4,7 +4,7 @@ use qbm_core::admission::{admissible, AdmissionOutcome, Discipline, LinkConfig};
 use qbm_core::flow::Conformance;
 use qbm_core::policy::DropReason;
 use qbm_core::units::{ByteSize, Dur};
-use qbm_sim::{MultiRun, SimResult, StatsCollector};
+use qbm_sim::MultiRun;
 
 use crate::Scenario;
 
@@ -191,18 +191,6 @@ pub fn simulation_report(s: &Scenario, multi: &MultiRun) -> String {
     out
 }
 
-/// Merge every per-seed [`SimResult`] into one, using the same
-/// commutative fold the threaded campaign runner uses. The merged result
-/// carries the summed exact counters and, when sketches were attached,
-/// the merged quantile sketches.
-fn merge_runs(s: &Scenario, multi: &MultiRun) -> SimResult {
-    let mut acc = StatsCollector::merger(s.flows.len(), 0);
-    for r in &multi.runs {
-        acc.merge(r);
-    }
-    acc.finish()
-}
-
 fn ms(nanos: u64) -> String {
     format!("{:.3}ms", nanos as f64 / 1e6)
 }
@@ -210,8 +198,8 @@ fn ms(nanos: u64) -> String {
 /// Render delay and occupancy percentiles per flow plus the aggregate,
 /// from the merged sketches (`Sketch`), the legacy factor-of-2 log₂
 /// histogram (`Exact`), or both.
-pub fn percentile_report(s: &Scenario, multi: &MultiRun, mode: StatsMode) -> String {
-    let merged = merge_runs(s, multi);
+pub fn percentile_report(multi: &MultiRun, mode: StatsMode) -> String {
+    let merged = multi.merged(0);
     let mut out = String::new();
     if mode != StatsMode::Exact {
         match merged.delay_sketch.as_ref() {
@@ -330,7 +318,7 @@ mod tests {
         let mut cfg = s.to_config();
         cfg.stats.sketches = Some(qbm_sim::SketchParams::default());
         let multi = cfg.run_many(1, s.seeds);
-        let r = percentile_report(&s, &multi, StatsMode::Sketch);
+        let r = percentile_report(&multi, StatsMode::Sketch);
         assert!(r.contains("sketch, rel. error"), "{r}");
         assert!(r.contains("drops by cause:"), "{r}");
         // Two flow rows plus the aggregate "all" row under the header.
@@ -341,7 +329,7 @@ mod tests {
     fn percentile_report_exact_mode_uses_legacy_histogram() {
         let s = scenario();
         let multi = s.to_config().run_many(1, s.seeds);
-        let r = percentile_report(&s, &multi, StatsMode::Exact);
+        let r = percentile_report(&multi, StatsMode::Exact);
         assert!(r.contains("legacy log₂ histogram"), "{r}");
         assert!(!r.contains("sketch"), "{r}");
     }
@@ -350,7 +338,7 @@ mod tests {
     fn percentile_report_without_sketches_says_so() {
         let s = scenario();
         let multi = s.to_config().run_many(1, s.seeds);
-        let r = percentile_report(&s, &multi, StatsMode::Sketch);
+        let r = percentile_report(&multi, StatsMode::Sketch);
         assert!(r.contains("no sketches attached"), "{r}");
     }
 
@@ -360,7 +348,7 @@ mod tests {
         let mut cfg = s.to_config();
         cfg.stats.sketches = Some(qbm_sim::SketchParams::default());
         let multi = cfg.run_many(1, s.seeds);
-        let r = percentile_report(&s, &multi, StatsMode::Both);
+        let r = percentile_report(&multi, StatsMode::Both);
         assert!(r.contains("sketch, rel. error"), "{r}");
         assert!(r.contains("legacy log₂ histogram"), "{r}");
     }

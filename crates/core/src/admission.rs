@@ -14,6 +14,7 @@
 //! constraint fails — the distinction the paper draws right after
 //! Eq. (6).
 
+use crate::analysis::fifo_bounds::required_buffer_eq9;
 use crate::error::ConfigError;
 use crate::flow::FlowSpec;
 use crate::units::Rate;
@@ -87,16 +88,16 @@ fn total_sigma_bytes(specs: &[FlowSpec]) -> f64 {
 }
 
 /// Minimum buffer (bytes) for lossless FIFO+threshold operation —
-/// Eq. (9): `B ≥ R·Σσ / (R − Σρ)`. Returns `f64::INFINITY` when
-/// `Σρ ≥ R`.
+/// Eq. (9): `B ≥ R·Σσ / (R − Σρ)`, evaluated by
+/// [`required_buffer_eq9`]. Returns `f64::INFINITY` when `Σρ ≥ R`,
+/// including on a zero-rate link.
 pub fn fifo_required_buffer(link_rate: Rate, specs: &[FlowSpec]) -> f64 {
     let r = link_rate.bps() as f64;
     let rho = total_rho_bps(specs);
-    let sigma = total_sigma_bytes(specs);
     if rho >= r {
         return f64::INFINITY;
     }
-    r * sigma / (r - rho)
+    required_buffer_eq9(r, rho, total_sigma_bytes(specs))
 }
 
 /// Minimum buffer (bytes) for lossless per-flow WFQ — Eq. (6): `Σσᵢ`.

@@ -23,6 +23,7 @@
 //! [`Grouping::optimize_exhaustive`] brute-forces small instances to
 //! validate the heuristic.
 
+use crate::analysis::fifo_bounds::required_buffer_eq9;
 use crate::flow::FlowSpec;
 use crate::units::approx_eq;
 
@@ -114,10 +115,11 @@ pub fn hybrid_buffer_eq19(r_bps: f64, groups: &[GroupProfile]) -> f64 {
     sigma + s * s / (r_bps - rho)
 }
 
-/// Eq. (13): the single-FIFO-queue requirement `B = R·σ/(R − ρ)`.
+/// Eq. (13): the single-FIFO-queue requirement `B = R·σ/(R − ρ)` —
+/// Eq. (9) ([`required_buffer_eq9`]) for the aggregate of all groups.
 pub fn single_fifo_buffer_eq13(r_bps: f64, sigma_bytes: f64, rho_bps: f64) -> f64 {
     assert!(rho_bps < r_bps, "oversubscribed");
-    r_bps * sigma_bytes / (r_bps - rho_bps)
+    required_buffer_eq9(r_bps, rho_bps, sigma_bytes)
 }
 
 /// Eq. (17): the buffer saved by the hybrid system,

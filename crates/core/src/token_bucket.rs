@@ -69,16 +69,9 @@ impl TokenBucket {
     }
 
     /// Current token level in (fractional) bytes — the burst potential
-    /// `σ(t)` of the paper's Eq. (3). Call [`update`](Self::update) first
-    /// (or use [`level_bytes_at`](Self::level_bytes_at)).
+    /// `σ(t)` of the paper's Eq. (3). Call [`update`](Self::update) first.
     pub fn level_bytes(&self) -> f64 {
         self.level_bitns as f64 / (8.0 * NS_PER_SEC as f64)
-    }
-
-    /// Burst potential at `now`, advancing the clock.
-    pub fn level_bytes_at(&mut self, now: Time) -> f64 {
-        self.update(now);
-        self.level_bytes()
     }
 
     /// Would a `len_bytes` packet conform at `now`? Does **not** consume.

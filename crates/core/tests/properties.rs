@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use qbm_core::admission::fifo_required_buffer;
+use qbm_core::analysis::{required_buffer_eq9, single_fifo_buffer_eq13};
 use qbm_core::flow::{FlowId, FlowSpec};
 use qbm_core::policy::{compute_thresholds, ThresholdOptions};
 use qbm_core::token_bucket::TokenBucket;
@@ -152,5 +153,37 @@ proptest! {
             (sum as i64 - b as i64).unsigned_abs() <= n as u64 + 1,
             "thresholds sum {sum} vs Eq.9 buffer {b}"
         );
+    }
+}
+
+proptest! {
+    /// One Eq. 9: the admission test, the Proposition-2 formula and the
+    /// §4 single-FIFO baseline (Eq. 13) agree bit for bit whenever the
+    /// link is not oversubscribed, and the admission test reports an
+    /// infinite buffer whenever it is — a zero-rate link included.
+    #[test]
+    fn eq9_eq13_and_admission_buffer_agree(
+        link_bps in 0u64..60_000_000,
+        rhos in proptest::collection::vec(0u64..20_000_000, 0..8),
+        sigmas in proptest::collection::vec(0u64..500_000, 0..8),
+    ) {
+        let n = rhos.len().min(sigmas.len());
+        let specs: Vec<FlowSpec> = (0..n).map(|i| {
+            FlowSpec::builder(FlowId(i as u32))
+                .token_rate(Rate::from_bps(rhos[i]))
+                .bucket(sigmas[i])
+                .build()
+        }).collect();
+        let r = link_bps as f64;
+        let rho: f64 = specs.iter().map(|s| s.token_rate.bps() as f64).sum();
+        let sigma: f64 = specs.iter().map(|s| s.bucket_bytes as f64).sum();
+        let admission = fifo_required_buffer(Rate::from_bps(link_bps), &specs);
+        if rho < r {
+            let eq9 = required_buffer_eq9(r, rho, sigma);
+            prop_assert_eq!(admission.to_bits(), eq9.to_bits());
+            prop_assert_eq!(single_fifo_buffer_eq13(r, sigma, rho).to_bits(), eq9.to_bits());
+        } else {
+            prop_assert!(admission.is_infinite(), "Σρ {rho} ≥ R {r} gave {admission}");
+        }
     }
 }

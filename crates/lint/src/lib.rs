@@ -138,17 +138,15 @@ impl Finding {
 }
 
 /// Reference material the exhaustiveness cross-checks read: the
-/// equivalence suite, the differential tests, the generated rule docs,
-/// and the fixture-corpus directory listing. A `None` field skips the
-/// checks that need it (partial fixture workspaces); `Some("")` — what
-/// [`run_repo`] produces when a reference file is *missing* — makes
-/// them all fire, so deleting the suite is maximal drift, not silence.
+/// equivalence suite, the generated rule docs, and the fixture-corpus
+/// directory listing. A `None` field skips the checks that need it
+/// (partial fixture workspaces); `Some("")` — what [`run_repo`]
+/// produces when a reference file is *missing* — makes them all fire,
+/// so deleting the suite is maximal drift, not silence.
 #[derive(Debug, Default)]
 pub struct RefSet {
     /// `tests/determinism.rs` — the 56-combo suite and golden snapshots.
     pub suite: Option<String>,
-    /// `crates/sched/tests/differential.rs` — float-reference coverage.
-    pub differential: Option<String>,
     /// `RULES.md` — the generated rule documentation.
     pub rules_md: Option<String>,
     /// Directory names under `crates/lint/tests/fixtures/`.
@@ -287,28 +285,16 @@ fn exhaustiveness(ws: &model::Workspace, refs: &RefSet, out: &mut Report) {
         out.emit(&[], Finding::new(rule, file.to_string(), line, message));
     };
     if let Some(suite) = refs.suite.as_deref() {
-        let differential = refs.differential.as_deref();
         for im in ws.impls.iter().filter(|im| {
             im.trait_name.as_deref() == Some("Scheduler") && !im.in_test && im.type_name != "Box"
         }) {
-            let is_reference = im.type_name.ends_with("Reference");
-            let (hay, home) = if is_reference {
-                // Float baselines live in the differential tests, not
-                // the production suite.
-                match differential {
-                    Some(d) => (d, "crates/sched/tests/differential.rs"),
-                    None => continue,
-                }
-            } else {
-                (suite, "tests/determinism.rs")
-            };
-            if !rules::find_word(hay, &im.type_name) {
+            if !rules::find_word(suite, &im.type_name) {
                 flag(
                     rules::EXHAUSTIVE_SCHED,
                     &ws.files[im.file].rel,
                     im.line + 1,
                     format!(
-                        "`impl Scheduler for {}` is not exercised by {home}",
+                        "`impl Scheduler for {}` is not exercised by tests/determinism.rs",
                         im.type_name
                     ),
                 );
@@ -457,9 +443,6 @@ pub fn run_repo(root: &Path) -> io::Result<Report> {
 
     let refs = RefSet {
         suite: Some(read_or_empty(&root.join("tests/determinism.rs"))),
-        differential: Some(read_or_empty(
-            &root.join("crates/sched/tests/differential.rs"),
-        )),
         rules_md: Some(read_or_empty(&root.join("RULES.md"))),
         fixture_ids: Some(list_dirs(&root.join("crates/lint/tests/fixtures"))),
     };
@@ -621,14 +604,12 @@ mod tests {
     }
 
     #[test]
-    fn sched_float_flagged_outside_reference_only() {
+    fn sched_float_flagged_in_every_sched_source() {
         let src = "pub struct S { vtime: f64 }\n";
         assert_eq!(
             findings_of("crates/sched/src/wfq.rs", src),
             vec![rules::SCHED_FLOAT]
         );
-        // The retained float baselines are the sanctioned home.
-        assert!(findings_of("crates/sched/src/reference.rs", src).is_empty());
         // Other crates are out of scope (policy floats have their own rule).
         assert!(findings_of("crates/core/src/flow.rs", src).is_empty());
         // Identifier boundaries: `as_secs_f64` is not a bare f64 token.
@@ -640,13 +621,9 @@ mod tests {
     }
 
     #[test]
-    fn float_cast_in_sched_allowlisted_only_in_reference() {
+    fn float_cast_in_sched_gets_both_findings() {
         let src = "fn t(x: u64) -> f64 { x as f64 }\n";
-        let r = scan("crates/sched/src/reference.rs", src);
-        assert!(r.findings.is_empty());
-        assert_eq!(r.suppressions.len(), 1);
-        assert_eq!(r.suppressions[0].via, "allowlist");
-        // A production scheduler gets both the cast and the float ban.
+        // A scheduler gets both the cast and the float ban.
         let w = findings_of("crates/sched/src/wfq.rs", src);
         assert!(w.contains(&rules::FLOAT_CAST));
         assert!(w.contains(&rules::SCHED_FLOAT));
@@ -784,7 +761,6 @@ mod tests {
 
     const NO_REFS: RefSet = RefSet {
         suite: None,
-        differential: None,
         rules_md: None,
         fixture_ids: None,
     };
@@ -960,41 +936,16 @@ mod tests {
         )];
         let covered = RefSet {
             suite: Some("(\"fancy\", SchedKind::Fancy { x: 1 }), Fancy".to_string()),
-            differential: Some(String::new()),
             ..Default::default()
         };
         assert!(rules_hit(&analyze(&files, &covered), rules::EXHAUSTIVE_SCHED).is_empty());
         // Deleting the scheduler from the suite text → finding.
         let dropped = RefSet {
             suite: Some("(\"wfq\", SchedKind::Wfq)".to_string()),
-            differential: Some(String::new()),
             ..Default::default()
         };
         assert_eq!(
             rules_hit(&analyze(&files, &dropped), rules::EXHAUSTIVE_SCHED),
-            vec![1]
-        );
-    }
-
-    #[test]
-    fn exhaustive_sched_routes_references_to_differential() {
-        let files = [(
-            "crates/sched/src/reference.rs",
-            "impl Scheduler for WfqReference {\n fn name(&self) -> &'static str { \"r\" }\n}\n",
-        )];
-        let ok = RefSet {
-            suite: Some(String::new()),
-            differential: Some("check(WfqReference::new())".to_string()),
-            ..Default::default()
-        };
-        assert!(rules_hit(&analyze(&files, &ok), rules::EXHAUSTIVE_SCHED).is_empty());
-        let missing = RefSet {
-            suite: Some("WfqReference mentioned here does not count".to_string()),
-            differential: Some(String::new()),
-            ..Default::default()
-        };
-        assert_eq!(
-            rules_hit(&analyze(&files, &missing), rules::EXHAUSTIVE_SCHED),
             vec![1]
         );
     }

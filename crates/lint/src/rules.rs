@@ -36,7 +36,7 @@ pub const HOT_PATH_INDEX: &str = "hot-path-index";
 /// Rule name: shared-mutability hazards in per-level sharded code.
 pub const SHARD_SAFETY: &str = "shard-safety";
 /// Rule name: a `Scheduler` impl missing from the 56-combo equivalence
-/// suite (or, for float baselines, from the differential tests).
+/// suite.
 pub const EXHAUSTIVE_SCHED: &str = "exhaustive-sched";
 /// Rule name: a `SourceKind` variant missing from the `next_emission`
 /// or `on_feedback` dispatch, absent from the determinism suite, or a
@@ -222,14 +222,12 @@ pub const REGISTRY: &[RuleMeta] = &[
     },
     RuleMeta {
         id: SCHED_FLOAT,
-        scope: "sched sources except reference.rs",
+        scope: "sched sources",
         rationale: "production schedulers run on the Q32.32 integer virtual clock; a stray f64 tag reintroduces NaN-capable compares and cross-platform rounding",
-        hint: "schedulers run on the integer Q32.32 vclock::VirtualTime; float baselines live in sched/src/reference.rs only",
+        hint: "schedulers run on the integer Q32.32 vclock::VirtualTime; the float baselines live in the dev-only oracle/ package",
         pragma: "qbm-lint: allow(sched-float-vtime)",
         checks: &[LineCheck {
-            applies: Applies::Path(|rel| {
-                rel.starts_with("crates/sched/src/") && rel != "crates/sched/src/reference.rs"
-            }),
+            applies: Applies::Path(|rel| rel.starts_with("crates/sched/src/")),
             matcher: Matcher::Words(&["f64", "f32"]),
             message: "`{pat}` virtual-time state in a production scheduler",
             hint: None,
@@ -371,7 +369,7 @@ pub const REGISTRY: &[RuleMeta] = &[
         id: EXHAUSTIVE_SCHED,
         scope: "workspace cross-check",
         rationale: "a scheduler outside the 56-combo suite has no golden snapshots or shard-invariance coverage, so its regressions land silently",
-        hint: "add the scheduler to tests/determinism.rs::all_combinations (production) or crates/sched/tests/differential.rs (reference baseline)",
+        hint: "add the scheduler to tests/determinism.rs::all_combinations",
         pragma: "none (hard error)",
         checks: &[],
     },
@@ -608,10 +606,6 @@ pub const FLOAT_CAST_ALLOW: &[(&str, &str)] = &[
     (
         "crates/core/src/policy/threshold.rs",
         "Prop-1/2 threshold formula is evaluated once at configuration time and rounded to bytes at the boundary; admission itself is pure integer compares",
-    ),
-    (
-        "crates/sched/src/reference.rs",
-        "the retained float reference schedulers widen Q32.32 VirtualTime to f64 at their boundary; production schedulers are integer-only (see sched-float-vtime)",
     ),
 ];
 

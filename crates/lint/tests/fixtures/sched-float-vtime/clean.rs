@@ -1,4 +1,6 @@
-//@ file: crates/sched/src/reference.rs
-pub struct WfqReference {
-    vtime: f64,
+//@ file: crates/sched/src/wfq.rs
+pub struct Wfq {
+    vtime: VirtualTime,
+    finish: Vec<VirtualTime>,
+    rate_bps: u64,
 }

@@ -12,8 +12,11 @@
 //! `O::ENABLED`, a `const`. For [`NullObserver`] (`ENABLED = false`)
 //! the guards are constant-false branches that monomorphization deletes
 //! outright, so an unobserved run compiles to the same machine code as
-//! the pre-instrumentation simulator (the `obs_overhead` bench's
-//! `noop_over_baseline` in `BENCH_obs.json` keeps the receipt).
+//! the pre-instrumentation simulator. That guarantee comes from the
+//! const guard alone: `Router::run` is `run_with(&mut NullObserver)`,
+//! so the `obs_overhead` bench's `baseline` and `noop` rows time the
+//! same function, and its `noop_over_baseline` in `BENCH_obs.json`
+//! shows run-to-run noise rather than the cost of the disabled hooks.
 //!
 //! Every hook carries a **link id** — the index of the emitting link in
 //! a multi-link fabric (`qbm-sim::fabric`). Single-router runs pass

@@ -18,7 +18,6 @@ pub struct Hybrid {
     core: WfqCore,
     /// `assignment[flow] = queue`.
     assignment: Vec<usize>,
-    k: usize,
 }
 
 impl Hybrid {
@@ -35,18 +34,7 @@ impl Hybrid {
         Hybrid {
             core: WfqCore::new(link_rate, queue_rates_bps),
             assignment,
-            k,
         }
-    }
-
-    /// Number of queues `k`.
-    pub fn num_queues(&self) -> usize {
-        self.k
-    }
-
-    /// The queue a flow maps to.
-    pub fn queue_of(&self, flow: usize) -> usize {
-        self.assignment[flow]
     }
 }
 
@@ -114,7 +102,7 @@ mod tests {
         let order = drain(&mut h, LINK, Time::ZERO);
         let mut q_bytes = [0u64; 2];
         for (_, p) in order.iter().take(300) {
-            q_bytes[h.queue_of(p.flow.index())] += p.len as u64;
+            q_bytes[h.assignment[p.flow.index()]] += p.len as u64;
         }
         let ratio = q_bytes[0] as f64 / q_bytes[1] as f64;
         assert!((ratio - 2.0).abs() < 0.15, "queue share ratio {ratio}");

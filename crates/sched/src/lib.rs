@@ -26,10 +26,10 @@
 //! from [`active_set`] (flat scan at the paper's class counts, winner
 //! tree at ISP flow counts) — no `f64` state, no NaN-capable compares,
 //! no heap churn on the hot path. The original float/`BinaryHeap`
-//! formulations are retained verbatim-in-architecture as
-//! `*_reference` schedulers in [`reference`](mod@reference), built via
-//! [`SchedKind::build_reference`], for differential testing and as the
-//! performance baseline of `BENCH_sched.json`.
+//! formulations are retained verbatim-in-architecture as `*Reference`
+//! schedulers in the dev-only `qbm-oracle` package, for differential
+//! testing and as the performance baseline of `BENCH_sched.json`; this
+//! crate ships only the integer schedulers.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -39,7 +39,6 @@ pub mod drr;
 pub mod edf;
 pub mod fifo;
 pub mod hybrid;
-pub mod reference;
 pub mod scheduler;
 pub mod tournament;
 pub mod vclock;
@@ -51,7 +50,6 @@ pub use drr::Drr;
 pub use edf::Edf;
 pub use fifo::Fifo;
 pub use hybrid::Hybrid;
-pub use reference::{HybridReference, VirtualClockReference, Wf2qReference, WfqReference};
 pub use scheduler::{PacketRef, Scheduler};
 pub use vclock::{VirtualClock, VirtualTime};
 pub use wf2q::Wf2q;
@@ -116,36 +114,6 @@ impl SchedKind {
                 assignment.clone(),
                 queue_rates_bps.clone(),
             )),
-        }
-    }
-
-    /// Instantiate the retained float/`BinaryHeap` reference
-    /// implementation for differential testing and benchmarking.
-    /// Schedulers without virtual-time state (FIFO, DRR, EDF) have no
-    /// separate reference; they build their one implementation.
-    pub fn build_reference(&self, link_rate: Rate, specs: &[FlowSpec]) -> Box<dyn Scheduler> {
-        match self {
-            SchedKind::Wfq => {
-                let weights: Vec<u64> = specs.iter().map(|s| s.token_rate.bps().max(1)).collect();
-                Box::new(WfqReference::new(link_rate, weights))
-            }
-            SchedKind::VirtualClock => {
-                let rates: Vec<u64> = specs.iter().map(|s| s.token_rate.bps().max(1)).collect();
-                Box::new(VirtualClockReference::new(rates))
-            }
-            SchedKind::Wf2q => {
-                let weights: Vec<u64> = specs.iter().map(|s| s.token_rate.bps().max(1)).collect();
-                Box::new(Wf2qReference::new(link_rate, weights))
-            }
-            SchedKind::Hybrid {
-                assignment,
-                queue_rates_bps,
-            } => Box::new(HybridReference::new(
-                link_rate,
-                assignment.clone(),
-                queue_rates_bps.clone(),
-            )),
-            SchedKind::Fifo | SchedKind::Drr | SchedKind::Edf => self.build(link_rate, specs),
         }
     }
 

@@ -22,7 +22,7 @@
 //! by `(F, epoch)` — so eligibility promotion and service are slot
 //! moves, not heap churn. The `epoch` counter (bumped per head
 //! installation) keeps the pop order identical to the retained float
-//! reference ([`Wf2qReference`](crate::reference::Wf2qReference)),
+//! reference (`Wf2qReference` in the dev-only `qbm-oracle` package),
 //! whose lazy heaps use it to invalidate stale entries.
 //!
 //! ## Batched eligibility sweeps

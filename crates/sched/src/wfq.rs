@@ -26,9 +26,9 @@
 //!   sum `Σ_active finish·φ`, so no GPS step scans the classes —
 //!   O(log n) per update at any class count.
 //!
-//! The original float implementation is retained as
-//! [`WfqReference`](crate::reference::WfqReference) for differential
-//! testing and as the benchmark baseline.
+//! The original float implementation is retained as `WfqReference` in
+//! the dev-only `qbm-oracle` package, for differential testing and as
+//! the benchmark baseline.
 //!
 //! The core is written over abstract *classes* so the same machinery
 //! serves both per-flow WFQ ([`Wfq`], class = flow) and the §4 hybrid

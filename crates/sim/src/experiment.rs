@@ -15,7 +15,6 @@
 //! produce the same bytes.
 
 use crate::arena::SimArena;
-use crate::event::EventQueue;
 use crate::router::{FlowLanes, Router};
 use crate::stats::{SimResult, StatsCollector, StatsConfig};
 use qbm_core::flow::FlowSpec;
@@ -141,6 +140,15 @@ impl ExperimentConfig {
             .collect()
     }
 
+    /// The router a cell of this configuration runs at `seed`, with
+    /// `sched` in place of the configured scheduler: the seam through
+    /// which a differential test swaps in another implementation of a
+    /// [`SchedKind`] and runs the same sources and policy.
+    pub fn build_router(&self, seed: u64, sched: Box<dyn Scheduler>) -> Router {
+        let (lanes, _) = SimArena::new().checkout(self.specs.len());
+        self.router(seed, sched, lanes)
+    }
+
     /// The router every `run_once*` runs: the configured policy, the
     /// scheduler `sched`, and one source per spec ([`SourceSel`])
     /// filled into `lanes`.
@@ -193,40 +201,6 @@ impl ExperimentConfig {
     /// [`ExperimentConfig::run_once_pooled_with`] without an observer.
     pub fn run_once_pooled(&self, seed: u64, arena: &mut SimArena) -> SimResult {
         self.run_once_pooled_with(seed, &mut NullObserver, arena)
-    }
-
-    /// [`ExperimentConfig::run_once`] with the scheduler swapped for
-    /// its retained float reference (`SchedKind::build_reference`):
-    /// same sources, same policy, same event core — only the
-    /// virtual-time arithmetic differs (f64 over the shared Q32.32
-    /// quantization instead of pure integers). The determinism suite
-    /// asserts the output is byte-identical to `run_once` for every
-    /// scheduler × policy combination; the `sched_throughput` benchmark
-    /// uses it as the before-side of the fixed-point speedup.
-    pub fn run_once_sched_reference(&self, seed: u64) -> SimResult {
-        let (lanes, timers) = SimArena::new().checkout(self.specs.len());
-        let sched = self.sched.build_reference(self.link_rate, &self.specs);
-        let (warmup, end) = self.window();
-        self.router(seed, sched, lanes)
-            .run_inner(warmup, end, seed, &mut NullObserver, timers)
-            .0
-    }
-
-    /// [`ExperimentConfig::run_once`] on the reference binary-heap
-    /// [`EventQueue`] instead of the [`IndexedTimers`] production core
-    /// (see [`crate::event`]), with the same enum sources. Must produce
-    /// byte-identical results to `run_once` — the determinism suite
-    /// asserts it — and serves as the baseline side of the
-    /// `sim_throughput` benchmark.
-    ///
-    /// [`IndexedTimers`]: crate::event::IndexedTimers
-    pub fn run_once_reference(&self, seed: u64) -> SimResult {
-        let (lanes, _) = SimArena::new().checkout(self.specs.len());
-        let sched = self.sched.build(self.link_rate, &self.specs);
-        let (warmup, end) = self.window();
-        self.router(seed, sched, lanes)
-            .run_inner(warmup, end, seed, &mut NullObserver, EventQueue::new())
-            .0
     }
 
     /// Run `n_seeds` independent replications in parallel (the paper
@@ -404,24 +378,6 @@ impl<'a> Campaign<'a> {
         (multi, observers)
     }
 
-    /// Run the grid and fold each point's replications into a single
-    /// [`SimResult`] via [`StatsCollector::merge`]. The merged results
-    /// carry the campaign seed and are byte-identical for any thread
-    /// count.
-    pub fn run_merged(&self) -> Vec<SimResult> {
-        self.run()
-            .into_iter()
-            .map(|multi| {
-                let n_flows = multi.runs[0].flows.len();
-                let mut acc = StatsCollector::merger(n_flows, self.campaign_seed);
-                for run in &multi.runs {
-                    acc.merge(run);
-                }
-                acc.finish()
-            })
-            .collect()
-    }
-
     fn run_cell_with<O: Observer>(
         &self,
         idx: usize,
@@ -461,17 +417,6 @@ pub struct Summary {
     pub ci95: f64,
 }
 
-impl Summary {
-    /// CI half-width relative to the mean (the paper quotes "< 2 %").
-    pub fn rel_ci(&self) -> f64 {
-        if qbm_core::units::approx_eq(self.mean, 0.0, f64::EPSILON) {
-            0.0
-        } else {
-            self.ci95 / self.mean.abs()
-        }
-    }
-}
-
 /// Two-sided Student-t critical values at 95 % for n−1 degrees of
 /// freedom, n = 2..=10 (n = 5 → 2.776, the paper's protocol).
 const T95: [f64; 9] = [
@@ -483,6 +428,19 @@ impl MultiRun {
     pub fn summarize<F: Fn(&SimResult) -> f64>(&self, metric: F) -> Summary {
         let xs: Vec<f64> = self.runs.iter().map(metric).collect();
         summarize_samples(&xs)
+    }
+
+    /// Fold the replications into one [`SimResult`] carrying `seed`,
+    /// via [`StatsCollector::merge`]: exact counters add, and attached
+    /// quantile sketches merge. The fold is commutative, so the result
+    /// is byte-identical for any campaign thread count.
+    pub fn merged(&self, seed: u64) -> SimResult {
+        let n_flows = self.runs.first().map_or(0, |r| r.flows.len());
+        let mut acc = StatsCollector::merger(n_flows, seed);
+        for run in &self.runs {
+            acc.merge(run);
+        }
+        acc.finish()
     }
 }
 
@@ -565,7 +523,6 @@ mod tests {
         let sd = (0.625f64).sqrt(); // sample variance of the set is 0.625
         let expect = 2.776 * sd / 5f64.sqrt();
         assert!((s.ci95 - expect).abs() < 1e-9, "{} vs {expect}", s.ci95);
-        assert!(s.rel_ci() > 0.0);
     }
 
     #[test]
@@ -624,13 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn run_merged_folds_replications() {
+    fn merged_folds_replications() {
         let points = [tiny_config()];
         let mut c = Campaign::new(&points);
         c.replications = 3;
         c.campaign_seed = 11;
-        let merged = c.run_merged().pop().unwrap();
         let multi = c.run().pop().unwrap();
+        let merged = multi.merged(c.campaign_seed);
         let offered: u64 = multi.runs.iter().map(|r| r.flows[0].offered_pkts).sum();
         assert_eq!(merged.flows[0].offered_pkts, offered);
         let window: Dur = multi

@@ -13,8 +13,9 @@
 //! reproduces byte-identical results on any machine.
 //!
 //! * [`event`] — the timer core: indexed per-flow arrival slots under
-//!   a deterministic tournament tree ([`IndexedTimers`]), with the
-//!   reference binary heap kept for differential testing;
+//!   a deterministic tournament tree ([`IndexedTimers`]) behind the
+//!   [`EventCore`] trait (the reference binary heap it is tested
+//!   against lives in the dev-only `qbm-oracle` package);
 //! * [`router`] — policy × scheduler × link composition;
 //! * [`stats`] — per-flow counters, warmup trimming, throughput/loss
 //!   accessors;
@@ -42,7 +43,7 @@ pub mod scenarios;
 pub mod stats;
 
 pub use arena::SimArena;
-pub use event::{EventCore, EventQueue, IndexedTimers};
+pub use event::{EventCore, IndexedTimers};
 pub use experiment::{
     Campaign, ExperimentConfig, MultiRun, PolicySpec, SeedMode, SourceSel, Summary,
 };

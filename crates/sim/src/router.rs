@@ -17,11 +17,11 @@
 //! The loop is written to be allocation-free per event: sources sit in
 //! a [`SourceKind`] enum (inlined dispatch, no vtable), per-flow state
 //! lives in the SoA `FlowLanes` arrays, and events come from the
-//! [`IndexedTimers`] tournament tree. The crate's differential tests
-//! run the same loop on the reference
-//! [`EventQueue`](crate::event::EventQueue) heap. The
-//! `hot-path-alloc` qbm-lint rule enforces the no-allocation property
-//! on `LinkEngine::advance`/`start_transmission` going forward.
+//! [`IndexedTimers`] tournament tree. The dev-only `qbm-oracle`
+//! package runs the same loop on its reference heap through
+//! [`Router::run_on`]. The `hot-path-alloc` qbm-lint rule enforces the
+//! no-allocation property on `LinkEngine::advance`/`start_transmission`
+//! going forward.
 
 use crate::event::{Event, EventCore, IndexedTimers, Outbox};
 use crate::stats::{SimResult, StatsCollector, StatsConfig};
@@ -319,12 +319,21 @@ where
         self.run_inner(warmup, end, seed, obs, events).0
     }
 
+    /// Like [`Router::run`], on the event core `events` instead of a
+    /// fresh [`IndexedTimers`]: the seam through which a differential
+    /// test runs the unchanged event loop on another [`EventCore`].
+    /// `events` must be empty and sized for the router's sourced flows
+    /// ([`EventCore::with_flows`]).
+    pub fn run_on<E: EventCore>(self, warmup: Time, end: Time, seed: u64, events: E) -> SimResult {
+        self.run_inner(warmup, end, seed, &mut NullObserver, events)
+            .0
+    }
+
     /// The event loop, generic over observer and event core. Returns
     /// the statistics and the spent lanes and event core (whose
     /// allocations a campaign arena recycles). The caller supplies
     /// `events` sized for `sources.len()` flows: the crate runs the
-    /// same loop on recycled [`IndexedTimers`] for campaign cells and
-    /// on the reference heap for differential tests.
+    /// same loop on recycled [`IndexedTimers`] for campaign cells.
     ///
     /// The loop itself lives in [`LinkEngine`]: a single-link run is
     /// one engine primed and advanced to `end` in a single epoch, while
@@ -877,23 +886,6 @@ mod tests {
                 .flows
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reference_heap_core_matches_indexed_timers() {
-        // Differential full-sim check at unit scope: the mixed-rate CBR
-        // pair collides every 800 µs, so same-instant ordering is
-        // exercised continuously; both cores must agree exactly.
-        let timers =
-            cbr_router(&[20.0, 35.0], 80_000).run(Time::from_secs(1), Time::from_secs(4), 7);
-        let (heap, _, _) = cbr_router(&[20.0, 35.0], 80_000).run_inner(
-            Time::from_secs(1),
-            Time::from_secs(4),
-            7,
-            &mut NullObserver,
-            crate::event::EventQueue::with_flows(2),
-        );
-        assert_eq!(timers.flows, heap.flows);
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! disagree on near-tie orderings; with it, "differential" means
 //! *equal*, which is the property the 56-combo equivalence tests pin.
 
-use crate::scheduler::{PacketRef, Scheduler};
-use crate::vclock::VirtualTime;
 use qbm_core::units::{Rate, Time};
+use qbm_sched::{PacketRef, Scheduler, VirtualTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -73,7 +72,7 @@ fn vt_exact(x: f64) -> VirtualTime {
 }
 
 /// Class-indexed float PGPS engine — the retained original
-/// implementation of [`crate::Wfq`]'s core (see module docs).
+/// implementation of [`qbm_sched::Wfq`]'s core (see module docs).
 #[derive(Debug)]
 pub(crate) struct WfqCoreReference {
     link_bps: u64,
@@ -93,7 +92,7 @@ pub(crate) struct WfqCoreReference {
     gps_heap: BinaryHeap<Reverse<(OrdF64, usize)>>,
     /// Cached *lower bound* on the real instant at which the genuine
     /// head of `gps_heap` completes its GPS backlog (`Time::MAX` when
-    /// idle). Mirrors [`WfqCore`](crate::wfq)'s cached deadline exactly
+    /// idle). Mirrors [`WfqCore`](qbm_sched::wfq)'s cached deadline exactly
     /// — fast-path enqueues leave it stale (safe: growing a finish tag
     /// only moves the deadline later) and it is re-pinned on the slow
     /// path. The advance *pattern* is part of the rounded value stream,
@@ -298,7 +297,6 @@ impl WfqCoreReference {
 
     pub(crate) fn dequeue_min(&mut self, _now: Time) -> Option<PacketRef> {
         let Reverse((OrdF64(f), seq, class)) = self.pkt_heap.pop()?;
-        // qbm-lint: allow(hot-path-panic) — reference scheduler: clarity over infallibility
         let (pkt, tag) = self.queues[class].pop_front().expect("heap/queue desync");
         debug_assert_eq!(pkt.seq, seq, "per-class order violated");
         debug_assert!(qbm_core::units::approx_eq(tag, f, 0.0));
@@ -311,7 +309,7 @@ impl WfqCoreReference {
     }
 }
 
-/// Float per-flow WFQ — the retained original [`crate::Wfq`].
+/// Float per-flow WFQ — the retained original [`qbm_sched::Wfq`].
 #[derive(Debug)]
 pub struct WfqReference {
     core: WfqCoreReference,
@@ -344,7 +342,7 @@ impl Scheduler for WfqReference {
     }
 }
 
-/// Float §4 hybrid — the retained original [`crate::Hybrid`]:
+/// Float §4 hybrid — the retained original [`qbm_sched::Hybrid`]:
 /// `k` FIFO queues served by the float WFQ core.
 #[derive(Debug)]
 pub struct HybridReference {
@@ -400,7 +398,7 @@ struct HeadTags {
     epoch: u64,
 }
 
-/// Float WF²Q+ — the retained original [`crate::Wf2q`]: per-flow FIFO
+/// Float WF²Q+ — the retained original [`qbm_sched::Wf2q`]: per-flow FIFO
 /// queues plus two lazy heaps over flow heads, ineligible flows keyed
 /// by `S`, eligible flows keyed by `(F, epoch)`.
 #[derive(Debug)]
@@ -539,7 +537,6 @@ impl Scheduler for Wf2qReference {
         if !self.any_eligible() {
             // No head is eligible: jump V to the earliest start (the
             // WF²Q+ max-rule) and promote again.
-            // qbm-lint: allow(hot-path-panic) — reference scheduler: clarity over infallibility
             let s = self.min_start().expect("backlogged but no heads indexed");
             self.vtime = self.vtime.max(s);
             self.promote();
@@ -550,7 +547,7 @@ impl Scheduler for Wf2qReference {
             if !self.head_valid(f, ep) {
                 continue;
             }
-            // qbm-lint: allow(hot-path-panic) — reference scheduler: head_valid just confirmed the queue is non-empty
+            // head_valid just confirmed the queue is non-empty
             let pkt = self.queues[f].pop_front().expect("validated non-empty");
             self.len -= 1;
             // Advance V by normalized service.
@@ -572,7 +569,7 @@ impl Scheduler for Wf2qReference {
     }
 }
 
-/// Float Virtual Clock — the retained original [`crate::VirtualClock`].
+/// Float Virtual Clock — the retained original [`qbm_sched::VirtualClock`].
 #[derive(Debug)]
 pub struct VirtualClockReference {
     /// Per-flow reserved rates ρᵢ, b/s.
@@ -613,7 +610,6 @@ impl Scheduler for VirtualClockReference {
 
     fn dequeue(&mut self, _now: Time) -> Option<PacketRef> {
         let Reverse((_, seq, f)) = self.heap.pop()?;
-        // qbm-lint: allow(hot-path-panic) — reference scheduler: clarity over infallibility
         let pkt = self.queues[f].pop_front().expect("heap/queue desync");
         debug_assert_eq!(pkt.seq, seq);
         self.len -= 1;

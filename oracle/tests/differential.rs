@@ -9,10 +9,8 @@
 use proptest::prelude::*;
 use qbm_core::flow::FlowId;
 use qbm_core::units::{Dur, Rate, Time};
-use qbm_sched::{
-    Hybrid, HybridReference, PacketRef, Scheduler, VirtualClock, VirtualClockReference, Wf2q,
-    Wf2qReference, Wfq, WfqReference,
-};
+use qbm_oracle::{HybridReference, VirtualClockReference, Wf2qReference, WfqReference};
+use qbm_sched::{Hybrid, PacketRef, Scheduler, VirtualClock, Wf2q, Wfq};
 
 const LINK: Rate = Rate::from_bps(48_000_000);
 

@@ -3,6 +3,7 @@
 //! every scheduler × policy combination, and different seeds must give
 //! different traces.
 
+use qbm_oracle::{run_once_reference, run_once_sched_reference};
 use qos_buffer_mgmt::core::policy::{BufferPolicy, FixedThreshold, PolicyKind, ThresholdOptions};
 use qos_buffer_mgmt::core::units::{ByteSize, Dur, Time};
 use qos_buffer_mgmt::obs::{verify_trace, Tracer};
@@ -135,7 +136,12 @@ fn campaign_results_are_thread_count_invariant() {
         campaign.replications = 3;
         campaign.campaign_seed = 7;
         campaign.threads = threads;
-        (campaign.run(), campaign.run_merged())
+        let grid = campaign.run();
+        let merged: Vec<_> = grid
+            .iter()
+            .map(|m| m.merged(campaign.campaign_seed))
+            .collect();
+        (grid, merged)
     };
     let (grid1, merged1) = run_with(1);
     let (grid8, merged8) = run_with(8);
@@ -286,7 +292,7 @@ fn indexed_timers_match_reference_heap_end_to_end() {
     // Table-2 workload.
     for (name, c) in all_combinations() {
         let new_path = c.run_once(17);
-        let old_path = c.run_once_reference(17);
+        let old_path = run_once_reference(&c, 17);
         assert_eq!(
             new_path.flows, old_path.flows,
             "{name}: indexed timers diverged from reference heap"
@@ -298,7 +304,7 @@ fn indexed_timers_match_reference_heap_end_to_end() {
     for seed in [1u64, 17, 99] {
         assert_eq!(
             t2.run_once(seed).flows,
-            t2.run_once_reference(seed).flows,
+            run_once_reference(&t2, seed).flows,
             "table2 seed {seed}: indexed timers diverged from reference heap"
         );
     }
@@ -368,7 +374,7 @@ fn fixed_point_schedulers_match_float_references_end_to_end() {
     // constructors, so this is exact equality, not a tolerance check.
     for (name, c) in all_combinations() {
         let fixed = c.run_once(17);
-        let float_ref = c.run_once_sched_reference(17);
+        let float_ref = run_once_sched_reference(&c, 17);
         assert_eq!(
             fixed.flows, float_ref.flows,
             "{name}: fixed-point scheduler diverged from float reference"
@@ -400,7 +406,7 @@ fn fixed_point_schedulers_match_float_references_end_to_end() {
         for seed in [1u64, 17] {
             assert_eq!(
                 c.run_once(seed).flows,
-                c.run_once_sched_reference(seed).flows,
+                run_once_sched_reference(&c, seed).flows,
                 "table2 {} seed {seed}: fixed-point diverged from float reference",
                 c.sched.label()
             );

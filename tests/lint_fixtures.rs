@@ -10,7 +10,7 @@
 //!
 //! * `//@ file: <repo-relative-path>` — a source file at that path
 //!   (rules are path-scoped, so the virtual path selects the rule);
-//! * `//@ suite` / `//@ differential` / `//@ rules-md` — reference
+//! * `//@ suite` / `//@ rules-md` — reference
 //!   text for the exhaustiveness cross-checks ([`qbm_lint::RefSet`]);
 //! * `//@ rules-md live` / `//@ fixtures live` — substitute the real
 //!   generated docs / the real fixture-directory listing;
@@ -40,7 +40,6 @@ fn parse_fixture(path: &Path) -> Fixture {
         Nothing,
         File(usize),
         Suite,
-        Differential,
         RulesMd,
     }
     let mut into = Into::Nothing;
@@ -53,9 +52,6 @@ fn parse_fixture(path: &Path) -> Fixture {
             } else if marker == "suite" {
                 fx.refs.suite = Some(String::new());
                 Into::Suite
-            } else if marker == "differential" {
-                fx.refs.differential = Some(String::new());
-                Into::Differential
             } else if marker == "rules-md" {
                 fx.refs.rules_md = Some(String::new());
                 Into::RulesMd
@@ -87,7 +83,6 @@ fn parse_fixture(path: &Path) -> Fixture {
             Into::Nothing => continue,
             Into::File(i) => &mut fx.files[i].1,
             Into::Suite => fx.refs.suite.as_mut().unwrap(),
-            Into::Differential => fx.refs.differential.as_mut().unwrap(),
             Into::RulesMd => fx.refs.rules_md.as_mut().unwrap(),
         };
         buf.push_str(line);
