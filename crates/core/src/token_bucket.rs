@@ -55,6 +55,12 @@ impl TokenBucket {
         self.rate
     }
 
+    /// The instant the level was last brought up to date — the last
+    /// `now` passed to any method that takes one.
+    pub fn last_update(&self) -> Time {
+        self.last_update
+    }
+
     /// Advance the refill clock to `now`. Idempotent; callers may poll.
     pub fn update(&mut self, now: Time) {
         debug_assert!(

@@ -80,6 +80,15 @@ impl Outbox {
         self.logs.get_mut(log)
     }
 
+    /// Free every log buffer: the last handoff has taken each log's
+    /// final entries, leaving the drained buffer it swapped back.
+    pub(crate) fn release(&mut self) {
+        for log in &mut self.logs {
+            debug_assert!(log.is_empty(), "an outbox released before its handoff");
+            *log = Vec::new();
+        }
+    }
+
     /// Record flow `flow`'s departure at `now`. Departures arrive in
     /// time order, so appending keeps each log time-sorted; a
     /// same-instant run (a transmission time that rounds to 0 ns) is
@@ -358,6 +367,15 @@ impl IndexedTimers {
         l.next = 0;
         let head = l.head().map_or(Time::MAX, |e| e.time);
         self.set_slot(self.slots.flows + log, head);
+    }
+
+    /// Free every log slot's buffer: the link has reached the end of
+    /// the run, so no upstream hands it another batch.
+    pub(crate) fn release_logs(&mut self) {
+        for l in &mut self.slots.logs {
+            debug_assert!(l.head().is_none(), "a log released before it drained");
+            *l = InLog::default();
+        }
     }
 
     /// Dismantle the core into its backing vectors for recycling via

@@ -421,8 +421,9 @@ where
         // logs down between waves. A wave is primed — its per-flow
         // statistics built — just before its first advance, and on this
         // thread, not in a shard thread whose malloc arena would keep
-        // the memory; its source stages are freed once it reaches
-        // `end`. So a link holds its per-flow memory only while it runs.
+        // the memory; its source stages and departure-log buffers are
+        // freed once it reaches `end` and has handed its last logs down.
+        // So a link holds its per-flow memory only while it runs.
         let mut horizon = Time::ZERO;
         while horizon < end {
             let first = horizon == Time::ZERO;
@@ -446,12 +447,21 @@ where
                     horizon,
                     threads,
                 );
-                if horizon == end {
-                    stages[lo..hi].fill_with(|| None);
-                }
                 while let Some(&h) = handoffs.get(cursor).filter(|h| h.src < hi) {
                     handoff(&mut engines, h);
                     cursor += 1;
+                }
+                if horizon == end {
+                    stages[lo..hi].fill_with(|| None);
+                    // Every log of the wave is drained and handed down:
+                    // free the inbound slots and the outbound buffers the
+                    // last handoffs swapped back.
+                    for e in &mut engines[lo..hi] {
+                        e.events.release_logs();
+                        if let Some(outbox) = e.outbox.as_mut() {
+                            outbox.release();
+                        }
+                    }
                 }
             }
             // The feedback return leg: after every wave reached this

@@ -288,7 +288,6 @@ impl std::fmt::Debug for SimResult {
 }
 
 impl SimResult {
-    // qbm-lint: cold(per-run result construction, not per-event)
     pub(crate) fn new(n_flows: usize, window: Dur, seed: u64) -> SimResult {
         SimResult {
             flows: vec![FlowStats::default(); n_flows],
@@ -298,25 +297,6 @@ impl SimResult {
             occ_sketch: None,
             aimd: None,
         }
-    }
-
-    // qbm-lint: cold(per-run result construction, not per-event)
-    fn with_config(n_flows: usize, window: Dur, seed: u64, cfg: StatsConfig) -> SimResult {
-        let mut r = SimResult::new(n_flows, window, seed);
-        if let Some(sp) = cfg.sketches {
-            r.delay_sketch = Some(QuantileSketch::new(sp.precision_bits));
-            r.occ_sketch = Some(QuantileSketch::new(sp.precision_bits));
-            // The flow-count guard: a per-flow pair is up to 30 KiB worst
-            // case, ≈ 6 KiB for a `paper_campaign` flow (DESIGN.md §14),
-            // so ISP-scale runs keep aggregates only.
-            if n_flows <= PER_FLOW_SKETCH_LIMIT {
-                for f in &mut r.flows {
-                    f.delay_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
-                    f.occ_sketch = Some(Box::new(QuantileSketch::new(sp.precision_bits)));
-                }
-            }
-        }
-        r
     }
 
     /// Delivered rate of one flow over the window, bits/s.
@@ -361,10 +341,88 @@ impl SimResult {
     }
 }
 
+/// The per-flow counters every in-window packet touches: what a
+/// [`StatsCollector`] keeps for a flow from its first in-window packet
+/// on (104 B against [`FlowStats`]' 160 B). Drop counters and per-flow
+/// sketches live in lanes of their own, allocated on first use.
+#[derive(Debug, Clone, Default)]
+struct HotStats {
+    offered_bytes: u64,
+    offered_pkts: u64,
+    green_offered_bytes: u64,
+    green_offered_pkts: u64,
+    delivered_bytes: u64,
+    delivered_pkts: u64,
+    green_delivered_bytes: u64,
+    /// [`FlowStats::delay_sum_ns`] as its low and high words: a `u128`
+    /// field would 16-align the record and pad it to 112 B.
+    delay_sum_ns: [u64; 2],
+    delay_max_ns: u64,
+    /// [`FlowStats::delay_hist`], grown the same way.
+    delay_hist: Vec<u64>,
+}
+
+impl HotStats {
+    fn add_delay_sum(&mut self, ns: u128) {
+        let sum = self.delay_sum() + ns;
+        self.delay_sum_ns = [sum as u64, (sum >> 64) as u64];
+    }
+
+    fn delay_sum(&self) -> u128 {
+        let [lo, hi] = self.delay_sum_ns;
+        lo as u128 | (hi as u128) << 64
+    }
+}
+
+/// [`StatsCollector`]'s slot index of a flow without a record yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A flow's drop counters: the cold lane [`StatsCollector`] allocates
+/// at the first in-window drop.
+#[derive(Debug, Clone, Copy, Default)]
+struct DropStats {
+    bytes: u64,
+    pkts: u64,
+    /// By cause, in [`DropReason`] order.
+    by_cause: [u64; 3],
+}
+
+/// A flow's sketches: the lane [`StatsCollector`] allocates only when
+/// it sketches per flow (or merges results that did).
+#[derive(Debug, Clone, Default)]
+struct FlowSketches {
+    delay: Option<Box<QuantileSketch>>,
+    occ: Option<Box<QuantileSketch>>,
+}
+
 /// Mutable collector the router writes into during a run.
+///
+/// Per flow it keeps a 4 B slot index; a flow gets the counters every
+/// packet touches (104 B) at its first in-window packet, drop counters
+/// at the first drop, and sketches when the collector sketches per
+/// flow. [`StatsCollector::finish`] assembles the [`FlowStats`] of its
+/// result from them, zero for a flow that saw nothing in the window.
+/// A collector that sketches per flow, which spends kilobytes per flow
+/// on sketches anyway, makes every record up front instead and skips
+/// the slot lookup on every packet.
 #[derive(Debug)]
 pub struct StatsCollector {
+    /// Window, seed and the aggregate attachments; `flows` stays empty
+    /// until [`StatsCollector::finish`] assembles it.
     result: SimResult,
+    /// `slots[f]`: where in `hot` flow `f`'s record is, [`NO_SLOT`]
+    /// until its first in-window packet.
+    slots: Vec<u32>,
+    /// The records of the flows that have seen an in-window packet, in
+    /// order of first packet.
+    hot: Vec<HotStats>,
+    /// Every flow has its record from the start, in slot `f` (so
+    /// `slots` is the identity).
+    dense: bool,
+    /// Empty until the first in-window drop, then one per flow.
+    drops: Vec<DropStats>,
+    /// Empty unless sketching per flow, then one per flow.
+    sketches: Vec<FlowSketches>,
     warmup_end: Time,
     run_end: Time,
 }
@@ -377,7 +435,9 @@ impl StatsCollector {
 
     /// Collect into a window `[warmup_end, run_end)` with optional
     /// streaming attachments (see [`StatsConfig`]). All sketch memory
-    /// is allocated here, once — the per-event paths never allocate.
+    /// is allocated here, once — the per-event paths never allocate a
+    /// sketch.
+    // qbm-lint: cold(per-run construction, before the event loop)
     pub fn with_config(
         n_flows: usize,
         warmup_end: Time,
@@ -386,11 +446,30 @@ impl StatsCollector {
         cfg: StatsConfig,
     ) -> StatsCollector {
         assert!(run_end > warmup_end, "empty measurement window");
-        StatsCollector {
-            result: SimResult::with_config(n_flows, run_end.since(warmup_end), seed, cfg),
-            warmup_end,
-            run_end,
+        let mut c = StatsCollector::merger(n_flows, seed);
+        c.result.window = run_end.since(warmup_end);
+        c.warmup_end = warmup_end;
+        c.run_end = run_end;
+        if let Some(sp) = cfg.sketches {
+            c.result.delay_sketch = Some(QuantileSketch::new(sp.precision_bits));
+            c.result.occ_sketch = Some(QuantileSketch::new(sp.precision_bits));
+            // The flow-count guard: a per-flow pair is up to 30 KiB worst
+            // case, ≈ 6 KiB for a `paper_campaign` flow (DESIGN.md §14),
+            // so ISP-scale runs keep aggregates only.
+            if n_flows <= PER_FLOW_SKETCH_LIMIT {
+                c.slots = (0..n_flows as u32).collect();
+                c.hot = vec![HotStats::default(); n_flows];
+                c.dense = true;
+                let sketch = || Some(Box::new(QuantileSketch::new(sp.precision_bits)));
+                c.sketches = (0..n_flows)
+                    .map(|_| FlowSketches {
+                        delay: sketch(),
+                        occ: sketch(),
+                    })
+                    .collect();
+            }
         }
+        c
     }
 
     fn in_window(&self, t: Time) -> bool {
@@ -417,11 +496,36 @@ impl StatsCollector {
         if let Some(s) = self.result.occ_sketch.as_mut() {
             s.record(total_occ);
         }
-        if let Some(f) = self.result.flows.get_mut(flow.index()) {
-            if let Some(s) = f.occ_sketch.as_mut() {
+        if let Some(s) = self.sketches.get_mut(flow.index()) {
+            if let Some(s) = s.occ.as_mut() {
                 s.record(flow_occ);
             }
         }
+    }
+
+    /// Flow `flow`'s record, made at its first call; `None` for a flow
+    /// the collector does not have.
+    #[inline]
+    fn record(&mut self, flow: FlowId) -> Option<&mut HotStats> {
+        if self.dense {
+            return self.hot.get_mut(flow.index());
+        }
+        match *self.slots.get(flow.index())? {
+            NO_SLOT => self.first_record(flow.index()),
+            slot => self.hot.get_mut(slot as usize),
+        }
+    }
+
+    /// [`StatsCollector::record`]'s first call for flow `f`: give it a
+    /// slot and a zero record. Out of line, so the per-packet path
+    /// stays a load and a compare.
+    #[cold]
+    #[inline(never)]
+    fn first_record(&mut self, f: usize) -> Option<&mut HotStats> {
+        let slot = self.slots.get_mut(f)?;
+        *slot = self.hot.len() as u32;
+        self.hot.push(HotStats::default());
+        self.hot.last_mut()
     }
 
     /// Record an offered packet and its verdict.
@@ -429,18 +533,34 @@ impl StatsCollector {
         if !self.in_window(now) {
             return;
         }
-        let f = &mut self.result.flows[flow.index()];
+        let Some(f) = self.record(flow) else {
+            debug_assert!(false, "arrival of an unknown flow");
+            return;
+        };
         f.offered_bytes += len as u64;
         f.offered_pkts += 1;
         if let Some(reason) = dropped {
-            f.dropped_bytes += len as u64;
-            f.dropped_pkts += 1;
-            match reason {
-                DropReason::BufferFull => f.drops_buffer_full += 1,
-                DropReason::OverThreshold => f.drops_over_threshold += 1,
-                DropReason::NoSharedSpace => f.drops_no_shared_space += 1,
-            }
+            self.on_drop(flow.index(), len, reason);
         }
+    }
+
+    // qbm-lint: cold(a drop, off the delivery path; allocates its lane once per run)
+    fn on_drop(&mut self, flow: usize, len: u32, reason: DropReason) {
+        if self.drops.is_empty() {
+            self.drops = vec![DropStats::default(); self.slots.len()];
+        }
+        let Some(d) = self.drops.get_mut(flow) else {
+            debug_assert!(false, "drop of an unknown flow");
+            return;
+        };
+        d.bytes += len as u64;
+        d.pkts += 1;
+        let cause = match reason {
+            DropReason::BufferFull => &mut d.by_cause[0],
+            DropReason::OverThreshold => &mut d.by_cause[1],
+            DropReason::NoSharedSpace => &mut d.by_cause[2],
+        };
+        *cause += 1;
     }
 
     /// Record a completed transmission.
@@ -460,14 +580,17 @@ impl StatsCollector {
         if !self.in_window(now) {
             return;
         }
-        let f = &mut self.result.flows[flow.index()];
+        let Some(f) = self.record(flow) else {
+            debug_assert!(false, "departure of an unknown flow");
+            return;
+        };
         f.delivered_bytes += len as u64;
         f.delivered_pkts += 1;
         if green {
             f.green_delivered_bytes += len as u64;
         }
         let d = now.since(arrival).as_nanos();
-        f.delay_sum_ns += d as u128;
+        f.add_delay_sum(d as u128);
         f.delay_max_ns = f.delay_max_ns.max(d);
         let bucket = (63 - d.max(1).leading_zeros()) as usize;
         match f.delay_hist.get_mut(bucket) {
@@ -480,8 +603,10 @@ impl StatsCollector {
                 f.delay_hist.push(1);
             }
         }
-        if let Some(s) = f.delay_sketch.as_mut() {
-            s.record(d);
+        if let Some(s) = self.sketches.get_mut(flow.index()) {
+            if let Some(s) = s.delay.as_mut() {
+                s.record(d);
+            }
         }
         if let Some(s) = self.result.delay_sketch.as_mut() {
             s.record(d);
@@ -494,22 +619,73 @@ impl StatsCollector {
         if !self.in_window(now) || !green {
             return;
         }
-        let f = &mut self.result.flows[flow.index()];
+        let Some(f) = self.record(flow) else {
+            debug_assert!(false, "color of an unknown flow");
+            return;
+        };
         f.green_offered_bytes += len as u64;
         f.green_offered_pkts += 1;
     }
 
-    /// Finish the run.
+    /// Finish the run: assemble one [`FlowStats`] per flow from its hot
+    /// record and lanes.
+    // qbm-lint: cold(per-run result assembly, after the event loop)
     pub fn finish(self) -> SimResult {
-        self.result
+        let StatsCollector {
+            mut result,
+            slots,
+            mut hot,
+            drops,
+            mut sketches,
+            ..
+        } = self;
+        result.flows = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                let h = hot
+                    .get_mut(slot as usize)
+                    .map(std::mem::take)
+                    .unwrap_or_default();
+                let d = drops.get(i).copied().unwrap_or_default();
+                let [buffer_full, over_threshold, no_shared_space] = d.by_cause;
+                let s = sketches.get_mut(i).map(std::mem::take).unwrap_or_default();
+                FlowStats {
+                    offered_bytes: h.offered_bytes,
+                    offered_pkts: h.offered_pkts,
+                    dropped_bytes: d.bytes,
+                    dropped_pkts: d.pkts,
+                    drops_buffer_full: buffer_full,
+                    drops_over_threshold: over_threshold,
+                    drops_no_shared_space: no_shared_space,
+                    delivered_bytes: h.delivered_bytes,
+                    delivered_pkts: h.delivered_pkts,
+                    delay_sum_ns: h.delay_sum(),
+                    delay_max_ns: h.delay_max_ns,
+                    delay_hist: h.delay_hist,
+                    green_offered_bytes: h.green_offered_bytes,
+                    green_offered_pkts: h.green_offered_pkts,
+                    green_delivered_bytes: h.green_delivered_bytes,
+                    delay_sketch: s.delay,
+                    occ_sketch: s.occ,
+                }
+            })
+            .collect();
+        result
     }
 
     /// A collector that starts as the merge identity — zero counters,
     /// zero window — for folding completed runs with
     /// [`StatsCollector::merge`].
+    // qbm-lint: cold(per-run construction, before the event loop)
     pub fn merger(n_flows: usize, seed: u64) -> StatsCollector {
         StatsCollector {
-            result: SimResult::new(n_flows, Dur::ZERO, seed),
+            result: SimResult::new(0, Dur::ZERO, seed),
+            slots: vec![NO_SLOT; n_flows],
+            hot: Vec::new(),
+            dense: false,
+            drops: Vec::new(),
+            sketches: Vec::new(),
             warmup_end: Time::ZERO,
             run_end: Time::ZERO,
         }
@@ -521,16 +697,60 @@ impl StatsCollector {
     /// measurement windows, so throughput accessors report the mean
     /// rate across replications). The fold is commutative and
     /// associative: any merge order over the same set of runs yields an
-    /// identical result.
+    /// identical result — the one [`FlowStats::merge`] gives.
     pub fn merge(&mut self, other: &SimResult) {
         assert_eq!(
-            self.result.flows.len(),
+            self.slots.len(),
             other.flows.len(),
             "merging results with different flow counts"
         );
         self.result.window += other.window;
-        for (into, from) in self.result.flows.iter_mut().zip(&other.flows) {
-            into.merge(from);
+        let n = self.slots.len();
+        let dropped = |f: &FlowStats| {
+            f.dropped_bytes
+                | f.dropped_pkts
+                | f.drops_buffer_full
+                | f.drops_over_threshold
+                | f.drops_no_shared_space
+                != 0
+        };
+        if self.drops.is_empty() && other.flows.iter().any(dropped) {
+            self.drops = vec![DropStats::default(); n];
+        }
+        let sketched = |f: &FlowStats| f.delay_sketch.is_some() || f.occ_sketch.is_some();
+        if self.sketches.is_empty() && other.flows.iter().any(sketched) {
+            self.sketches = vec![FlowSketches::default(); n];
+        }
+        for (i, f) in other.flows.iter().enumerate() {
+            if let Some(d) = self.drops.get_mut(i) {
+                d.bytes += f.dropped_bytes;
+                d.pkts += f.dropped_pkts;
+                d.by_cause[0] += f.drops_buffer_full;
+                d.by_cause[1] += f.drops_over_threshold;
+                d.by_cause[2] += f.drops_no_shared_space;
+            }
+            if let Some(s) = self.sketches.get_mut(i) {
+                merge_sketch(&mut s.delay, &f.delay_sketch);
+                merge_sketch(&mut s.occ, &f.occ_sketch);
+            }
+            let Some(h) = self.record(FlowId(i as u32)) else {
+                continue;
+            };
+            h.offered_bytes += f.offered_bytes;
+            h.offered_pkts += f.offered_pkts;
+            h.green_offered_bytes += f.green_offered_bytes;
+            h.green_offered_pkts += f.green_offered_pkts;
+            h.delivered_bytes += f.delivered_bytes;
+            h.delivered_pkts += f.delivered_pkts;
+            h.green_delivered_bytes += f.green_delivered_bytes;
+            h.add_delay_sum(f.delay_sum_ns);
+            h.delay_max_ns = h.delay_max_ns.max(f.delay_max_ns);
+            if h.delay_hist.len() < f.delay_hist.len() {
+                h.delay_hist.resize(f.delay_hist.len(), 0);
+            }
+            for (a, b) in h.delay_hist.iter_mut().zip(&f.delay_hist) {
+                *a += b;
+            }
         }
         merge_sketch(&mut self.result.delay_sketch, &other.delay_sketch);
         merge_sketch(&mut self.result.occ_sketch, &other.occ_sketch);
@@ -861,6 +1081,107 @@ mod tests {
         assert_eq!(std::mem::size_of::<FlowStats>(), 160, "FlowStats footprint");
     }
 
+    #[test]
+    fn hot_record_stays_within_its_budget() {
+        // What the collector holds for a flow from its first in-window
+        // packet on: offered, green and delivered counters, the delay
+        // sum and maximum, and the histogram's `Vec` header. Drops and
+        // sketches live in lanes.
+        assert_eq!(std::mem::size_of::<HotStats>(), 104, "HotStats footprint");
+    }
+
+    /// An out-of-range flow reaches each recorder's `get_mut` fallback:
+    /// a debug build stops at its `debug_assert!`, a release build skips
+    /// the record and counts nothing.
+    fn record_for_unknown_flow(record: impl FnOnce(&mut StatsCollector)) {
+        let mut c = StatsCollector::new(1, Time::ZERO, Time::from_secs(1), 0);
+        record(&mut c);
+        assert_eq!(c.finish().flows, vec![FlowStats::default()]);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "arrival of an unknown flow")
+    )]
+    fn arrival_of_an_unknown_flow_is_skipped() {
+        record_for_unknown_flow(|c| c.on_arrival(Time::ZERO, FlowId(1), 500, None));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "color of an unknown flow"))]
+    fn color_of_an_unknown_flow_is_skipped() {
+        record_for_unknown_flow(|c| c.on_color(Time::ZERO, FlowId(1), 500, true));
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "departure of an unknown flow")
+    )]
+    fn departure_of_an_unknown_flow_is_skipped() {
+        record_for_unknown_flow(|c| {
+            c.on_departure(Time::ZERO + Dur::from_millis(1), FlowId(1), 500, Time::ZERO)
+        });
+    }
+
+    #[test]
+    fn a_flow_gets_its_record_at_its_first_in_window_packet() {
+        let mut c = StatsCollector::new(4, Time::from_secs(1), Time::from_secs(2), 0);
+        c.on_color(Time::ZERO, FlowId(3), 500, true);
+        c.on_arrival(Time::ZERO, FlowId(3), 500, None);
+        c.on_departure(Time::from_secs(2), FlowId(1), 500, Time::from_secs(1));
+        assert!(c.hot.is_empty(), "out-of-window packets make no record");
+        c.on_departure(Time::from_secs(1), FlowId(2), 500, Time::ZERO);
+        c.on_color(Time::from_secs(1), FlowId(0), 500, true);
+        c.on_arrival(Time::from_secs(1), FlowId(2), 500, None);
+        assert_eq!(c.hot.len(), 2);
+        assert_eq!(c.slots, vec![1, NO_SLOT, 0, NO_SLOT]);
+        let r = c.finish();
+        assert_eq!(r.flows[1], FlowStats::default());
+        assert_eq!(r.flows[3], FlowStats::default());
+        assert_eq!((r.flows[2].offered_pkts, r.flows[2].delivered_pkts), (1, 1));
+        assert_eq!(r.flows[0].green_offered_pkts, 1);
+    }
+
+    #[test]
+    fn a_collector_sketching_per_flow_makes_every_record_up_front() {
+        let cfg = StatsConfig {
+            sketches: Some(SketchParams::default()),
+        };
+        let mut c = StatsCollector::with_config(3, Time::ZERO, Time::from_secs(1), 0, cfg);
+        assert!(c.dense);
+        assert_eq!((c.slots.clone(), c.hot.len()), (vec![0, 1, 2], 3));
+        c.on_departure(Time::ZERO + Dur::from_millis(1), FlowId(2), 500, Time::ZERO);
+        assert_eq!(c.hot.len(), 3);
+        assert_eq!(c.finish().flows[2].delivered_pkts, 1);
+        let above = PER_FLOW_SKETCH_LIMIT + 1;
+        let c = StatsCollector::with_config(above, Time::ZERO, Time::from_secs(1), 0, cfg);
+        assert!(
+            !c.dense && c.hot.is_empty(),
+            "aggregate-only sketching stays sparse"
+        );
+    }
+
+    #[test]
+    fn drop_lane_is_allocated_at_the_first_in_window_drop() {
+        let mut c = StatsCollector::new(3, Time::from_secs(1), Time::from_secs(2), 0);
+        c.on_arrival(Time::ZERO, FlowId(1), 500, Some(DropReason::BufferFull));
+        c.on_arrival(Time::from_secs(1), FlowId(0), 500, None);
+        assert!(c.drops.is_empty(), "no in-window drop yet");
+        c.on_arrival(
+            Time::from_secs(1),
+            FlowId(2),
+            500,
+            Some(DropReason::NoSharedSpace),
+        );
+        assert_eq!(c.drops.len(), 3);
+        assert!(c.sketches.is_empty(), "sketches are off");
+        let r = c.finish();
+        assert_eq!(r.flows[2].drops(DropReason::NoSharedSpace), 1);
+        assert_eq!(r.flows[1].dropped_pkts, 0);
+    }
+
     /// One in-window departure of each delay, in ns.
     fn departures(delays: &[u64]) -> FlowStats {
         let mut c = StatsCollector::new(1, Time::ZERO, Time::MAX, 0);
@@ -931,7 +1252,205 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One collector call, decoded by [`feed`] and [`model`] alike.
+    struct Ev {
+        /// 0 colour, 1 arrival, 2 departure, 3 occupancy.
+        kind: u32,
+        /// Instant, as an offset that straddles both window edges.
+        offset: u64,
+        flow: usize,
+        len: u32,
+        /// A random word: delays and occupancies are cut from it.
+        word: u64,
+        /// Right shift of `word` giving a departure's delay, so delays
+        /// land in every bucket.
+        shift: u32,
+        /// Drop cause (3 = admitted) and colour (even = green).
+        pick: u32,
+    }
+
+    type RawEv = ((u32, u64, usize), (u32, u64, u32, u32));
+
+    impl Ev {
+        fn new(((kind, offset, flow), (len, word, shift, pick)): RawEv) -> Ev {
+            Ev {
+                kind,
+                offset,
+                flow,
+                len,
+                word,
+                shift,
+                pick,
+            }
+        }
+    }
+
+    /// Window `[WARMUP, END)` near the top of the clock, so a departure
+    /// can carry any delay up to `2^64 - 1` ns (every bucket, 63 too).
+    const END: Time = Time(u64::MAX - 2_000);
+    const WARMUP: Time = Time(u64::MAX - 4_000);
+
+    fn events(flows: usize) -> impl Strategy<Value = Vec<RawEv>> {
+        proptest::collection::vec(
+            (
+                (0u32..4, 0u64..6_000, 0..flows),
+                (1u32..2_000, 0..u64::MAX, 0u32..64, 0u32..4),
+            ),
+            0..120,
+        )
+    }
+
+    /// Event `ev`'s instant: offsets straddle both window edges.
+    fn at(ev: &Ev) -> Time {
+        Time(u64::MAX - 6_000 + ev.offset)
+    }
+
+    fn cause(pick: u32) -> Option<DropReason> {
+        [
+            DropReason::BufferFull,
+            DropReason::OverThreshold,
+            DropReason::NoSharedSpace,
+        ]
+        .get(pick as usize)
+        .copied()
+    }
+
+    /// A departure's delay: a random word shifted into any bucket,
+    /// capped at its instant so the arrival is a real time.
+    fn delay(ev: &Ev) -> u64 {
+        (ev.word >> ev.shift).min(at(ev).0)
+    }
+
+    fn feed(c: &mut StatsCollector, evs: &[Ev]) {
+        for ev in evs {
+            let (now, flow) = (at(ev), FlowId(ev.flow as u32));
+            match ev.kind {
+                0 => c.on_color(now, flow, ev.len, ev.pick % 2 == 0),
+                1 => c.on_arrival(now, flow, ev.len, cause(ev.pick)),
+                2 => {
+                    let arrival = Time(now.0 - delay(ev));
+                    c.on_departure_colored(now, flow, ev.len, arrival, ev.pick % 2 == 0);
+                }
+                _ => {
+                    if c.sketching() {
+                        c.on_occupancy(now, flow, ev.word >> 40, ev.word >> 32);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same stream folded straight into `FlowStats`, one field at
+    /// a time, as the collector once kept them.
+    fn model(flows: usize, seed: u64, sketches: bool, evs: &[Ev]) -> SimResult {
+        let mut r = SimResult::new(flows, END.since(WARMUP), seed);
+        let bits = SketchParams::default().precision_bits;
+        let mut full = vec![[0u64; 64]; flows];
+        if sketches {
+            r.delay_sketch = Some(QuantileSketch::new(bits));
+            r.occ_sketch = Some(QuantileSketch::new(bits));
+            for f in &mut r.flows {
+                f.delay_sketch = Some(Box::new(QuantileSketch::new(bits)));
+                f.occ_sketch = Some(Box::new(QuantileSketch::new(bits)));
+            }
+        }
+        for ev in evs.iter().filter(|ev| at(ev) >= WARMUP && at(ev) < END) {
+            let f = &mut r.flows[ev.flow];
+            let len = ev.len as u64;
+            let green = ev.pick % 2 == 0;
+            match ev.kind {
+                0 if green => {
+                    f.green_offered_bytes += len;
+                    f.green_offered_pkts += 1;
+                }
+                0 => {}
+                1 => {
+                    f.offered_bytes += len;
+                    f.offered_pkts += 1;
+                    if let Some(c) = cause(ev.pick) {
+                        f.dropped_bytes += len;
+                        f.dropped_pkts += 1;
+                        match c {
+                            DropReason::BufferFull => f.drops_buffer_full += 1,
+                            DropReason::OverThreshold => f.drops_over_threshold += 1,
+                            DropReason::NoSharedSpace => f.drops_no_shared_space += 1,
+                        }
+                    }
+                }
+                2 => {
+                    let d = delay(ev);
+                    f.delivered_bytes += len;
+                    f.delivered_pkts += 1;
+                    if green {
+                        f.green_delivered_bytes += len;
+                    }
+                    f.delay_sum_ns += d as u128;
+                    f.delay_max_ns = f.delay_max_ns.max(d);
+                    full[ev.flow][(0..64).rev().find(|&k| d >> k != 0).unwrap_or(0)] += 1;
+                    if let Some(s) = f.delay_sketch.as_mut() {
+                        s.record(d);
+                    }
+                    if let Some(s) = r.delay_sketch.as_mut() {
+                        s.record(d);
+                    }
+                }
+                _ => {
+                    if let Some(s) = f.occ_sketch.as_mut() {
+                        s.record(ev.word >> 40);
+                    }
+                    if let Some(s) = r.occ_sketch.as_mut() {
+                        s.record(ev.word >> 32);
+                    }
+                }
+            }
+        }
+        for (f, full) in r.flows.iter_mut().zip(&full) {
+            let used = full.iter().rposition(|&c| c != 0).map_or(0, |k| k + 1);
+            f.delay_hist = full[..used].to_vec();
+        }
+        r
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The hot record and its lanes assemble, in `finish`, exactly
+        /// the `FlowStats` a field-by-field fold of the same events
+        /// gives; and folding several runs through `merger` + `merge`
+        /// gives what `FlowStats::merge` gives over their models.
+        #[test]
+        fn collector_matches_a_plain_flow_stats_fold(
+            runs in proptest::collection::vec(events(4), 1..4),
+            sketch in 0u32..2,
+        ) {
+            let sketches = sketch == 1;
+            let cfg = StatsConfig {
+                sketches: sketches.then(SketchParams::default),
+            };
+            let mut acc = StatsCollector::merger(4, 9);
+            let mut want = SimResult::new(4, Dur::ZERO, 9);
+            for (seed, raw) in runs.into_iter().enumerate() {
+                let evs: Vec<Ev> = raw.into_iter().map(Ev::new).collect();
+                let evs = &evs[..];
+                let mut c = StatsCollector::with_config(4, WARMUP, END, seed as u64, cfg);
+                feed(&mut c, evs);
+                let got = c.finish();
+                let model = model(4, seed as u64, sketches, evs);
+                prop_assert_eq!(&got, &model);
+                prop_assert_eq!(format!("{got:?}"), format!("{model:?}"));
+                acc.merge(&got);
+                want.window += model.window;
+                for (into, from) in want.flows.iter_mut().zip(&model.flows) {
+                    into.merge(from);
+                }
+                merge_sketch(&mut want.delay_sketch, &model.delay_sketch);
+                merge_sketch(&mut want.occ_sketch, &model.occ_sketch);
+            }
+            let merged = acc.finish();
+            prop_assert_eq!(format!("{merged:?}"), format!("{want:?}"));
+            prop_assert_eq!(merged, want);
+        }
+
         /// The grown-to-fit histogram, zero-padded to 64 buckets, is an
         /// independent 64-bucket count of the same delays, and the
         /// percentiles read from the two agree.

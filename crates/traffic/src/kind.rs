@@ -141,3 +141,23 @@ impl std::fmt::Debug for SourceKind {
         f.debug_tuple(name).finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn source_kind_stays_within_the_per_flow_budget() {
+        // One `SourceKind` per sourced flow is the source footprint at
+        // ISP scale. The largest variant is a regulated ON-OFF source:
+        // its 96 B source (keystream key and position, no cached
+        // block) plus a 48 B token bucket, 16-aligned.
+        assert_eq!(size_of::<OnOffSource>(), 96, "OnOffSource footprint");
+        assert!(
+            size_of::<SourceKind>() <= 160,
+            "{} B",
+            size_of::<SourceKind>()
+        );
+    }
+}

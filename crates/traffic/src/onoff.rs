@@ -16,7 +16,7 @@
 use crate::source::{Emission, Source};
 use qbm_core::units::{Dur, Rate, Time};
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::ChaCha8Keystream;
 
 /// Sojourn-time distribution family for the ON/OFF periods.
 ///
@@ -39,7 +39,9 @@ pub enum Sojourns {
 }
 
 impl Sojourns {
-    fn sample(self, rng: &mut ChaCha8Rng, mean: Dur) -> Dur {
+    /// Draw one sojourn with mean `mean` from one uniform `f64` (two
+    /// words) of `rng`.
+    pub fn sample<R: Rng>(self, rng: &mut R, mean: Dur) -> Dur {
         // `rand`'s float conversion gives U ∈ [0,1); invert on 1−U to
         // avoid ln(0) / division by zero at the tail.
         let u: f64 = rng.random();
@@ -54,9 +56,34 @@ impl Sojourns {
         };
         Dur::from_secs_f64(secs)
     }
+
+    /// The family as one word: the Pareto shape, or 0 for exponential
+    /// (a Pareto shape exceeds 1, which [`OnOffSource::with_sojourns`]
+    /// checks). Half the enum's 16 B, which keeps a regulated ON-OFF
+    /// source within `SourceKind`'s budget.
+    fn pack(self) -> f64 {
+        match self {
+            Sojourns::Exponential => 0.0,
+            Sojourns::Pareto { shape } => shape,
+        }
+    }
+
+    /// Inverse of [`Sojourns::pack`].
+    fn unpack(shape: f64) -> Sojourns {
+        if shape > 1.0 {
+            Sojourns::Pareto { shape }
+        } else {
+            Sojourns::Exponential
+        }
+    }
 }
 
 /// A Markov-modulated ON-OFF packet source.
+///
+/// Its randomness is a ChaCha8 keystream read on demand: each ON/OFF
+/// cycle takes the next four words (an OFF and an ON draw), always from
+/// one block, so the source holds a key and a word position rather than
+/// a cached block it would read a quarter of.
 #[derive(Debug, Clone)]
 pub struct OnOffSource {
     /// Gap between packet starts while ON (packet tx time at peak).
@@ -71,9 +98,9 @@ pub struct OnOffSource {
     next_pkt: Time,
     /// Current ON period ends here (exclusive).
     on_end: Time,
-    /// Sojourn distribution family.
-    sojourns: Sojourns,
-    rng: ChaCha8Rng,
+    /// Sojourn distribution family, [packed](Sojourns::pack).
+    sojourns: f64,
+    keys: ChaCha8Keystream,
 }
 
 impl OnOffSource {
@@ -101,6 +128,8 @@ impl OnOffSource {
 
     /// Like [`OnOffSource::new`] but with an explicit sojourn family
     /// (Pareto for the heavy-tail robustness experiments).
+    ///
+    /// Also panics on a Pareto shape that does not exceed 1.
     pub fn with_sojourns(
         peak: Rate,
         avg: Rate,
@@ -113,14 +142,18 @@ impl OnOffSource {
         assert!(avg <= peak, "average {avg} above peak {peak}");
         assert!(mean_burst_bytes > 0, "mean burst must be positive");
         assert!(pkt_len > 0, "packet length must be positive");
+        if let Sojourns::Pareto { shape } = sojourns {
+            assert!(shape > 1.0, "Pareto shape {shape} must exceed 1");
+        }
         let gap = peak.transmission_time(pkt_len as u64);
         let mean_on = peak.transmission_time(mean_burst_bytes);
         // E[OFF] = E[ON]·(peak − avg)/avg.
         let off_secs = mean_on.as_secs_f64() * (peak.bps() - avg.bps()) as f64 / avg.bps() as f64;
         let mean_off = Dur::from_secs_f64(off_secs);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let first_off = sojourns.sample(&mut rng, mean_off);
-        let first_on = sojourns.sample(&mut rng, mean_on);
+        let mut keys = ChaCha8Keystream::seed_from_u64(seed);
+        let mut draw = keys.take::<4>();
+        let first_off = sojourns.sample(&mut draw, mean_off);
+        let first_on = sojourns.sample(&mut draw, mean_on);
         let start = Time::ZERO + first_off;
         OnOffSource {
             gap,
@@ -129,8 +162,8 @@ impl OnOffSource {
             pkt_len,
             next_pkt: start,
             on_end: start + first_on,
-            sojourns,
-            rng,
+            sojourns: sojourns.pack(),
+            keys,
         }
     }
 
@@ -150,8 +183,10 @@ impl Source for OnOffSource {
         // Skip whole OFF periods until the pending packet start falls
         // inside an ON period.
         while self.next_pkt >= self.on_end {
-            let off = self.sojourns.sample(&mut self.rng, self.mean_off);
-            let on = self.sojourns.sample(&mut self.rng, self.mean_on);
+            let sojourns = Sojourns::unpack(self.sojourns);
+            let mut draw = self.keys.take::<4>();
+            let off = sojourns.sample(&mut draw, self.mean_off);
+            let on = sojourns.sample(&mut draw, self.mean_on);
             let start = self.on_end + off;
             // Never exceed the peak rate across period boundaries: a
             // packet pending from the previous ON period keeps its
@@ -325,8 +360,7 @@ mod pareto_tests {
 
     #[test]
     fn pareto_sample_mean_matches_parameterization() {
-        use rand::SeedableRng;
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let mean = Dur::from_millis(10);
         let soj = Sojourns::Pareto { shape: 2.5 }; // finite variance
         let n = 200_000;

@@ -10,14 +10,15 @@
 
 use crate::source::{Emission, Source};
 use qbm_core::token_bucket::TokenBucket;
-use qbm_core::units::{Rate, Time};
+use qbm_core::units::Rate;
 
 /// A `(σ, ρ)` leaky-bucket shaper wrapped around any inner source.
 pub struct ShapedSource<S: Source> {
     inner: S,
+    /// The bucket's clock doubles as the previous release instant
+    /// ([`TokenBucket::last_update`]), which output must not precede:
+    /// each release consumes at the release instant.
     bucket: TokenBucket,
-    /// Previous release instant — output must stay FIFO.
-    last_release: Time,
 }
 
 impl<S: Source> ShapedSource<S> {
@@ -30,7 +31,6 @@ impl<S: Source> ShapedSource<S> {
         ShapedSource {
             inner,
             bucket: TokenBucket::new(sigma_bytes, rho),
-            last_release: Time::ZERO,
         }
     }
 }
@@ -40,7 +40,7 @@ impl<S: Source> Source for ShapedSource<S> {
         let e = self.inner.next_emission()?;
         // Earliest conformant instant at or after both the packet's own
         // arrival at the shaper and the previous release.
-        let earliest = e.time.max(self.last_release);
+        let earliest = e.time.max(self.bucket.last_update());
         let wait = self
             .bucket
             .time_until_conformant(earliest, e.len as u64)
@@ -48,7 +48,6 @@ impl<S: Source> Source for ShapedSource<S> {
             .unwrap_or_else(|| panic!("packet of {} B larger than bucket", e.len));
         let release = earliest + wait;
         self.bucket.consume(release, e.len as u64);
-        self.last_release = release;
         Some(Emission {
             time: release,
             len: e.len,
@@ -63,7 +62,7 @@ mod tests {
     use crate::onoff::OnOffSource;
     use crate::source::collect_emissions;
     use qbm_core::envelope::Envelope;
-    use qbm_core::units::Dur;
+    use qbm_core::units::{Dur, Time};
 
     #[test]
     fn output_is_envelope_conformant() {

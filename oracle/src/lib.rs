@@ -10,6 +10,10 @@
 //! * [`event`] — the `BinaryHeap` [`EventQueue`], against which the
 //!   production [`IndexedTimers`](qbm_sim::IndexedTimers) core must
 //!   agree event for event;
+//! * [`traffic`] — the ON-OFF source on a cached
+//!   [`ChaCha8Rng`](rand_chacha::ChaCha8Rng) generator, against which
+//!   the production on-demand keystream source must agree emission for
+//!   emission;
 //! * [`run_once_sched_reference`] and [`run_once_reference`] — one
 //!   [`ExperimentConfig`] cell run on each oracle, byte-identical to
 //!   [`ExperimentConfig::run_once`] (the 56-combination suite in
@@ -28,9 +32,11 @@
 
 pub mod event;
 pub mod sched;
+pub mod traffic;
 
 pub use event::EventQueue;
 pub use sched::{HybridReference, VirtualClockReference, Wf2qReference, WfqReference};
+pub use traffic::OnOffReference;
 
 use qbm_core::flow::FlowSpec;
 use qbm_core::units::{Rate, Time};
