@@ -10,20 +10,21 @@
 //! The minimum is found through one of two physical layouts, chosen by
 //! slot count:
 //!
-//! * **Flat scan** (≤ [`SCAN_TREE_CROSSOVER`] slots): `set`/`clear` are
-//!   branchless O(1) stores and `peek` is a linear scan. At the paper's
-//!   scales (9–30 classes) the keys are one or two contiguous cache
-//!   lines and the scan is a short branch-predictable loop of wide
-//!   integer compares with no per-update work. `sched_scale`'s
-//!   `active_set` rows (`BENCH_scale.json`) put its set+peek cycle level
-//!   with the tree's at 9–16 slots, and end to end the two layouts are
-//!   at parity up to 64 slots (DESIGN.md §11.3).
-//! * **Tournament (winner) tree** (above the crossover): the flat scan
-//!   is O(n) per `peek` and dies at ISP scale (10⁴–10⁶ subscriber
-//!   flows), so large sets keep a `win` index over the same key array —
-//!   `set`/`clear` replay one leaf-to-root path (O(log n), ~20 cache
-//!   lines at 10⁶ slots) and `peek` reads the root. The tree is the
-//!   shared [`tournament`] module, also behind the event core's
+//! * **Occupied-slot scan** (≤ [`SCAN_TREE_CROSSOVER`] slots): an
+//!   occupancy bitmap (one `u64` word per 64 slots) marks the occupied
+//!   slots; `set`/`clear` store a key and flip a bit, and `peek`/`drain`
+//!   walk only the set bits with a branch-free `(key, index)` minimum,
+//!   so their cost follows the occupied count, not the slot count. At
+//!   the paper's scales (9–30 classes) a scheduler's sets hold one or
+//!   two occupants most of the time — the §4 hybrid's GPS set mostly
+//!   drains whole — and a 30-slot key array is 480 B that a full scan
+//!   would walk on every call. `len` is the bitmap's popcount.
+//! * **Tournament (winner) tree** (above the crossover): any scan is
+//!   O(n) per `peek` in the worst case and dies at ISP scale (10⁴–10⁶
+//!   subscriber flows), so large sets keep a `win` index over the same
+//!   key array — `set`/`clear` replay one leaf-to-root path (O(log n),
+//!   ~20 cache lines at 10⁶ slots) and `peek` reads the root. The tree
+//!   is the shared [`tournament`] module, also behind the event core's
 //!   `IndexedTimers`.
 //!
 //! Both layouts compute the identical minimum — ordering is
@@ -43,11 +44,11 @@ use crate::vclock::VirtualTime;
 /// Empty-slot sentinel: loses to every real key.
 const EMPTY: u128 = u128::MAX;
 
-/// Slot count at or below which the flat scan is kept, measured by
-/// `sched_scale`'s `active_set` sweep (9–2²⁰ slots, `BENCH_scale.json`,
-/// DESIGN.md §15): up to 64 slots the two layouts run at parity end to
-/// end (the churn microbench has the tree ahead by ≈25 ns at 64), and
-/// by 256 slots the tree is several times faster.
+/// Slot count at or below which the occupied-slot scan is kept,
+/// measured by `sched_scale`'s `active_set` sweep (9–2²⁰ slots,
+/// `BENCH_scale.json`, DESIGN.md §15): up to 64 slots the two layouts
+/// run at parity end to end, and by 256 slots the tree is several times
+/// faster on dense sets. At or below it the bitmap is one word.
 pub const SCAN_TREE_CROSSOVER: usize = 64;
 
 /// `(tag, tie)` packed so lexicographic order becomes one wide integer
@@ -58,12 +59,19 @@ fn pack(tag: VirtualTime, tie: u64) -> u128 {
     ((tag.raw() as u128) << 64) | tie as u128
 }
 
+/// The `(tag, tie)` a packed key holds.
+#[inline]
+fn unpack(key: u128) -> (VirtualTime, u64) {
+    (VirtualTime::from_raw((key >> 64) as u64), key as u64)
+}
+
 /// Physical layout of an [`ActiveSet`]'s minimum index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
-    /// Flat array: O(1) `set`/`clear`, O(n) `peek`.
+    /// Key array plus occupancy bitmap: O(1) `set`/`clear`, `peek`
+    /// over the occupied slots.
     Scan,
-    /// Tournament tree over the flat array: O(log n) `set`/`clear`,
+    /// Tournament tree over the key array: O(log n) `set`/`clear`,
     /// O(1) `peek`.
     Tree,
     /// [`Layout::Scan`] at or below [`SCAN_TREE_CROSSOVER`] slots,
@@ -72,23 +80,28 @@ pub enum Layout {
     Adaptive,
 }
 
+/// The minimum index over an [`ActiveSet`]'s keys.
+#[derive(Debug, Clone)]
+enum Index {
+    /// Bit `i % 64` of word `i / 64` is set iff slot `i` is occupied;
+    /// a vacant slot's key is never read.
+    Scan(Vec<u64>),
+    /// [`tournament`] tree over the keys (vacant keys [`EMPTY`]); the
+    /// root winner is `win[1]`. `len` counts the occupied slots.
+    Tree { win: Vec<u32>, len: usize },
+}
+
 /// Indexed set of per-slot `(tag, tie)` keys (see module docs).
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
-    /// Packed key per slot; [`EMPTY`] = vacant. The tree layout pads to
-    /// the leaf power of two (at least two leaves) with
-    /// permanently-[`EMPTY`] keys, which lose every comparison and are
-    /// unaddressable (slot bounds are checked against `slots`, not
-    /// `key.len()`).
+    /// Packed key per slot. The tree layout pads to the leaf power of
+    /// two (at least two leaves) with permanently-[`EMPTY`] keys, which
+    /// lose every comparison and are unaddressable (slot bounds are
+    /// checked against `slots`, not `key.len()`).
     key: Vec<u128>,
-    /// [`tournament`] tree over `key` (empty in the scan layout — the
-    /// layout dispatch is `win.is_empty()`, one branch on hot paths);
-    /// the root winner is `win[1]`.
-    win: Vec<u32>,
+    index: Index,
     /// Addressable slot count (`key.len()` may be padded).
     slots: usize,
-    /// Occupied slot count.
-    len: usize,
 }
 
 impl ActiveSet {
@@ -111,9 +124,8 @@ impl ActiveSet {
         if !tree {
             return ActiveSet {
                 key: vec![EMPTY; n],
-                win: Vec::new(),
+                index: Index::Scan(vec![0; n.div_ceil(64)]),
                 slots: n,
-                len: 0,
             };
         }
         // Padding keys are EMPTY and ties resolve to the lower index,
@@ -124,9 +136,8 @@ impl ActiveSet {
         tournament::rebuild(&mut win, |a, b| lower(&key, a, b));
         ActiveSet {
             key,
-            win,
+            index: Index::Tree { win, len: 0 },
             slots: n,
-            len: 0,
         }
     }
 
@@ -137,99 +148,147 @@ impl ActiveSet {
         debug_assert!(i < self.slots, "slot out of range");
         let key = pack(tag, tie);
         debug_assert!(key != EMPTY, "the sentinel key is reserved for empty slots");
-        self.len += usize::from(self.key[i] == EMPTY);
-        self.store(i, key);
+        let Some(k) = self.key.get_mut(i) else {
+            debug_assert!(false, "slot out of range");
+            return;
+        };
+        let was = std::mem::replace(k, key);
+        match &mut self.index {
+            Index::Scan(occ) => {
+                if let Some(word) = occ.get_mut(i / 64) {
+                    *word |= 1 << (i % 64);
+                }
+            }
+            Index::Tree { win, len } => {
+                *len += usize::from(was == EMPTY);
+                let key = &self.key;
+                tournament::replay(win, i, |a, b| lower(key, a, b));
+            }
+        }
     }
 
     /// Vacate slot `i`. No-op if already empty.
     #[inline]
     pub fn clear(&mut self, i: usize) {
         debug_assert!(i < self.slots, "slot out of range");
-        self.len -= usize::from(self.key[i] != EMPTY);
-        self.store(i, EMPTY);
+        match &mut self.index {
+            Index::Scan(occ) => {
+                if let Some(word) = occ.get_mut(i / 64) {
+                    *word &= !(1 << (i % 64));
+                }
+            }
+            Index::Tree { win, len } => {
+                let Some(k) = self.key.get_mut(i) else {
+                    debug_assert!(false, "slot out of range");
+                    return;
+                };
+                *len -= usize::from(std::mem::replace(k, EMPTY) != EMPTY);
+                let key = &self.key;
+                tournament::replay(win, i, |a, b| lower(key, a, b));
+            }
+        }
     }
 
     /// Whether slot `i` is occupied.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.key.get(i).is_some_and(|&k| k != EMPTY)
+        match &self.index {
+            Index::Scan(occ) => occ.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1),
+            Index::Tree { .. } => i < self.slots && self.key.get(i).is_some_and(|&k| k != EMPTY),
+        }
     }
 
     /// Vacate every occupied slot, passing each one's `(slot, tag, tie)`
-    /// to `visit` (in no promised order). The scan layout sweeps its
-    /// array once; the tree layout pops its occupants one by one, so
-    /// the cost is O(occupied · log n), not O(n).
+    /// to `visit` (in no promised order). The scan layout walks its
+    /// occupied bits once; the tree layout pops its occupants one by
+    /// one. Either way the cost is proportional to the occupants (times
+    /// `log n` in the tree), not to the slot count.
     pub fn drain(&mut self, mut visit: impl FnMut(usize, VirtualTime, u64)) {
-        if self.win.is_empty() {
-            for (i, k) in self.key.iter_mut().enumerate() {
-                if *k != EMPTY {
-                    visit(i, VirtualTime::from_raw((*k >> 64) as u64), *k as u64);
-                    *k = EMPTY;
+        match &mut self.index {
+            Index::Scan(occ) => {
+                for (w, word) in occ.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        let i = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let Some(&k) = self.key.get(i) else {
+                            debug_assert!(false, "occupancy bit past the keys");
+                            continue;
+                        };
+                        let (tag, tie) = unpack(k);
+                        visit(i, tag, tie);
+                    }
                 }
             }
-            self.len = 0;
-            return;
-        }
-        while let Some((i, tag, tie)) = self.peek() {
-            visit(i, tag, tie);
-            self.clear(i);
+            Index::Tree { .. } => {
+                while let Some((i, tag, tie)) = self.peek() {
+                    visit(i, tag, tie);
+                    self.clear(i);
+                }
+            }
         }
     }
 
     /// The occupied slot with the smallest `(tag, tie, index)`, if any.
     #[inline]
     pub fn peek(&self) -> Option<(usize, VirtualTime, u64)> {
-        if self.len == 0 {
+        let (w, best) = match &self.index {
+            Index::Scan(occ) => {
+                let (mut w, mut best) = (usize::MAX, EMPTY);
+                for (base, &word) in (0..).step_by(64).zip(occ) {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let i = base + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let k = self.key.get(i).copied().unwrap_or(EMPTY);
+                        // Slots come in increasing index order, so a
+                        // strict `<` keeps the lowest index among equal
+                        // keys; selects, not branches.
+                        let take = k < best;
+                        best = if take { k } else { best };
+                        w = if take { i } else { w };
+                    }
+                }
+                (w, best)
+            }
+            Index::Tree { win, len } => {
+                if *len == 0 {
+                    return None;
+                }
+                let w = win.get(1).map_or(usize::MAX, |&w| w as usize);
+                (w, self.key.get(w).copied().unwrap_or(EMPTY))
+            }
+        };
+        if best == EMPTY {
             return None;
         }
-        let (w, best) = if self.win.is_empty() {
-            let mut w = 0;
-            let mut best = self.key[0];
-            for (i, &k) in self.key.iter().enumerate().skip(1) {
-                // Strict `<` keeps the lowest index among equal keys.
-                if k < best {
-                    best = k;
-                    w = i;
-                }
-            }
-            (w, best)
-        } else {
-            let w = self.win[1] as usize;
-            (w, self.key[w])
-        };
-        debug_assert!(best != EMPTY, "non-empty set with an empty winner");
-        Some((w, VirtualTime::from_raw((best >> 64) as u64), best as u64))
+        let (tag, tie) = unpack(best);
+        Some((w, tag, tie))
     }
 
     /// Number of occupied slots.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        match &self.index {
+            Index::Scan(occ) => occ.iter().map(|w| w.count_ones() as usize).sum(),
+            Index::Tree { len, .. } => *len,
+        }
     }
 
     /// True iff no slot is occupied.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        match &self.index {
+            Index::Scan(occ) => occ.iter().all(|&w| w == 0),
+            Index::Tree { len, .. } => *len == 0,
+        }
     }
 
     /// The resolved physical layout (never [`Layout::Adaptive`]).
     pub fn layout(&self) -> Layout {
-        if self.win.is_empty() {
-            Layout::Scan
-        } else {
-            Layout::Tree
-        }
-    }
-
-    /// Write slot `i`'s key; the tree layout then replays the slot's
-    /// leaf-to-root path (O(log n)).
-    #[inline]
-    fn store(&mut self, i: usize, key: u128) {
-        self.key[i] = key;
-        if !self.win.is_empty() {
-            let key = &self.key;
-            tournament::replay(&mut self.win, i, |a, b| lower(key, a, b));
+        match self.index {
+            Index::Scan(_) => Layout::Scan,
+            Index::Tree { .. } => Layout::Tree,
         }
     }
 }
@@ -239,7 +298,8 @@ impl ActiveSet {
 /// strict-`<` discipline, and [`EMPTY`] keys lose to every real key.
 #[inline]
 fn lower(key: &[u128], a: usize, b: usize) -> bool {
-    (key[a], a) <= (key[b], b)
+    let at = |i: usize| key.get(i).copied().unwrap_or(EMPTY);
+    (at(a), a) <= (at(b), b)
 }
 
 #[cfg(test)]
@@ -493,6 +553,70 @@ mod proptests {
             let expect_len = live.iter().flatten().count();
             for set in &sets {
                 prop_assert_eq!(set.len(), expect_len);
+            }
+        }
+
+        /// The bitmap scan against the tree and a plain per-slot model,
+        /// with drains: sparse churn over three of 25 slots (the
+        /// hybrid's case: one or two occupants at a time), and forced
+        /// scan layouts past one bitmap word (65–1000 slots).
+        #[test]
+        fn bitmap_scan_matches_tree_sparse_and_multi_word(
+            wide in 0u8..2,
+            n_wide in 65usize..1000,
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..1000, 0u64..40, 0u64..4), 1..300),
+        ) {
+            let wide = wide == 1;
+            let n = if wide { n_wide } else { 25 };
+            let mut scan = ActiveSet::with_layout(n, Layout::Scan);
+            let mut tree = ActiveSet::with_layout(n, Layout::Tree);
+            let mut live: Vec<Option<(VirtualTime, u64)>> = vec![None; n];
+            for (kind, slot, tag, tie) in ops {
+                let i = if wide { slot % n } else { slot % 3 * 12 };
+                match kind {
+                    0 | 1 => {
+                        let tag = VirtualTime::from_raw(tag);
+                        scan.set(i, tag, tie);
+                        tree.set(i, tag, tie);
+                        live[i] = Some((tag, tie));
+                    }
+                    2 | 3 => {
+                        scan.clear(i);
+                        tree.clear(i);
+                        live[i] = None;
+                    }
+                    4 => {
+                        let model = live
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(s, k)| k.map(|(t, x)| (t, x, s)))
+                            .min()
+                            .map(|(t, x, s)| (s, t, x));
+                        prop_assert_eq!(scan.peek(), model);
+                        prop_assert_eq!(tree.peek(), model);
+                        prop_assert_eq!(scan.contains(i), live[i].is_some());
+                    }
+                    _ => {
+                        let mut want: Vec<(usize, VirtualTime, u64)> = live
+                            .iter_mut()
+                            .enumerate()
+                            .filter_map(|(s, k)| k.take().map(|(t, x)| (s, t, x)))
+                            .collect();
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        scan.drain(|s, t, x| a.push((s, t, x)));
+                        tree.drain(|s, t, x| b.push((s, t, x)));
+                        a.sort();
+                        b.sort();
+                        want.sort();
+                        prop_assert_eq!(&a, &want);
+                        prop_assert_eq!(&b, &want);
+                        prop_assert!(scan.is_empty() && tree.is_empty());
+                    }
+                }
+                let expect_len = live.iter().flatten().count();
+                prop_assert_eq!(scan.len(), expect_len);
+                prop_assert_eq!(tree.len(), expect_len);
             }
         }
     }

@@ -2,9 +2,12 @@
 //!
 //! Flows are statically grouped into a small, fixed number of FIFO
 //! queues; a WFQ scheduler serves the *queues* with weights equal to
-//! the Eq.-16 rate assignment `Rᵢ = ρ̂ᵢ + αᵢ(R − ρ)`. Per-packet cost is
-//! `O(log k)` with `k` fixed and small — the paper's scalable middle
-//! ground. Inside each queue, packets stay in arrival order (FIFO), and
+//! the Eq.-16 rate assignment `Rᵢ = ρ̂ᵢ + αᵢ(R − ρ)`. Per-packet cost
+//! follows the number of *backlogged* queues, at most `k`, with `k`
+//! fixed and small and independent of the flow count — the paper's
+//! scalable middle ground: the WFQ layer's [`crate::ActiveSet`]s visit
+//! only their occupied slots (at most 64 queues take one bitmap word).
+//! Inside each queue, packets stay in arrival order (FIFO), and
 //! flow isolation is delegated to buffer management exactly as in the
 //! single-queue case.
 
@@ -40,8 +43,11 @@ impl Hybrid {
 
 impl Scheduler for Hybrid {
     fn enqueue(&mut self, now: Time, pkt: PacketRef) {
-        let q = self.assignment[pkt.flow.index()];
-        self.core.enqueue_class(now, q, pkt);
+        // A flow without a queue is a construction bug; release builds
+        // still queue its packet (in queue 0) rather than lose it.
+        let q = self.assignment.get(pkt.flow.index()).copied();
+        debug_assert!(q.is_some(), "flow {} has no queue", pkt.flow.index());
+        self.core.enqueue_class(now, q.unwrap_or(0), pkt);
     }
 
     fn dequeue(&mut self, now: Time) -> Option<PacketRef> {

@@ -8,7 +8,8 @@
 //!   exact GPS virtual-time tracking — the "sophisticated scheduler"
 //!   benchmark, O(log N) per packet;
 //! * [`Hybrid`] — §4's architecture: `k` FIFO queues served by WFQ with
-//!   Proposition-3 rate weights, O(log k) per packet with k fixed;
+//!   Proposition-3 rate weights; per-packet work follows the backlogged
+//!   queues (at most k, fixed and small), not the flow count;
 //! * [`Drr`] — deficit round-robin, an extra O(1) approximate-fairness
 //!   baseline (documented extension, not in the paper).
 //!
@@ -23,8 +24,8 @@
 //! Every timestamp scheduler (WFQ, WF²Q+, Virtual Clock, the hybrid's
 //! WFQ layer) runs on the Q32.32 [`VirtualTime`] integer clock from
 //! [`vclock`] and indexes queue heads in the adaptive [`ActiveSet`]
-//! from [`active_set`] (flat scan at the paper's class counts, winner
-//! tree at ISP flow counts) — no `f64` state, no NaN-capable compares,
+//! from [`active_set`] (occupied-slot bitmap scan at the paper's class
+//! counts, winner tree at ISP flow counts) — no `f64` state, no NaN-capable compares,
 //! no heap churn on the hot path. The original float/`BinaryHeap`
 //! formulations are retained verbatim-in-architecture as `*Reference`
 //! schedulers in the dev-only `qbm-oracle` package, for differential

@@ -24,7 +24,8 @@
 //!   holds exactly the GPS-active classes, so the next class to expire
 //!   is its minimum, and the remaining GPS work is kept as a running
 //!   sum `Σ_active finish·φ`, so no GPS step scans the classes —
-//!   O(log n) per update at any class count.
+//!   O(log n) per update at ISP class counts (tree layout), and work
+//!   over the occupied classes only at the paper's (bitmap scan).
 //!
 //! The original float implementation is retained as `WfqReference` in
 //! the dev-only `qbm-oracle` package, for differential testing and as

@@ -203,8 +203,11 @@ pub trait EventCore {
 /// on a fabric link, slots `flows..flows + logs.len()` each hold the
 /// head of one upstream departure log. The tree runs over the slots,
 /// padded to a power of two (at least two), so a slot update replays
-/// only its root path: `log₂ n` comparisons over two flat arrays that
-/// fit in L1 for any realistic slot count. Comparison is on
+/// only its root path: `log₂ n` comparisons over two flat arrays of
+/// 12 B per leaf — L1-resident at a link's tens of slots, but 1.5 MB
+/// at 10⁵ flows, where each replay misses cache on most of its 17
+/// levels (which is why an open-loop origin link's sources go through
+/// a sorted source stage instead, [`crate::fabric`]). Comparison is on
 /// `(time, tie)`, where the tie of a flow slot is its flow index and
 /// the tie of a log slot is its head's destination flow — so the flow
 /// index is the same-instant tie-break whichever way a packet arrives,

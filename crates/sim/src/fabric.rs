@@ -59,10 +59,10 @@
 //!
 //! A link whose sourced flows are all open loop — nothing it does can
 //! reach its sources — pulls them through a **source stage** instead
-//! of per-flow timers of its own: the router's `sources` and `pending`
-//! lanes move into a producer with its own per-flow [`IndexedTimers`],
-//! which emits `(time, flow, len)` in `(time, flow)` order into one
-//! extra log slot of the link. The producer works in chunks that end
+//! of per-flow timers of its own: the router's sources move into a
+//! producer that sorts their emissions window by window (see
+//! `SourceStage`) and emits `(time, flow, len)` in `(time, flow)` order
+//! into one extra log slot of the link. The producer works in chunks that end
 //! only between distinct instants, each carrying a watermark — the next
 //! pending emission instant — and the link advances to
 //! `min(horizon, watermark)` per chunk. That is exact for the reason
@@ -76,14 +76,15 @@
 //! loop runs inline. Closed-loop links keep per-flow engine timers:
 //! feedback must reach a source at the instant a packet pops.
 
-use crate::event::{Event, EventCore, IndexedTimers, LogEntry, Outbox};
-use crate::router::{FeedbackMode, FlowLanes, Leg, LinkEngine, Router};
+use crate::event::{IndexedTimers, LogEntry, Outbox};
+use crate::router::{FeedbackMode, Leg, LinkEngine, Router};
 use crate::stats::SimResult;
 use qbm_core::flow::FlowId;
 use qbm_core::policy::BufferPolicy;
 use qbm_core::units::{Dur, Time};
 use qbm_obs::{NullObserver, Observer};
 use qbm_sched::Scheduler;
+use qbm_traffic::{Source, SourceKind};
 use std::sync::mpsc;
 
 /// Default epoch length: 1 s of simulation time. Long enough that
@@ -98,6 +99,17 @@ const UNWIRED: (u32, u32) = (u32::MAX, u32::MAX);
 /// Entries after which a source-stage chunk ends at the next change of
 /// instant (a same-instant run is never split, so it may overfill).
 const STAGE_CHUNK: usize = 4096;
+
+/// Emissions at which a source-stage window closes: enough to spread
+/// a window's fixed costs, few enough that the link never waits long
+/// on one window's sort.
+const STAGE_WINDOW: usize = 2 * STAGE_CHUNK;
+
+/// Time buckets per source-stage calendar ring.
+const STAGE_BUCKETS: usize = 1024;
+
+/// Buckets a source-stage window spans at the rate seen so far.
+const STAGE_SPLIT: u64 = 8;
 
 /// Filled chunks a threaded source stage may run ahead of its link.
 const STAGE_DEPTH: usize = 4;
@@ -401,7 +413,8 @@ where
                 log_of[dst] = usize::MAX;
             }
             let outbox = (!dsts.is_empty()).then(|| Outbox::new(route, dsts.len()));
-            let stage = staged[link].then(|| SourceStage::new(router.take_sources(), timed[link]));
+            let stage = staged[link]
+                .then(|| SourceStage::new(router.take_sources(), timed[link], STAGE_WINDOW));
             let flow_slots = if staged[link] { 0 } else { timed[link] };
             let events = IndexedTimers::with_logs(flow_slots, in_logs[link]);
             let engine = LinkEngine::new(router, warmup, end, seed, outbox, events, link as u32);
@@ -559,27 +572,242 @@ fn advance_link<P, S, O>(
 }
 
 /// The source stage of an open-loop origin link (see the module docs):
-/// its sources, pulled ahead of the link in `(time, flow)` order.
+/// its sources, pulled ahead of the link in `(time, flow)` order one
+/// sorted **window** at a time.
+///
+/// Every sourced flow's pending emission sits in a calendar: a ring of
+/// [`STAGE_BUCKETS`] time buckets `width` ns wide from `base`, each a
+/// list of flows, plus a `far` list for emissions past the ring. A
+/// window is a run of consecutive buckets, closed once it holds
+/// `target` emissions (or at the horizon): each bucket's flows are
+/// pulled, in flow order, for every emission before the bucket's end,
+/// the batch is sorted in place by `(time, flow, pull order)`, and each
+/// flow's next emission goes back into the calendar. So a window costs
+/// its own emissions and flows — no per-emission priority-queue update
+/// and no pass over all flows — and, because windows end between
+/// distinct instants, the sorted windows concatenate to exactly the
+/// `(time, flow)` order per-flow timers would pop. When the ring is
+/// used up, the `far` list is spread over a new ring whose buckets are
+/// sized, at the rate seen so far, to [`STAGE_SPLIT`] per window. The
+/// lists swap buffers with a scratch list as they are emptied, so the
+/// steady state allocates nothing.
 struct SourceStage {
-    /// The link's `sources` and `pending` lanes, moved out of its
-    /// router.
-    lanes: FlowLanes,
-    /// One arrival timer per sourced flow with a slot on the link.
-    timers: IndexedTimers,
+    /// The link's sourced flows' sources, moved out of its router.
+    sources: Vec<SourceKind>,
+    /// Per sourced flow with a slot on the link: its pending emission's
+    /// `(instant in ns, length)`.
+    due: Vec<(u64, u32)>,
+    /// Emissions a window closes at.
+    target: usize,
+    /// Start of bucket 0, ns.
+    base: u64,
+    /// Bucket width, ns (at least 1).
+    width: u64,
+    /// The flows due in each bucket.
+    buckets: Vec<Vec<u32>>,
+    /// First bucket not yet pulled.
+    cur: usize,
+    /// The flows due at or past the ring's end, and their earliest
+    /// instant.
+    far: Vec<u32>,
+    far_lo: u64,
+    /// Emissions windowed so far, and the earliest first emission: the
+    /// rate that sizes each new ring.
+    taken: u64,
+    origin: u64,
+    /// The open window, sorted: `time << 64 | flow << 32 | i`, where
+    /// `lens[i]` is the emission's length and `i` its pull order.
+    window: Vec<u128>,
+    lens: Vec<u32>,
+    /// The next unread key of `window`.
+    next: usize,
+    /// The emptied list whose buffer the next emptied list takes.
+    scratch: Vec<u32>,
     /// Drained chunk buffers, recycled across chunks and epochs.
     spare: Vec<Vec<LogEntry>>,
 }
 
 impl SourceStage {
-    /// A primed stage pulling the first `timed` sources of `lanes`.
-    fn new(mut lanes: FlowLanes, timed: usize) -> SourceStage {
-        let mut timers = IndexedTimers::with_flows(timed);
-        lanes.prime(&mut timers);
-        SourceStage {
-            lanes,
-            timers,
+    /// A stage pulling the first `timed` of `sources`, with windows
+    /// closing at `target` emissions (at least 1; [`STAGE_WINDOW`] in
+    /// a run). The window size moves only the stage's cost, never its
+    /// output.
+    // qbm-lint: cold(per-run construction, before the event loop)
+    fn new(mut sources: Vec<SourceKind>, timed: usize, target: usize) -> SourceStage {
+        let mut stage = SourceStage {
+            due: vec![(0, 0); timed.min(sources.len())],
+            sources: Vec::new(),
+            target: target.max(1),
+            base: 0,
+            width: 1,
+            buckets: vec![Vec::new(); STAGE_BUCKETS],
+            cur: STAGE_BUCKETS,
+            far: Vec::new(),
+            far_lo: u64::MAX,
+            taken: 0,
+            origin: u64::MAX,
+            window: Vec::new(),
+            lens: Vec::new(),
+            next: 0,
+            scratch: Vec::new(),
             spare: Vec::new(),
+        };
+        let mut first = Vec::with_capacity(stage.due.len());
+        for (f, source) in sources.iter_mut().take(stage.due.len()).enumerate() {
+            if let Some(e) = source.next_emission() {
+                stage.schedule(f as u32, e.time.as_nanos(), e.len);
+                first.push(e.time.as_nanos());
+            }
         }
+        // Before any rate is seen, the first ring spans the earliest
+        // `target` first emissions.
+        stage.origin = stage.far_lo;
+        if !first.is_empty() {
+            let k = stage.target.min(first.len()) - 1;
+            let (_, &mut t_k, _) = first.select_nth_unstable(k);
+            stage.width = ((t_k - stage.origin) / STAGE_BUCKETS as u64).max(1);
+        }
+        stage.sources = sources;
+        stage
+    }
+
+    /// Make `(time, len)` flow `f`'s pending emission and file the flow
+    /// in its bucket, or in the `far` list past the ring (and before
+    /// the first ring, when every bucket counts as pulled).
+    #[inline]
+    fn schedule(&mut self, f: u32, time: u64, len: u32) {
+        let Some(d) = self.due.get_mut(f as usize) else {
+            debug_assert!(false, "flow {f} has no calendar slot");
+            return;
+        };
+        *d = (time, len);
+        let k = (time.saturating_sub(self.base) / self.width).min(usize::MAX as u64) as usize;
+        match self.buckets.get_mut(k).filter(|_| k >= self.cur) {
+            Some(bucket) => bucket.push(f),
+            None => {
+                self.far_lo = self.far_lo.min(time);
+                self.far.push(f);
+            }
+        }
+    }
+
+    /// Start a new ring at the earliest `far` emission and spread the
+    /// `far` list over it, swapping its buffer with the empty `spare`;
+    /// false if no emission is pending. Once emissions have been seen,
+    /// the buckets are sized to about `target / STAGE_SPLIT` emissions
+    /// each at their mean rate.
+    fn turn(&mut self, spare: &mut Vec<u32>) -> bool {
+        if self.far.is_empty() {
+            return false;
+        }
+        let lo = self.far_lo;
+        if self.taken > 0 && lo > self.origin {
+            let per_bucket = (self.target as u64).div_ceil(STAGE_SPLIT);
+            let width = (lo - self.origin) as u128 * per_bucket as u128 / self.taken as u128;
+            self.width = width.clamp(1, u64::MAX as u128 / STAGE_BUCKETS as u128) as u64;
+        }
+        self.base = lo;
+        self.cur = 0;
+        self.far_lo = u64::MAX;
+        std::mem::swap(spare, &mut self.far);
+        for &f in spare.iter() {
+            if let Some(&(time, len)) = self.due.get(f as usize) {
+                self.schedule(f, time, len);
+            }
+        }
+        spare.clear();
+        true
+    }
+
+    /// Open the next window before `horizon`: bucket by bucket, pull
+    /// every emission before the bucket's end (or `horizon`, if sooner)
+    /// of the bucket's flows in flow order, filing each flow's next
+    /// emission and sorting the bucket's emissions, until the window
+    /// holds `target` emissions. False if no emission is pending before
+    /// `horizon`.
+    fn open(&mut self, horizon: Time) -> bool {
+        self.window.clear();
+        self.lens.clear();
+        self.next = 0;
+        let mut flows = std::mem::take(&mut self.scratch);
+        while self.window.len() < self.target {
+            while self.buckets.get(self.cur).is_some_and(Vec::is_empty) {
+                self.cur += 1;
+            }
+            if self.cur >= STAGE_BUCKETS {
+                if self.turn(&mut flows) {
+                    continue;
+                }
+                break;
+            }
+            let start = self.base.saturating_add(self.cur as u64 * self.width);
+            if start >= horizon.as_nanos() {
+                break;
+            }
+            let bucket_end = start.saturating_add(self.width);
+            let end = bucket_end.min(horizon.as_nanos());
+            if let Some(bucket) = self.buckets.get_mut(self.cur) {
+                std::mem::swap(bucket, &mut flows);
+            }
+            if end == bucket_end {
+                self.cur += 1;
+            }
+            flows.sort_unstable();
+            let from = self.window.len();
+            for &f in &flows {
+                self.pull(f, end);
+            }
+            flows.clear();
+            // Buckets are disjoint in time, so sorting each bucket's run
+            // sorts the window.
+            if let Some(run) = self.window.get_mut(from..) {
+                run.sort_unstable();
+            }
+            if end < bucket_end {
+                // Cut at the horizon: nothing else is due before it.
+                break;
+            }
+        }
+        self.scratch = flows;
+        self.taken += self.window.len() as u64;
+        !self.window.is_empty()
+    }
+
+    /// Add flow `f`'s emissions before `end` to the window and file the
+    /// first one at or past it.
+    #[inline]
+    fn pull(&mut self, f: u32, end: u64) {
+        let (Some(&(mut time, mut len)), Some(source)) =
+            (self.due.get(f as usize), self.sources.get_mut(f as usize))
+        else {
+            debug_assert!(false, "flow {f} has no source");
+            return;
+        };
+        while time < end {
+            let key = (time as u128) << 64 | (f as u128) << 32 | self.lens.len() as u128;
+            self.window.push(key);
+            self.lens.push(len);
+            match source.next_emission() {
+                Some(e) => (time, len) = (e.time.as_nanos(), e.len),
+                None => return,
+            }
+        }
+        self.schedule(f, time, len);
+    }
+
+    /// The next emission before `horizon` in `(time, flow)` order, left
+    /// unread; opens windows as needed.
+    #[inline]
+    fn peek(&mut self, horizon: Time) -> Option<LogEntry> {
+        if self.next >= self.window.len() && !self.open(horizon) {
+            return None;
+        }
+        let &key = self.window.get(self.next)?;
+        Some(LogEntry {
+            time: Time((key >> 64) as u64),
+            flow: (key >> 32) as u32,
+            len: self.lens.get(key as u32 as usize).copied().unwrap_or(0),
+        })
     }
 
     /// Append the next emissions before `horizon` to the empty `chunk`
@@ -589,31 +817,14 @@ impl SourceStage {
     /// emission's instant, or `horizon` once none is left before it.
     fn fill(&mut self, horizon: Time, chunk: &mut Vec<LogEntry>) -> Time {
         debug_assert!(chunk.is_empty(), "a chunk is filled from empty");
-        let lanes = &mut self.lanes;
-        loop {
-            let t = match self.timers.peek_time() {
-                Some(t) if t < horizon => t,
-                _ => return horizon,
-            };
-            if chunk.len() >= STAGE_CHUNK && chunk.last().is_some_and(|e| e.time < t) {
-                return t;
+        while let Some(e) = self.peek(horizon) {
+            if chunk.len() >= STAGE_CHUNK && chunk.last().is_some_and(|l| l.time < e.time) {
+                return e.time;
             }
-            let mut len = 0;
-            let popped = self.timers.pop_refill(|flow| {
-                let (arrived, next) = lanes.pull(flow.index());
-                len = arrived;
-                next
-            });
-            let Some((time, Event::Arrival(flow))) = popped else {
-                debug_assert!(false, "a source stage pops only arrivals");
-                return horizon;
-            };
-            chunk.push(LogEntry {
-                time,
-                flow: flow.0,
-                len,
-            });
+            chunk.push(e);
+            self.next += 1;
         }
+        horizon
     }
 
     /// Advance `engine` to `horizon` chunk by chunk on this thread:
@@ -1044,6 +1255,129 @@ mod tests {
                     digest, TRACE_TIE_GOLDEN,
                     "epoch {epoch:?}, {threads} threads"
                 );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::event::{Event, EventCore};
+    use crate::router::FlowLanes;
+    use proptest::prelude::*;
+    use qbm_core::units::Rate;
+    use qbm_traffic::{CbrSource, Emission, OnOffSource, TraceSource};
+
+    /// The per-emission stage the sorted one replaced: one
+    /// [`IndexedTimers`] slot per timed flow, popped emission by
+    /// emission, under the same chunk and watermark rule.
+    struct TimerStage {
+        lanes: FlowLanes,
+        timers: IndexedTimers,
+    }
+
+    impl TimerStage {
+        fn new(sources: Vec<SourceKind>, timed: usize) -> TimerStage {
+            let n = sources.len();
+            let mut lanes = FlowLanes {
+                sources,
+                pending: vec![None; n],
+                meters: None,
+                over: vec![false; n],
+            };
+            let mut timers = IndexedTimers::with_flows(timed);
+            lanes.prime(&mut timers);
+            TimerStage { lanes, timers }
+        }
+
+        fn fill(&mut self, horizon: Time, chunk: &mut Vec<LogEntry>) -> Time {
+            let lanes = &mut self.lanes;
+            loop {
+                let t = match self.timers.peek_time() {
+                    Some(t) if t < horizon => t,
+                    _ => return horizon,
+                };
+                if chunk.len() >= STAGE_CHUNK && chunk.last().is_some_and(|e| e.time < t) {
+                    return t;
+                }
+                let mut len = 0;
+                let popped = self.timers.pop_refill(|flow| {
+                    let (arrived, next) = lanes.pull(flow.index());
+                    len = arrived;
+                    next
+                });
+                let Some((time, Event::Arrival(flow))) = popped else {
+                    panic!("the reference stage pops only arrivals");
+                };
+                chunk.push(LogEntry {
+                    time,
+                    flow: flow.0,
+                    len,
+                });
+            }
+        }
+    }
+
+    /// One source of the mix: in-phase CBR, ON-OFF, or a finite trace
+    /// whose runs share an instant (lengths vary within a run, so a
+    /// reordered run shows); short traces exhaust early.
+    fn source(kind: u8, a: u64, b: u64) -> SourceKind {
+        match kind % 3 {
+            0 => CbrSource::new(Rate::from_bps(4_000_000 << (a % 4)), 500, Time::ZERO).into(),
+            1 => OnOffSource::new(
+                Rate::from_mbps(2.0),
+                Rate::from_kbps(500.0),
+                4_000,
+                300 + (a % 3) as u32 * 200,
+                b,
+            )
+            .into(),
+            _ => {
+                let trace: Vec<Emission> = (0..b % 40)
+                    .map(|k| Emission {
+                        time: Time((k / (1 + a % 4)) * 3_000_000),
+                        len: 100 + k as u32,
+                    })
+                    .collect();
+                TraceSource::new(trace).into()
+            }
+        }
+    }
+
+    proptest! {
+        /// The sorted stage hands out exactly the reference's chunks
+        /// and watermarks, for any window size (one entry up to every
+        /// flow), with some flows untimed, at horizons that fall inside
+        /// windows. Enough emissions overall that chunks fill up and
+        /// end at changes of instant.
+        #[test]
+        fn sorted_stage_matches_per_emission_timers(
+            mix in proptest::collection::vec((0u8..3, 0u64..1000, 0u64..1000), 1..40),
+            untimed in 0usize..3,
+            window in 1usize..48,
+            steps in proptest::collection::vec(1u64..100_000_000, 1..8),
+        ) {
+            let n = mix.len();
+            let build = || mix.iter().map(|&(k, a, b)| source(k, a, b)).collect::<Vec<_>>();
+            let timed = n.saturating_sub(untimed).max(1);
+            let mut sorted = SourceStage::new(build(), timed, window.min(n));
+            let mut reference = TimerStage::new(build(), timed);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut horizon = Time::ZERO;
+            for step in steps {
+                horizon = Time(horizon.0 + step);
+                loop {
+                    got.clear();
+                    want.clear();
+                    let got_mark = sorted.fill(horizon, &mut got);
+                    let want_mark = reference.fill(horizon, &mut want);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(got_mark, want_mark);
+                    if want_mark >= horizon {
+                        break;
+                    }
+                }
             }
         }
     }

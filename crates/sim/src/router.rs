@@ -260,17 +260,13 @@ where
         }
     }
 
-    /// Move the sourced flows' `sources` and `pending` lanes out,
-    /// leaving the router with no source to pull: a fabric source stage
-    /// pulls them ahead of the link instead, feeding the link's event
-    /// loop through a log slot.
-    pub(crate) fn take_sources(&mut self) -> FlowLanes {
-        FlowLanes {
-            sources: std::mem::take(&mut self.lanes.sources),
-            pending: std::mem::take(&mut self.lanes.pending),
-            meters: None,
-            over: Vec::new(),
-        }
+    /// Move the sourced flows' sources out (and free their `pending`
+    /// lane), leaving the router with no source to pull: a fabric
+    /// source stage pulls them ahead of the link instead, feeding the
+    /// link's event loop through a log slot.
+    pub(crate) fn take_sources(&mut self) -> Vec<SourceKind> {
+        self.lanes.pending = Vec::new();
+        std::mem::take(&mut self.lanes.sources)
     }
 
     /// Attach streaming-statistics collection (delay/occupancy quantile
@@ -665,6 +661,9 @@ where
                 self.policy.total_occupancy() <= self.policy.capacity(),
                 "policy occupancy above capacity"
             );
+        }
+        if horizon >= self.end {
+            self.stats.seal();
         }
     }
 

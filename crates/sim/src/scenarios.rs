@@ -22,9 +22,9 @@ use qbm_core::analysis::hybrid::{
     optimal_alphas, per_queue_buffer_eq18, rate_assignment_eq16, Grouping,
 };
 use qbm_core::flow::{Conformance, FlowId, FlowSpec};
-use qbm_core::policy::PolicyKind;
+use qbm_core::policy::{BufferPolicy, BufferSharing, PolicyKind};
 use qbm_core::units::{ByteSize, Dur, Rate, Time};
-use qbm_sched::SchedKind;
+use qbm_sched::{Hybrid, SchedKind, Scheduler};
 use qbm_traffic::{build_source_kind, AimdConfig, AimdSource, SourceKind};
 
 /// The paper's link rate: 48 Mb/s ("a little over T3 capacity").
@@ -695,20 +695,22 @@ fn subscriber_tree_impl(
 
     // Per-site FIFO under WFQ at the core, with Eq. 14/16/18 planning
     // over the generated plans.
+    // The plan's per-flow vectors move into the core's scheduler and
+    // policy: at 10⁵ flows each is 0.8 MB, and a copy would outlive
+    // the build only as allocator slack.
     let grouping = Grouping::new((0..n).map(|g| g / per_site).collect(), shape.sites);
     let plan = plan_hybrid_at(core_rate, &specs, &grouping, profile.buffer_bytes);
-    let core_profile = LinkProfile {
-        buffer_bytes: profile.buffer_bytes,
-        sched: SchedKind::Hybrid {
-            assignment: plan.grouping.assignment.clone(),
-            queue_rates_bps: plan.queue_rates_bps.clone(),
-        },
-        policy: PolicySpec::ExplicitSharing {
-            reserved: plan.flow_thresholds.clone(),
-            headroom_bytes: profile.buffer_bytes / 8,
-        },
-        stats: profile.stats,
-    };
+    drop(grouping);
+    let core_sched: Box<dyn Scheduler> = Box::new(Hybrid::new(
+        core_rate,
+        plan.grouping.assignment,
+        plan.queue_rates_bps,
+    ));
+    let core_policy: Box<dyn BufferPolicy> = Box::new(BufferSharing::with_reserved(
+        profile.buffer_bytes,
+        plan.flow_thresholds,
+        profile.buffer_bytes / 8,
+    ));
 
     let mut fabric = Fabric::new();
     if closed_loop {
@@ -729,12 +731,10 @@ fn subscriber_tree_impl(
             }
         })
         .collect();
-    let core = fabric.add_link(topology_link(
-        core_rate,
-        &specs,
-        core_sources,
-        &core_profile,
-    ));
+    let core = fabric.add_link(
+        Router::relaying(core_rate, core_policy, core_sched, core_sources, 0)
+            .with_stats(profile.stats),
+    );
 
     // Site links relay their contiguous block of subscriber flows.
     let mut site_links = Vec::with_capacity(shape.sites);

@@ -343,9 +343,10 @@ impl SimResult {
 
 /// The per-flow counters every in-window packet touches: what a
 /// [`StatsCollector`] keeps for a flow from its first in-window packet
-/// on (104 B against [`FlowStats`]' 160 B). Drop counters and per-flow
-/// sketches live in lanes of their own, allocated on first use.
-#[derive(Debug, Clone, Default)]
+/// on (120 B against [`FlowStats`]' 160 B). Drop counters, per-flow
+/// sketches and spilled delay histograms live in lanes of their own,
+/// allocated on first use.
+#[derive(Debug, Clone, Copy, Default)]
 struct HotStats {
     offered_bytes: u64,
     offered_pkts: u64,
@@ -355,12 +356,27 @@ struct HotStats {
     delivered_pkts: u64,
     green_delivered_bytes: u64,
     /// [`FlowStats::delay_sum_ns`] as its low and high words: a `u128`
-    /// field would 16-align the record and pad it to 112 B.
+    /// field would 16-align the record and pad it to 128 B.
     delay_sum_ns: [u64; 2],
     delay_max_ns: u64,
-    /// [`FlowStats::delay_hist`], grown the same way.
-    delay_hist: Vec<u64>,
+    /// [`FlowStats::delay_hist`]'s buckets `hist_lo..hist_lo + 8`,
+    /// inline: a flow's delays at one link span a few octaves (at most
+    /// five buckets on `isp_tree`'s core), so the histogram needs no
+    /// heap block of its own. A flow whose delays outgrow the window,
+    /// or a count `u32`, moves to the collector's spill lane.
+    hist: [u32; HIST_WINDOW],
+    hist_lo: u8,
+    /// One plus the index of the flow's full histogram in the spill
+    /// lane; 0 while the histogram is inline.
+    spill: u32,
 }
+
+/// Delay-histogram buckets a [`HotStats`] record holds inline.
+const HIST_WINDOW: usize = 8;
+
+/// [`FlowStats::delay_hist`]'s bucket count: one per power of two of a
+/// `u64` delay.
+const HIST_BUCKETS: usize = 64;
 
 impl HotStats {
     fn add_delay_sum(&mut self, ns: u128) {
@@ -371,6 +387,80 @@ impl HotStats {
     fn delay_sum(&self) -> u128 {
         let [lo, hi] = self.delay_sum_ns;
         lo as u128 | (hi as u128) << 64
+    }
+
+    /// Count `n` delays in histogram bucket `k` inline, moving the
+    /// window if `k` falls outside it and the counts still fit. False
+    /// if the flow's histogram is (or must be) in the spill lane.
+    #[inline]
+    fn hist_add(&mut self, k: usize, n: u64) -> bool {
+        if self.spill != 0 {
+            return false;
+        }
+        let slot = k.checked_sub(self.hist_lo as usize);
+        if let Some(c) = slot.and_then(|j| self.hist.get_mut(j)) {
+            return match u32::try_from((*c as u64).saturating_add(n)) {
+                Ok(sum) => {
+                    *c = sum;
+                    true
+                }
+                Err(_) => false,
+            };
+        }
+        self.hist_move(k) && self.hist_add(k, n)
+    }
+
+    /// Re-place the inline window so it covers bucket `k` and every
+    /// counted bucket, keeping room below the lowest; false if they
+    /// span more than [`HIST_WINDOW`] buckets.
+    #[cold]
+    fn hist_move(&mut self, k: usize) -> bool {
+        let old = self.hist_lo as usize;
+        let counted = |c: &u32| *c > 0;
+        let lo = self
+            .hist
+            .iter()
+            .position(counted)
+            .map_or(k, |j| (old + j).min(k));
+        let hi = self
+            .hist
+            .iter()
+            .rposition(counted)
+            .map_or(k, |j| (old + j).max(k));
+        if hi - lo >= HIST_WINDOW {
+            return false;
+        }
+        let new = lo
+            .saturating_sub(2)
+            .clamp((hi + 1).saturating_sub(HIST_WINDOW), lo)
+            .min(HIST_BUCKETS - HIST_WINDOW);
+        let mut hist = [0; HIST_WINDOW];
+        for (j, &c) in self.hist.iter().enumerate() {
+            if let Some(to) = (old + j).checked_sub(new).and_then(|i| hist.get_mut(i)) {
+                *to = c;
+            }
+        }
+        self.hist = hist;
+        self.hist_lo = new as u8;
+        true
+    }
+
+    /// [`FlowStats::delay_hist`]: buckets up to the largest counted one,
+    /// from the inline window or the flow's `spilled` histogram.
+    fn delay_hist(&self, spilled: Option<&[u64; HIST_BUCKETS]>) -> Vec<u64> {
+        if let Some(h) = spilled {
+            let used = h.iter().rposition(|&c| c > 0).map_or(0, |k| k + 1);
+            return h.get(..used).map(<[u64]>::to_vec).unwrap_or_default();
+        }
+        let Some(last) = self.hist.iter().rposition(|&c| c > 0) else {
+            return Vec::new();
+        };
+        let lo = self.hist_lo as usize;
+        let mut hist = vec![0; lo + last + 1];
+        for (to, &c) in hist.iter_mut().skip(lo).zip(&self.hist) {
+            *to = c as u64;
+        }
+        hist
     }
 }
 
@@ -398,7 +488,7 @@ struct FlowSketches {
 /// Mutable collector the router writes into during a run.
 ///
 /// Per flow it keeps a 4 B slot index; a flow gets the counters every
-/// packet touches (104 B) at its first in-window packet, drop counters
+/// packet touches (120 B) at its first in-window packet, drop counters
 /// at the first drop, and sketches when the collector sketches per
 /// flow. [`StatsCollector::finish`] assembles the [`FlowStats`] of its
 /// result from them, zero for a flow that saw nothing in the window.
@@ -423,6 +513,12 @@ pub struct StatsCollector {
     drops: Vec<DropStats>,
     /// Empty unless sketching per flow, then one per flow.
     sketches: Vec<FlowSketches>,
+    /// The full delay histograms of the flows whose delays outgrew
+    /// their record's inline window, in order of spilling.
+    spills: Vec<[u64; HIST_BUCKETS]>,
+    /// Each record's [`FlowStats::delay_hist`], built by
+    /// [`StatsCollector::seal`]; empty until then.
+    hists: Vec<Vec<u64>>,
     warmup_end: Time,
     run_end: Time,
 }
@@ -593,15 +689,8 @@ impl StatsCollector {
         f.add_delay_sum(d as u128);
         f.delay_max_ns = f.delay_max_ns.max(d);
         let bucket = (63 - d.max(1).leading_zeros()) as usize;
-        match f.delay_hist.get_mut(bucket) {
-            Some(count) => *count += 1,
-            // A new largest bucket: grow to exactly it (at most 64
-            // buckets per flow per run, so at most 64 growths).
-            None => {
-                f.delay_hist.reserve_exact(bucket + 1 - f.delay_hist.len());
-                f.delay_hist.resize(bucket, 0);
-                f.delay_hist.push(1);
-            }
+        if !f.hist_add(bucket, 1) {
+            self.spill_delays(flow, bucket, 1);
         }
         if let Some(s) = self.sketches.get_mut(flow.index()) {
             if let Some(s) = s.delay.as_mut() {
@@ -610,6 +699,35 @@ impl StatsCollector {
         }
         if let Some(s) = self.result.delay_sketch.as_mut() {
             s.record(d);
+        }
+    }
+
+    /// Count `n` delays of `flow` in histogram bucket `k` in the spill
+    /// lane, moving the flow's inline counts there first if this is its
+    /// first spill.
+    #[cold]
+    fn spill_delays(&mut self, flow: FlowId, k: usize, n: u64) {
+        let next = self.spills.len() as u32 + 1;
+        let Some(h) = self.record(flow) else {
+            debug_assert!(false, "delay of an unknown flow");
+            return;
+        };
+        let inline = if h.spill == 0 {
+            h.spill = next;
+            Some((h.hist_lo as usize, std::mem::take(&mut h.hist)))
+        } else {
+            None
+        };
+        let slot = h.spill as usize - 1;
+        if let Some((lo, hist)) = inline {
+            let mut full = [0u64; HIST_BUCKETS];
+            for (to, &c) in full.iter_mut().skip(lo).zip(&hist) {
+                *to = c as u64;
+            }
+            self.spills.push(full);
+        }
+        if let Some(c) = self.spills.get_mut(slot).and_then(|h| h.get_mut(k)) {
+            *c += n;
         }
     }
 
@@ -627,26 +745,42 @@ impl StatsCollector {
         f.green_offered_pkts += 1;
     }
 
+    /// Build every record's delay histogram: the link's run is over, so
+    /// no record changes again. A fabric link seals on the thread that
+    /// ran it, so [`StatsCollector::finish`], which runs for every link
+    /// on one thread, only moves the histograms.
+    // qbm-lint: cold(once per run, after the link's last event)
+    pub(crate) fn seal(&mut self) {
+        if self.hists.len() == self.hot.len() {
+            return;
+        }
+        let spills = &self.spills;
+        self.hists = self
+            .hot
+            .iter()
+            .map(|h| h.delay_hist(h.spill.checked_sub(1).and_then(|i| spills.get(i as usize))))
+            .collect();
+    }
+
     /// Finish the run: assemble one [`FlowStats`] per flow from its hot
     /// record and lanes.
     // qbm-lint: cold(per-run result assembly, after the event loop)
-    pub fn finish(self) -> SimResult {
+    pub fn finish(mut self) -> SimResult {
+        self.seal();
         let StatsCollector {
             mut result,
             slots,
-            mut hot,
+            hot,
             drops,
             mut sketches,
+            mut hists,
             ..
         } = self;
         result.flows = slots
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
-                let h = hot
-                    .get_mut(slot as usize)
-                    .map(std::mem::take)
-                    .unwrap_or_default();
+                let h = hot.get(slot as usize).copied().unwrap_or_default();
                 let d = drops.get(i).copied().unwrap_or_default();
                 let [buffer_full, over_threshold, no_shared_space] = d.by_cause;
                 let s = sketches.get_mut(i).map(std::mem::take).unwrap_or_default();
@@ -662,7 +796,10 @@ impl StatsCollector {
                     delivered_pkts: h.delivered_pkts,
                     delay_sum_ns: h.delay_sum(),
                     delay_max_ns: h.delay_max_ns,
-                    delay_hist: h.delay_hist,
+                    delay_hist: hists
+                        .get_mut(slot as usize)
+                        .map(std::mem::take)
+                        .unwrap_or_default(),
                     green_offered_bytes: h.green_offered_bytes,
                     green_offered_pkts: h.green_offered_pkts,
                     green_delivered_bytes: h.green_delivered_bytes,
@@ -686,6 +823,8 @@ impl StatsCollector {
             dense: false,
             drops: Vec::new(),
             sketches: Vec::new(),
+            spills: Vec::new(),
+            hists: Vec::new(),
             warmup_end: Time::ZERO,
             run_end: Time::ZERO,
         }
@@ -745,11 +884,11 @@ impl StatsCollector {
             h.green_delivered_bytes += f.green_delivered_bytes;
             h.add_delay_sum(f.delay_sum_ns);
             h.delay_max_ns = h.delay_max_ns.max(f.delay_max_ns);
-            if h.delay_hist.len() < f.delay_hist.len() {
-                h.delay_hist.resize(f.delay_hist.len(), 0);
-            }
-            for (a, b) in h.delay_hist.iter_mut().zip(&f.delay_hist) {
-                *a += b;
+            for (k, &n) in f.delay_hist.iter().enumerate() {
+                let flow = FlowId(i as u32);
+                if n > 0 && !self.record(flow).is_some_and(|h| h.hist_add(k, n)) {
+                    self.spill_delays(flow, k, n);
+                }
             }
         }
         merge_sketch(&mut self.result.delay_sketch, &other.delay_sketch);
@@ -1085,9 +1224,10 @@ mod tests {
     fn hot_record_stays_within_its_budget() {
         // What the collector holds for a flow from its first in-window
         // packet on: offered, green and delivered counters, the delay
-        // sum and maximum, and the histogram's `Vec` header. Drops and
-        // sketches live in lanes.
-        assert_eq!(std::mem::size_of::<HotStats>(), 104, "HotStats footprint");
+        // sum and maximum, and the inline delay-histogram window with
+        // its spill index. Drops, sketches and spilled histograms live
+        // in lanes.
+        assert_eq!(std::mem::size_of::<HotStats>(), 120, "HotStats footprint");
     }
 
     /// An out-of-range flow reaches each recorder's `get_mut` fallback:
@@ -1208,6 +1348,31 @@ mod tests {
         assert_eq!(format!("{f:?}"), format!("{old:?}"));
         assert_eq!(format!("{f:#?}"), format!("{old:#?}"));
         assert!(format!("{:?}", FlowStats::default()).contains("delay_hist: [],"));
+    }
+
+    #[test]
+    fn inline_histogram_moves_and_spills_without_changing_counts() {
+        // Buckets 12, 9, 15, 16, 9: falling and rising within eight
+        // octaves moves the inline window.
+        let f = departures(&[1 << 12, 1 << 9, 1 << 15, 1 << 16, 1 << 9]);
+        let mut want = vec![0; 17];
+        (want[9], want[12], want[15], want[16]) = (2, 1, 1, 1);
+        assert_eq!(f.delay_hist, want);
+        // Buckets 9 and 17 span nine: the flow spills.
+        let f = departures(&[1 << 9, 1 << 17, 1 << 9]);
+        let mut want = vec![0; 18];
+        (want[9], want[17]) = (2, 1);
+        assert_eq!(f.delay_hist, want);
+        // A count past `u32` spills too.
+        let mut one = StatsCollector::new(1, Time::ZERO, Time::from_secs(1), 0).finish();
+        one.flows[0].delay_hist = vec![0, 0, u32::MAX as u64];
+        let mut c = StatsCollector::merger(1, 0);
+        c.merge(&one);
+        c.merge(&one);
+        assert_eq!(
+            c.finish().flows[0].delay_hist,
+            vec![0, 0, 2 * u32::MAX as u64]
+        );
     }
 
     #[test]
