@@ -9,7 +9,7 @@
 //! guarantees (which is exactly the gap §3.3's headroom/holes variant
 //! closes). Included as a comparator policy for the extension benches.
 
-use super::{BufferPolicy, DropReason, Occupancy, Verdict};
+use super::{BufferPolicy, DropReason, Occupancy, Verdict, UNKNOWN_FLOW};
 use crate::flow::FlowId;
 
 /// Choudhury–Hahne dynamic-threshold buffer sharing.
@@ -44,15 +44,19 @@ impl DynamicThreshold {
 
 impl BufferPolicy for DynamicThreshold {
     fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
-        if !self.occ.fits(len) {
+        let limit = self.current_threshold();
+        let Some(a) = self.occ.arrival(flow) else {
+            return UNKNOWN_FLOW;
+        };
+        if !a.fits(len) {
             return Verdict::Drop(DropReason::BufferFull);
         }
         // Classic DT: accept iff the flow's occupancy is below the
         // dynamic threshold at arrival.
-        if self.occ.of(flow) + len as u64 > self.current_threshold() {
+        if a.held() + len as u64 > limit {
             return Verdict::Drop(DropReason::OverThreshold);
         }
-        self.occ.charge(flow, len);
+        a.charge(len);
         Verdict::Admit
     }
 

@@ -10,7 +10,8 @@
 //! at rate guarantees — which is exactly the gap the paper's threshold
 //! scheme fills. Included as the strongest stateless-ish comparator.
 
-use super::{BufferPolicy, DropReason, Occupancy, Verdict};
+use super::red::uniform;
+use super::{BufferPolicy, DropReason, Occupancy, Verdict, UNKNOWN_FLOW};
 use crate::flow::FlowId;
 
 /// FRED configuration.
@@ -86,24 +87,11 @@ impl Fred {
             self.avg / self.active as f64
         }
     }
-
-    fn uniform(&mut self) -> f64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 impl BufferPolicy for Fred {
     fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
         self.avg += self.cfg.weight * (self.occ.total() as f64 - self.avg);
-        if !self.occ.fits(len) {
-            return Verdict::Drop(DropReason::BufferFull);
-        }
-        let q = self.occ.of(flow);
         // Uncongested (avg below min_th): flows may buffer up to the
         // RED low-water mark each, as in the original algorithm —
         // otherwise the near-zero fair share would prevent any queue
@@ -113,14 +101,21 @@ impl BufferPolicy for Fred {
         } else {
             self.avgcq().max(self.cfg.min_q_bytes as f64)
         };
-        let f = flow.index();
+        let (Some(a), Some(strikes)) = (self.occ.arrival(flow), self.strikes.get_mut(flow.index()))
+        else {
+            return UNKNOWN_FLOW;
+        };
+        if !a.fits(len) {
+            return Verdict::Drop(DropReason::BufferFull);
+        }
+        let q = a.held();
         // Persistent overrunners (strikes) are clamped at the fair
         // share outright — FRED's non-adaptive-flow defense.
         if q as f64 + len as f64 > 2.0 * fair {
-            self.strikes[f] = self.strikes[f].saturating_add(1);
+            *strikes = strikes.saturating_add(1);
             return Verdict::Drop(DropReason::OverThreshold);
         }
-        if self.strikes[f] > 1 && q as f64 + len as f64 > fair {
+        if *strikes > 1 && q as f64 + len as f64 > fair {
             return Verdict::Drop(DropReason::OverThreshold);
         }
         // RED regime on the average queue, but only for flows already
@@ -131,25 +126,25 @@ impl BufferPolicy for Fred {
         if self.avg > self.cfg.min_th_bytes as f64 && q + len as u64 > self.cfg.min_q_bytes {
             let span = (self.cfg.max_th_bytes - self.cfg.min_th_bytes) as f64;
             let pb = self.cfg.max_p * (self.avg - self.cfg.min_th_bytes as f64) / span;
-            if self.uniform() < pb {
+            if uniform(&mut self.rng) < pb {
                 return Verdict::Drop(DropReason::OverThreshold);
             }
         }
         if q == 0 {
             self.active += 1;
         }
-        self.occ.charge(flow, len);
+        a.charge(len);
         Verdict::Admit
     }
 
     fn release(&mut self, flow: FlowId, len: u32) {
-        self.occ.credit(flow, len);
-        if self.occ.of(flow) == 0 {
+        if self.occ.credit(flow, len) == Some(0) {
             self.active -= 1;
             // A flow that drained its backlog earns its strikes back
             // slowly (one per empty episode).
-            let f = flow.index();
-            self.strikes[f] = self.strikes[f].saturating_sub(1);
+            if let Some(s) = self.strikes.get_mut(flow.index()) {
+                *s = s.saturating_sub(1);
+            }
         }
     }
 

@@ -257,6 +257,10 @@ impl PolicyKind {
     }
 }
 
+/// The verdict on an arrival from a flow the policy has no slot for: a
+/// construction bug, so debug builds panic in the lookup first.
+const UNKNOWN_FLOW: Verdict = Verdict::Drop(DropReason::BufferFull);
+
 /// Shared per-flow occupancy bookkeeping used by every policy.
 ///
 /// Maintains `total == Σ per_flow` (checked in debug builds) and
@@ -268,6 +272,34 @@ pub(crate) struct Occupancy {
     capacity: u64,
 }
 
+/// An arrival's view of an [`Occupancy`]: its flow's bytes and the
+/// buffer totals, from one lookup.
+pub(crate) struct Arrival<'a> {
+    held: &'a mut u64,
+    total: &'a mut u64,
+    capacity: u64,
+}
+
+impl Arrival<'_> {
+    /// Bytes charged to the arriving packet's flow.
+    #[inline]
+    pub(crate) fn held(&self) -> u64 {
+        *self.held
+    }
+
+    #[inline]
+    pub(crate) fn fits(&self, len: u32) -> bool {
+        *self.total + len as u64 <= self.capacity
+    }
+
+    #[inline]
+    pub(crate) fn charge(self, len: u32) {
+        *self.held += len as u64;
+        *self.total += len as u64;
+        debug_assert!(*self.total <= self.capacity, "occupancy above capacity");
+    }
+}
+
 impl Occupancy {
     pub(crate) fn new(capacity: u64, flows: usize) -> Occupancy {
         Occupancy {
@@ -277,32 +309,43 @@ impl Occupancy {
         }
     }
 
+    /// An arrival from `flow`, to decide on and then
+    /// [`Arrival::charge`].
     #[inline]
-    pub(crate) fn fits(&self, len: u32) -> bool {
-        self.total + len as u64 <= self.capacity
+    pub(crate) fn arrival(&mut self, flow: FlowId) -> Option<Arrival<'_>> {
+        let Some(held) = self.per_flow.get_mut(flow.index()) else {
+            debug_assert!(false, "unknown {flow}");
+            return None;
+        };
+        Some(Arrival {
+            held,
+            total: &mut self.total,
+            capacity: self.capacity,
+        })
     }
 
+    /// Release `len` bytes of `flow`; returns the bytes it still holds.
     #[inline]
-    pub(crate) fn charge(&mut self, flow: FlowId, len: u32) {
-        self.per_flow[flow.index()] += len as u64;
-        self.total += len as u64;
-        debug_assert!(self.total <= self.capacity, "occupancy above capacity");
-    }
-
-    #[inline]
-    pub(crate) fn credit(&mut self, flow: FlowId, len: u32) {
-        let q = &mut self.per_flow[flow.index()];
+    pub(crate) fn credit(&mut self, flow: FlowId, len: u32) -> Option<u64> {
+        let Some(q) = self.per_flow.get_mut(flow.index()) else {
+            debug_assert!(false, "unknown {flow}");
+            return None;
+        };
         assert!(
             *q >= len as u64,
             "release of {len} B from {flow} holding {q} B"
         );
         *q -= len as u64;
         self.total -= len as u64;
+        Some(*q)
     }
 
+    /// Bytes charged to `flow` (0 for an unknown flow).
     #[inline]
     pub(crate) fn of(&self, flow: FlowId) -> u64 {
-        self.per_flow[flow.index()]
+        let q = self.per_flow.get(flow.index());
+        debug_assert!(q.is_some(), "unknown {flow}");
+        q.copied().unwrap_or(0)
     }
 
     #[inline]
@@ -371,14 +414,14 @@ mod tests {
     #[test]
     fn occupancy_bookkeeping() {
         let mut o = Occupancy::new(1000, 2);
-        assert!(o.fits(1000));
-        assert!(!o.fits(1001));
-        o.charge(FlowId(0), 600);
-        o.charge(FlowId(1), 400);
+        assert!(o.arrival(FlowId(0)).unwrap().fits(1000));
+        assert!(!o.arrival(FlowId(0)).unwrap().fits(1001));
+        o.arrival(FlowId(0)).unwrap().charge(600);
+        o.arrival(FlowId(1)).unwrap().charge(400);
         o.check_invariants();
         assert_eq!(o.of(FlowId(0)), 600);
         assert_eq!(o.total(), 1000);
-        assert!(!o.fits(1));
+        assert!(!o.arrival(FlowId(1)).unwrap().fits(1));
         o.credit(FlowId(0), 600);
         assert_eq!(o.total(), 400);
         o.check_invariants();
@@ -388,7 +431,7 @@ mod tests {
     #[should_panic(expected = "release")]
     fn over_credit_panics() {
         let mut o = Occupancy::new(1000, 1);
-        o.charge(FlowId(0), 100);
+        o.arrival(FlowId(0)).unwrap().charge(100);
         o.credit(FlowId(0), 101);
     }
 }

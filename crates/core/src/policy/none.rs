@@ -5,7 +5,7 @@
 //! no isolation whatsoever: one aggressive flow can occupy the whole
 //! buffer and starve everyone (which Figures 2/5 demonstrate).
 
-use super::{BufferPolicy, DropReason, Occupancy, Verdict};
+use super::{BufferPolicy, DropReason, Occupancy, Verdict, UNKNOWN_FLOW};
 use crate::flow::FlowId;
 
 /// Shared buffer with drop-on-full and no per-flow limits.
@@ -26,8 +26,11 @@ impl SharedBuffer {
 
 impl BufferPolicy for SharedBuffer {
     fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
-        if self.occ.fits(len) {
-            self.occ.charge(flow, len);
+        let Some(a) = self.occ.arrival(flow) else {
+            return UNKNOWN_FLOW;
+        };
+        if a.fits(len) {
+            a.charge(len);
             Verdict::Admit
         } else {
             Verdict::Drop(DropReason::BufferFull)

@@ -19,7 +19,7 @@
 //! and `FixedThreshold`.
 
 use super::threshold::{compute_thresholds, ThresholdOptions};
-use super::{BufferPolicy, DropReason, Occupancy, Verdict};
+use super::{BufferPolicy, DropReason, Occupancy, Verdict, UNKNOWN_FLOW};
 use crate::flow::{FlowId, FlowSpec};
 use crate::units::Rate;
 
@@ -76,13 +76,18 @@ impl PartialBufferSharing {
 
 impl BufferPolicy for PartialBufferSharing {
     fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
-        if !self.occ.fits(len) {
+        let congested = self.congested();
+        let (Some(a), Some(&reserved)) = (self.occ.arrival(flow), self.reserved.get(flow.index()))
+        else {
+            return UNKNOWN_FLOW;
+        };
+        if !a.fits(len) {
             return Verdict::Drop(DropReason::BufferFull);
         }
-        if self.congested() && self.occ.of(flow) + len as u64 > self.reserved[flow.index()] {
+        if congested && a.held() + len as u64 > reserved {
             return Verdict::Drop(DropReason::NoSharedSpace);
         }
-        self.occ.charge(flow, len);
+        a.charge(len);
         Verdict::Admit
     }
 
@@ -103,7 +108,7 @@ impl BufferPolicy for PartialBufferSharing {
     }
 
     fn threshold(&self, flow: FlowId) -> Option<u64> {
-        Some(self.reserved[flow.index()])
+        self.reserved.get(flow.index()).copied()
     }
 
     fn name(&self) -> &'static str {

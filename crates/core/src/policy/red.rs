@@ -12,7 +12,7 @@
 //! Deterministic: the drop lottery runs on a seeded ChaCha-less LCG so
 //! the policy stays dependency-free and runs are reproducible.
 
-use super::{BufferPolicy, DropReason, Occupancy, Verdict};
+use super::{BufferPolicy, DropReason, Occupancy, Verdict, UNKNOWN_FLOW};
 use crate::flow::FlowId;
 
 /// RED configuration.
@@ -87,23 +87,27 @@ impl Red {
     pub fn avg_queue(&self) -> f64 {
         self.avg
     }
+}
 
-    fn uniform(&mut self) -> f64 {
-        // xorshift64* — tiny, seedable, plenty for a drop lottery.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// The next draw in `[0, 1)` of the drop lottery whose state is `rng`:
+/// xorshift64* — tiny, seedable, plenty for a drop lottery.
+pub(super) fn uniform(rng: &mut u64) -> f64 {
+    let mut x = *rng;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *rng = x;
+    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl BufferPolicy for Red {
     fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
         // EWMA update on every arrival.
         self.avg += self.cfg.weight * (self.occ.total() as f64 - self.avg);
-        if !self.occ.fits(len) {
+        let Some(a) = self.occ.arrival(flow) else {
+            return UNKNOWN_FLOW;
+        };
+        if !a.fits(len) {
             self.count = 0;
             return Verdict::Drop(DropReason::BufferFull);
         }
@@ -116,7 +120,7 @@ impl BufferPolicy for Red {
             let pb = self.cfg.max_p * (self.avg - self.cfg.min_th_bytes as f64) / span;
             // Uniformized drop probability: pa = pb / (1 − count·pb).
             let pa = (pb / (1.0 - self.count as f64 * pb).max(1e-9)).min(1.0);
-            if self.uniform() < pa {
+            if uniform(&mut self.rng) < pa {
                 self.count = 0;
                 return Verdict::Drop(DropReason::OverThreshold);
             }
@@ -124,7 +128,7 @@ impl BufferPolicy for Red {
         } else {
             self.count = 0;
         }
-        self.occ.charge(flow, len);
+        a.charge(len);
         Verdict::Admit
     }
 

@@ -25,7 +25,7 @@
 //!   `h += len; v += max(h − H, 0); h = min(h, H)`.
 
 use super::threshold::{compute_thresholds, ThresholdOptions};
-use super::{BufferPolicy, DropReason, Occupancy, Verdict};
+use super::{BufferPolicy, DropReason, Occupancy, Verdict, UNKNOWN_FLOW};
 use crate::flow::{FlowId, FlowSpec};
 use crate::units::Rate;
 
@@ -138,8 +138,11 @@ impl BufferSharing {
 
     fn admit_decide(&mut self, flow: FlowId, len: u32, may_share: bool) -> Verdict {
         let len64 = len as u64;
-        let q = self.occ.of(flow);
-        let reserved = self.reserved[flow.index()];
+        let (Some(a), Some(&reserved)) = (self.occ.arrival(flow), self.reserved.get(flow.index()))
+        else {
+            return UNKNOWN_FLOW;
+        };
+        let q = a.held();
         if q + len64 <= reserved {
             // Below threshold: holes first, then headroom.
             let from_holes = self.holes.min(len64);
@@ -147,7 +150,7 @@ impl BufferSharing {
             if rem <= self.headroom {
                 self.holes -= from_holes;
                 self.headroom -= rem;
-                self.occ.charge(flow, len);
+                a.charge(len);
                 Verdict::Admit
             } else {
                 Verdict::Drop(DropReason::BufferFull)
@@ -160,7 +163,7 @@ impl BufferSharing {
             let excess = q.saturating_sub(reserved);
             if len64 <= self.holes && excess + len64 <= self.holes {
                 self.holes -= len64;
-                self.occ.charge(flow, len);
+                a.charge(len);
                 Verdict::Admit
             } else {
                 Verdict::Drop(DropReason::NoSharedSpace)
@@ -200,7 +203,7 @@ impl BufferPolicy for BufferSharing {
     }
 
     fn threshold(&self, flow: FlowId) -> Option<u64> {
-        Some(self.reserved[flow.index()])
+        self.reserved.get(flow.index()).copied()
     }
 
     fn name(&self) -> &'static str {
@@ -241,7 +244,10 @@ impl AdaptiveSharing {
 
 impl BufferPolicy for AdaptiveSharing {
     fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
-        let may_share = self.adaptive[flow.index()];
+        let Some(&may_share) = self.adaptive.get(flow.index()) else {
+            debug_assert!(false, "unknown {flow}");
+            return UNKNOWN_FLOW;
+        };
         self.inner.admit_inner(flow, len, may_share)
     }
 

@@ -15,7 +15,7 @@
 //! With `B ≥ R·Σσ/(R−Σρ)` (Eq. 9) every conformant flow is lossless; the
 //! necessity direction is Example 1 / the note after Proposition 2.
 
-use super::{BufferPolicy, DropReason, Occupancy, Verdict};
+use super::{BufferPolicy, DropReason, Occupancy, Verdict, UNKNOWN_FLOW};
 use crate::flow::{FlowId, FlowSpec};
 use crate::units::Rate;
 
@@ -110,13 +110,17 @@ pub fn compute_thresholds(
 
 impl BufferPolicy for FixedThreshold {
     fn admit(&mut self, flow: FlowId, len: u32) -> Verdict {
-        if self.occ.of(flow) + len as u64 > self.thresholds[flow.index()] {
+        let (Some(a), Some(&limit)) = (self.occ.arrival(flow), self.thresholds.get(flow.index()))
+        else {
+            return UNKNOWN_FLOW;
+        };
+        if a.held() + len as u64 > limit {
             return Verdict::Drop(DropReason::OverThreshold);
         }
-        if !self.occ.fits(len) {
+        if !a.fits(len) {
             return Verdict::Drop(DropReason::BufferFull);
         }
-        self.occ.charge(flow, len);
+        a.charge(len);
         Verdict::Admit
     }
 
@@ -137,7 +141,7 @@ impl BufferPolicy for FixedThreshold {
     }
 
     fn threshold(&self, flow: FlowId) -> Option<u64> {
-        Some(self.thresholds[flow.index()])
+        self.thresholds.get(flow.index()).copied()
     }
 
     fn name(&self) -> &'static str {

@@ -1,32 +1,13 @@
-//! Machine-readable output: JSON findings, SARIF 2.1.0, the committed
-//! findings baseline, the generated `RULES.md`, and the per-rule
-//! summary table CI posts to the job summary.
+//! Machine-readable output: JSON findings, SARIF 2.1.0, the generated
+//! `RULES.md`, and the per-rule summary table CI posts to the job
+//! summary.
 //!
 //! Everything here is hand-rolled (no serde — the crate is
 //! dependency-free by design) and deterministic: objects are emitted in
 //! a fixed field order and collections in (file, line) order, so two
-//! runs over the same tree produce byte-identical artifacts and the
-//! baseline diffs cleanly under version control.
-//!
-//! ## Baseline format
-//!
-//! `lint-baseline.tsv` is one record per line, tab-separated:
-//!
-//! ```text
-//! <rule-id>\t<file>\t<message>\t<count>
-//! ```
-//!
-//! The key is `(rule, file, message)` — deliberately *not* the line
-//! number, so unrelated edits that shift code don't churn the baseline.
-//! Messages embed the enclosing function's qualified name (e.g.
-//! ``indexing expression in hot-path fn `Wfq::dequeue` ``), which keeps
-//! the key stable and meaningful. `count` caps how many identical
-//! findings the baseline absorbs: if a file gains an *extra* occurrence
-//! of a baselined pattern, the surplus finding escapes the baseline and
-//! fails the gate.
+//! runs over the same tree produce byte-identical artifacts.
 
-use crate::{rules, Finding, Report, Suppression};
-use std::collections::BTreeMap;
+use crate::{rules, Report};
 
 /// Escape a string for embedding in a JSON string literal.
 fn js(s: &str) -> String {
@@ -135,89 +116,6 @@ pub fn sarif(report: &Report) -> String {
     out
 }
 
-/// Baseline key: stable across line-number churn.
-type Key = (String, String, String);
-
-fn key_of(f: &Finding) -> Key {
-    (f.rule.to_string(), f.file.clone(), f.message.clone())
-}
-
-/// Parse baseline text into per-key remaining counts. Blank lines and
-/// `#` comments are skipped; malformed records are ignored rather than
-/// fatal (a corrupt baseline then suppresses nothing, failing loud).
-pub fn parse_baseline(text: &str) -> BTreeMap<Key, usize> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let (Some(rule), Some(file), Some(message), Some(count)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        let Ok(count) = count.parse::<usize>() else {
-            continue;
-        };
-        *out.entry((rule.to_string(), file.to_string(), message.to_string()))
-            .or_insert(0) += count;
-    }
-    out
-}
-
-/// Move findings covered by the baseline into the suppression list
-/// (`via: "baseline"`). Counts are consumed in report order, so only
-/// *new* occurrences beyond the recorded count stay findings. Returns
-/// the number of stale baseline records — those whose count exceeds
-/// the findings they matched, including records that match nothing —
-/// which the gate reports so the baseline only ever shrinks behind the
-/// code. An over-counted record would otherwise let a new occurrence
-/// in the same function slip past later.
-pub fn apply_baseline(report: &mut Report, baseline: &str) -> usize {
-    let mut remaining = parse_baseline(baseline);
-    let mut kept = Vec::with_capacity(report.findings.len());
-    for f in report.findings.drain(..) {
-        match remaining.get_mut(&key_of(&f)) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                report.suppressions.push(Suppression {
-                    file: f.file,
-                    line: f.line,
-                    rule: f.rule,
-                    via: "baseline",
-                });
-            }
-            _ => kept.push(f),
-        }
-    }
-    report.findings = kept;
-    report
-        .suppressions
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    remaining.values().filter(|&&n| n > 0).count()
-}
-
-/// Render the current findings as baseline text (sorted, one record per
-/// distinct key with its occurrence count).
-pub fn write_baseline(report: &Report) -> String {
-    let mut counts: BTreeMap<Key, usize> = BTreeMap::new();
-    for f in &report.findings {
-        *counts.entry(key_of(f)).or_insert(0) += 1;
-    }
-    let mut out = String::from(
-        "# qbm-lint findings baseline. One record per (rule, file, message)\n\
-         # key with its accepted occurrence count, tab-separated. Regenerate\n\
-         # with `cargo run -p qbm-lint -- --write-baseline` after triage; the\n\
-         # CI gate fails on findings not covered here and on stale entries.\n",
-    );
-    for ((rule, file, message), n) in &counts {
-        out.push_str(&format!("{rule}\t{file}\t{message}\t{n}\n"));
-    }
-    out
-}
-
 /// Generate `RULES.md` from the registry. The committed file must match
 /// this output byte-for-byte (`tests/lint_gate.rs` checks), so the
 /// registry is the single source of truth for rule documentation.
@@ -232,7 +130,8 @@ pub fn rules_md() -> String {
          workspace rules run on an item model plus a conservative call graph\n\
          (see DESIGN.md for the approximations). Findings are reported as\n\
          `file:line [rule-id] message`, exported as JSON/SARIF artifacts,\n\
-         and gated in CI against the committed `lint-baseline.tsv`.\n\n\
+         and gated at zero in CI and by `tests/lint_gate.rs`; a counted,\n\
+         named pragma is the only way to accept a finding.\n\n\
          | rule | scope |\n|---|---|\n",
     );
     for m in rules::REGISTRY {
@@ -278,6 +177,7 @@ pub fn summary_table(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Finding, Suppression};
 
     fn sample() -> Report {
         Report {
@@ -339,69 +239,6 @@ mod tests {
         }
         assert!(s.contains("\"startLine\": 10"));
         assert_eq!(s.matches("\"ruleId\"").count(), 3);
-    }
-
-    #[test]
-    fn baseline_roundtrip_absorbs_exact_counts() {
-        let r = sample();
-        let text = write_baseline(&r);
-        let mut again = sample();
-        let stale = apply_baseline(&mut again, &text);
-        assert_eq!(stale, 0);
-        assert!(again.findings.is_empty());
-        assert_eq!(
-            again
-                .suppressions
-                .iter()
-                .filter(|s| s.via == "baseline")
-                .count(),
-            3
-        );
-    }
-
-    #[test]
-    fn new_occurrence_escapes_the_baseline() {
-        // Baseline records 2 index findings; the tree now has 3.
-        let text = write_baseline(&sample());
-        let mut grown = sample();
-        grown.findings.push(Finding {
-            file: "crates/sim/src/router.rs".to_string(),
-            line: 99,
-            rule: rules::HOT_PATH_INDEX,
-            message: "indexing expression in hot-path fn `Router::advance`".to_string(),
-            hint: rules::meta(rules::HOT_PATH_INDEX).unwrap().hint,
-        });
-        apply_baseline(&mut grown, &text);
-        assert_eq!(grown.findings.len(), 1);
-        assert_eq!(grown.findings[0].line, 99);
-    }
-
-    #[test]
-    fn stale_baseline_entries_are_counted() {
-        let text = format!(
-            "{}gone-rule\tcrates/x.rs\tnever matches\t4\n",
-            write_baseline(&sample())
-        );
-        let mut r = sample();
-        assert_eq!(apply_baseline(&mut r, &text), 1);
-        assert!(r.findings.is_empty());
-    }
-
-    #[test]
-    fn over_counted_baseline_records_are_stale() {
-        // A record allowing 2 findings against 1 left in the tree.
-        let text =
-            "hot-path-alloc\tcrates/sched/src/wfq.rs\t`vec!` in hot-path fn `Wfq::enqueue`\t2\n";
-        let mut r = sample();
-        assert_eq!(apply_baseline(&mut r, text), 1);
-        assert_eq!(r.findings.len(), 2);
-    }
-
-    #[test]
-    fn baseline_skips_comments_and_garbage() {
-        let b = parse_baseline("# comment\n\nbad record no tabs\nr\tf\tm\tnotanum\nr\tf\tm\t2\n");
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[&("r".to_string(), "f".to_string(), "m".to_string())], 2);
     }
 
     #[test]

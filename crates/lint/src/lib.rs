@@ -67,8 +67,8 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A finding that was silenced — either by an inline
-/// `qbm-lint: allow(...)` pragma or by a file-level allowlist entry.
+/// A finding that was silenced — by an inline `qbm-lint:` pragma or by
+/// a file-level allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suppression {
     /// Repository-relative path, forward slashes.
@@ -77,9 +77,8 @@ pub struct Suppression {
     pub line: usize,
     /// The rule that would have fired.
     pub rule: &'static str,
-    /// `"pragma"`, `"allowlist"`, `"cold"` (a `qbm-lint: cold(...)`
-    /// pragma pruned the function from a transitive audit), or
-    /// `"baseline"` (the finding is covered by the committed baseline).
+    /// `"pragma"`, `"allowlist"`, or `"cold"` (a `qbm-lint: cold(...)`
+    /// pragma pruned the function from a transitive audit).
     pub via: &'static str,
 }
 

@@ -3,20 +3,16 @@
 //! Usage: `cargo run -p qbm-lint [FLAGS] [ROOT]`
 //!
 //! Walks `ROOT` (default: the enclosing workspace root), runs the
-//! analysis pass (`qbm_lint::run_repo`), applies the committed
-//! findings baseline (`lint-baseline.tsv` at the root, if present), and
-//! prints every remaining finding as `file:line [rule] message` plus a
-//! fix hint. Exit status: 0 clean, 1 findings (or stale baseline
-//! entries), 2 driver error.
+//! analysis pass (`qbm_lint::run_repo`), and prints every finding as
+//! `file:line [rule] message` plus a fix hint. A finding is accepted
+//! only by a counted, named `qbm-lint:` pragma at its site (see
+//! `RULES.md`); there is no findings baseline. Exit status: 0 clean,
+//! 1 findings, 2 driver error.
 //!
 //! Flags:
 //! * `--json <path>` — write the findings report as JSON (`-` = stdout);
 //! * `--sarif <path>` — write SARIF 2.1.0 (`-` = stdout);
 //! * `--summary` — print the per-rule markdown table (for CI job summaries);
-//! * `--baseline <path>` — use a specific baseline file;
-//! * `--no-baseline` — report raw findings, baseline ignored;
-//! * `--write-baseline` — regenerate the baseline from the current raw
-//!   findings and exit 0 (the triage workflow);
 //! * `--rules-md` — print the generated `RULES.md` to stdout and exit;
 //! * `--verbose` — also list the suppressions in effect.
 
@@ -33,9 +29,6 @@ struct Opts {
     summary: bool,
     json: Option<String>,
     sarif: Option<String>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
     rules_md: bool,
     root: Option<PathBuf>,
 }
@@ -43,7 +36,6 @@ struct Opts {
 fn usage() {
     println!(
         "usage: qbm-lint [--verbose] [--summary] [--json PATH] [--sarif PATH]\n\
-         \x20               [--baseline PATH | --no-baseline] [--write-baseline]\n\
          \x20               [--rules-md] [ROOT]"
     );
 }
@@ -54,9 +46,6 @@ fn parse_opts() -> Result<Opts, String> {
         summary: false,
         json: None,
         sarif: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
         rules_md: false,
         root: None,
     };
@@ -67,11 +56,6 @@ fn parse_opts() -> Result<Opts, String> {
             "--summary" => o.summary = true,
             "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
             "--sarif" => o.sarif = Some(args.next().ok_or("--sarif needs a path")?),
-            "--baseline" => {
-                o.baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a path")?));
-            }
-            "--no-baseline" => o.no_baseline = true,
-            "--write-baseline" => o.write_baseline = true,
             "--rules-md" => o.rules_md = true,
             "--help" | "-h" => {
                 usage();
@@ -121,39 +105,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut report = match qbm_lint::run_repo(&root) {
+    let report = match qbm_lint::run_repo(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("qbm-lint: scan failed under {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.tsv"));
-
-    if opts.write_baseline {
-        let text = qbm_lint::emit::write_baseline(&report);
-        if let Err(e) = fs::write(&baseline_path, &text) {
-            eprintln!("qbm-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "qbm-lint: wrote {} ({} finding(s) recorded)",
-            baseline_path.display(),
-            report.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut stale = 0;
-    if !opts.no_baseline {
-        if let Ok(text) = fs::read_to_string(&baseline_path) {
-            stale = qbm_lint::emit::apply_baseline(&mut report, &text);
-        }
-    }
 
     if let Some(path) = &opts.json {
         if let Err(e) = write_out(path, &qbm_lint::emit::json(&report)) {
@@ -188,13 +146,7 @@ fn main() -> ExitCode {
         report.findings.len(),
         report.suppressions.len()
     );
-    if stale > 0 {
-        eprintln!(
-            "qbm-lint: {stale} stale baseline record(s) allow more findings than remain — \
-             regenerate with --write-baseline (the baseline may only shrink)"
-        );
-    }
-    if report.is_clean() && stale == 0 {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -104,8 +104,7 @@ pub struct LineCheck {
     /// What it matches.
     pub matcher: Matcher,
     /// Message template: `{pat}` is the matched text, `{col}` its
-    /// column, `{fn}` the enclosing fn's qualified name. Messages are
-    /// baseline keys, so a template edit churns `lint-baseline.tsv`.
+    /// column, `{fn}` the enclosing fn's qualified name.
     pub message: &'static str,
     /// Fix hint for this check's findings, when it differs from the
     /// rule's.
@@ -127,7 +126,7 @@ impl LineCheck {
 /// rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleMeta {
-    /// Stable rule identifier (never renamed; baselines key on it).
+    /// Stable rule identifier (never renamed; pragmas name it).
     pub id: &'static str,
     /// Where the rule applies, in one line.
     pub scope: &'static str,
@@ -326,9 +325,9 @@ pub const REGISTRY: &[RuleMeta] = &[
     RuleMeta {
         id: HOT_PATH_INDEX,
         scope: "every fn reachable from rules::HOT_ROOTS",
-        rationale: "slice indexing carries a bounds-check panic path; existing audited sites are baselined, new ones need get()/iterators or a proven bound",
-        hint: "prefer get()/iterators or prove the bound with a debug_assert!; existing sites live in the committed baseline — new ones fail the gate",
-        pragma: "qbm-lint: allow(hot-path-index), baseline file for the audited legacy sites",
+        rationale: "slice indexing carries a bounds-check panic path into the event loop; per-packet code reaches per-flow state through iterators or one checked lookup, so a bad id is a debug-build assertion, not a release-build abort",
+        hint: "use an iterator, zip or split_at_mut; or one get()/get_mut() per call whose miss arm is `debug_assert!(false, ..)` plus a no-op; a debug_assert! before `v[i]` does not silence the rule",
+        pragma: "qbm-lint: allow(hot-path-index), stating the measured slowdown of the index-free form",
         checks: &[LineCheck {
             applies: Applies::Hot,
             matcher: Matcher::Custom(index_exprs),

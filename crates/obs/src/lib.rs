@@ -14,9 +14,9 @@
 //! outright, so an unobserved run compiles to the same machine code as
 //! the pre-instrumentation simulator. That guarantee comes from the
 //! const guard alone: `Router::run` is `run_with(&mut NullObserver)`,
-//! so the `obs_overhead` bench's `baseline` and `noop` rows time the
-//! same function, and its `noop_over_baseline` in `BENCH_obs.json`
-//! shows run-to-run noise rather than the cost of the disabled hooks.
+//! so there is no disabled-hook cost to measure (the retired
+//! `obs_overhead` bench's `noop_over_baseline`, frozen in
+//! `BENCH_obs.json`, read run-to-run noise).
 //!
 //! Every hook carries a **link id** — the index of the emitting link in
 //! a multi-link fabric (`qbm-sim::fabric`). Single-router runs pass

@@ -17,15 +17,21 @@ use std::collections::VecDeque;
 /// deficit covers the head packet.
 #[derive(Debug)]
 pub struct Drr {
-    queues: Vec<VecDeque<PacketRef>>,
-    /// Per-flow quantum, bytes per round.
-    quantum: Vec<u64>,
-    deficit: Vec<u64>,
-    /// Whether this flow's deficit was already credited this visit.
-    credited: Vec<bool>,
-    in_ring: Vec<bool>,
+    flows: Vec<DrrFlow>,
     ring: VecDeque<usize>,
     len: usize,
+}
+
+/// One flow's DRR state.
+#[derive(Debug, Default)]
+struct DrrFlow {
+    queue: VecDeque<PacketRef>,
+    /// Quantum, bytes per round.
+    quantum: u64,
+    deficit: u64,
+    /// Whether the deficit was already credited this visit.
+    credited: bool,
+    in_ring: bool,
 }
 
 impl Drr {
@@ -36,36 +42,37 @@ impl Drr {
         assert!(!weights.is_empty(), "no flows");
         assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
         let min_w = *weights.iter().min().unwrap();
-        let n = weights.len();
-        let quantum: Vec<u64> = weights
-            .iter()
-            .map(|&w| (w as u128 * 500 / min_w as u128).max(1) as u64)
-            .collect();
         Drr {
-            queues: vec![VecDeque::new(); n],
-            quantum,
-            deficit: vec![0; n],
-            credited: vec![false; n],
-            in_ring: vec![false; n],
+            flows: weights
+                .iter()
+                .map(|&w| DrrFlow {
+                    quantum: (w as u128 * 500 / min_w as u128).max(1) as u64,
+                    ..DrrFlow::default()
+                })
+                .collect(),
             ring: VecDeque::new(),
             len: 0,
         }
     }
 
     /// Configured per-flow quanta (bytes/round).
-    pub fn quanta(&self) -> &[u64] {
-        &self.quantum
+    pub fn quanta(&self) -> impl Iterator<Item = u64> + '_ {
+        self.flows.iter().map(|f| f.quantum)
     }
 }
 
 impl Scheduler for Drr {
     fn enqueue(&mut self, _now: Time, pkt: PacketRef) {
         let f = pkt.flow.index();
-        self.queues[f].push_back(pkt);
+        let Some(flow) = self.flows.get_mut(f) else {
+            debug_assert!(false, "enqueue of an unknown flow");
+            return;
+        };
+        flow.queue.push_back(pkt);
         self.len += 1;
-        if !self.in_ring[f] {
-            self.in_ring[f] = true;
-            self.credited[f] = false;
+        if !flow.in_ring {
+            flow.in_ring = true;
+            flow.credited = false;
             self.ring.push_back(f);
         }
     }
@@ -73,28 +80,33 @@ impl Scheduler for Drr {
     fn dequeue(&mut self, _now: Time) -> Option<PacketRef> {
         loop {
             let &f = self.ring.front()?;
-            let Some(&head) = self.queues[f].front() else {
+            let Some(flow) = self.flows.get_mut(f) else {
+                debug_assert!(false, "an unknown flow in the ring");
+                self.ring.pop_front();
+                continue;
+            };
+            let Some(&head) = flow.queue.front() else {
                 // Queue drained: leave the ring and forfeit the deficit
                 // (standard DRR — an empty flow does not bank credit).
                 self.ring.pop_front();
-                self.in_ring[f] = false;
-                self.deficit[f] = 0;
+                flow.in_ring = false;
+                flow.deficit = 0;
                 continue;
             };
-            if !self.credited[f] {
-                self.deficit[f] += self.quantum[f];
-                self.credited[f] = true;
+            if !flow.credited {
+                flow.deficit += flow.quantum;
+                flow.credited = true;
             }
-            if self.deficit[f] >= head.len as u64 {
-                self.deficit[f] -= head.len as u64;
-                self.queues[f].pop_front();
+            if flow.deficit >= head.len as u64 {
+                flow.deficit -= head.len as u64;
+                flow.queue.pop_front();
                 self.len -= 1;
                 return Some(head);
             }
             // Out of credit this round: go to the back of the ring.
             self.ring.pop_front();
             self.ring.push_back(f);
-            self.credited[f] = false;
+            flow.credited = false;
         }
     }
 
@@ -118,7 +130,7 @@ mod tests {
     #[test]
     fn quanta_follow_weight_ratios() {
         let d = Drr::new(vec![400_000, 2_000_000, 8_000_000]);
-        assert_eq!(d.quanta(), &[500, 2500, 10_000]);
+        assert!(d.quanta().eq([500, 2500, 10_000]));
     }
 
     #[test]
@@ -180,9 +192,9 @@ mod tests {
         assert!(d.dequeue(Time::ZERO).is_none());
         // Re-arrive: deficit must have been reset, not banked.
         d.enqueue(Time::ZERO, pkt(0, 500, 0, 1));
-        assert_eq!(d.deficit[0], 0);
+        assert_eq!(d.flows[0].deficit, 0);
         let _ = d.dequeue(Time::ZERO);
-        assert_eq!(d.deficit[0], 0); // 500 credited, 500 spent
+        assert_eq!(d.flows[0].deficit, 0); // 500 credited, 500 spent
     }
 
     #[test]

@@ -64,7 +64,11 @@ impl Edf {
 
 impl Scheduler for Edf {
     fn enqueue(&mut self, _now: Time, pkt: PacketRef) {
-        let deadline = pkt.arrival + self.budgets[pkt.flow.index()];
+        let Some(&budget) = self.budgets.get(pkt.flow.index()) else {
+            debug_assert!(false, "enqueue of an unknown flow");
+            return;
+        };
+        let deadline = pkt.arrival + budget;
         self.heap.push(Reverse((deadline, pkt.seq, pkt)));
     }
 

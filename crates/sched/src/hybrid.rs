@@ -43,11 +43,13 @@ impl Hybrid {
 
 impl Scheduler for Hybrid {
     fn enqueue(&mut self, now: Time, pkt: PacketRef) {
-        // A flow without a queue is a construction bug; release builds
-        // still queue its packet (in queue 0) rather than lose it.
-        let q = self.assignment.get(pkt.flow.index()).copied();
-        debug_assert!(q.is_some(), "flow {} has no queue", pkt.flow.index());
-        self.core.enqueue_class(now, q.unwrap_or(0), pkt);
+        // A flow without a queue is a construction bug: release builds
+        // skip its packet, as every scheduler skips an unknown flow's.
+        let Some(&q) = self.assignment.get(pkt.flow.index()) else {
+            debug_assert!(false, "enqueue of an unknown flow");
+            return;
+        };
+        self.core.enqueue_class(now, q, pkt);
     }
 
     fn dequeue(&mut self, now: Time) -> Option<PacketRef> {

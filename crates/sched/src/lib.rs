@@ -29,8 +29,7 @@
 //! no heap churn on the hot path. The original float/`BinaryHeap`
 //! formulations are retained verbatim-in-architecture as `*Reference`
 //! schedulers in the dev-only `qbm-oracle` package, for differential
-//! testing and as the performance baseline of `BENCH_sched.json`; this
-//! crate ships only the integer schedulers.
+//! testing; this crate ships only the integer schedulers.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -26,14 +26,21 @@ pub fn replay<F: Fn(usize, usize) -> bool>(win: &mut [u32], i: usize, beats: F) 
         base + 1
     };
     loop {
-        win[node] = w as u32;
+        let Some(k) = win.get_mut(node) else {
+            debug_assert!(false, "leaf past the tree");
+            return;
+        };
+        *k = w as u32;
         if node == 1 {
             break;
         }
-        let sibling = win[node ^ 1] as usize;
+        let Some(&sibling) = win.get(node ^ 1) else {
+            debug_assert!(false, "leaf past the tree");
+            return;
+        };
         node /= 2;
-        if !beats(w, sibling) {
-            w = sibling;
+        if !beats(w, sibling as usize) {
+            w = sibling as usize;
         }
     }
 }

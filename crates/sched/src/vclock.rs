@@ -157,21 +157,52 @@ impl VirtualTime {
     }
 }
 
+/// A `(len, len·8/rate)` memo for one rate: packet sizes repeat, so
+/// consecutive packets share the service division.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ServiceMemo {
+    len: u32,
+    service: VirtualTime,
+}
+
+impl ServiceMemo {
+    /// A memo holding `service(0, _) = 0`.
+    pub(crate) const EMPTY: ServiceMemo = ServiceMemo {
+        len: 0,
+        service: VirtualTime::ZERO,
+    };
+
+    /// `len·8/rate`, recomputed only when `len` differs from the last
+    /// call's. `rate` must be the same on every call.
+    #[inline]
+    pub(crate) fn service(&mut self, len: u32, rate: u64) -> VirtualTime {
+        if self.len != len {
+            self.len = len;
+            self.service = VirtualTime::service(len, rate);
+        }
+        self.service
+    }
+}
+
 /// Virtual Clock over per-flow rate stamps (see module docs).
 #[derive(Debug)]
 pub struct VirtualClock {
-    /// Per-flow reserved rates ρᵢ, b/s.
-    rates: Vec<u64>,
-    /// Per-flow last assigned stamp.
-    vclock: Vec<VirtualTime>,
-    /// Per-flow `(len, len·8/ρᵢ)` memo — packet sizes repeat, so the
-    /// service division is shared across consecutive packets.
-    service_cache: Vec<(u32, VirtualTime)>,
-    /// Per-flow packet queues with each packet's stamp.
-    queues: Vec<VecDeque<(PacketRef, VirtualTime)>>,
+    flows: Vec<StampedFlow>,
     /// Queue heads keyed `(stamp, seq)` — transmission order.
     heads: ActiveSet,
     len: usize,
+}
+
+/// One flow's Virtual Clock state.
+#[derive(Debug)]
+struct StampedFlow {
+    /// Reserved rate ρᵢ, b/s.
+    rate: u64,
+    /// Last assigned stamp.
+    stamp: VirtualTime,
+    memo: ServiceMemo,
+    /// Packets with their stamps.
+    queue: VecDeque<(PacketRef, VirtualTime)>,
 }
 
 impl VirtualClock {
@@ -181,49 +212,50 @@ impl VirtualClock {
         assert!(rates_bps.iter().all(|&r| r > 0), "rates must be positive");
         let n = rates_bps.len();
         VirtualClock {
-            rates: rates_bps,
-            vclock: vec![VirtualTime::ZERO; n],
-            service_cache: vec![(0, VirtualTime::ZERO); n],
-            queues: vec![VecDeque::new(); n],
+            flows: rates_bps
+                .into_iter()
+                .map(|rate| StampedFlow {
+                    rate,
+                    stamp: VirtualTime::ZERO,
+                    memo: ServiceMemo::EMPTY,
+                    queue: VecDeque::new(),
+                })
+                .collect(),
             heads: ActiveSet::with_slots(n),
             len: 0,
         }
-    }
-
-    /// `len·8/ρ_f` through the per-flow memo.
-    #[inline]
-    fn service(&mut self, f: usize, len: u32) -> VirtualTime {
-        let (l, s) = self.service_cache[f];
-        if l == len {
-            return s;
-        }
-        let s = VirtualTime::service(len, self.rates[f]);
-        self.service_cache[f] = (len, s);
-        s
     }
 }
 
 impl Scheduler for VirtualClock {
     fn enqueue(&mut self, now: Time, pkt: PacketRef) {
         let f = pkt.flow.index();
-        let start = VirtualTime::from_time(now).max(self.vclock[f]);
-        let stamp = start.saturating_add(self.service(f, pkt.len));
-        self.vclock[f] = stamp;
-        if self.queues[f].is_empty() {
+        let Some(flow) = self.flows.get_mut(f) else {
+            debug_assert!(false, "enqueue of an unknown flow");
+            return;
+        };
+        let start = VirtualTime::from_time(now).max(flow.stamp);
+        let stamp = start.saturating_add(flow.memo.service(pkt.len, flow.rate));
+        flow.stamp = stamp;
+        if flow.queue.is_empty() {
             self.heads.set(f, stamp, pkt.seq);
         }
-        self.queues[f].push_back((pkt, stamp));
+        flow.queue.push_back((pkt, stamp));
         self.len += 1;
     }
 
     fn dequeue(&mut self, _now: Time) -> Option<PacketRef> {
         let (f, _, seq) = self.heads.peek()?;
-        let Some((pkt, _)) = self.queues[f].pop_front() else {
+        let Some(flow) = self.flows.get_mut(f) else {
+            debug_assert!(false, "active set/queue desync");
+            return None;
+        };
+        let Some((pkt, _)) = flow.queue.pop_front() else {
             debug_assert!(false, "active set/queue desync");
             return None;
         };
         debug_assert_eq!(pkt.seq, seq);
-        match self.queues[f].front() {
+        match flow.queue.front() {
             Some(&(next, stamp)) => self.heads.set(f, stamp, next.seq),
             None => self.heads.clear(f),
         }

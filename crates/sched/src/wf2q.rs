@@ -45,23 +45,16 @@
 
 use crate::active_set::ActiveSet;
 use crate::scheduler::{PacketRef, Scheduler};
-use crate::vclock::VirtualTime;
+use crate::vclock::{ServiceMemo, VirtualTime};
 use qbm_core::units::{Rate, Time};
 use std::collections::VecDeque;
 
 /// WF²Q+ scheduler (see module docs).
 #[derive(Debug)]
 pub struct Wf2q {
-    /// Per-flow weights φᵢ (b/s scale).
-    weights: Vec<u64>,
+    flows: Vec<TaggedFlow>,
     /// Σφ over all flows (the virtual-time normalizer).
     total_weight: u64,
-    /// Per-flow packet queues.
-    queues: Vec<VecDeque<PacketRef>>,
-    /// Finish tag of each flow's head (meaningful iff queue non-empty).
-    head_finish: Vec<VirtualTime>,
-    /// Last finish tag per flow (for the max(V, F_prev) rule).
-    last_finish: Vec<VirtualTime>,
     /// System virtual time.
     vtime: VirtualTime,
     /// Ineligible heads (S > V) keyed `(start, epoch)`.
@@ -73,13 +66,37 @@ pub struct Wf2q {
     /// `vtime < frontier` no head can become eligible, so the
     /// per-dequeue promotion check is one compare instead of a `peek`.
     frontier: VirtualTime,
-    /// Per-flow `(len, len·8/φᵢ)` memo — packet sizes repeat, so the
-    /// per-head service division is shared across consecutive packets.
-    service_cache: Vec<(u32, VirtualTime)>,
-    /// `(len, len·8/Σφ)` memo for the per-service V advance.
-    total_service_cache: (u32, VirtualTime),
+    /// `len·8/Σφ` memo for the per-service V advance.
+    total_memo: ServiceMemo,
     epoch: u64,
     len: usize,
+}
+
+/// One flow's WF²Q+ state.
+#[derive(Debug)]
+struct TaggedFlow {
+    /// Weight φᵢ (b/s scale).
+    weight: u64,
+    /// Last finish tag (for the max(V, F_prev) rule).
+    last_finish: VirtualTime,
+    /// Finish tag of the head packet (meaningful iff `queue` is
+    /// non-empty).
+    head_finish: VirtualTime,
+    /// `len·8/φᵢ` memo.
+    memo: ServiceMemo,
+    queue: VecDeque<PacketRef>,
+}
+
+impl TaggedFlow {
+    /// Tag a new head packet of `len` bytes starting at `start`; returns
+    /// its finish tag.
+    #[inline]
+    fn tag_head(&mut self, start: VirtualTime, len: u32) -> VirtualTime {
+        let finish = start.saturating_add(self.memo.service(len, self.weight));
+        self.last_finish = finish;
+        self.head_finish = finish;
+        finish
+    }
 }
 
 impl Wf2q {
@@ -91,60 +108,32 @@ impl Wf2q {
         let n = weights.len();
         let total = weights.iter().sum();
         Wf2q {
-            weights,
+            flows: weights
+                .into_iter()
+                .map(|weight| TaggedFlow {
+                    weight,
+                    last_finish: VirtualTime::ZERO,
+                    head_finish: VirtualTime::ZERO,
+                    memo: ServiceMemo::EMPTY,
+                    queue: VecDeque::new(),
+                })
+                .collect(),
             total_weight: total,
-            queues: vec![VecDeque::new(); n],
-            head_finish: vec![VirtualTime::ZERO; n],
-            last_finish: vec![VirtualTime::ZERO; n],
             vtime: VirtualTime::ZERO,
             ineligible: ActiveSet::with_slots(n),
             eligible: ActiveSet::with_slots(n),
             frontier: VirtualTime::MAX,
-            service_cache: vec![(0, VirtualTime::ZERO); n],
-            total_service_cache: (0, VirtualTime::ZERO),
+            total_memo: ServiceMemo::EMPTY,
             epoch: 0,
             len: 0,
         }
     }
 
-    /// `len·8/φ_f` through the per-flow memo.
-    #[inline]
-    fn service(&mut self, f: usize, len: u32) -> VirtualTime {
-        let (l, s) = self.service_cache[f];
-        if l == len {
-            return s;
-        }
-        let s = VirtualTime::service(len, self.weights[f]);
-        self.service_cache[f] = (len, s);
-        s
-    }
-
-    /// `len·8/Σφ` through the total-weight memo.
-    #[inline]
-    fn total_service(&mut self, len: u32) -> VirtualTime {
-        let (l, s) = self.total_service_cache;
-        if l == len {
-            return s;
-        }
-        let s = VirtualTime::service(len, self.total_weight);
-        self.total_service_cache = (len, s);
-        s
-    }
-
-    /// Install tags for flow `f`'s new head packet and index it. The
+    /// Index flow `f`'s new head, tagged `(start, finish)`: eligible
+    /// when its start tag has been reached, ineligible otherwise. The
     /// flow's slots must be vacant (fresh activation or just served).
-    fn set_head(&mut self, f: usize, len: u32, fresh: bool) {
+    fn index_head(&mut self, f: usize, start: VirtualTime, finish: VirtualTime) {
         self.epoch += 1;
-        let start = if fresh {
-            // Flow (re)activates: start at max(V, last finish).
-            self.vtime.max(self.last_finish[f])
-        } else {
-            // Next packet of a backlogged flow: starts at prior finish.
-            self.last_finish[f]
-        };
-        let finish = start.saturating_add(self.service(f, len));
-        self.last_finish[f] = finish;
-        self.head_finish[f] = finish;
         if start <= self.vtime {
             self.eligible.set(f, finish, self.epoch);
         } else {
@@ -176,7 +165,11 @@ impl Wf2q {
                 return;
             }
             self.ineligible.clear(f);
-            self.eligible.set(f, self.head_finish[f], ep);
+            let Some(head) = self.flows.get(f) else {
+                debug_assert!(false, "indexed head of an unknown flow");
+                continue;
+            };
+            self.eligible.set(f, head.head_finish, ep);
         }
         self.frontier = VirtualTime::MAX;
     }
@@ -185,10 +178,17 @@ impl Wf2q {
 impl Scheduler for Wf2q {
     fn enqueue(&mut self, _now: Time, pkt: PacketRef) {
         let f = pkt.flow.index();
-        self.queues[f].push_back(pkt);
+        let Some(flow) = self.flows.get_mut(f) else {
+            debug_assert!(false, "enqueue of an unknown flow");
+            return;
+        };
+        flow.queue.push_back(pkt);
         self.len += 1;
-        if self.queues[f].len() == 1 {
-            self.set_head(f, pkt.len, true);
+        if flow.queue.len() == 1 {
+            // The flow (re)activates: start at max(V, last finish).
+            let start = self.vtime.max(flow.last_finish);
+            let finish = flow.tag_head(start, pkt.len);
+            self.index_head(f, start, finish);
         }
     }
 
@@ -211,17 +211,24 @@ impl Scheduler for Wf2q {
             debug_assert!(false, "promotion yielded no head");
             return None;
         };
-        let Some(pkt) = self.queues[f].pop_front() else {
+        let Some(flow) = self.flows.get_mut(f) else {
+            debug_assert!(false, "indexed head missing");
+            return None;
+        };
+        let Some(pkt) = flow.queue.pop_front() else {
             debug_assert!(false, "indexed head missing");
             return None;
         };
         self.len -= 1;
         self.eligible.clear(f);
         // Advance V by normalized service.
-        let inc = self.total_service(pkt.len);
+        let inc = self.total_memo.service(pkt.len, self.total_weight);
         self.vtime = self.vtime.saturating_add(inc);
-        if let Some(&next) = self.queues[f].front() {
-            self.set_head(f, next.len, false);
+        if let Some(&next) = flow.queue.front() {
+            // Next packet of a backlogged flow: starts at prior finish.
+            let start = flow.last_finish;
+            let finish = flow.tag_head(start, next.len);
+            self.index_head(f, start, finish);
         }
         self.promote();
         Some(pkt)

@@ -20,7 +20,7 @@
 //!   class, keyed by the head packet's `(finish, seq)` — per-class tags
 //!   are non-decreasing, so the global minimum is always a head;
 //! * GPS expiry needs only each GPS-active class's *last* finish tag
-//!   (`class_finish`): a second [`ActiveSet`] keyed `(finish, class)`
+//!   (`Class::finish`): a second [`ActiveSet`] keyed `(finish, class)`
 //!   holds exactly the GPS-active classes, so the next class to expire
 //!   is its minimum, and the remaining GPS work is kept as a running
 //!   sum `Σ_active finish·φ`, so no GPS step scans the classes —
@@ -37,8 +37,8 @@
 
 use crate::active_set::ActiveSet;
 use crate::scheduler::{PacketRef, Scheduler};
-use crate::vclock::VirtualTime;
-use qbm_core::units::{Rate, Time, NS_PER_SEC};
+use crate::vclock::{ServiceMemo, VirtualTime};
+use qbm_core::units::{Dur, Rate, Time, NS_PER_SEC};
 use std::collections::VecDeque;
 
 /// Sentinel for [`WfqCore::deadline_key`] when GPS is idle.
@@ -48,21 +48,18 @@ const NO_DEADLINE: (usize, VirtualTime) = (usize::MAX, VirtualTime::MAX);
 #[derive(Debug)]
 pub(crate) struct WfqCore {
     link_bps: u64,
-    /// Per-class GPS weight φᵢ (> 0).
-    weights: Vec<u64>,
+    classes: Vec<Class>,
     /// GPS virtual time `V`.
     vtime: VirtualTime,
     /// Real time at which `vtime` was last brought current.
     last_update: Time,
     /// Σφ over GPS-active classes (integer, so idle detection is exact).
     active_weight: u64,
-    /// Last GPS finish tag per class — the GPS expiry keys.
-    class_finish: Vec<VirtualTime>,
-    /// The GPS-active classes keyed `(class_finish, class)`: membership
+    /// The GPS-active classes keyed `(Class::finish, class)`: membership
     /// is GPS activity, and the minimum is the next class to expire,
     /// ties to the lowest class index.
     gps: ActiveSet,
-    /// `Σ_active class_finish·φ` in Q32.32 bit units, kept with
+    /// `Σ_active finish·φ` in Q32.32 bit units, kept with
     /// wrapping arithmetic — exact whenever the true sum fits, which
     /// it does by a wide margin — so the remaining GPS work is
     /// `finish_weight − V·Σφ` without a scan.
@@ -83,20 +80,28 @@ pub(crate) struct WfqCore {
     deadline_key: (usize, VirtualTime),
     /// Active weight the cached deadline was computed for.
     deadline_weight: u64,
-    /// Per-class `(len, service)` memo — packet sizes repeat, so the
-    /// `len·8/φ` division is shared across consecutive packets.
-    service_cache: Vec<(u32, VirtualTime)>,
-    /// Per-class `(Δraw, Σφ) → duration` memo for the deadline division
-    /// in [`WfqCore::refresh_deadline`]. A class re-activating from GPS
-    /// idle always has `Δ = len·8/φ` (start tag = V), so consecutive
-    /// idle restarts of a fixed-size flow repeat the same inputs; the
-    /// memo is a pure-function cache, bit-identical to recomputing.
-    expiry_cache: Vec<(u64, u64, qbm_core::units::Dur)>,
-    /// Per-class packet queues with each packet's finish tag.
-    queues: Vec<VecDeque<(PacketRef, VirtualTime)>>,
     /// Queue heads keyed `(finish, seq)` — transmission order.
     heads: ActiveSet,
     len: usize,
+}
+
+/// One class's GPS state beside its packet queue.
+#[derive(Debug)]
+struct Class {
+    /// GPS weight φᵢ (> 0).
+    weight: u64,
+    /// Last GPS finish tag — the GPS expiry key.
+    finish: VirtualTime,
+    /// `len·8/φ` memo.
+    memo: ServiceMemo,
+    /// `(Δraw, Σφ) → duration` memo for the deadline division in
+    /// [`WfqCore::refresh_deadline`]. A class re-activating from GPS
+    /// idle always has `Δ = len·8/φ` (start tag = V), so consecutive
+    /// idle restarts of a fixed-size flow repeat the same inputs; the
+    /// memo is a pure-function cache, bit-identical to recomputing.
+    expiry: (u64, u64, Dur),
+    /// Packets with their finish tags.
+    queue: VecDeque<(PacketRef, VirtualTime)>,
 }
 
 impl WfqCore {
@@ -110,19 +115,24 @@ impl WfqCore {
         let n = weights.len();
         WfqCore {
             link_bps: link.bps(),
-            weights,
+            classes: weights
+                .into_iter()
+                .map(|weight| Class {
+                    weight,
+                    finish: VirtualTime::ZERO,
+                    memo: ServiceMemo::EMPTY,
+                    expiry: (u64::MAX, 0, Dur(0)),
+                    queue: VecDeque::new(),
+                })
+                .collect(),
             vtime: VirtualTime::ZERO,
             last_update: Time::ZERO,
             active_weight: 0,
-            class_finish: vec![VirtualTime::ZERO; n],
             gps: ActiveSet::with_slots(n),
             finish_weight: 0,
             next_expiry: Time::MAX,
             deadline_key: NO_DEADLINE,
             deadline_weight: 0,
-            service_cache: vec![(0, VirtualTime::ZERO); n],
-            expiry_cache: vec![(u64::MAX, 0, qbm_core::units::Dur(0)); n],
-            queues: vec![VecDeque::new(); n],
             heads: ActiveSet::with_slots(n),
             len: 0,
         }
@@ -133,27 +143,6 @@ impl WfqCore {
     #[inline]
     fn expiry_head(&self) -> Option<(usize, VirtualTime)> {
         self.gps.peek().map(|(c, f, _)| (c, f))
-    }
-
-    /// Give class `class` the last finish tag `finish` and make it
-    /// GPS-active (activating an idle class), keeping `gps`,
-    /// `finish_weight` and `active_weight` in step.
-    #[inline]
-    fn retag(&mut self, class: usize, finish: VirtualTime) {
-        let (Some(tag), Some(&w)) = (self.class_finish.get_mut(class), self.weights.get(class))
-        else {
-            debug_assert!(false, "class out of range");
-            return;
-        };
-        let phi = w as u128;
-        if self.gps.contains(class) {
-            self.finish_weight = self.finish_weight.wrapping_sub(tag.raw() as u128 * phi);
-        } else {
-            self.active_weight += w;
-        }
-        self.finish_weight = self.finish_weight.wrapping_add(finish.raw() as u128 * phi);
-        *tag = finish;
-        self.gps.set(class, finish, class as u64);
     }
 
     /// Bring [`WfqCore::next_expiry`] in line with the current expiry
@@ -169,12 +158,16 @@ impl WfqCore {
                     // Real time needed for V to reach f, through the
                     // per-class input memo (idle restarts repeat Δ).
                     let delta = f.saturating_sub(self.vtime);
-                    let (m_raw, m_aw, m_dur) = self.expiry_cache[c];
+                    let Some(memo) = self.classes.get_mut(c).map(|k| &mut k.expiry) else {
+                        debug_assert!(false, "expiry head out of range");
+                        return;
+                    };
+                    let (m_raw, m_aw, m_dur) = *memo;
                     let dt = if (m_raw, m_aw) == (delta.raw(), self.active_weight) {
                         m_dur
                     } else {
                         let dt = delta.gps_real_dur(self.link_bps, self.active_weight);
-                        self.expiry_cache[c] = (delta.raw(), self.active_weight, dt);
+                        *memo = (delta.raw(), self.active_weight, dt);
                         dt
                     };
                     self.next_expiry = self.last_update.saturating_add(dt);
@@ -186,18 +179,6 @@ impl WfqCore {
                 self.next_expiry = Time::MAX;
             }
         }
-    }
-
-    /// `len·8/φ_class` through the per-class memo.
-    #[inline]
-    fn service(&mut self, class: usize, len: u32) -> VirtualTime {
-        let (l, s) = self.service_cache[class];
-        if l == len {
-            return s;
-        }
-        let s = VirtualTime::service(len, self.weights[class]);
-        self.service_cache[class] = (len, s);
-        s
     }
 
     /// Advance GPS virtual time to real time `now`, expiring classes
@@ -261,7 +242,10 @@ impl WfqCore {
                 // `refresh_deadline` pinned the genuine head.
                 let (c, f) = self.deadline_key;
                 debug_assert_eq!(Some((c, f)), self.expiry_head(), "stale expiry deadline");
-                let phi = self.weights[c];
+                let Some(phi) = self.classes.get(c).map(|k| k.weight) else {
+                    debug_assert!(false, "expiry head out of range");
+                    break;
+                };
                 self.vtime = f;
                 self.last_update = self.next_expiry;
                 self.gps.clear(c);
@@ -295,25 +279,41 @@ impl WfqCore {
         // — so max(V, F_prev) = F_prev without materializing V. The
         // clock stays pinned at `last_update` and the next slow path
         // (idle/expiring class, or a crossed deadline) catches it up
-        // over the whole interval at once.
-        if self.gps.contains(class) && now < self.next_expiry {
-            // Growing an active class's finish tag moves the true
-            // expiry deadline later (or not at all), so the cached
-            // bound stays valid without a refresh — the fast path
-            // touches no GPS bookkeeping beyond the tag's own keys.
-            let finish = self.class_finish[class].saturating_add(self.service(class, pkt.len));
-            self.retag(class, finish);
-            if self.queues[class].is_empty() {
-                self.heads.set(class, finish, pkt.seq);
-            }
-            self.queues[class].push_back((pkt, finish));
-            self.len += 1;
-            return;
+        // over the whole interval at once. Growing an active class's
+        // finish tag moves the true expiry deadline later (or not at
+        // all), so the cached bound stays valid without a refresh.
+        let fast = self.gps.contains(class) && now < self.next_expiry;
+        if !fast {
+            self.advance(now);
         }
-        self.advance(now);
-        let start = self.vtime.max(self.class_finish[class]);
-        let finish = start.saturating_add(self.service(class, pkt.len));
-        self.retag(class, finish);
+        let Some(c) = self.classes.get_mut(class) else {
+            debug_assert!(false, "enqueue of an unknown class");
+            return;
+        };
+        let start = if fast {
+            c.finish
+        } else {
+            self.vtime.max(c.finish)
+        };
+        let finish = start.saturating_add(c.memo.service(pkt.len, c.weight));
+        // Retag the class and make it GPS-active, keeping `gps`,
+        // `finish_weight` and `active_weight` in step.
+        let phi = c.weight as u128;
+        if self.gps.contains(class) {
+            self.finish_weight = self
+                .finish_weight
+                .wrapping_sub(c.finish.raw() as u128 * phi);
+        } else {
+            self.active_weight += c.weight;
+        }
+        self.finish_weight = self.finish_weight.wrapping_add(finish.raw() as u128 * phi);
+        c.finish = finish;
+        self.gps.set(class, finish, class as u64);
+        if c.queue.is_empty() {
+            self.heads.set(class, finish, pkt.seq);
+        }
+        c.queue.push_back((pkt, finish));
+        self.len += 1;
         // Re-pin the deadline only when this finish tag becomes the new
         // expiry head (covers first-activation: the idle sentinel key
         // is `VirtualTime::MAX`). Otherwise the head kept its tag and
@@ -321,25 +321,24 @@ impl WfqCore {
         // later, and the cached bound remains a valid lower bound that
         // [`WfqCore::advance`] re-pins if crossed. Saves the division
         // on most activations of low-weight (large-service) classes.
-        if finish < self.deadline_key.1 {
+        if !fast && finish < self.deadline_key.1 {
             self.refresh_deadline();
         }
-        if self.queues[class].is_empty() {
-            self.heads.set(class, finish, pkt.seq);
-        }
-        self.queues[class].push_back((pkt, finish));
-        self.len += 1;
     }
 
     pub(crate) fn dequeue_min(&mut self, _now: Time) -> Option<PacketRef> {
         let (class, f, seq) = self.heads.peek()?;
-        let Some((pkt, tag)) = self.queues[class].pop_front() else {
+        let Some(c) = self.classes.get_mut(class) else {
+            debug_assert!(false, "active set/queue desynchronized");
+            return None;
+        };
+        let Some((pkt, tag)) = c.queue.pop_front() else {
             debug_assert!(false, "active set/queue desynchronized");
             return None;
         };
         debug_assert_eq!(pkt.seq, seq, "per-class order violated");
         debug_assert_eq!(tag, f);
-        match self.queues[class].front() {
+        match c.queue.front() {
             Some(&(next, t)) => self.heads.set(class, t, next.seq),
             None => self.heads.clear(class),
         }

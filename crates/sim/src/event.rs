@@ -257,7 +257,8 @@ impl Slots {
     /// total).
     #[inline]
     fn beats(&self, a: usize, b: usize) -> bool {
-        let (ta, tb) = (self.time[a], self.time[b]);
+        let at = |i: usize| self.time.get(i).copied().unwrap_or(Time::MAX);
+        let (ta, tb) = (at(a), at(b));
         if ta != tb {
             ta < tb
         } else {
@@ -286,16 +287,37 @@ impl IndexedTimers {
     /// path.
     #[inline]
     fn set_slot(&mut self, i: usize, t: Time) {
-        self.slots.time[i] = t;
+        let Some(slot) = self.slots.time.get_mut(i) else {
+            debug_assert!(false, "slot out of range");
+            return;
+        };
+        *slot = t;
         tournament::replay(&mut self.win, i, |a, b| self.slots.beats(a, b));
     }
 
     /// The earliest pending arrival or relay, if any.
     #[inline]
     fn peek_arrival(&self) -> Option<(Time, u32)> {
-        let w = self.win[1];
-        let t = self.slots.time[w as usize];
+        let Some((&w, &t)) = self
+            .win
+            .get(1)
+            .and_then(|w| Some((w, self.slots.time.get(*w as usize)?)))
+        else {
+            debug_assert!(false, "winner tree without a root");
+            return None;
+        };
         (t != Time::MAX).then_some((t, w))
+    }
+
+    /// Pending instant of `flow`'s timer slot; `None`, after a debug
+    /// assertion, for a flow without one (the padding slots past the
+    /// flows and logs belong to no flow).
+    #[inline]
+    fn flow_time(&self, flow: FlowId) -> Option<Time> {
+        let i = flow.index();
+        let t = self.slots.time.get(i).filter(|_| i < self.slots.flows);
+        debug_assert!(t.is_some(), "flow has no timer slot");
+        t.copied()
     }
 
     /// Pop the head of log slot `slot` and re-key the slot by the next
@@ -400,11 +422,10 @@ impl EventCore for IndexedTimers {
     #[inline]
     fn schedule_arrival(&mut self, flow: FlowId, time: Time) {
         debug_assert!(time != Time::MAX, "Time::MAX is the empty sentinel");
-        debug_assert!(flow.index() < self.slots.flows, "flow has no timer slot");
-        debug_assert!(
-            self.slots.time[flow.index()] == Time::MAX,
-            "flow already has a pending arrival"
-        );
+        let Some(pending) = self.flow_time(flow) else {
+            return;
+        };
+        debug_assert!(pending == Time::MAX, "flow already has a pending arrival");
         self.set_slot(flow.index(), time);
     }
 
@@ -414,9 +435,10 @@ impl EventCore for IndexedTimers {
     {
         for (flow, time) in arrivals {
             debug_assert!(time != Time::MAX, "Time::MAX is the empty sentinel");
-            debug_assert!(flow.index() < self.slots.flows, "flow has no timer slot");
-            if let Some(slot) = self.slots.time.get_mut(flow.index()) {
-                *slot = time;
+            let i = flow.index();
+            match self.slots.time.get_mut(i) {
+                Some(slot) if i < self.slots.flows => *slot = time,
+                _ => debug_assert!(false, "flow has no timer slot"),
             }
         }
         tournament::rebuild(&mut self.win, |a, b| self.slots.beats(a, b));
@@ -444,11 +466,11 @@ impl EventCore for IndexedTimers {
     #[inline]
     fn delay_arrival(&mut self, flow: FlowId, at_least: Time) {
         debug_assert!(at_least != Time::MAX, "Time::MAX is the empty sentinel");
-        debug_assert!(flow.index() < self.slots.flows, "flow has no timer slot");
-        let i = flow.index();
-        let t = self.slots.time[i];
+        let Some(t) = self.flow_time(flow) else {
+            return;
+        };
         if t != Time::MAX && t < at_least {
-            self.set_slot(i, at_least);
+            self.set_slot(flow.index(), at_least);
         }
     }
 

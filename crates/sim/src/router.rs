@@ -523,7 +523,9 @@ where
                     // the flow's declared envelope at this instant
                     // (consuming meter tokens only when it does).
                     let green = match self.lanes.meters.as_mut() {
-                        Some(m) => m[flow.index()].try_consume(now, len as u64),
+                        Some(m) => m
+                            .get_mut(flow.index())
+                            .is_none_or(|m| m.try_consume(now, len as u64)),
                         None => true,
                     };
                     self.stats.on_color(now, flow, len, green);
@@ -576,7 +578,7 @@ where
                             // The loss leg of the signal path: tell the
                             // owning source (or buffer for the fabric)
                             // why admission refused its packet.
-                            let leg = self.fb_modes[flow.index()].lost;
+                            let leg = self.fb_modes.get(flow.index()).map_or(Leg::Off, |m| m.lost);
                             if leg != Leg::Off {
                                 let fb = Feedback::Lost { cause: reason };
                                 self.signal(obs, leg, now, flow, len, fb);
@@ -621,8 +623,9 @@ where
                         // per sustained over-threshold episode).
                         if let Some(limit) = self.policy.threshold(pkt.flow) {
                             let q = self.policy.flow_occupancy(pkt.flow);
-                            if self.lanes.over[pkt.flow.index()] && q <= limit / 2 {
-                                self.lanes.over[pkt.flow.index()] = false;
+                            let over = self.lanes.over.get_mut(pkt.flow.index());
+                            if let Some(over) = over.filter(|o| **o && q <= limit / 2) {
+                                *over = false;
                                 obs.on_threshold(now, pkt.flow, q, limit, false, self.link);
                             }
                         }
@@ -635,7 +638,10 @@ where
                     // flow: only the link that terminates the path
                     // reports `Delivered` (an upstream hop's departure
                     // is just a relay).
-                    let leg = self.fb_modes[pkt.flow.index()].delivered;
+                    let leg = self
+                        .fb_modes
+                        .get(pkt.flow.index())
+                        .map_or(Leg::Off, |m| m.delivered);
                     if leg != Leg::Off {
                         let fb = Feedback::Delivered {
                             bytes: pkt.len,

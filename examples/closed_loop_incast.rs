@@ -2,7 +2,7 @@
 //! `topology_incast`, but with sources that *react* — each sender runs
 //! an AIMD congestion window fed by per-packet feedback (delivered or
 //! dropped-with-cause) routed back from the shared aggregator through
-//! the fabric's deterministic mailbox path. One sender is
+//! the fabric's deterministic per-epoch feedback return leg. One sender is
 //! non-responsive (a floor on its window keeps it blasting); the rest
 //! are well-behaved AIMD flows.
 //!

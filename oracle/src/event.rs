@@ -1,7 +1,6 @@
 //! The heap event core — the simulator's original `BinaryHeap` event
 //! queue, kept as the differential oracle for the production
-//! [`IndexedTimers`] core and as the baseline of the `sim_throughput`
-//! benchmark.
+//! [`IndexedTimers`] core.
 //!
 //! Ordering is `(time, priority, insertion sequence)`: departures
 //! before arrivals at the same instant (a departing packet frees buffer

@@ -19,10 +19,8 @@
 //!   [`ExperimentConfig::run_once`] (the 56-combination suite in
 //!   `tests/determinism.rs` asserts it).
 //!
-//! This package is test and benchmark support (`publish = false`): the
-//! workspace's tests and the `sched_throughput`/`sim_throughput`
-//! benches take it as a dev-dependency, no shipped crate depends on
-//! it, and qbm-lint, which scans `crates/` and `src/`, does not hold it
+//! This package is test support (`publish = false`): the workspace's
+//! tests take it as a dev-dependency, no shipped crate depends on it, and qbm-lint, which scans `crates/` and `src/`, does not hold it
 //! to the shipping-code rules. It reaches the simulator through two
 //! public seams: [`ExperimentConfig::build_router`] and
 //! [`Router::run_on`](qbm_sim::Router::run_on).
@@ -88,8 +86,7 @@ fn window(cfg: &ExperimentConfig) -> (Time, Time) {
 /// virtual-time arithmetic differs (f64 over the shared Q32.32
 /// quantization instead of pure integers). The determinism suite
 /// asserts the output is byte-identical to `run_once` for every
-/// scheduler × policy combination; the `sched_throughput` benchmark
-/// uses it as the before-side of the fixed-point speedup.
+/// scheduler × policy combination.
 pub fn run_once_sched_reference(cfg: &ExperimentConfig, seed: u64) -> SimResult {
     let sched = build_reference(&cfg.sched, cfg.link_rate, &cfg.specs);
     let (warmup, end) = window(cfg);
@@ -100,8 +97,7 @@ pub fn run_once_sched_reference(cfg: &ExperimentConfig, seed: u64) -> SimResult 
 /// [`EventQueue`] instead of the [`IndexedTimers`] production core
 /// (see [`qbm_sim::event`]), with the same enum sources. Must produce
 /// byte-identical results to `run_once` — the determinism suite
-/// asserts it — and serves as the baseline side of the
-/// `sim_throughput` benchmark.
+/// asserts it.
 ///
 /// [`IndexedTimers`]: qbm_sim::IndexedTimers
 pub fn run_once_reference(cfg: &ExperimentConfig, seed: u64) -> SimResult {

@@ -1,6 +1,6 @@
 //! Float reference schedulers — the pre-refactor `f64` + `BinaryHeap`
 //! implementations of WFQ, WF²Q+, Virtual Clock and the hybrid,
-//! retained for differential testing and as the benchmark baseline.
+//! retained for differential testing.
 //!
 //! These keep the original architecture whose cost the fixed-point
 //! rewrite removes: `f64` virtual-time state, `OrdF64` heap keys,

@@ -467,7 +467,7 @@ fn pooled_campaign_with_mixed_flow_counts_is_thread_count_invariant() {
 fn path_fabric_reproduces_pre_refactor_tandem_goldens() {
     // Captured from the pre-fabric tandem runner (hop-by-hop
     // run-to-completion with full-trace replay) on a 3-hop
-    // 48/44/40 Mb/s threshold line at seed 17. The epoch/mailbox
+    // 48/44/40 Mb/s threshold line at seed 17. The epoch/departure-log
     // fabric the line now runs on must reproduce both the per-hop
     // statistics and the per-hop JSONL traces byte-for-byte.
     use qos_buffer_mgmt::core::units::{Rate, Time};
@@ -648,7 +648,7 @@ fn subscriber_tree_scales_to_ten_thousand_flows_deterministically() {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-    // The mailbox-handoff ordering invariant, fuzzed over topology
+    // The departure-log handoff ordering invariant, fuzzed over topology
     // shape, seed and epoch length: for ANY aggregation tree, the
     // merged statistics and the merged per-link trace text are
     // byte-identical whether wave-mates advance on 1, 2 or 8 shard

@@ -3,25 +3,18 @@
 //! determinism or unit-discipline regression fails the test suite, not
 //! just a side channel.
 //!
-//! The gate is baseline-aware: findings recorded in the committed
-//! `lint-baseline.tsv` (triaged legacy debt, today all `hot-path-index`
-//! sites) are accepted, *new* findings fail, and stale baseline records
-//! also fail — the baseline may only ever shrink behind the code.
+//! The gate is zero findings: a counted, named pragma at the site is
+//! the only way to accept one, and the pragma counts are capped below.
 
 use std::path::Path;
 
-fn gated_report(root: &Path) -> (qbm_lint::Report, usize) {
-    let mut report = qbm_lint::run_repo(root).expect("lint walk failed");
-    let baseline = std::fs::read_to_string(root.join("lint-baseline.tsv"))
-        .expect("lint-baseline.tsv is committed at the workspace root");
-    let stale = qbm_lint::emit::apply_baseline(&mut report, &baseline);
-    (report, stale)
+fn report() -> qbm_lint::Report {
+    qbm_lint::run_repo(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("lint walk failed")
 }
 
 #[test]
 fn workspace_is_lint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (report, stale) = gated_report(root);
+    let report = report();
     // Guard against the walker silently scanning nothing (e.g. after a
     // directory move): the workspace has far more than 40 library files.
     assert!(
@@ -31,7 +24,7 @@ fn workspace_is_lint_clean() {
     );
     assert!(
         report.findings.is_empty(),
-        "qbm-lint found {} new violation(s):\n{}",
+        "qbm-lint found {} violation(s):\n{}",
         report.findings.len(),
         report
             .findings
@@ -40,23 +33,17 @@ fn workspace_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert_eq!(
-        stale, 0,
-        "{stale} stale lint-baseline.tsv record(s) allow more findings than remain — \
-         regenerate with `cargo run -p qbm-lint -- --write-baseline`"
-    );
 }
 
 #[test]
 fn suppressions_stay_accounted() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (report, _) = gated_report(root);
+    let report = report();
     // Every silenced match must come from a known channel, and the
     // allow-surface should only change deliberately: a jump here means
     // someone is papering over findings instead of fixing them.
     for s in &report.suppressions {
         assert!(
-            matches!(s.via, "pragma" | "allowlist" | "cold" | "baseline"),
+            matches!(s.via, "pragma" | "allowlist" | "cold"),
             "unknown suppression channel {:?}",
             s.via
         );
@@ -71,14 +58,6 @@ fn suppressions_stay_accounted() {
     assert!(
         cold <= 8,
         "{cold} cold-pruned functions — audit before widening the cold surface"
-    );
-    // The baseline holds the triaged hot-path-index debt; it shrinks as
-    // sites are rewritten, and never grows (new findings fail above).
-    // The cap is the committed count: lower it whenever a rewrite
-    // shrinks lint-baseline.tsv.
-    assert!(
-        count("baseline") <= 80,
-        "baseline suppression count grew — regenerate lint-baseline.tsv only after triage"
     );
 }
 
