@@ -55,6 +55,13 @@ impl Default for SketchParams {
 
 /// A span-trimmed, integer-only, mergeable quantile sketch over `u64`
 /// values. See the module docs for the layout and guarantees.
+///
+/// It also carries the coarser summaries of the same values exactly:
+/// [`QuantileSketch::max`] and the log₂ histogram
+/// [`QuantileSketch::log2_counts`]. A statistics collector that keeps a
+/// sketch per flow therefore records each delay once, into the sketch,
+/// and derives the flow's log₂ delay histogram and delay maximum, and
+/// the aggregate sketch (the merge of the flows'), once per run.
 #[derive(Clone)]
 pub struct QuantileSketch {
     /// Precision bits `m` (1 ..= 16).
@@ -177,6 +184,35 @@ impl QuantileSketch {
             self.lo as usize + first,
             self.buckets.get(first..=last).unwrap_or_default(),
         )
+    }
+
+    /// The log₂ view: element `k` counts the recorded values in
+    /// `[2^k, 2^(k+1))`, 0 counting with 1 in element 0, up to the
+    /// highest non-empty power of two (no trailing zero; empty when
+    /// nothing is recorded). Exact, not an estimate: every bucket lies
+    /// inside one power of two, so the sketch keeps everything a log₂
+    /// histogram of the same values would.
+    pub fn log2_counts(&self) -> Vec<u64> {
+        let (first, counts) = self.trimmed();
+        let Some(top) = counts.len().checked_sub(1) else {
+            return Vec::new();
+        };
+        let mut out = vec![0; self.octave(first + top) + 1];
+        for (j, &c) in counts.iter().enumerate() {
+            if let Some(k) = out.get_mut(self.octave(first + j)) {
+                *k += c;
+            }
+        }
+        out
+    }
+
+    /// `⌊log₂ v⌋` (0 for `v = 0`) shared by every value of bucket `i`.
+    fn octave(&self, i: usize) -> usize {
+        let m = self.m as usize;
+        if i < 1 << m {
+            return 63 - (i as u64).max(1).leading_zeros() as usize;
+        }
+        (i >> m) + m - 1
     }
 
     /// Bucket index of `v`: identity below `2^m`, then the exponent
@@ -514,6 +550,21 @@ mod tests {
                 "q{q}: {est} vs {exact} (bound {bound})"
             );
         }
+    }
+
+    #[test]
+    fn log2_view_counts_each_power_of_two() {
+        let mut s = QuantileSketch::new(3);
+        assert!(s.log2_counts().is_empty());
+        // 0 and 1 share octave 0; 7 is octave 2, 8 the first octave
+        // past the exact range, 1000 octave 9.
+        for v in [0, 1, 7, 8, 15, 1000] {
+            s.record(v);
+        }
+        assert_eq!(s.log2_counts(), vec![2, 0, 1, 2, 0, 0, 0, 0, 0, 1]);
+        s.record(u64::MAX);
+        assert_eq!(s.log2_counts().len(), 64);
+        assert_eq!(s.log2_counts().last(), Some(&1));
     }
 
     #[test]

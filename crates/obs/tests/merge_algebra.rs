@@ -6,7 +6,8 @@
 //! contract to [`QuantileSketch`] and [`TemporalHeatmap`]. The rank
 //! property pins the sketch's advertised `2^-m` relative-error bound
 //! against an exact sorted oracle, and the dense-oracle properties pin
-//! the span-trimmed bucket store against a full `(65 - m)·2^m` array.
+//! the span-trimmed bucket store, and its log₂ view, against a full
+//! `(65 - m)·2^m` array.
 
 use proptest::prelude::*;
 use qbm_core::units::{Dur, Time};
@@ -130,6 +131,16 @@ impl DenseOracle {
         )
     }
 
+    /// Log₂ histogram of the dense buckets: each bucket's upper edge
+    /// lies in the power of two of all its values.
+    fn log2_counts(&self) -> Vec<u64> {
+        let mut out = vec![0; 64];
+        for (i, &c) in self.buckets.iter().enumerate() {
+            out[octave(self.upper_edge(i))] += c;
+        }
+        trim_zero_tail(out)
+    }
+
     /// Bytes of the recorded [min, max] bucket span rounded out to
     /// whole exponent groups of `2^m` buckets (zero when empty).
     fn span_bytes(&self) -> usize {
@@ -140,6 +151,17 @@ impl DenseOracle {
             (self.bucket_of(self.max) >> self.m) - (self.bucket_of(self.min) >> self.m) + 1;
         (groups << self.m) * 8
     }
+}
+
+/// `⌊log₂ v⌋`, with 0 in the octave of 1.
+fn octave(v: u64) -> usize {
+    63 - v.max(1).leading_zeros() as usize
+}
+
+fn trim_zero_tail(mut counts: Vec<u64>) -> Vec<u64> {
+    let used = counts.iter().rposition(|&c| c != 0).map_or(0, |k| k + 1);
+    counts.truncate(used);
+    counts
 }
 
 /// Map a raw draw into the value span `[2^lo, 2^(lo + width))`, at
@@ -206,6 +228,27 @@ proptest! {
         s.reset_counts();
         prop_assert_eq!(&s, &QuantileSketch::new(m));
         prop_assert_eq!(format!("{s:?}"), DenseOracle::new(m).debug());
+    }
+
+    /// The log₂ view is exactly a log₂ histogram of the recorded values
+    /// (0 counted with 1, no trailing zero), and the one the dense
+    /// oracle's buckets give.
+    #[test]
+    fn log2_view_matches_a_value_histogram(
+        raw in proptest::collection::vec(0u64..u64::MAX, 0..300),
+        m in 1u32..9,
+        lo in 0u32..70,
+        width in 0u32..70,
+    ) {
+        let lo = lo.saturating_sub(6);
+        let (s, o) = spanned(m, &raw, lo, width);
+        let mut direct = vec![0u64; 64];
+        for &x in &raw {
+            direct[octave(in_span(x, lo, width))] += 1;
+        }
+        let direct = trim_zero_tail(direct);
+        prop_assert_eq!(&s.log2_counts(), &direct);
+        prop_assert_eq!(&o.log2_counts(), &direct);
     }
 
     /// Merging in either order equals one sketch of the union, matches

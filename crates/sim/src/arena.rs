@@ -18,7 +18,6 @@
 
 use crate::event::IndexedTimers;
 use crate::router::FlowLanes;
-use qbm_core::units::Time;
 use qbm_traffic::SourceKind;
 
 /// Reusable simulation buffers for one campaign worker.
@@ -38,8 +37,8 @@ pub struct SimArena {
     pending: Vec<Option<u32>>,
     /// Over-threshold observer lane (`router::FlowLanes::over`).
     over: Vec<bool>,
-    /// Arrival-slot vector of the indexed event core.
-    timer_slots: Vec<Time>,
+    /// Packed slot keys of the indexed event core.
+    timer_slots: Vec<u128>,
     /// Tournament-tree vector of the indexed event core.
     timer_win: Vec<u32>,
 }

@@ -3,11 +3,11 @@
 //! [`IndexedTimers`] is the simulator's event core behind the
 //! [`EventCore`] trait. It exploits the router's event structure: each
 //! flow has **at most one** pending arrival and the link at most one
-//! pending departure, so the whole queue is a flat
-//! `next_arrival: Vec<Time>` selected by an index-tie-breaking
-//! tournament tree plus a single departure slot. No per-event `seq`,
-//! no heap sifting — a handful of branch-predictable comparisons over
-//! a cache-resident array per operation.
+//! pending departure, so the whole queue is one flat array of packed
+//! `time << 64 | flow` keys selected by a tournament tree plus a single
+//! departure slot. No per-event `seq`, no heap sifting — a handful of
+//! branch-predictable integer compares over a cache-resident array per
+//! operation.
 //!
 //! Events are ordered by `(time, departure-first, flow index)`:
 //! departures come before arrivals at the same instant (a departing
@@ -198,23 +198,25 @@ pub trait EventCore {
 /// The production event core: one timer slot per flow plus a departure
 /// slot, selected by a deterministic [`tournament`] (winner) tree.
 ///
-/// Layout: `slots.time[i]` holds slot `i`'s pending instant
-/// (`Time::MAX` = none). Slots `0..flows` are per-flow arrival timers;
-/// on a fabric link, slots `flows..flows + logs.len()` each hold the
-/// head of one upstream departure log. The tree runs over the slots,
-/// padded to a power of two (at least two), so a slot update replays
-/// only its root path: `log₂ n` comparisons over two flat arrays of
-/// 12 B per leaf — L1-resident at a link's tens of slots, but 1.5 MB
-/// at 10⁵ flows, where each replay misses cache on most of its 17
-/// levels (which is why an open-loop origin link's sources go through
-/// a sorted source stage instead, [`crate::fabric`]). Comparison is on
-/// `(time, tie)`, where the tie of a flow slot is its flow index and
-/// the tie of a log slot is its head's destination flow — so the flow
-/// index is the same-instant tie-break whichever way a packet arrives,
-/// and `Time::MAX` padding loses to every real timer. A pop compares
-/// the tree winner against the departure slot, departure winning ties
-/// — the full ordering contract in two extra branches, with no
-/// per-event sequence counter at all.
+/// Layout: `slots.key[i]` holds slot `i`'s packed key, `time << 64 |
+/// tie` for a pending instant and `u128::MAX` for none. Slots
+/// `0..flows` are per-flow arrival timers; on a fabric link, slots
+/// `flows..flows + logs.len()` each hold the head of one upstream
+/// departure log. The tie of a flow slot is its flow index and the tie
+/// of a log slot is its head's destination flow, computed when the slot
+/// is keyed — so the flow index is the same-instant tie-break whichever
+/// way a packet arrives, a comparison is one integer compare with no
+/// log to follow, and the empty key loses to every real timer. A slot's
+/// time is the key's high word. The tree runs over the slots, padded to
+/// a power of two (at least two), so a slot update replays only its
+/// root path: `log₂ n` compares over two flat arrays of 20 B per leaf
+/// (a 16 B key, a 4 B winner) — L1-resident at a link's tens of slots,
+/// but 2.6 MB at 10⁵ flows, where each replay misses cache on most of
+/// its 17 levels (which is why an open-loop origin link's sources go
+/// through a sorted source stage instead, [`crate::fabric`]). A pop
+/// compares the tree winner against the departure slot, departure
+/// winning ties — the full ordering contract in two extra branches,
+/// with no per-event sequence counter at all.
 #[derive(Debug)]
 pub struct IndexedTimers {
     slots: Slots,
@@ -225,12 +227,32 @@ pub struct IndexedTimers {
     departure: Time,
 }
 
+/// The key of an empty slot: above every real `(time, tie)` key, since
+/// a real time is below `Time::MAX`, and read back as `Time::MAX`.
+const EMPTY: u128 = u128::MAX;
+
+/// Slot key of a timer at `time` with same-instant tie `tie`; the empty
+/// key for `Time::MAX`, the empty sentinel.
+#[inline]
+fn key(time: Time, tie: u32) -> u128 {
+    if time == Time::MAX {
+        return EMPTY;
+    }
+    (time.0 as u128) << 64 | tie as u128
+}
+
+/// The instant a slot key holds (`Time::MAX` for an empty slot).
+#[inline]
+fn key_time(key: u128) -> Time {
+    Time((key >> 64) as u64)
+}
+
 /// The keys under an [`IndexedTimers`] tree.
 #[derive(Debug)]
 struct Slots {
-    /// Pending instant per slot; `Time::MAX` = none. Padded to the
-    /// tree's leaf count.
-    time: Vec<Time>,
+    /// Packed key per slot (see [`key`]); [`EMPTY`] = none. Padded to
+    /// the tree's leaf count.
+    key: Vec<u128>,
     /// Number of per-flow slots; log slots follow them.
     flows: usize,
     /// One upstream departure log per log slot, in slot order.
@@ -238,32 +260,13 @@ struct Slots {
 }
 
 impl Slots {
-    /// Same-instant tie key of `slot`: the flow index for a flow slot
-    /// (and for padding), the head's destination flow for a log slot.
-    #[inline]
-    fn tie(&self, slot: usize) -> u32 {
-        if slot < self.flows {
-            return slot as u32;
-        }
-        self.logs
-            .get(slot - self.flows)
-            .and_then(InLog::head)
-            .map_or(slot as u32, |e| e.flow)
-    }
-
-    /// Whether slot `a` beats slot `b`: earlier time, lower tie key on
-    /// equal times. `MAX` sentinels lose to any real timer (and resolve
-    /// by tie among themselves, which is irrelevant but keeps the tree
-    /// total).
+    /// Whether slot `a` beats slot `b`: the lower key, i.e. the earlier
+    /// time, then the lower tie. Empty slots lose to any real timer
+    /// (and to each other by position, which keeps the tree total).
     #[inline]
     fn beats(&self, a: usize, b: usize) -> bool {
-        let at = |i: usize| self.time.get(i).copied().unwrap_or(Time::MAX);
-        let (ta, tb) = (at(a), at(b));
-        if ta != tb {
-            ta < tb
-        } else {
-            self.tie(a) <= self.tie(b)
-        }
+        let at = |i: usize| self.key.get(i).copied().unwrap_or(EMPTY);
+        at(a) <= at(b)
     }
 }
 
@@ -280,33 +283,39 @@ impl InLog {
     fn head(&self) -> Option<&LogEntry> {
         self.entries.get(self.next)
     }
+
+    /// The log slot's key: its head's `(time, destination flow)`.
+    #[inline]
+    fn head_key(&self) -> u128 {
+        self.head().map_or(EMPTY, |e| key(e.time, e.flow))
+    }
 }
 
 impl IndexedTimers {
-    /// Key slot `i` at `t` (`Time::MAX` = empty) and replay its root
+    /// Give slot `i` key `k` ([`EMPTY`] = none) and replay its root
     /// path.
     #[inline]
-    fn set_slot(&mut self, i: usize, t: Time) {
-        let Some(slot) = self.slots.time.get_mut(i) else {
+    fn set_slot(&mut self, i: usize, k: u128) {
+        let Some(slot) = self.slots.key.get_mut(i) else {
             debug_assert!(false, "slot out of range");
             return;
         };
-        *slot = t;
+        *slot = k;
         tournament::replay(&mut self.win, i, |a, b| self.slots.beats(a, b));
     }
 
     /// The earliest pending arrival or relay, if any.
     #[inline]
     fn peek_arrival(&self) -> Option<(Time, u32)> {
-        let Some((&w, &t)) = self
+        let Some((&w, &k)) = self
             .win
             .get(1)
-            .and_then(|w| Some((w, self.slots.time.get(*w as usize)?)))
+            .and_then(|w| Some((w, self.slots.key.get(*w as usize)?)))
         else {
             debug_assert!(false, "winner tree without a root");
             return None;
         };
-        (t != Time::MAX).then_some((t, w))
+        (k != EMPTY).then(|| (key_time(k), w))
     }
 
     /// Pending instant of `flow`'s timer slot; `None`, after a debug
@@ -315,9 +324,9 @@ impl IndexedTimers {
     #[inline]
     fn flow_time(&self, flow: FlowId) -> Option<Time> {
         let i = flow.index();
-        let t = self.slots.time.get(i).filter(|_| i < self.slots.flows);
-        debug_assert!(t.is_some(), "flow has no timer slot");
-        t.copied()
+        let k = self.slots.key.get(i).filter(|_| i < self.slots.flows);
+        debug_assert!(k.is_some(), "flow has no timer slot");
+        k.map(|&k| key_time(k))
     }
 
     /// Pop the head of log slot `slot` and re-key the slot by the next
@@ -331,7 +340,7 @@ impl IndexedTimers {
             .get_mut(slot.checked_sub(self.slots.flows)?)?;
         let e = *log.head()?;
         log.next += 1;
-        let next = log.head().map_or(Time::MAX, |n| n.time);
+        let next = log.head_key();
         self.set_slot(slot, next);
         Some((e.time, Event::Relay(FlowId(e.flow), e.len)))
     }
@@ -339,17 +348,17 @@ impl IndexedTimers {
     /// A core with `flows` per-flow slots and `logs` log slots on
     /// recycled backing vectors (cleared and resized to fit; capacity
     /// reused).
-    fn assemble(flows: usize, logs: usize, time: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
+    fn assemble(flows: usize, logs: usize, key: Vec<u128>, win: Vec<u32>) -> IndexedTimers {
         assert!(flows + logs > 0, "no flows");
         let leaves = (flows + logs).next_power_of_two().max(2);
-        let mut time = time;
-        time.clear();
-        time.resize(leaves, Time::MAX);
+        let mut key = key;
+        key.clear();
+        key.resize(leaves, EMPTY);
         let mut win = win;
         win.clear();
         win.resize(leaves, 0);
         let slots = Slots {
-            time,
+            key,
             flows,
             logs: (0..logs).map(|_| InLog::default()).collect(),
         };
@@ -366,7 +375,7 @@ impl IndexedTimers {
     /// vectors this is exactly [`EventCore::with_flows`] — the arena
     /// runner hands back the vectors from [`IndexedTimers::into_parts`]
     /// so a campaign allocates one timer tree per worker, not per cell.
-    pub fn from_recycled(n_flows: usize, slots: Vec<Time>, win: Vec<u32>) -> IndexedTimers {
+    pub fn from_recycled(n_flows: usize, slots: Vec<u128>, win: Vec<u32>) -> IndexedTimers {
         IndexedTimers::assemble(n_flows, 0, slots, win)
     }
 
@@ -390,7 +399,7 @@ impl IndexedTimers {
         l.entries.clear();
         std::mem::swap(&mut l.entries, batch);
         l.next = 0;
-        let head = l.head().map_or(Time::MAX, |e| e.time);
+        let head = l.head_key();
         self.set_slot(self.slots.flows + log, head);
     }
 
@@ -405,8 +414,8 @@ impl IndexedTimers {
 
     /// Dismantle the core into its backing vectors for recycling via
     /// [`IndexedTimers::from_recycled`].
-    pub fn into_parts(self) -> (Vec<Time>, Vec<u32>) {
-        (self.slots.time, self.win)
+    pub fn into_parts(self) -> (Vec<u128>, Vec<u32>) {
+        (self.slots.key, self.win)
     }
 }
 
@@ -426,7 +435,7 @@ impl EventCore for IndexedTimers {
             return;
         };
         debug_assert!(pending == Time::MAX, "flow already has a pending arrival");
-        self.set_slot(flow.index(), time);
+        self.set_slot(flow.index(), key(time, flow.0));
     }
 
     fn schedule_arrivals<I>(&mut self, arrivals: I)
@@ -436,8 +445,8 @@ impl EventCore for IndexedTimers {
         for (flow, time) in arrivals {
             debug_assert!(time != Time::MAX, "Time::MAX is the empty sentinel");
             let i = flow.index();
-            match self.slots.time.get_mut(i) {
-                Some(slot) if i < self.slots.flows => *slot = time,
+            match self.slots.key.get_mut(i) {
+                Some(slot) if i < self.slots.flows => *slot = key(time, flow.0),
                 _ => debug_assert!(false, "flow has no timer slot"),
             }
         }
@@ -470,7 +479,7 @@ impl EventCore for IndexedTimers {
             return;
         };
         if t != Time::MAX && t < at_least {
-            self.set_slot(flow.index(), at_least);
+            self.set_slot(flow.index(), key(at_least, flow.0));
         }
     }
 
@@ -498,7 +507,7 @@ impl EventCore for IndexedTimers {
         let flow = FlowId(w);
         let next = refill(flow).unwrap_or(Time::MAX);
         debug_assert!(next >= t, "source emitted into the past");
-        self.set_slot(w as usize, next);
+        self.set_slot(w as usize, key(next, w));
         Some((t, Event::Arrival(flow)))
     }
 }

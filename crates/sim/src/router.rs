@@ -400,8 +400,10 @@ where
     /// records are emitted only on transitions (the per-flow leg
     /// lives in `lanes.over`). None when the observer is disabled.
     prev_sharing: Option<(u64, u64)>,
-    /// Per-flow feedback routing; all-[`Leg::Off`] on open-loop links,
-    /// so the hot arms pay one predictable branch.
+    /// Per-flow feedback routing, allocated only on a link that carries
+    /// a closed-loop flow (or at the fabric's first override): empty on
+    /// an open-loop link, where every lookup misses to [`Leg::Off`], so
+    /// the hot arms pay one predictable branch and no per-flow memory.
     fb_modes: Vec<FeedbackMode>,
     /// Cross-link feedback buffer: the signals of [`Leg::Remote`]
     /// flows, drained in place by the fabric each epoch.
@@ -434,20 +436,23 @@ where
         // A source that reacts to feedback gets the full local loop by
         // default (drops *and* deliveries signalled on this link); the
         // fabric rewires multi-hop flows after construction.
-        let fb_modes = (0..n)
-            .map(|f| {
-                let leg = if router.flow_is_closed_loop(f) {
-                    Leg::Local
-                } else {
-                    Leg::Off
-                };
-                FeedbackMode {
-                    lost: leg,
-                    delivered: leg,
-                }
-            })
+        let mode = |f| {
+            let leg = if router.flow_is_closed_loop(f) {
+                Leg::Local
+            } else {
+                Leg::Off
+            };
+            FeedbackMode {
+                lost: leg,
+                delivered: leg,
+            }
+        };
+        let fb_modes = if (0..n).any(|f| router.flow_is_closed_loop(f)) {
             // qbm-lint: allow(hot-path-alloc) — once per link at construction, before the event loop starts
-            .collect();
+            (0..n).map(mode).collect()
+        } else {
+            Vec::new()
+        };
         LinkEngine {
             link_rate: router.link_rate,
             policy: router.policy,
@@ -766,9 +771,21 @@ where
     }
 
     /// Override flow `flow`'s feedback routing — fabric wiring for
-    /// multi-hop closed-loop paths (cold, construction time).
+    /// multi-hop closed-loop paths (cold, construction time). The first
+    /// override on a link without closed-loop flows allocates its lane,
+    /// every other flow [`Leg::Off`].
     pub(crate) fn set_feedback_mode(&mut self, flow: FlowId, mode: FeedbackMode) {
-        self.fb_modes[flow.index()] = mode;
+        if self.fb_modes.is_empty() {
+            let off = FeedbackMode {
+                lost: Leg::Off,
+                delivered: Leg::Off,
+            };
+            self.fb_modes = vec![off; self.lanes.n_flows()];
+        }
+        match self.fb_modes.get_mut(flow.index()) {
+            Some(m) => *m = mode,
+            None => debug_assert!(false, "feedback mode of an unknown flow"),
+        }
     }
 
     /// Close the run: final observer flush, statistics reduction, and

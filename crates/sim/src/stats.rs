@@ -99,8 +99,9 @@ pub struct FlowStats {
     /// 19 buckets instead of 64. `Debug` renders a non-empty histogram
     /// padded to 64 buckets.
     pub delay_hist: Vec<u64>,
-    /// Remark-1 coloring (only populated when the router has meters):
-    /// bytes that arrived within the flow's declared envelope.
+    /// Remark-1 coloring: bytes that arrived within the flow's declared
+    /// envelope. A packet is green unless its link's meter reported it
+    /// red, so on a link without meters this equals `offered_bytes`.
     pub green_offered_bytes: u64,
     /// Green packets offered.
     pub green_offered_pkts: u64,
@@ -343,18 +344,23 @@ impl SimResult {
 
 /// The per-flow counters every in-window packet touches: what a
 /// [`StatsCollector`] keeps for a flow from its first in-window packet
-/// on (120 B against [`FlowStats`]' 160 B). Drop counters, per-flow
-/// sketches and spilled delay histograms live in lanes of their own,
-/// allocated on first use.
+/// on (96 B against [`FlowStats`]' 160 B). Drop counters, red counters,
+/// per-flow sketches and spilled delay histograms live in lanes of
+/// their own, allocated on first use.
+///
+/// There are no green counters: a packet is green unless reported red,
+/// so [`StatsCollector::finish`] derives each green counter as its
+/// total less the red lane's count, and a link without meters never
+/// touches the red lane. In a collector that sketches per flow the
+/// delay maximum and histogram stay zero through the run: each delay
+/// goes only into the flow's sketch, and [`StatsCollector::seal`]
+/// derives both from it.
 #[derive(Debug, Clone, Copy, Default)]
 struct HotStats {
     offered_bytes: u64,
     offered_pkts: u64,
-    green_offered_bytes: u64,
-    green_offered_pkts: u64,
     delivered_bytes: u64,
     delivered_pkts: u64,
-    green_delivered_bytes: u64,
     /// [`FlowStats::delay_sum_ns`] as its low and high words: a `u128`
     /// field would 16-align the record and pad it to 128 B.
     delay_sum_ns: [u64; 2],
@@ -477,6 +483,37 @@ struct DropStats {
     by_cause: [u64; 3],
 }
 
+/// A flow's red counters: the cold lane [`StatsCollector`] allocates at
+/// the first in-window red packet (a meter's verdict, so never on a link
+/// without meters). The green counters are the totals less these.
+#[derive(Debug, Clone, Copy, Default)]
+struct RedStats {
+    offered_bytes: u64,
+    offered_pkts: u64,
+    delivered_bytes: u64,
+}
+
+/// Flow `flow`'s entry in a per-flow cold lane, allocating the lane —
+/// one default entry for each of `flows` flows — at its first use.
+/// `None` for a flow past the end.
+// qbm-lint: cold(a drop or a red packet, off the green delivery path; allocates its lane once per run)
+fn lane_entry<T: Copy + Default>(lane: &mut Vec<T>, flows: usize, flow: usize) -> Option<&mut T> {
+    if lane.is_empty() {
+        *lane = vec![T::default(); flows];
+    }
+    lane.get_mut(flow)
+}
+
+/// `total − part`: one colour's share of a counter from the other's,
+/// the green count from the red lane's in `finish` and the red from the
+/// green in `merge`. A share above its total is a colour without its
+/// arrival, which the engine never issues.
+fn other_share(total: u64, part: u64) -> u64 {
+    let rest = total.checked_sub(part);
+    debug_assert!(rest.is_some(), "colour count above its total");
+    rest.unwrap_or(0)
+}
+
 /// A flow's sketches: the lane [`StatsCollector`] allocates only when
 /// it sketches per flow (or merges results that did).
 #[derive(Debug, Clone, Default)]
@@ -488,13 +525,17 @@ struct FlowSketches {
 /// Mutable collector the router writes into during a run.
 ///
 /// Per flow it keeps a 4 B slot index; a flow gets the counters every
-/// packet touches (120 B) at its first in-window packet, drop counters
-/// at the first drop, and sketches when the collector sketches per
-/// flow. [`StatsCollector::finish`] assembles the [`FlowStats`] of its
+/// packet touches (96 B) at its first in-window packet, drop counters
+/// at the first drop, red counters at the first red packet, and
+/// sketches when the collector sketches per flow.
+/// [`StatsCollector::finish`] assembles the [`FlowStats`] of its
 /// result from them, zero for a flow that saw nothing in the window.
 /// A collector that sketches per flow, which spends kilobytes per flow
 /// on sketches anyway, makes every record up front instead and skips
-/// the slot lookup on every packet.
+/// the slot lookup on every packet; it also records each delay only
+/// into the flow's delay sketch (and the delay sum), and
+/// sealing the run derives the delay histogram, the delay maximum and
+/// the aggregate delay sketch from the per-flow sketches.
 #[derive(Debug)]
 pub struct StatsCollector {
     /// Window, seed and the aggregate attachments; `flows` stays empty
@@ -507,10 +548,13 @@ pub struct StatsCollector {
     /// order of first packet.
     hot: Vec<HotStats>,
     /// Every flow has its record from the start, in slot `f` (so
-    /// `slots` is the identity).
+    /// `slots` is the identity) and a delay sketch in `sketches`, the
+    /// one place its delays are recorded.
     dense: bool,
     /// Empty until the first in-window drop, then one per flow.
     drops: Vec<DropStats>,
+    /// Empty until the first in-window red packet, then one per flow.
+    reds: Vec<RedStats>,
     /// Empty unless sketching per flow, then one per flow.
     sketches: Vec<FlowSketches>,
     /// The full delay histograms of the flows whose delays outgrew
@@ -640,21 +684,18 @@ impl StatsCollector {
         }
     }
 
-    // qbm-lint: cold(a drop, off the delivery path; allocates its lane once per run)
     fn on_drop(&mut self, flow: usize, len: u32, reason: DropReason) {
-        if self.drops.is_empty() {
-            self.drops = vec![DropStats::default(); self.slots.len()];
-        }
-        let Some(d) = self.drops.get_mut(flow) else {
+        let Some(d) = lane_entry(&mut self.drops, self.slots.len(), flow) else {
             debug_assert!(false, "drop of an unknown flow");
             return;
         };
         d.bytes += len as u64;
         d.pkts += 1;
+        let [buffer_full, over_threshold, no_shared_space] = &mut d.by_cause;
         let cause = match reason {
-            DropReason::BufferFull => &mut d.by_cause[0],
-            DropReason::OverThreshold => &mut d.by_cause[1],
-            DropReason::NoSharedSpace => &mut d.by_cause[2],
+            DropReason::BufferFull => buffer_full,
+            DropReason::OverThreshold => over_threshold,
+            DropReason::NoSharedSpace => no_shared_space,
         };
         *cause += 1;
     }
@@ -676,26 +717,36 @@ impl StatsCollector {
         if !self.in_window(now) {
             return;
         }
+        if !green {
+            let Some(r) = lane_entry(&mut self.reds, self.slots.len(), flow.index()) else {
+                debug_assert!(false, "red departure of an unknown flow");
+                return;
+            };
+            r.delivered_bytes += len as u64;
+        }
+        let dense = self.dense;
         let Some(f) = self.record(flow) else {
             debug_assert!(false, "departure of an unknown flow");
             return;
         };
         f.delivered_bytes += len as u64;
         f.delivered_pkts += 1;
-        if green {
-            f.green_delivered_bytes += len as u64;
-        }
         let d = now.since(arrival).as_nanos();
         f.add_delay_sum(d as u128);
+        if dense {
+            // The flow's delay sketch is the delay's one record: `seal`
+            // derives the histogram, maximum and aggregate sketch.
+            if let Some(s) = self.sketches.get_mut(flow.index()) {
+                if let Some(s) = s.delay.as_mut() {
+                    s.record(d);
+                }
+            }
+            return;
+        }
         f.delay_max_ns = f.delay_max_ns.max(d);
         let bucket = (63 - d.max(1).leading_zeros()) as usize;
         if !f.hist_add(bucket, 1) {
             self.spill_delays(flow, bucket, 1);
-        }
-        if let Some(s) = self.sketches.get_mut(flow.index()) {
-            if let Some(s) = s.delay.as_mut() {
-                s.record(d);
-            }
         }
         if let Some(s) = self.result.delay_sketch.as_mut() {
             s.record(d);
@@ -732,26 +783,49 @@ impl StatsCollector {
     }
 
     /// Record a packet's Remark-1 color at arrival (before the
-    /// admission verdict; green = fit the declared envelope).
+    /// admission verdict; green = fit the declared envelope). A packet
+    /// is green unless reported red, so a green report returns at once;
+    /// a red one is counted in the red lane, and must be followed by
+    /// the packet's [`StatsCollector::on_arrival`], as the engine does.
     pub fn on_color(&mut self, now: Time, flow: FlowId, len: u32, green: bool) {
-        if !self.in_window(now) || !green {
+        if green || !self.in_window(now) {
             return;
         }
-        let Some(f) = self.record(flow) else {
+        let Some(r) = lane_entry(&mut self.reds, self.slots.len(), flow.index()) else {
             debug_assert!(false, "color of an unknown flow");
             return;
         };
-        f.green_offered_bytes += len as u64;
-        f.green_offered_pkts += 1;
+        r.offered_bytes += len as u64;
+        r.offered_pkts += 1;
     }
 
     /// Build every record's delay histogram: the link's run is over, so
     /// no record changes again. A fabric link seals on the thread that
     /// ran it, so [`StatsCollector::finish`], which runs for every link
-    /// on one thread, only moves the histograms.
+    /// on one thread, only moves the histograms. A collector that
+    /// sketches per flow derives each flow's histogram and delay maximum
+    /// from its delay sketch here, and the aggregate delay sketch as the
+    /// merge of the flows' — exactly what recording each delay into all
+    /// of them would have given.
     // qbm-lint: cold(once per run, after the link's last event)
     pub(crate) fn seal(&mut self) {
         if self.hists.len() == self.hot.len() {
+            return;
+        }
+        if self.dense {
+            let mut hists = Vec::with_capacity(self.hot.len());
+            for (h, s) in self.hot.iter_mut().zip(&self.sketches) {
+                let Some(s) = s.delay.as_deref() else {
+                    hists.push(Vec::new());
+                    continue;
+                };
+                h.delay_max_ns = s.max().unwrap_or(0);
+                hists.push(s.log2_counts());
+                if let Some(all) = self.result.delay_sketch.as_mut() {
+                    all.merge(s);
+                }
+            }
+            self.hists = hists;
             return;
         }
         let spills = &self.spills;
@@ -772,6 +846,7 @@ impl StatsCollector {
             slots,
             hot,
             drops,
+            reds,
             mut sketches,
             mut hists,
             ..
@@ -782,6 +857,7 @@ impl StatsCollector {
             .map(|(i, slot)| {
                 let h = hot.get(slot as usize).copied().unwrap_or_default();
                 let d = drops.get(i).copied().unwrap_or_default();
+                let red = reds.get(i).copied().unwrap_or_default();
                 let [buffer_full, over_threshold, no_shared_space] = d.by_cause;
                 let s = sketches.get_mut(i).map(std::mem::take).unwrap_or_default();
                 FlowStats {
@@ -800,9 +876,9 @@ impl StatsCollector {
                         .get_mut(slot as usize)
                         .map(std::mem::take)
                         .unwrap_or_default(),
-                    green_offered_bytes: h.green_offered_bytes,
-                    green_offered_pkts: h.green_offered_pkts,
-                    green_delivered_bytes: h.green_delivered_bytes,
+                    green_offered_bytes: other_share(h.offered_bytes, red.offered_bytes),
+                    green_offered_pkts: other_share(h.offered_pkts, red.offered_pkts),
+                    green_delivered_bytes: other_share(h.delivered_bytes, red.delivered_bytes),
                     delay_sketch: s.delay,
                     occ_sketch: s.occ,
                 }
@@ -822,6 +898,7 @@ impl StatsCollector {
             hot: Vec::new(),
             dense: false,
             drops: Vec::new(),
+            reds: Vec::new(),
             sketches: Vec::new(),
             spills: Vec::new(),
             hists: Vec::new(),
@@ -836,8 +913,11 @@ impl StatsCollector {
     /// measurement windows, so throughput accessors report the mean
     /// rate across replications). The fold is commutative and
     /// associative: any merge order over the same set of runs yields an
-    /// identical result — the one [`FlowStats::merge`] gives.
+    /// identical result — the one [`FlowStats::merge`] gives. Folds into
+    /// a [`StatsCollector::merger`]: a collector that sketches per flow
+    /// derives its delay summaries at `seal` and takes no merges.
     pub fn merge(&mut self, other: &SimResult) {
+        debug_assert!(!self.dense, "merge into a collector that sketches per flow");
         assert_eq!(
             self.slots.len(),
             other.flows.len(),
@@ -853,20 +933,32 @@ impl StatsCollector {
                 | f.drops_no_shared_space
                 != 0
         };
-        if self.drops.is_empty() && other.flows.iter().any(dropped) {
-            self.drops = vec![DropStats::default(); n];
-        }
         let sketched = |f: &FlowStats| f.delay_sketch.is_some() || f.occ_sketch.is_some();
         if self.sketches.is_empty() && other.flows.iter().any(sketched) {
             self.sketches = vec![FlowSketches::default(); n];
         }
         for (i, f) in other.flows.iter().enumerate() {
-            if let Some(d) = self.drops.get_mut(i) {
+            // A lane is made at the first flow with something to add.
+            let d = dropped(f)
+                .then(|| lane_entry(&mut self.drops, n, i))
+                .flatten();
+            if let Some(d) = d {
                 d.bytes += f.dropped_bytes;
                 d.pkts += f.dropped_pkts;
                 d.by_cause[0] += f.drops_buffer_full;
                 d.by_cause[1] += f.drops_over_threshold;
                 d.by_cause[2] += f.drops_no_shared_space;
+            }
+            let red = RedStats {
+                offered_bytes: other_share(f.offered_bytes, f.green_offered_bytes),
+                offered_pkts: other_share(f.offered_pkts, f.green_offered_pkts),
+                delivered_bytes: other_share(f.delivered_bytes, f.green_delivered_bytes),
+            };
+            let reddened = red.offered_bytes | red.offered_pkts | red.delivered_bytes != 0;
+            if let Some(r) = reddened.then(|| lane_entry(&mut self.reds, n, i)).flatten() {
+                r.offered_bytes += red.offered_bytes;
+                r.offered_pkts += red.offered_pkts;
+                r.delivered_bytes += red.delivered_bytes;
             }
             if let Some(s) = self.sketches.get_mut(i) {
                 merge_sketch(&mut s.delay, &f.delay_sketch);
@@ -877,11 +969,8 @@ impl StatsCollector {
             };
             h.offered_bytes += f.offered_bytes;
             h.offered_pkts += f.offered_pkts;
-            h.green_offered_bytes += f.green_offered_bytes;
-            h.green_offered_pkts += f.green_offered_pkts;
             h.delivered_bytes += f.delivered_bytes;
             h.delivered_pkts += f.delivered_pkts;
-            h.green_delivered_bytes += f.green_delivered_bytes;
             h.add_delay_sum(f.delay_sum_ns);
             h.delay_max_ns = h.delay_max_ns.max(f.delay_max_ns);
             for (k, &n) in f.delay_hist.iter().enumerate() {
@@ -1223,11 +1312,11 @@ mod tests {
     #[test]
     fn hot_record_stays_within_its_budget() {
         // What the collector holds for a flow from its first in-window
-        // packet on: offered, green and delivered counters, the delay
-        // sum and maximum, and the inline delay-histogram window with
-        // its spill index. Drops, sketches and spilled histograms live
-        // in lanes.
-        assert_eq!(std::mem::size_of::<HotStats>(), 120, "HotStats footprint");
+        // packet on: offered and delivered counters, the delay sum and
+        // maximum, and the inline delay-histogram window with its spill
+        // index. Drops, red counts, sketches and spilled histograms
+        // live in lanes; green counts are derived.
+        assert_eq!(std::mem::size_of::<HotStats>(), 96, "HotStats footprint");
     }
 
     /// An out-of-range flow reaches each recorder's `get_mut` fallback:
@@ -1251,7 +1340,47 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "color of an unknown flow"))]
     fn color_of_an_unknown_flow_is_skipped() {
+        record_for_unknown_flow(|c| c.on_color(Time::ZERO, FlowId(1), 500, false));
+    }
+
+    #[test]
+    fn a_green_color_touches_nothing() {
+        // Green is the default: the report returns before any lookup,
+        // so even a flow past the end passes without a word.
         record_for_unknown_flow(|c| c.on_color(Time::ZERO, FlowId(1), 500, true));
+    }
+
+    #[test]
+    fn red_packets_count_in_a_lane_made_at_the_first_one() {
+        let mut c = StatsCollector::new(3, Time::ZERO, Time::from_secs(1), 0);
+        let at = |ms| Time::ZERO + Dur::from_millis(ms);
+        for flow in [FlowId(0), FlowId(2)] {
+            c.on_color(at(1), flow, 500, true);
+            c.on_arrival(at(1), flow, 500, None);
+            c.on_departure_colored(at(2), flow, 500, at(1), true);
+        }
+        assert!(c.reds.is_empty(), "no red packet yet");
+        c.on_color(at(3), FlowId(2), 300, false);
+        c.on_arrival(at(3), FlowId(2), 300, Some(DropReason::OverThreshold));
+        c.on_color(at(4), FlowId(2), 200, false);
+        c.on_arrival(at(4), FlowId(2), 200, None);
+        c.on_departure_colored(at(5), FlowId(2), 200, at(4), false);
+        assert_eq!(c.reds.len(), 3);
+        let r = c.finish();
+        let f = &r.flows[2];
+        assert_eq!((f.offered_bytes, f.offered_pkts), (1000, 3));
+        assert_eq!((f.green_offered_bytes, f.green_offered_pkts), (500, 1));
+        assert_eq!((f.delivered_bytes, f.green_delivered_bytes), (700, 500));
+        let f = &r.flows[0];
+        assert_eq!((f.green_offered_bytes, f.green_delivered_bytes), (500, 500));
+        // A merge carries the red shares through.
+        let mut acc = StatsCollector::merger(3, 0);
+        acc.merge(&r);
+        acc.merge(&r);
+        let m = acc.finish();
+        assert_eq!(m.flows[2].green_offered_pkts, 2);
+        assert_eq!(m.flows[2].green_delivered_bytes, 1000);
+        assert_eq!(m.flows[0].green_offered_bytes, 1000);
     }
 
     #[test]
@@ -1274,6 +1403,8 @@ mod tests {
         assert!(c.hot.is_empty(), "out-of-window packets make no record");
         c.on_departure(Time::from_secs(1), FlowId(2), 500, Time::ZERO);
         c.on_color(Time::from_secs(1), FlowId(0), 500, true);
+        assert_eq!(c.hot.len(), 1, "a green color makes no record");
+        c.on_arrival(Time::from_secs(1), FlowId(0), 500, None);
         c.on_arrival(Time::from_secs(1), FlowId(2), 500, None);
         assert_eq!(c.hot.len(), 2);
         assert_eq!(c.slots, vec![1, NO_SLOT, 0, NO_SLOT]);
@@ -1417,9 +1548,11 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// One collector call, decoded by [`feed`] and [`model`] alike.
+    /// One engine step, decoded by [`feed`] and [`model`] alike.
     struct Ev {
-        /// 0 colour, 1 arrival, 2 departure, 3 occupancy.
+        /// 0 coloured arrival (the colour, then the arrival, as the
+        /// engine issues them), 1 arrival without a colour, 2
+        /// departure, 3 occupancy.
         kind: u32,
         /// Instant, as an offset that straddles both window edges.
         offset: u64,
@@ -1428,9 +1561,10 @@ mod proptests {
         /// A random word: delays and occupancies are cut from it.
         word: u64,
         /// Right shift of `word` giving a departure's delay, so delays
-        /// land in every bucket.
+        /// land in every bucket; an arrival's colour (even = green).
         shift: u32,
-        /// Drop cause (3 = admitted) and colour (even = green).
+        /// Drop cause (3 = admitted) and a departure's colour (even =
+        /// green).
         pick: u32,
     }
 
@@ -1490,8 +1624,12 @@ mod proptests {
         for ev in evs {
             let (now, flow) = (at(ev), FlowId(ev.flow as u32));
             match ev.kind {
-                0 => c.on_color(now, flow, ev.len, ev.pick % 2 == 0),
-                1 => c.on_arrival(now, flow, ev.len, cause(ev.pick)),
+                0 | 1 => {
+                    if ev.kind == 0 {
+                        c.on_color(now, flow, ev.len, ev.shift % 2 == 0);
+                    }
+                    c.on_arrival(now, flow, ev.len, cause(ev.pick));
+                }
                 2 => {
                     let arrival = Time(now.0 - delay(ev));
                     c.on_departure_colored(now, flow, ev.len, arrival, ev.pick % 2 == 0);
@@ -1506,7 +1644,8 @@ mod proptests {
     }
 
     /// The same stream folded straight into `FlowStats`, one field at
-    /// a time, as the collector once kept them.
+    /// a time: a packet is green unless its colour says red, on arrival
+    /// and on departure alike.
     fn model(flows: usize, seed: u64, sketches: bool, evs: &[Ev]) -> SimResult {
         let mut r = SimResult::new(flows, END.since(WARMUP), seed);
         let bits = SketchParams::default().precision_bits;
@@ -1524,14 +1663,13 @@ mod proptests {
             let len = ev.len as u64;
             let green = ev.pick % 2 == 0;
             match ev.kind {
-                0 if green => {
-                    f.green_offered_bytes += len;
-                    f.green_offered_pkts += 1;
-                }
-                0 => {}
-                1 => {
+                0 | 1 => {
                     f.offered_bytes += len;
                     f.offered_pkts += 1;
+                    if ev.kind == 1 || ev.shift % 2 == 0 {
+                        f.green_offered_bytes += len;
+                        f.green_offered_pkts += 1;
+                    }
                     if let Some(c) = cause(ev.pick) {
                         f.dropped_bytes += len;
                         f.dropped_pkts += 1;
@@ -1614,6 +1752,37 @@ mod proptests {
             let merged = acc.finish();
             prop_assert_eq!(format!("{merged:?}"), format!("{want:?}"));
             prop_assert_eq!(merged, want);
+        }
+
+        /// A collector that sketches per flow records each delay only in
+        /// the flow's sketch and derives the rest at `seal`; a plain
+        /// collector counts the same figures directly. From one
+        /// engine-shaped stream they agree on every flow's histogram,
+        /// maximum and sum, and the derived aggregate sketch, the merge
+        /// of the flows', equals one sketch given every delay directly.
+        #[test]
+        fn per_flow_sketches_derive_the_plain_delay_figures(raw in events(4)) {
+            let evs: Vec<Ev> = raw.into_iter().map(Ev::new).collect();
+            let cfg = StatsConfig {
+                sketches: Some(SketchParams::default()),
+            };
+            let mut plain = StatsCollector::new(4, WARMUP, END, 0);
+            let mut sketched = StatsCollector::with_config(4, WARMUP, END, 0, cfg);
+            feed(&mut plain, &evs);
+            feed(&mut sketched, &evs);
+            let (plain, sketched) = (plain.finish(), sketched.finish());
+            for (p, s) in plain.flows.iter().zip(&sketched.flows) {
+                prop_assert_eq!(&p.delay_hist, &s.delay_hist);
+                prop_assert_eq!(p.delay_max_ns, s.delay_max_ns);
+                prop_assert_eq!(p.delay_sum_ns, s.delay_sum_ns);
+            }
+            let mut direct = QuantileSketch::new(SketchParams::default().precision_bits);
+            for ev in evs.iter().filter(|ev| ev.kind == 2 && at(ev) >= WARMUP && at(ev) < END) {
+                direct.record(delay(ev));
+            }
+            let derived = sketched.delay_sketch.expect("aggregate sketch");
+            prop_assert_eq!(format!("{derived:?}"), format!("{direct:?}"));
+            prop_assert_eq!(derived, direct);
         }
 
         /// The grown-to-fit histogram, zero-padded to 64 buckets, is an

@@ -1,15 +1,16 @@
 //! Every per-flow lookup on the per-packet path has a fallback arm for a
 //! flow id past the end of its tables. Debug builds panic there, at the
 //! arm's `debug_assert!`; release builds skip the call and change no
-//! count. One table covers every scheduler, every policy and the event
-//! core. Each row runs under `catch_unwind`, so every row is checked,
-//! not only the first to panic.
+//! count. One table covers every scheduler, every policy, the event
+//! core and the statistics collector's red lane. Each row runs under
+//! `catch_unwind`, so every row is checked, not only the first to panic.
 
 use qbm_core::flow::{FlowId, FlowSpec};
 use qbm_core::policy::{PolicyKind, Verdict};
-use qbm_core::units::{Rate, Time};
+use qbm_core::units::{Dur, Rate, Time};
 use qbm_sched::{PacketRef, SchedKind};
 use qbm_sim::event::{EventCore, IndexedTimers};
+use qbm_sim::StatsCollector;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const LINK: Rate = Rate::from_bps(48_000_000);
@@ -195,4 +196,51 @@ fn out_of_range_flows_take_the_fallback_arm() {
             },
         );
     }
+
+    // A red report is the one colour the collector acts on: a red
+    // colour or a red departure of a flow past the end reaches the red
+    // lane's miss arm. `before` is the same traffic without that call.
+    check("stats red on_color", "color of an unknown flow", || {
+        (
+            red_traffic(|_| {}),
+            red_traffic(|c| c.on_color(at(2), UNKNOWN, 500, false)),
+        )
+    });
+    check(
+        "stats red on_departure_colored",
+        "red departure of an unknown flow",
+        || {
+            (
+                red_traffic(|_| {}),
+                red_traffic(|c| c.on_departure_colored(at(2), UNKNOWN, 500, at(1), false)),
+            )
+        },
+    );
+}
+
+fn at(ms: u64) -> Time {
+    Time::ZERO + Dur::from_millis(ms)
+}
+
+/// The colour counts of one red packet of flow 0, with `extra` called
+/// on the collector before it finishes.
+fn red_traffic(extra: impl FnOnce(&mut StatsCollector)) -> Vec<u64> {
+    let mut c = StatsCollector::new(FLOWS as usize, Time::ZERO, Time::from_secs(1), 0);
+    c.on_color(at(1), FlowId(0), 500, false);
+    c.on_arrival(at(1), FlowId(0), 500, None);
+    c.on_departure_colored(at(2), FlowId(0), 500, at(1), false);
+    extra(&mut c);
+    c.finish()
+        .flows
+        .iter()
+        .flat_map(|f| {
+            [
+                f.offered_pkts,
+                f.green_offered_bytes,
+                f.green_offered_pkts,
+                f.delivered_pkts,
+                f.green_delivered_bytes,
+            ]
+        })
+        .collect()
 }
