@@ -4,7 +4,7 @@ use qbm_core::admission::{admissible, AdmissionOutcome, Discipline, LinkConfig};
 use qbm_core::flow::Conformance;
 use qbm_core::policy::DropReason;
 use qbm_core::units::{ByteSize, Dur};
-use qbm_sim::MultiRun;
+use qbm_sim::{MultiRun, SimResult};
 
 use crate::Scenario;
 
@@ -149,39 +149,17 @@ pub fn simulation_report(s: &Scenario, multi: &MultiRun) -> String {
         agg.mean * 1e6 / s.link.bps() as f64 * 100.0,
         conf.mean,
     ));
-    // Loss split by cause across all flows and seeds — the observability
-    // view of *why* packets were refused, not just how many.
-    let by = |reason| {
-        multi
-            .runs
-            .iter()
-            .map(|r| r.drops_by_reason(reason))
-            .sum::<u64>()
-    };
-    out.push_str(&format!(
-        "drops by cause: threshold {} | buffer-full {} | headroom-denied {}\n",
-        by(DropReason::OverThreshold),
-        by(DropReason::BufferFull),
-        by(DropReason::NoSharedSpace),
-    ));
-    // Closed-loop window counters — present only when the run used
-    // AIMD sources (`sources = aimd`); open-loop reports are unchanged.
-    let mut aimd: Vec<(u32, qbm_traffic::AimdStats)> = Vec::new();
-    for r in &multi.runs {
-        for &(f, st) in r.aimd.iter().flatten() {
-            match aimd.iter_mut().find(|(g, _)| *g == f) {
-                Some((_, acc)) => *acc = acc.merge(&st),
-                None => aimd.push((f, st)),
-            }
-        }
-    }
-    if !aimd.is_empty() {
-        aimd.sort_by_key(|&(f, _)| f);
+    let merged = multi.merged(0);
+    out.push_str(&drops_line(&merged));
+    // Closed-loop window counters, summed over the seeds — present only
+    // when the run used AIMD sources (`sources = aimd`); open-loop
+    // reports are unchanged.
+    if let Some(aimd) = &merged.aimd {
         out.push_str(&format!(
             "\nclosed-loop (AIMD) windows:\n{:>5} {:>10} {:>12} {:>13} {:>10}\n",
             "flow", "final cwnd", "loss events", "rto backoffs", "lost pkts"
         ));
-        for (f, st) in &aimd {
+        for (f, st) in aimd {
             out.push_str(&format!(
                 "{:>5} {:>10} {:>12} {:>13} {:>10}\n",
                 f, st.final_cwnd, st.loss_events, st.rto_backoffs, st.lost_pkts
@@ -189,6 +167,17 @@ pub fn simulation_report(s: &Scenario, multi: &MultiRun) -> String {
         }
     }
     out
+}
+
+/// Loss split by cause across all flows and seeds — the observability
+/// view of *why* packets were refused, not just how many.
+fn drops_line(merged: &SimResult) -> String {
+    format!(
+        "drops by cause: threshold {} | buffer-full {} | headroom-denied {}\n",
+        merged.drops_by_reason(DropReason::OverThreshold),
+        merged.drops_by_reason(DropReason::BufferFull),
+        merged.drops_by_reason(DropReason::NoSharedSpace),
+    )
 }
 
 fn ms(nanos: u64) -> String {
@@ -266,19 +255,8 @@ pub fn percentile_report(multi: &MultiRun, mode: StatsMode) -> String {
             ));
         }
     }
-    let by = |reason| {
-        multi
-            .runs
-            .iter()
-            .map(|r| r.drops_by_reason(reason))
-            .sum::<u64>()
-    };
-    out.push_str(&format!(
-        "\ndrops by cause: threshold {} | buffer-full {} | headroom-denied {}\n",
-        by(DropReason::OverThreshold),
-        by(DropReason::BufferFull),
-        by(DropReason::NoSharedSpace),
-    ));
+    out.push('\n');
+    out.push_str(&drops_line(&merged));
     out
 }
 

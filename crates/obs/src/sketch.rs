@@ -30,7 +30,7 @@
 //! * **Merge algebra.** [`QuantileSketch::merge`] adds counters
 //!   element-wise and resolves min/max monotonically, so it is
 //!   commutative and associative with the empty sketch as identity —
-//!   the same contract `StatsCollector::merge` guarantees, which is
+//!   the same contract `SimResult::merge` guarantees, which is
 //!   what lets sketch-carrying campaign results stay byte-identical
 //!   across thread counts. Equality and the `{:?}` digest read the
 //!   logical buckets, so neither depends on how wide a span is stored.

@@ -2,7 +2,7 @@
 //! algebra. The campaign runner folds per-cell results in shard order,
 //! which only yields thread-count-invariant output if every merged
 //! structure is commutative, associative, and identity-preserving —
-//! `StatsCollector::merge` already is, and these properties extend the
+//! `SimResult::merge` already is, and these properties extend the
 //! contract to [`QuantileSketch`] and [`TemporalHeatmap`]. The rank
 //! property pins the sketch's advertised `2^-m` relative-error bound
 //! against an exact sorted oracle, and the dense-oracle properties pin

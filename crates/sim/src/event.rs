@@ -345,20 +345,13 @@ impl IndexedTimers {
         Some((e.time, Event::Relay(FlowId(e.flow), e.len)))
     }
 
-    /// A core with `flows` per-flow slots and `logs` log slots on
-    /// recycled backing vectors (cleared and resized to fit; capacity
-    /// reused).
-    fn assemble(flows: usize, logs: usize, key: Vec<u128>, win: Vec<u32>) -> IndexedTimers {
+    /// A core with `flows` per-flow slots and `logs` log slots.
+    fn assemble(flows: usize, logs: usize) -> IndexedTimers {
         assert!(flows + logs > 0, "no flows");
         let leaves = (flows + logs).next_power_of_two().max(2);
-        let mut key = key;
-        key.clear();
-        key.resize(leaves, EMPTY);
-        let mut win = win;
-        win.clear();
-        win.resize(leaves, 0);
+        let mut win = vec![0; leaves];
         let slots = Slots {
-            key,
+            key: vec![EMPTY; leaves],
             flows,
             logs: (0..logs).map(|_| InLog::default()).collect(),
         };
@@ -370,19 +363,10 @@ impl IndexedTimers {
         }
     }
 
-    /// Build a core for `n_flows` flows on recycled backing vectors
-    /// (cleared and resized to fit; capacity reused). With empty
-    /// vectors this is exactly [`EventCore::with_flows`] — the arena
-    /// runner hands back the vectors from [`IndexedTimers::into_parts`]
-    /// so a campaign allocates one timer tree per worker, not per cell.
-    pub fn from_recycled(n_flows: usize, slots: Vec<u128>, win: Vec<u32>) -> IndexedTimers {
-        IndexedTimers::assemble(n_flows, 0, slots, win)
-    }
-
     /// A fabric link's core: per-flow slots for its first `flows` flows
     /// (the ones it may originate) and `logs` upstream log slots.
     pub(crate) fn with_logs(flows: usize, logs: usize) -> IndexedTimers {
-        IndexedTimers::assemble(flows, logs, Vec::new(), Vec::new())
+        IndexedTimers::assemble(flows, logs)
     }
 
     /// Hand log slot `log` a fresh batch of upstream departures (in
@@ -411,17 +395,11 @@ impl IndexedTimers {
             *l = InLog::default();
         }
     }
-
-    /// Dismantle the core into its backing vectors for recycling via
-    /// [`IndexedTimers::from_recycled`].
-    pub fn into_parts(self) -> (Vec<u128>, Vec<u32>) {
-        (self.slots.key, self.win)
-    }
 }
 
 impl EventCore for IndexedTimers {
     fn with_flows(n_flows: usize) -> IndexedTimers {
-        IndexedTimers::from_recycled(n_flows, Vec::new(), Vec::new())
+        IndexedTimers::assemble(n_flows, 0)
     }
 
     fn flow_slots(&self) -> usize {
@@ -596,24 +574,6 @@ mod tests {
         q.schedule_departure(Time::from_secs(1));
         let got = q.pop_refill(|_| panic!("refill on a departure pop"));
         assert_eq!(got, Some((Time::from_secs(1), Event::Departure)));
-    }
-
-    #[test]
-    fn recycled_core_matches_fresh_across_sizes() {
-        // Recycle 8-leaf vectors into a 3-flow core: behaviour must be
-        // identical to a fresh with_flows(3).
-        let big = IndexedTimers::with_flows(8);
-        let (slots, win) = big.into_parts();
-        let mut recycled = IndexedTimers::from_recycled(3, slots, win);
-        let mut fresh = IndexedTimers::with_flows(3);
-        for q in [&mut recycled, &mut fresh] {
-            q.schedule_arrival(FlowId(2), Time::from_secs(1));
-            q.schedule_arrival(FlowId(0), Time::from_secs(1));
-            q.schedule_departure(Time::from_secs(1));
-        }
-        for _ in 0..4 {
-            assert_eq!(recycled.pop(), fresh.pop());
-        }
     }
 
     #[test]

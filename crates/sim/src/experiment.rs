@@ -14,9 +14,8 @@
 //! regardless of thread count** — `--threads 1` and `--threads 8`
 //! produce the same bytes.
 
-use crate::arena::SimArena;
-use crate::router::{FlowLanes, Router};
-use crate::stats::{SimResult, StatsCollector, StatsConfig};
+use crate::router::Router;
+use crate::stats::{SimResult, StatsConfig};
 use qbm_core::flow::FlowSpec;
 use qbm_core::policy::{BufferPolicy, BufferSharing, FixedThreshold, PolicyKind};
 use qbm_core::units::{Dur, Rate, Time};
@@ -96,6 +95,20 @@ pub enum SourceSel {
     Aimd,
 }
 
+/// An empty stand-in for the per-worker allocation pool campaign cells
+/// once recycled their buffers through; every cell now allocates
+/// afresh. The type and [`ExperimentConfig::run_once_pooled`] remain
+/// only for perfbench's traced paper runner, written against the pool.
+#[derive(Debug, Default)]
+pub struct SimArena;
+
+impl SimArena {
+    /// The (empty) arena.
+    pub fn new() -> SimArena {
+        SimArena
+    }
+}
+
 /// A complete, reproducible experiment description.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -145,19 +158,10 @@ impl ExperimentConfig {
     /// which a differential test swaps in another implementation of a
     /// [`SchedKind`] and runs the same sources and policy.
     pub fn build_router(&self, seed: u64, sched: Box<dyn Scheduler>) -> Router {
-        let (lanes, _) = SimArena::new().checkout(self.specs.len());
-        self.router(seed, sched, lanes)
-    }
-
-    /// The router every `run_once*` runs: the configured policy, the
-    /// scheduler `sched`, and one source per spec ([`SourceSel`])
-    /// filled into `lanes`.
-    fn router(&self, seed: u64, sched: Box<dyn Scheduler>, mut lanes: FlowLanes) -> Router {
         let policy = self
             .policy
             .build(self.buffer_bytes, self.link_rate, &self.specs);
-        lanes.sources.extend(self.build_sources(seed));
-        Router::from_lanes(self.link_rate, policy, sched, lanes).with_stats(self.stats)
+        Router::new(self.link_rate, policy, sched, self.build_sources(seed)).with_stats(self.stats)
     }
 
     /// The measurement window `[warmup, duration)` as instants.
@@ -174,33 +178,17 @@ impl ExperimentConfig {
     /// loop (see [`qbm_obs::Observer`]). `run_once` is this with
     /// [`NullObserver`], which monomorphizes the hooks away.
     pub fn run_once_with<O: Observer>(&self, seed: u64, obs: &mut O) -> SimResult {
-        self.run_once_pooled_with(seed, obs, &mut SimArena::new())
-    }
-
-    /// [`ExperimentConfig::run_once_with`] drawing its per-flow lanes
-    /// and event core from `arena` instead of allocating them — the
-    /// campaign runner calls this so a worker's cells share one set of
-    /// buffers. Byte-identical to a fresh arena (the determinism suite
-    /// asserts it); the arena only recycles allocations, never state.
-    pub fn run_once_pooled_with<O: Observer>(
-        &self,
-        seed: u64,
-        obs: &mut O,
-        arena: &mut SimArena,
-    ) -> SimResult {
-        let (lanes, timers) = arena.checkout(self.specs.len());
         let sched = self.sched.build(self.link_rate, &self.specs);
         let (warmup, end) = self.window();
-        let (res, lanes, timers) = self
-            .router(seed, sched, lanes)
-            .run_inner(warmup, end, seed, obs, timers);
-        arena.stow(lanes, timers);
-        res
+        self.build_router(seed, sched)
+            .run_with(warmup, end, seed, obs)
     }
 
-    /// [`ExperimentConfig::run_once_pooled_with`] without an observer.
-    pub fn run_once_pooled(&self, seed: u64, arena: &mut SimArena) -> SimResult {
-        self.run_once_pooled_with(seed, &mut NullObserver, arena)
+    /// [`ExperimentConfig::run_once`]: `arena` holds nothing and is
+    /// left untouched. Kept, with [`SimArena`], for callers written
+    /// against the retired per-worker allocation pool.
+    pub fn run_once_pooled(&self, seed: u64, _arena: &mut SimArena) -> SimResult {
+        self.run_once(seed)
     }
 
     /// Run `n_seeds` independent replications in parallel (the paper
@@ -316,12 +304,9 @@ impl<'a> Campaign<'a> {
 
         let mut slots: Vec<Option<(SimResult, O)>> = (0..cells).map(|_| None).collect();
         if workers <= 1 {
-            // One arena for the whole grid: every cell reuses the same
-            // lane/event-core buffers.
-            let mut arena = SimArena::new();
             for (idx, slot) in slots.iter_mut().enumerate() {
                 let mut obs = make(idx);
-                let res = self.run_cell_with(idx, &mut obs, &mut arena);
+                let res = self.run_cell_with(idx, &mut obs);
                 *slot = Some((res, obs));
             }
         } else {
@@ -329,8 +314,7 @@ impl<'a> Campaign<'a> {
             // leaves its worker idle behind a stride of dear ones — and
             // return (index, result) pairs that are scattered back into
             // the grid, so neither claim nor completion order can
-            // reorder results. Each worker owns one arena — buffers are
-            // recycled across its cells but never shared across threads.
+            // reorder results.
             let next = AtomicUsize::new(0);
             let buckets: Vec<Vec<(usize, (SimResult, O))>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
@@ -338,14 +322,13 @@ impl<'a> Campaign<'a> {
                         let me: &Campaign<'a> = self;
                         let (make, next) = (&make, &next);
                         scope.spawn(move || {
-                            let mut arena = SimArena::new();
                             std::iter::from_fn(|| {
                                 let idx = next.fetch_add(1, Ordering::Relaxed);
                                 (idx < cells).then_some(idx)
                             })
                             .map(|idx| {
                                 let mut obs = make(idx);
-                                let res = me.run_cell_with(idx, &mut obs, &mut arena);
+                                let res = me.run_cell_with(idx, &mut obs);
                                 (idx, (res, obs))
                             })
                             .collect()
@@ -378,15 +361,10 @@ impl<'a> Campaign<'a> {
         (multi, observers)
     }
 
-    fn run_cell_with<O: Observer>(
-        &self,
-        idx: usize,
-        obs: &mut O,
-        arena: &mut SimArena,
-    ) -> SimResult {
+    fn run_cell_with<O: Observer>(&self, idx: usize, obs: &mut O) -> SimResult {
         let point = idx / self.replications;
         let replication = idx % self.replications;
-        self.points[point].run_once_pooled_with(self.cell_seed(point, replication), obs, arena)
+        self.points[point].run_once_with(self.cell_seed(point, replication), obs)
     }
 
     fn worker_count(&self, cells: usize) -> usize {
@@ -430,17 +408,18 @@ impl MultiRun {
         summarize_samples(&xs)
     }
 
-    /// Fold the replications into one [`SimResult`] carrying `seed`,
-    /// via [`StatsCollector::merge`]: exact counters add, and attached
-    /// quantile sketches merge. The fold is commutative, so the result
-    /// is byte-identical for any campaign thread count.
+    /// Fold the replications into one [`SimResult`] carrying `seed`:
+    /// each run goes through [`SimResult::merge`] into a zero result,
+    /// so exact counters and windows add and attached quantile sketches
+    /// merge. The fold is commutative, so the result is byte-identical
+    /// for any campaign thread count.
     pub fn merged(&self, seed: u64) -> SimResult {
         let n_flows = self.runs.first().map_or(0, |r| r.flows.len());
-        let mut acc = StatsCollector::merger(n_flows, seed);
+        let mut acc = SimResult::new(n_flows, Dur::ZERO, seed);
         for run in &self.runs {
             acc.merge(run);
         }
-        acc.finish()
+        acc
     }
 }
 

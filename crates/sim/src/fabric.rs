@@ -500,7 +500,7 @@ where
         engines
             .into_iter()
             .zip(observers.iter_mut())
-            .map(|(engine, o)| engine.finish(o).0)
+            .map(|(engine, o)| engine.finish(o))
             .collect()
     }
 }
@@ -1264,7 +1264,6 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::event::{Event, EventCore};
-    use crate::router::FlowLanes;
     use proptest::prelude::*;
     use qbm_core::units::Rate;
     use qbm_traffic::{CbrSource, Emission, OnOffSource, TraceSource};
@@ -1273,26 +1272,36 @@ mod proptests {
     /// [`IndexedTimers`] slot per timed flow, popped emission by
     /// emission, under the same chunk and watermark rule.
     struct TimerStage {
-        lanes: FlowLanes,
+        sources: Vec<SourceKind>,
+        /// Each timed flow's scheduled emission's length.
+        pending: Vec<u32>,
         timers: IndexedTimers,
     }
 
     impl TimerStage {
-        fn new(sources: Vec<SourceKind>, timed: usize) -> TimerStage {
-            let n = sources.len();
-            let mut lanes = FlowLanes {
-                sources,
-                pending: vec![None; n],
-                meters: None,
-                over: vec![false; n],
-            };
+        fn new(mut sources: Vec<SourceKind>, timed: usize) -> TimerStage {
+            let mut pending = vec![0; sources.len()];
             let mut timers = IndexedTimers::with_flows(timed);
-            lanes.prime(&mut timers);
-            TimerStage { lanes, timers }
+            let first = sources
+                .iter_mut()
+                .zip(&mut pending)
+                .take(timed)
+                .enumerate()
+                .filter_map(|(i, (source, pending))| {
+                    let e = source.next_emission()?;
+                    *pending = e.len;
+                    Some((FlowId(i as u32), e.time))
+                });
+            timers.schedule_arrivals(first);
+            TimerStage {
+                sources,
+                pending,
+                timers,
+            }
         }
 
         fn fill(&mut self, horizon: Time, chunk: &mut Vec<LogEntry>) -> Time {
-            let lanes = &mut self.lanes;
+            let (sources, pending) = (&mut self.sources, &mut self.pending);
             loop {
                 let t = match self.timers.peek_time() {
                     Some(t) if t < horizon => t,
@@ -1303,9 +1312,11 @@ mod proptests {
                 }
                 let mut len = 0;
                 let popped = self.timers.pop_refill(|flow| {
-                    let (arrived, next) = lanes.pull(flow.index());
-                    len = arrived;
-                    next
+                    let f = flow.index();
+                    let next = sources[f].next_emission();
+                    len = pending[f];
+                    pending[f] = next.map_or(0, |e| e.len);
+                    next.map(|e| e.time)
                 });
                 let Some((time, Event::Arrival(flow))) = popped else {
                     panic!("the reference stage pops only arrivals");

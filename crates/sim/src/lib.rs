@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod event;
 pub mod experiment;
 pub mod fabric;
@@ -42,10 +41,9 @@ pub mod router;
 pub mod scenarios;
 pub mod stats;
 
-pub use arena::SimArena;
 pub use event::{EventCore, IndexedTimers};
 pub use experiment::{
-    Campaign, ExperimentConfig, MultiRun, PolicySpec, SeedMode, SourceSel, Summary,
+    Campaign, ExperimentConfig, MultiRun, PolicySpec, SeedMode, SimArena, SourceSel, Summary,
 };
 pub use fabric::Fabric;
 pub use router::Router;

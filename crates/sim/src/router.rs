@@ -78,30 +78,30 @@ pub(crate) struct FbEvent {
 /// no source lane at all (their packets arrive through fabric
 /// departure logs), so `sources`/`pending` span the sourced flows and
 /// `over` spans every flow.
-pub(crate) struct FlowLanes {
+struct FlowLanes {
     /// `sources[i]` feeds `FlowId(i)` (enum-dispatched, inlined).
-    pub(crate) sources: Vec<SourceKind>,
+    sources: Vec<SourceKind>,
     /// Length of flow `i`'s pending (scheduled but not yet arrived)
     /// emission; the router's pull discipline keeps at most one.
-    pub(crate) pending: Vec<Option<u32>>,
+    pending: Vec<Option<u32>>,
     /// Optional `(σ, ρ)` conformance meters (Remark 1 green/red
     /// marking). Meters observe only — they never influence admission.
-    pub(crate) meters: Option<Vec<TokenBucket>>,
+    meters: Option<Vec<TokenBucket>>,
     /// Observer state: per-flow over-threshold regime (hysteresis —
     /// see DESIGN.md §9). Only read/written when `O::ENABLED`.
-    pub(crate) over: Vec<bool>,
+    over: Vec<bool>,
 }
 
 impl FlowLanes {
     /// Sourced plus relay flows: `over` is the lane spanning both.
-    pub(crate) fn n_flows(&self) -> usize {
+    fn n_flows(&self) -> usize {
         self.over.len()
     }
 
     /// Schedule one pending emission per source with a timer slot in
     /// `events` (relay flows have none: their packets come from
     /// departure logs) — the priming pass of the pull discipline.
-    pub(crate) fn prime<E: EventCore>(&mut self, events: &mut E) {
+    fn prime<E: EventCore>(&mut self, events: &mut E) {
         let timed = events.flow_slots();
         let first = self
             .sources
@@ -120,10 +120,9 @@ impl FlowLanes {
     /// The pull step of the pull discipline: flow `f`'s pending
     /// emission arrives now, so pull the source's next one. Returns the
     /// arriving emission's length and the next emission's instant
-    /// (`None` once the source is exhausted). The link's event loop and
-    /// a fabric source stage both pull through here.
+    /// (`None` once the source is exhausted).
     #[inline]
-    pub(crate) fn pull(&mut self, f: usize) -> (u32, Option<Time>) {
+    fn pull(&mut self, f: usize) -> (u32, Option<Time>) {
         let (Some(source), Some(pending)) = (self.sources.get_mut(f), self.pending.get_mut(f))
         else {
             debug_assert!(false, "pull of a flow without a source");
@@ -227,35 +226,19 @@ where
         sources: Vec<K>,
         relays: usize,
     ) -> Router<P, S> {
-        let n = sources.len();
-        let lanes = FlowLanes {
-            sources: sources.into_iter().map(Into::into).collect(),
-            pending: vec![None; n],
-            meters: None,
-            over: vec![false; n + relays],
-        };
-        Router::from_lanes(link_rate, policy, scheduler, lanes)
-    }
-
-    /// Assemble a router around pre-built [`FlowLanes`] — the pooled
-    /// entry point: a [`crate::arena::SimArena`] hands back recycled
-    /// lane vectors so a campaign cell starts without reallocating
-    /// them.
-    pub(crate) fn from_lanes(
-        link_rate: Rate,
-        policy: P,
-        scheduler: S,
-        lanes: FlowLanes,
-    ) -> Router<P, S> {
         assert!(link_rate.bps() > 0, "zero link rate");
-        assert!(lanes.n_flows() > 0, "no flows");
-        debug_assert_eq!(lanes.pending.len(), lanes.sources.len());
-        debug_assert!(lanes.n_flows() >= lanes.sources.len());
+        let n = sources.len();
+        assert!(n + relays > 0, "no flows");
         Router {
             link_rate,
             policy,
             scheduler,
-            lanes,
+            lanes: FlowLanes {
+                sources: sources.into_iter().map(Into::into).collect(),
+                pending: vec![None; n],
+                meters: None,
+                over: vec![false; n + relays],
+            },
             stats_cfg: StatsConfig::default(),
         }
     }
@@ -312,7 +295,7 @@ where
         obs: &mut O,
     ) -> SimResult {
         let events = IndexedTimers::with_flows(self.lanes.sources.len());
-        self.run_inner(warmup, end, seed, obs, events).0
+        self.run_inner(warmup, end, seed, obs, events)
     }
 
     /// Like [`Router::run`], on the event core `events` instead of a
@@ -322,27 +305,24 @@ where
     /// ([`EventCore::with_flows`]).
     pub fn run_on<E: EventCore>(self, warmup: Time, end: Time, seed: u64, events: E) -> SimResult {
         self.run_inner(warmup, end, seed, &mut NullObserver, events)
-            .0
     }
 
-    /// The event loop, generic over observer and event core. Returns
-    /// the statistics and the spent lanes and event core (whose
-    /// allocations a campaign arena recycles). The caller supplies
-    /// `events` sized for `sources.len()` flows: the crate runs the
-    /// same loop on recycled [`IndexedTimers`] for campaign cells.
+    /// The event loop, generic over observer and event core. The
+    /// caller supplies `events`, empty and sized for `sources.len()`
+    /// flows, and gets the run's statistics back.
     ///
     /// The loop itself lives in [`LinkEngine`]: a single-link run is
     /// one engine primed and advanced to `end` in a single epoch, while
     /// the fabric (`crate::fabric`) advances many engines in bounded
     /// log-handoff epochs. Either way the event sequence is identical.
-    pub(crate) fn run_inner<O: Observer, E: EventCore>(
+    fn run_inner<O: Observer, E: EventCore>(
         self,
         warmup: Time,
         end: Time,
         seed: u64,
         obs: &mut O,
         events: E,
-    ) -> (SimResult, FlowLanes, E) {
+    ) -> SimResult {
         let mut engine = LinkEngine::new(self, warmup, end, seed, None, events, 0);
         engine.prime(obs);
         engine.advance(end, obs);
@@ -460,7 +440,7 @@ where
             lanes: router.lanes,
             in_flight: None,
             seq: 0,
-            stats: StatsCollector::merger(0, seed),
+            stats: StatsCollector::empty(0, seed),
             stats_init: (warmup, seed, router.stats_cfg),
             outbox,
             tx_memo: (0, Dur::ZERO),
@@ -788,9 +768,8 @@ where
         }
     }
 
-    /// Close the run: final observer flush, statistics reduction, and
-    /// the spent parts for arena recycling.
-    pub(crate) fn finish<O: Observer>(self, obs: &mut O) -> (SimResult, FlowLanes, E) {
+    /// Close the run: final observer flush and statistics reduction.
+    pub(crate) fn finish<O: Observer>(self, obs: &mut O) -> SimResult {
         if O::ENABLED {
             obs.on_end(self.end, self.link);
         }
@@ -808,7 +787,7 @@ where
         if !aimd.is_empty() {
             result.aimd = Some(aimd);
         }
-        (result, self.lanes, self.events)
+        result
     }
 
     fn start_transmission(&mut self, now: Time) {

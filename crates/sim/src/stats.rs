@@ -44,9 +44,9 @@ impl StatsConfig {
 }
 
 /// Merge the sketch halves of two results: both present → fold,
-/// only the source present → adopt a copy (keeps the sketch-less
-/// [`StatsCollector::merger`] the merge identity). Generic over the
-/// inline aggregate sketches and the boxed per-flow ones.
+/// only the source present → adopt a copy (keeps a sketch-less zero
+/// result the merge identity). Generic over the inline aggregate
+/// sketches and the boxed per-flow ones.
 fn merge_sketch<T>(into: &mut Option<T>, from: &Option<T>)
 where
     T: BorrowMut<QuantileSketch> + Clone,
@@ -189,8 +189,9 @@ impl FlowStats {
     }
 
     /// Fold another flow's counters into this one (the per-flow leg of
-    /// [`StatsCollector::merge`]): counters and histograms add, the
-    /// delay maximum takes the max. Commutative and associative.
+    /// [`SimResult::merge`]): counters and histograms add, sketches
+    /// merge, the delay maximum takes the max. Commutative and
+    /// associative.
     pub fn merge(&mut self, other: &FlowStats) {
         self.offered_bytes += other.offered_bytes;
         self.offered_pkts += other.offered_pkts;
@@ -300,6 +301,40 @@ impl SimResult {
         }
     }
 
+    /// Fold another run into this one. Counters add, delay maxima take
+    /// the max, histograms add element-wise, sketches merge, and
+    /// windows add (the merged result spans the concatenation of the
+    /// runs' measurement windows, so throughput accessors report the
+    /// mean rate across replications). The fold is commutative and
+    /// associative: any merge order over the same set of runs yields an
+    /// identical result. Panics if the flow counts differ.
+    pub fn merge(&mut self, other: &SimResult) {
+        assert_eq!(
+            self.flows.len(),
+            other.flows.len(),
+            "merging results with different flow counts"
+        );
+        self.window += other.window;
+        for (into, from) in self.flows.iter_mut().zip(&other.flows) {
+            into.merge(from);
+        }
+        merge_sketch(&mut self.delay_sketch, &other.delay_sketch);
+        merge_sketch(&mut self.occ_sketch, &other.occ_sketch);
+        match (&mut self.aimd, &other.aimd) {
+            (_, None) => {}
+            (slot @ None, Some(o)) => *slot = Some(o.clone()),
+            (Some(a), Some(o)) => {
+                for (flow, st) in o {
+                    match a.iter_mut().find(|(f, _)| f == flow) {
+                        Some((_, into)) => *into = into.merge(st),
+                        None => a.push((*flow, *st)),
+                    }
+                }
+                a.sort_by_key(|(f, _)| *f);
+            }
+        }
+    }
+
     /// Delivered rate of one flow over the window, bits/s.
     pub fn flow_throughput_bps(&self, flow: FlowId) -> f64 {
         self.flows[flow.index()].delivered_bytes as f64 * 8.0 / self.window.as_secs_f64()
@@ -395,25 +430,25 @@ impl HotStats {
         lo as u128 | (hi as u128) << 64
     }
 
-    /// Count `n` delays in histogram bucket `k` inline, moving the
+    /// Count one delay in histogram bucket `k` inline, moving the
     /// window if `k` falls outside it and the counts still fit. False
     /// if the flow's histogram is (or must be) in the spill lane.
     #[inline]
-    fn hist_add(&mut self, k: usize, n: u64) -> bool {
+    fn hist_add(&mut self, k: usize) -> bool {
         if self.spill != 0 {
             return false;
         }
         let slot = k.checked_sub(self.hist_lo as usize);
         if let Some(c) = slot.and_then(|j| self.hist.get_mut(j)) {
-            return match u32::try_from((*c as u64).saturating_add(n)) {
-                Ok(sum) => {
+            return match c.checked_add(1) {
+                Some(sum) => {
                     *c = sum;
                     true
                 }
-                Err(_) => false,
+                None => false,
             };
         }
-        self.hist_move(k) && self.hist_add(k, n)
+        self.hist_move(k) && self.hist_add(k)
     }
 
     /// Re-place the inline window so it covers bucket `k` and every
@@ -504,10 +539,9 @@ fn lane_entry<T: Copy + Default>(lane: &mut Vec<T>, flows: usize, flow: usize) -
     lane.get_mut(flow)
 }
 
-/// `total − part`: one colour's share of a counter from the other's,
-/// the green count from the red lane's in `finish` and the red from the
-/// green in `merge`. A share above its total is a colour without its
-/// arrival, which the engine never issues.
+/// `total − part`: a green counter from its total and the red lane's
+/// count, in `finish`. A red count above its total is a red report
+/// without its arrival, which the engine never issues.
 fn other_share(total: u64, part: u64) -> u64 {
     let rest = total.checked_sub(part);
     debug_assert!(rest.is_some(), "colour count above its total");
@@ -515,8 +549,8 @@ fn other_share(total: u64, part: u64) -> u64 {
 }
 
 /// A flow's sketches: the lane [`StatsCollector`] allocates only when
-/// it sketches per flow (or merges results that did).
-#[derive(Debug, Clone, Default)]
+/// it sketches per flow.
+#[derive(Debug, Default)]
 struct FlowSketches {
     delay: Option<Box<QuantileSketch>>,
     occ: Option<Box<QuantileSketch>>,
@@ -586,7 +620,7 @@ impl StatsCollector {
         cfg: StatsConfig,
     ) -> StatsCollector {
         assert!(run_end > warmup_end, "empty measurement window");
-        let mut c = StatsCollector::merger(n_flows, seed);
+        let mut c = StatsCollector::empty(n_flows, seed);
         c.result.window = run_end.since(warmup_end);
         c.warmup_end = warmup_end;
         c.run_end = run_end;
@@ -745,19 +779,19 @@ impl StatsCollector {
         }
         f.delay_max_ns = f.delay_max_ns.max(d);
         let bucket = (63 - d.max(1).leading_zeros()) as usize;
-        if !f.hist_add(bucket, 1) {
-            self.spill_delays(flow, bucket, 1);
+        if !f.hist_add(bucket) {
+            self.spill_delay(flow, bucket);
         }
         if let Some(s) = self.result.delay_sketch.as_mut() {
             s.record(d);
         }
     }
 
-    /// Count `n` delays of `flow` in histogram bucket `k` in the spill
+    /// Count one delay of `flow` in histogram bucket `k` in the spill
     /// lane, moving the flow's inline counts there first if this is its
     /// first spill.
     #[cold]
-    fn spill_delays(&mut self, flow: FlowId, k: usize, n: u64) {
+    fn spill_delay(&mut self, flow: FlowId, k: usize) {
         let next = self.spills.len() as u32 + 1;
         let Some(h) = self.record(flow) else {
             debug_assert!(false, "delay of an unknown flow");
@@ -778,7 +812,7 @@ impl StatsCollector {
             self.spills.push(full);
         }
         if let Some(c) = self.spills.get_mut(slot).and_then(|h| h.get_mut(k)) {
-            *c += n;
+            *c += 1;
         }
     }
 
@@ -887,11 +921,11 @@ impl StatsCollector {
         result
     }
 
-    /// A collector that starts as the merge identity — zero counters,
-    /// zero window — for folding completed runs with
-    /// [`StatsCollector::merge`].
+    /// A collector of `n_flows` flows with zero counters and a zero
+    /// window: what [`StatsCollector::with_config`] starts from, and
+    /// the link engine's placeholder until its run is primed.
     // qbm-lint: cold(per-run construction, before the event loop)
-    pub fn merger(n_flows: usize, seed: u64) -> StatsCollector {
+    pub(crate) fn empty(n_flows: usize, seed: u64) -> StatsCollector {
         StatsCollector {
             result: SimResult::new(0, Dur::ZERO, seed),
             slots: vec![NO_SLOT; n_flows],
@@ -904,97 +938,6 @@ impl StatsCollector {
             hists: Vec::new(),
             warmup_end: Time::ZERO,
             run_end: Time::ZERO,
-        }
-    }
-
-    /// Fold a completed run into this collector. Counters add, delay
-    /// maxima take the max, histograms add element-wise, and windows
-    /// add (the merged result spans the concatenation of the runs'
-    /// measurement windows, so throughput accessors report the mean
-    /// rate across replications). The fold is commutative and
-    /// associative: any merge order over the same set of runs yields an
-    /// identical result — the one [`FlowStats::merge`] gives. Folds into
-    /// a [`StatsCollector::merger`]: a collector that sketches per flow
-    /// derives its delay summaries at `seal` and takes no merges.
-    pub fn merge(&mut self, other: &SimResult) {
-        debug_assert!(!self.dense, "merge into a collector that sketches per flow");
-        assert_eq!(
-            self.slots.len(),
-            other.flows.len(),
-            "merging results with different flow counts"
-        );
-        self.result.window += other.window;
-        let n = self.slots.len();
-        let dropped = |f: &FlowStats| {
-            f.dropped_bytes
-                | f.dropped_pkts
-                | f.drops_buffer_full
-                | f.drops_over_threshold
-                | f.drops_no_shared_space
-                != 0
-        };
-        let sketched = |f: &FlowStats| f.delay_sketch.is_some() || f.occ_sketch.is_some();
-        if self.sketches.is_empty() && other.flows.iter().any(sketched) {
-            self.sketches = vec![FlowSketches::default(); n];
-        }
-        for (i, f) in other.flows.iter().enumerate() {
-            // A lane is made at the first flow with something to add.
-            let d = dropped(f)
-                .then(|| lane_entry(&mut self.drops, n, i))
-                .flatten();
-            if let Some(d) = d {
-                d.bytes += f.dropped_bytes;
-                d.pkts += f.dropped_pkts;
-                d.by_cause[0] += f.drops_buffer_full;
-                d.by_cause[1] += f.drops_over_threshold;
-                d.by_cause[2] += f.drops_no_shared_space;
-            }
-            let red = RedStats {
-                offered_bytes: other_share(f.offered_bytes, f.green_offered_bytes),
-                offered_pkts: other_share(f.offered_pkts, f.green_offered_pkts),
-                delivered_bytes: other_share(f.delivered_bytes, f.green_delivered_bytes),
-            };
-            let reddened = red.offered_bytes | red.offered_pkts | red.delivered_bytes != 0;
-            if let Some(r) = reddened.then(|| lane_entry(&mut self.reds, n, i)).flatten() {
-                r.offered_bytes += red.offered_bytes;
-                r.offered_pkts += red.offered_pkts;
-                r.delivered_bytes += red.delivered_bytes;
-            }
-            if let Some(s) = self.sketches.get_mut(i) {
-                merge_sketch(&mut s.delay, &f.delay_sketch);
-                merge_sketch(&mut s.occ, &f.occ_sketch);
-            }
-            let Some(h) = self.record(FlowId(i as u32)) else {
-                continue;
-            };
-            h.offered_bytes += f.offered_bytes;
-            h.offered_pkts += f.offered_pkts;
-            h.delivered_bytes += f.delivered_bytes;
-            h.delivered_pkts += f.delivered_pkts;
-            h.add_delay_sum(f.delay_sum_ns);
-            h.delay_max_ns = h.delay_max_ns.max(f.delay_max_ns);
-            for (k, &n) in f.delay_hist.iter().enumerate() {
-                let flow = FlowId(i as u32);
-                if n > 0 && !self.record(flow).is_some_and(|h| h.hist_add(k, n)) {
-                    self.spill_delays(flow, k, n);
-                }
-            }
-        }
-        merge_sketch(&mut self.result.delay_sketch, &other.delay_sketch);
-        merge_sketch(&mut self.result.occ_sketch, &other.occ_sketch);
-        // qbm-lint: cold(per-run fold, not per-event)
-        match (&mut self.result.aimd, &other.aimd) {
-            (_, None) => {}
-            (slot @ None, Some(o)) => *slot = Some(o.clone()),
-            (Some(a), Some(o)) => {
-                for (flow, st) in o {
-                    match a.iter_mut().find(|(f, _)| f == flow) {
-                        Some((_, into)) => *into = into.merge(st),
-                        None => a.push((*flow, *st)),
-                    }
-                }
-                a.sort_by_key(|(f, _)| *f);
-            }
         }
     }
 }
@@ -1165,11 +1108,11 @@ mod tests {
     }
 
     fn fold(n_flows: usize, seed: u64, runs: &[SimResult]) -> SimResult {
-        let mut acc = StatsCollector::merger(n_flows, seed);
+        let mut acc = SimResult::new(n_flows, Dur::ZERO, seed);
         for r in runs {
             acc.merge(r);
         }
-        acc.finish()
+        acc
     }
 
     #[test]
@@ -1234,7 +1177,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different flow counts")]
     fn merge_rejects_mismatched_flow_counts() {
-        let mut acc = StatsCollector::merger(2, 0);
+        let mut acc = SimResult::new(2, Dur::ZERO, 0);
         acc.merge(&synthetic_run(3, 0));
     }
 
@@ -1254,11 +1197,9 @@ mod tests {
         assert_eq!(r.flows[0].delay_sketch.as_ref().unwrap().count(), 1);
         assert_eq!(r.occ_sketch.as_ref().unwrap().quantile(1.0), 1500);
         assert_eq!(r.flows[0].occ_sketch.as_ref().unwrap().quantile(1.0), 500);
-        // A sketch-less merger adopts the sketches unchanged — the
+        // A sketch-less zero result adopts the sketches unchanged — the
         // campaign fold stays identity-preserving with sketches on.
-        let mut acc = StatsCollector::merger(1, 0);
-        acc.merge(&r);
-        let m = acc.finish();
+        let m = fold(1, 0, std::slice::from_ref(&r));
         assert_eq!(m.delay_sketch, r.delay_sketch);
         assert_eq!(m.flows[0].occ_sketch, r.flows[0].occ_sketch);
     }
@@ -1374,10 +1315,7 @@ mod tests {
         let f = &r.flows[0];
         assert_eq!((f.green_offered_bytes, f.green_delivered_bytes), (500, 500));
         // A merge carries the red shares through.
-        let mut acc = StatsCollector::merger(3, 0);
-        acc.merge(&r);
-        acc.merge(&r);
-        let m = acc.finish();
+        let m = fold(3, 0, &[r.clone(), r]);
         assert_eq!(m.flows[2].green_offered_pkts, 2);
         assert_eq!(m.flows[2].green_delivered_bytes, 1000);
         assert_eq!(m.flows[0].green_offered_bytes, 1000);
@@ -1495,14 +1433,18 @@ mod tests {
         (want[9], want[17]) = (2, 1);
         assert_eq!(f.delay_hist, want);
         // A count past `u32` spills too.
-        let mut one = StatsCollector::new(1, Time::ZERO, Time::from_secs(1), 0).finish();
-        one.flows[0].delay_hist = vec![0, 0, u32::MAX as u64];
-        let mut c = StatsCollector::merger(1, 0);
-        c.merge(&one);
-        c.merge(&one);
+        let mut c = StatsCollector::new(1, Time::ZERO, Time::MAX, 0);
+        let depart = |c: &mut StatsCollector| {
+            c.on_departure(Time::ZERO + Dur(4), FlowId(0), 500, Time::ZERO);
+        };
+        depart(&mut c);
+        let h = &mut c.hot[0];
+        h.hist[2 - h.hist_lo as usize] = u32::MAX;
+        depart(&mut c);
+        assert_ne!(c.hot[0].spill, 0, "the count outgrew its `u32`");
         assert_eq!(
             c.finish().flows[0].delay_hist,
-            vec![0, 0, 2 * u32::MAX as u64]
+            vec![0, 0, u32::MAX as u64 + 1]
         );
     }
 
@@ -1719,8 +1661,9 @@ mod proptests {
 
         /// The hot record and its lanes assemble, in `finish`, exactly
         /// the `FlowStats` a field-by-field fold of the same events
-        /// gives; and folding several runs through `merger` + `merge`
-        /// gives what `FlowStats::merge` gives over their models.
+        /// gives; and folding several runs through `SimResult::merge`
+        /// gives the field-by-field fold of all their events, over the
+        /// sum of their windows.
         #[test]
         fn collector_matches_a_plain_flow_stats_fold(
             runs in proptest::collection::vec(events(4), 1..4),
@@ -1730,8 +1673,10 @@ mod proptests {
             let cfg = StatsConfig {
                 sketches: sketches.then(SketchParams::default),
             };
-            let mut acc = StatsCollector::merger(4, 9);
-            let mut want = SimResult::new(4, Dur::ZERO, 9);
+            let all: Vec<Ev> = runs.iter().flatten().copied().map(Ev::new).collect();
+            let mut want = model(4, 9, sketches, &all);
+            want.window = END.since(WARMUP) * runs.len() as u64;
+            let mut merged = SimResult::new(4, Dur::ZERO, 9);
             for (seed, raw) in runs.into_iter().enumerate() {
                 let evs: Vec<Ev> = raw.into_iter().map(Ev::new).collect();
                 let evs = &evs[..];
@@ -1741,15 +1686,8 @@ mod proptests {
                 let model = model(4, seed as u64, sketches, evs);
                 prop_assert_eq!(&got, &model);
                 prop_assert_eq!(format!("{got:?}"), format!("{model:?}"));
-                acc.merge(&got);
-                want.window += model.window;
-                for (into, from) in want.flows.iter_mut().zip(&model.flows) {
-                    into.merge(from);
-                }
-                merge_sketch(&mut want.delay_sketch, &model.delay_sketch);
-                merge_sketch(&mut want.occ_sketch, &model.occ_sketch);
+                merged.merge(&got);
             }
-            let merged = acc.finish();
             prop_assert_eq!(format!("{merged:?}"), format!("{want:?}"));
             prop_assert_eq!(merged, want);
         }

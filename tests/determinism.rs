@@ -9,7 +9,9 @@ use qos_buffer_mgmt::core::units::{ByteSize, Dur, Time};
 use qos_buffer_mgmt::obs::{verify_trace, Tracer};
 use qos_buffer_mgmt::sched::{Fifo, SchedKind, Scheduler, Wfq};
 use qos_buffer_mgmt::sim::scenarios::{case1_grouping, plan_hybrid, LINK_RATE};
-use qos_buffer_mgmt::sim::{Campaign, ExperimentConfig, PolicySpec, Router, SimResult};
+use qos_buffer_mgmt::sim::{
+    Campaign, ExperimentConfig, PolicySpec, Router, SimResult, SketchParams, SourceSel, StatsConfig,
+};
 use qos_buffer_mgmt::traffic::{build_source_kind, table1, table2};
 
 fn cfg(sched: SchedKind, policy: PolicySpec) -> ExperimentConfig {
@@ -269,6 +271,44 @@ fn golden_fixed_seed_statistics_snapshot() {
 }
 
 #[test]
+fn golden_merged_replications_snapshot() {
+    // `MultiRun::merged` folds replications into the one result the CLI
+    // report prints. Pinned over exact counters only (Table 2 FIFO),
+    // with per-flow and aggregate sketches (Table 1 WFQ), and with the
+    // closed-loop AIMD counters filled in (Table 1 AIMD), each over
+    // three replications.
+    let mut t2 = cfg(SchedKind::Fifo, PolicySpec::Kind(PolicyKind::Threshold));
+    t2.specs = table2();
+    t2.duration = Dur::from_secs(3);
+    let mut sketched = cfg(SchedKind::Wfq, PolicySpec::Kind(PolicyKind::Threshold));
+    sketched.stats = StatsConfig {
+        sketches: Some(SketchParams::default()),
+    };
+    let mut aimd = cfg(SchedKind::Fifo, PolicySpec::Kind(PolicyKind::Threshold));
+    aimd.sources = SourceSel::Aimd;
+    let cases: [(&str, ExperimentConfig, u64); 3] = [
+        ("table2 fifo+thresh", t2, 0x652d_8e68_dae9_bde3),
+        (
+            "table1 wfq+thresh sketched",
+            sketched,
+            0x8e33_26f4_6227_fec9,
+        ),
+        ("table1 aimd", aimd, 0xb9b1_fae0_6bb7_b8ba),
+    ];
+    for (name, c, golden) in cases {
+        let merged = c.run_many(31, 3).merged(31);
+        assert_eq!(merged.seed, 31, "{name}: merged seed");
+        assert_eq!(merged.delay_sketch.is_some(), name.ends_with("sketched"));
+        assert_eq!(merged.aimd.is_some(), name.ends_with("aimd"));
+        assert_eq!(
+            fnv64(&format!("{merged:?}")),
+            golden,
+            "{name}: merged-replications digest drifted"
+        );
+    }
+}
+
+#[test]
 fn golden_fixed_seed_trace_snapshot() {
     // The JSONL event trace is part of the determinism contract too:
     // same capture as above, digested as text. Catches ordering changes
@@ -415,14 +455,11 @@ fn fixed_point_schedulers_match_float_references_end_to_end() {
 }
 
 #[test]
-fn pooled_campaign_with_mixed_flow_counts_is_thread_count_invariant() {
-    // Arena acceptance: campaign workers recycle lane/event-core
-    // buffers across cells, including across *different flow counts*
-    // (the arena must resize, not assume a fixed width). A grid mixing
-    // the 9-flow Table-1 and 30-flow Table-2 workloads must produce
-    // byte-identical per-cell results at 1 worker (one arena reused by
-    // every cell) and 8 workers (one arena each), and both must match
-    // the non-pooled `run_once` path.
+fn campaign_with_mixed_flow_counts_is_thread_count_invariant() {
+    // A grid mixing the 9-flow Table-1 and 30-flow Table-2 workloads
+    // must produce byte-identical per-cell results at 1 worker (every
+    // cell on one thread, in order) and 8 workers, and both must match
+    // a standalone `run_once` of the cell's seed.
     let mut t2 = cfg(SchedKind::Wfq, PolicySpec::Kind(PolicyKind::Threshold));
     t2.specs = table2();
     t2.duration = Dur::from_secs(3);
@@ -457,7 +494,7 @@ fn pooled_campaign_with_mixed_flow_counts_is_thread_count_invariant() {
             let solo = points[p].run_once(campaign.cell_seed(p, r));
             assert_eq!(
                 x, &solo,
-                "point {p} replication {r}: pooled cell diverged from fresh run_once"
+                "point {p} replication {r}: campaign cell diverged from run_once"
             );
         }
     }
