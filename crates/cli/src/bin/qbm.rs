@@ -305,7 +305,7 @@ fn traced_run(s: &Scenario, trace_path: &str, probe_interval: Option<Dur>) -> u6
 /// fabric path: asking for one is a usage error naming the input.
 fn run_topology(s: &Scenario, opts: &Options) {
     use qbm_cli::report::{fmt_bytes, fmt_ns, heatmap_sparkline};
-    use qbm_obs::{HeatmapObserver, HeatmapParams};
+    use qbm_obs::HeatmapObserver;
     use qbm_sim::scenarios::{
         aggregation_tree, incast_fanin, subscriber_tree, LinkProfile, SubscriberTreeShape,
     };
@@ -403,14 +403,7 @@ fn run_topology(s: &Scenario, opts: &Options) {
     };
     let (res, heatmaps): (_, Option<Vec<HeatmapObserver>>) = match (&opts.trace, sketching) {
         (Some(path), true) => {
-            let mut obs: Vec<(Tracer, HeatmapObserver)> = (0..n_links)
-                .map(|_| {
-                    (
-                        Tracer::default(),
-                        HeatmapObserver::new(HeatmapParams::default()),
-                    )
-                })
-                .collect();
+            let mut obs = vec![(Tracer::default(), HeatmapObserver::default()); n_links];
             let res = fabric.run_observed(seed, warmup, end, threads, &mut obs);
             let (tracers, heat): (Vec<_>, Vec<_>) = obs.into_iter().unzip();
             print_trace(&tracers, path);
@@ -423,9 +416,7 @@ fn run_topology(s: &Scenario, opts: &Options) {
             (res, None)
         }
         (None, true) => {
-            let mut heat: Vec<HeatmapObserver> = (0..n_links)
-                .map(|_| HeatmapObserver::new(HeatmapParams::default()))
-                .collect();
+            let mut heat = vec![HeatmapObserver::default(); n_links];
             let res = fabric.run_observed(seed, warmup, end, threads, &mut heat);
             (res, Some(heat))
         }

@@ -23,11 +23,11 @@ pub enum StatsMode {
 }
 
 /// Render one [`TemporalHeatmap`](qbm_obs::TemporalHeatmap) as a
-/// compact ASCII sparkline over its finest (tier-0) live cells, oldest
-/// → newest: one glyph per 100 ms slot (at default params), height =
-/// that slot's `q`-quantile normalized to the row maximum. Returns
-/// `None` when no tier-0 cell has samples (older history may still sit
-/// in deeper tiers — the sparkline is a recency view, not a total).
+/// compact ASCII sparkline over its live window's non-empty cells,
+/// oldest → newest: one glyph per 100 ms slot, height = that slot's
+/// `q`-quantile normalized to the row maximum. Returns `None` when no
+/// cell in the window has samples (the sparkline is a recency view,
+/// not a total).
 pub fn heatmap_sparkline(
     h: &qbm_obs::TemporalHeatmap,
     q: f64,
@@ -36,12 +36,10 @@ pub fn heatmap_sparkline(
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let mut vals: Vec<u64> = Vec::new();
     let (mut lo_ns, mut hi_ns) = (u64::MAX, 0u64);
-    h.visit_cells(|tier, start, end, cell| {
-        if tier == Some(0) {
-            vals.push(cell.quantile(q));
-            lo_ns = lo_ns.min(start);
-            hi_ns = hi_ns.max(end);
-        }
+    h.visit_cells(|start, end, cell| {
+        vals.push(cell.quantile(q));
+        lo_ns = lo_ns.min(start);
+        hi_ns = hi_ns.max(end);
     });
     let max = *vals.iter().max()?;
     let line: String = vals

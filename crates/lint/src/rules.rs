@@ -496,8 +496,9 @@ pub const SHARD_ROOTS: &[crate::callgraph::RootSpec] = &[crate::callgraph::RootS
 /// Workspace crate dependencies (`crates/<name>` → direct deps), used
 /// to gate broad call-graph resolution: a name-only match cannot be a
 /// real edge into a crate the caller does not (transitively) depend
-/// on. Keep in sync with the crate `Cargo.toml`s — over-listing is
-/// safe (more conservative), under-listing loses audit edges.
+/// on. Equal to the `qbm-*` `[dependencies]` of the crate
+/// `Cargo.toml`s (`tests/lint_gate.rs` checks it): over-listing would
+/// keep edges no code can take, under-listing loses audit edges.
 pub const CRATE_DEPS: &[(&str, &[&str])] = &[
     ("core", &[]),
     ("lint", &[]),
@@ -506,11 +507,8 @@ pub const CRATE_DEPS: &[(&str, &[&str])] = &[
     ("sched", &["core"]),
     ("traffic", &["core"]),
     ("sim", &["core", "traffic", "sched", "obs"]),
-    ("cli", &["core", "traffic", "sched", "sim", "obs", "fluid"]),
-    (
-        "bench",
-        &["core", "traffic", "sched", "sim", "obs", "fluid"],
-    ),
+    ("cli", &["core", "traffic", "sched", "sim", "obs"]),
+    ("bench", &["core", "traffic", "sched", "sim"]),
 ];
 
 /// May code in `caller_rel` call code in `callee_rel`? True when both

@@ -30,12 +30,12 @@
 //!   to JSONL (schema-versioned header line, see [`record`]).
 //! - [`TimeSeriesProbe`] — samples per-flow/aggregate occupancy and the
 //!   sharing pools at a fixed sim-time interval, for figure-style
-//!   occupancy-vs-time plots (CSV/JSON export).
+//!   occupancy-vs-time plots (CSV export).
 //! - [`CountingObserver`] — cheap event counters (events/sec in the
 //!   CLI's self-profiling report).
-//! - [`HeatmapObserver`] — bounded-memory temporal heatmaps (time ×
-//!   quantile-sketch cells with tiered eviction) over delay, occupancy,
-//!   and drops; built on the mergeable [`QuantileSketch`].
+//! - [`HeatmapObserver`] — bounded-memory temporal heatmaps (a ring of
+//!   the last 32 × 100 ms slots, one quantile-sketch cell each) over
+//!   delay, occupancy, and drops; built on [`QuantileSketch`].
 //!
 //! Observers compose: `(A, B)` is itself an [`Observer`] fanning every
 //! hook out to both halves.
@@ -49,7 +49,7 @@ pub mod record;
 pub mod sketch;
 pub mod tracer;
 
-pub use heatmap::{HeatmapObserver, HeatmapParams, TemporalHeatmap, MAX_TIERS};
+pub use heatmap::{HeatmapObserver, TemporalHeatmap};
 pub use probe::{Sample, TimeSeriesProbe};
 pub use record::{
     verify_trace, TraceError, TraceRecord, TraceSummary, SCHEMA_VERSION, SCHEMA_VERSION_V1,
@@ -197,8 +197,7 @@ impl EventCounts {
 }
 
 /// An enabled observer that only counts hook invocations — the cheapest
-/// possible *live* observer, used by the overhead bench and by the
-/// CLI's events/sec profiling.
+/// possible *live* observer, used by the CLI's events/sec profiling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountingObserver {
     /// Counter state.

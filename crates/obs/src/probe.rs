@@ -148,39 +148,6 @@ impl TimeSeriesProbe {
         }
         out
     }
-
-    /// Render as a single JSON object: `{"interval_ns":…,"samples":[…]}`
-    /// with the same fields as the CSV. Hand-rolled and field-ordered
-    /// for byte determinism, like the trace records.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"interval_ns\":{},\"samples\":[",
-            self.interval.as_nanos()
-        );
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"t\":{},\"total\":{}", s.t.as_nanos(), s.total));
-            if let Some((h, v)) = s.pools {
-                out.push_str(&format!(",\"holes\":{h},\"headroom\":{v}"));
-            }
-            out.push_str(",\"q\":[");
-            for (j, q) in s.per_flow.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&q.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
-        if self.dropped > 0 {
-            out.push_str(&format!(",\"truncated\":true,\"dropped\":{}", self.dropped));
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl Observer for TimeSeriesProbe {
@@ -294,17 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_field_ordered() {
-        let mut p = TimeSeriesProbe::new(Dur::from_millis(1));
-        p.on_enqueue(Time::ZERO, FlowId(0), 42, 42, 42, 0);
-        p.on_end(Time::ZERO + Dur::from_millis(1), 0);
-        assert_eq!(
-            p.to_json(),
-            "{\"interval_ns\":1000000,\"samples\":[{\"t\":1000000,\"total\":42,\"q\":[42]}]}"
-        );
-    }
-
-    #[test]
     fn per_flow_columns_grow_with_flows_seen_and_pad_in_csv() {
         let mut p = TimeSeriesProbe::new(Dur::from_millis(1));
         p.on_enqueue(Time::ZERO, FlowId(0), 100, 100, 100, 0);
@@ -335,19 +291,13 @@ mod tests {
             )),
             "missing CSV truncation footer"
         );
-        let json = p.to_json();
-        assert!(json.ends_with(&format!(
-            "],\"truncated\":true,\"dropped\":{}}}",
-            9 * MAX_SAMPLES as u64
-        )));
     }
 
     #[test]
-    fn untruncated_exports_carry_no_truncation_marker() {
+    fn untruncated_export_carries_no_truncation_marker() {
         let mut p = TimeSeriesProbe::new(Dur::from_millis(1));
         p.on_end(Time::ZERO + Dur::from_millis(3), 0);
         assert!(!p.truncated());
         assert!(!p.to_csv().contains("truncated"));
-        assert!(!p.to_json().contains("truncated"));
     }
 }

@@ -333,14 +333,9 @@ impl TraceRecord {
     }
 }
 
-/// Render the header line for a v1 (no-feedback) trace covering
-/// `flows` flows with `truncated` ring-evicted records.
-pub fn header(flows: usize, truncated: u64) -> String {
-    header_with_version(flows, truncated, SCHEMA_VERSION_V1)
-}
-
-/// [`header`] with an explicit schema version — v2 headers are written
-/// by tracers that captured an `fb` record.
+/// Render the header line of a schema-`version` trace covering `flows`
+/// flows with `truncated` ring-evicted records. Tracers write v1 unless
+/// they captured an `fb` record, which needs v2.
 pub fn header_with_version(flows: usize, truncated: u64, version: u32) -> String {
     format!(
         "{{\"schema\":\"{SCHEMA_NAME}\",\"version\":{version},\"flows\":{flows},\"truncated\":{truncated}}}"
@@ -581,7 +576,7 @@ mod tests {
     fn verify_accepts_a_well_formed_trace() {
         let text = format!(
             "{}\n{}\n{}\n",
-            header(2, 0),
+            header_with_version(2, 0, SCHEMA_VERSION_V1),
             rec_arr(10).to_json(),
             TraceRecord::Enqueue {
                 t: Time(10),
@@ -610,7 +605,7 @@ mod tests {
         assert_eq!(verify_trace(old), Err(TraceError::WrongVersion(99)));
         let back = format!(
             "{}\n{}\n{}\n",
-            header(1, 0),
+            header_with_version(1, 0, SCHEMA_VERSION_V1),
             rec_arr(10).to_json(),
             rec_arr(5).to_json()
         );
@@ -622,14 +617,17 @@ mod tests {
 
     #[test]
     fn verify_rejects_unknown_kind_and_cause() {
-        let bad_kind = format!("{}\n{{\"ev\":\"zap\",\"t\":0}}\n", header(1, 0));
+        let bad_kind = format!(
+            "{}\n{{\"ev\":\"zap\",\"t\":0}}\n",
+            header_with_version(1, 0, SCHEMA_VERSION_V1)
+        );
         assert!(matches!(
             verify_trace(&bad_kind),
             Err(TraceError::BadRecord(2, _))
         ));
         let bad_cause = format!(
             "{}\n{{\"ev\":\"drop\",\"t\":0,\"flow\":0,\"len\":1,\"cause\":\"tuesday\"}}\n",
-            header(1, 0)
+            header_with_version(1, 0, SCHEMA_VERSION_V1)
         );
         assert!(matches!(
             verify_trace(&bad_cause),
@@ -641,7 +639,7 @@ mod tests {
     fn cell_marker_resets_the_time_watermark() {
         let text = format!(
             "{}\n{}\n{}\n{}\n",
-            header(1, 0),
+            header_with_version(1, 0, SCHEMA_VERSION_V1),
             rec_arr(100).to_json(),
             TraceRecord::Cell { cell: 1, seed: 2 }.to_json(),
             rec_arr(10).to_json()

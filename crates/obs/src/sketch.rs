@@ -267,20 +267,12 @@ impl QuantileSketch {
 
     /// Fold `other` into `self`: counters add element-wise, min/max
     /// resolve monotonically. Commutative, associative, with the empty
-    /// sketch as identity. Panics on precision mismatch (a
-    /// configuration error, not a data condition).
+    /// sketch as identity. `self` widens to `other`'s non-zero span,
+    /// which allocates only when that reaches a new exponent group.
+    /// Panics on precision mismatch (a configuration error, not a data
+    /// condition).
     pub fn merge(&mut self, other: &QuantileSketch) {
         assert_eq!(self.m, other.m, "merging sketches of different precision");
-        self.absorb(other);
-    }
-
-    /// The merge core (shared with the heatmap's eviction path, which
-    /// runs per-event and must stay hot-clean): widens `self` to
-    /// `other`'s non-zero span, which allocates only when that reaches
-    /// a new exponent group, then adds over it.
-    #[inline]
-    pub(crate) fn absorb(&mut self, other: &QuantileSketch) {
-        debug_assert_eq!(self.m, other.m);
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         if other.min < self.min {
@@ -304,7 +296,8 @@ impl QuantileSketch {
     }
 
     /// Zero all counters in place, keeping the stored span's allocation
-    /// for reuse (the heatmap recycles evicted ring slots through this).
+    /// for reuse (the heatmap empties the ring cells of slots leaving
+    /// its window through this).
     /// The result equals [`QuantileSketch::new`] of the same precision.
     #[inline]
     pub fn reset_counts(&mut self) {

@@ -3,15 +3,13 @@
 //! which only yields thread-count-invariant output if every merged
 //! structure is commutative, associative, and identity-preserving —
 //! `SimResult::merge` already is, and these properties extend the
-//! contract to [`QuantileSketch`] and [`TemporalHeatmap`]. The rank
-//! property pins the sketch's advertised `2^-m` relative-error bound
-//! against an exact sorted oracle, and the dense-oracle properties pin
-//! the span-trimmed bucket store, and its log₂ view, against a full
-//! `(65 - m)·2^m` array.
+//! contract to [`QuantileSketch`]. The rank property pins the sketch's
+//! advertised `2^-m` relative-error bound against an exact sorted
+//! oracle, and the dense-oracle properties pin the span-trimmed bucket
+//! store, and its log₂ view, against a full `(65 - m)·2^m` array.
 
 use proptest::prelude::*;
-use qbm_core::units::{Dur, Time};
-use qbm_obs::{HeatmapParams, QuantileSketch, TemporalHeatmap};
+use qbm_obs::QuantileSketch;
 
 /// Stratify a raw 64-bit draw over the exact range, the log-bucketed
 /// mid range, the wide range, and the extreme (the vendored harness
@@ -31,23 +29,6 @@ fn sketch_of(m: u32, values: &[u64]) -> QuantileSketch {
         s.record(stratify(v));
     }
     s
-}
-
-fn heatmap_of(points: &[(u64, u64)]) -> TemporalHeatmap {
-    let params = HeatmapParams {
-        slot_width: Dur::from_millis(1),
-        slots_per_tier: 4,
-        fanout: 2,
-        tiers: 3,
-        precision_bits: 3,
-    };
-    let mut h = TemporalHeatmap::new(params);
-    let mut sorted = points.to_vec();
-    sorted.sort_unstable();
-    for &(ms, v) in &sorted {
-        h.record(Time::ZERO + Dur::from_millis(ms), v);
-    }
-    h
 }
 
 /// The sketch's layout on a dense array of every logical bucket: the
@@ -199,12 +180,6 @@ fn raw_values() -> proptest::collection::VecStrategy<core::ops::Range<u64>> {
     proptest::collection::vec(0u64..u64::MAX, 0..200)
 }
 
-/// (timestamp-ms, value) pairs; `heatmap_of` feeds them in event-loop
-/// order (sorted by time).
-fn points() -> proptest::collection::VecStrategy<(core::ops::Range<u64>, core::ops::Range<u64>)> {
-    proptest::collection::vec((0u64..2_000, 0u64..1_000_000), 0..120)
-}
-
 proptest! {
     /// The span-trimmed sketch answers exactly like the dense layout:
     /// same digest, same quantiles, a reset back to empty, and memory
@@ -352,67 +327,5 @@ proptest! {
             "q={} m={}: estimate {}, exact {}, bound {}",
             q, m, est, exact, bound
         );
-    }
-
-    /// Heatmap merge is commutative and identity-preserving even when
-    /// the operands have advanced to very different horizons.
-    #[test]
-    fn heatmap_merge_commutes(a in points(), b in points()) {
-        let (ha, hb) = (heatmap_of(&a), heatmap_of(&b));
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &ba);
-        let mut id = ha.clone();
-        id.merge(&heatmap_of(&[]));
-        prop_assert_eq!(&id, &ha);
-    }
-
-    /// Heatmap merge is associative and equals the heatmap of the
-    /// time-interleaved union — i.e. sharding a stream across
-    /// collectors and folding them back is lossless down to cell
-    /// placement.
-    #[test]
-    fn heatmap_merge_associates(a in points(), b in points(), c in points()) {
-        let (ha, hb, hc) = (heatmap_of(&a), heatmap_of(&b), heatmap_of(&c));
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right);
-        let union: Vec<(u64, u64)> = a.iter().chain(&b).chain(&c).copied().collect();
-        prop_assert_eq!(&left, &heatmap_of(&union));
-    }
-
-    /// No value is ever lost to tiering, and the footprint never
-    /// depends on how much was recorded: it stays within every cell
-    /// holding the full layout, and follows the recorded value span.
-    #[test]
-    fn heatmap_conserves_count_and_memory(a in points(), b in points()) {
-        let ha = heatmap_of(&a);
-        prop_assert_eq!(ha.count(), a.len() as u64);
-        // An empty sketch holds no buckets.
-        prop_assert_eq!(
-            QuantileSketch::new(3).mem_bytes(),
-            core::mem::size_of::<QuantileSketch>()
-        );
-        // 3 tiers × 4 slots + overflow + scratch sketches at m = 3.
-        let sketches = 3 * 4 + 2;
-        let empty = heatmap_of(&[]).mem_bytes();
-        let cap = empty + sketches * QuantileSketch::bucket_count(3) * 8;
-        prop_assert!(ha.mem_bytes() <= cap);
-        prop_assert!(heatmap_of(&b).mem_bytes() <= cap);
-        // Values in [2^20, 2^21) hold one group of 2^3 buckets: exactly
-        // that for a single value, at most that per sketch for many.
-        let group = 8 * 8;
-        let narrow: Vec<(u64, u64)> = a.iter().map(|&(t, v)| (t, (1 << 20) + v)).collect();
-        prop_assert!(heatmap_of(&narrow).mem_bytes() <= empty + sketches * group);
-        if let Some(&first) = narrow.first() {
-            prop_assert_eq!(heatmap_of(&[first]).mem_bytes(), empty + group);
-        }
     }
 }

@@ -74,3 +74,42 @@ fn rules_md_matches_the_registry() {
         "RULES.md drifted — regenerate with `cargo run -p qbm-lint -- --rules-md > RULES.md`"
     );
 }
+
+#[test]
+fn crate_deps_match_the_manifests() {
+    // `CRATE_DEPS` gates the call graph's name-only edges, so it must
+    // name exactly the workspace crates each manifest depends on.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut manifests: Vec<(String, Vec<String>)> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .map(|e| {
+            let dir = e.expect("crates/ entry").path();
+            let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+            let toml = std::fs::read_to_string(dir.join("Cargo.toml")).expect("crate manifest");
+            let mut deps: Vec<String> = toml
+                .lines()
+                .skip_while(|l| l.trim() != "[dependencies]")
+                .skip(1)
+                .take_while(|l| !l.trim_start().starts_with('['))
+                .filter_map(|l| l.trim().strip_prefix("qbm-"))
+                .map(|l| l.split(['.', ' ', '=']).next().unwrap().to_string())
+                .collect();
+            deps.sort();
+            (name, deps)
+        })
+        .collect();
+    manifests.sort();
+    let mut table: Vec<(String, Vec<String>)> = qbm_lint::rules::CRATE_DEPS
+        .iter()
+        .map(|(name, deps)| {
+            let mut deps: Vec<String> = deps.iter().map(|d| d.to_string()).collect();
+            deps.sort();
+            (name.to_string(), deps)
+        })
+        .collect();
+    table.sort();
+    assert_eq!(
+        table, manifests,
+        "rules::CRATE_DEPS drifted from the crates' [dependencies]"
+    );
+}
