@@ -1,35 +1,199 @@
-//! Scheduler scalability: ActiveSet layouts across four orders of
-//! magnitude of slot counts, and end-to-end subscriber-tree fabric
-//! throughput across 10²–10⁶ flows.
+//! Scalability of the per-packet decisions and of the simulator: the
+//! paper's O(1) buffer management against sorted schedulers, ActiveSet
+//! layouts across four orders of magnitude of slot counts, and
+//! end-to-end subscriber-tree fabric throughput across 10²–10⁶ flows.
 //!
-//! Section 1 churns a pre-filled [`ActiveSet`] with the scheduler's
+//! Section 1 times one 500 B admit+release through each buffer policy
+//! as the flow count grows — the paper's core claim that the decision
+//! is O(1) in the number of flows.
+//!
+//! Section 2 times one enqueue+dequeue with N flows kept backlogged:
+//! FIFO and DRR (O(1)) against Virtual Clock and WFQ, whose sorted
+//! state grows with N — the cost asymmetry motivating the paper.
+//!
+//! Section 3 churns a pre-filled [`ActiveSet`] with the scheduler's
 //! characteristic access pattern — peek the winner, re-tag it with a
 //! small service increment — under all three layouts at each slot
 //! count. Scan pays O(n) per peek, the tournament tree O(log n) per
 //! set; the sweep shows where they cross and that [`Layout::Adaptive`]
 //! tracks the better of the two on both sides of the crossover.
 //!
-//! Section 2 runs the `subscriber_tree` scenario family end to end at
+//! Section 4 runs the `subscriber_tree` scenario family end to end at
 //! growing flow counts (sites × APs × subscribers, heavy-tailed plan
 //! rates, hybrid core) and reports events per wall-clock second, where
 //! an event is an arrival or departure at any link.
 //!
-//! Section 3 times fabric *construction* alone up to the 10⁶-flow
+//! Section 5 times fabric *construction* alone up to the 10⁶-flow
 //! shape — the point that used to stall on quadratic spec renumbering;
 //! the committed figure is the receipt that building the ISP-scale
 //! topology stays linear. Each row also records the resident memory
 //! the build added (`VmRSS` after minus before, Linux only), per flow.
 //!
-//! A hand-written `main` exports everything to `BENCH_scale.json` next
-//! to the workspace root. Set `QBM_BENCH_QUICK=1` for the CI
-//! perf-smoke variant (fewer points, shorter horizons).
+//! Sections 1–3 time each point with [`time_ns`]; `main` exports every
+//! section to `BENCH_scale.json` at the workspace root. Set
+//! `QBM_BENCH_QUICK=1` for the CI perf-smoke variant (fewer points,
+//! shorter horizons).
 
-use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use qbm_bench::bench_file::{self, quick};
-use qbm_core::units::Time;
-use qbm_sched::{ActiveSet, Layout, VirtualTime, SCAN_TREE_CROSSOVER};
+use qbm_core::flow::{FlowId, FlowSpec};
+use qbm_core::policy::PolicyKind;
+use qbm_core::units::{Dur, Rate, Time};
+use qbm_sched::{
+    ActiveSet, Drr, Fifo, Layout, PacketRef, Scheduler, VirtualClock, VirtualTime, Wfq,
+    SCAN_TREE_CROSSOVER,
+};
 use qbm_sim::scenarios::{subscriber_tree, LinkProfile, SubscriberTreeShape};
+use std::hint::black_box;
 use std::time::Instant;
+
+/// `QBM_BENCH_QUICK` is set to something other than empty or `0`: the
+/// CI perf-smoke variant (fewer points, shorter horizons).
+fn quick() -> bool {
+    std::env::var("QBM_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
+}
+
+/// Nanoseconds per call of `f`. One timed warm-up call estimates the
+/// cost and warms caches; five equal batches then fill a 200 ms budget
+/// and the fastest batch mean is reported. Interference (a neighbour
+/// stealing the core, a frequency dip) only ever inflates a batch, so
+/// the minimum is the noise-robust estimate on a shared host.
+fn time_ns<O>(mut f: impl FnMut() -> O) -> f64 {
+    const BUDGET_NS: u64 = 200_000_000;
+    const BATCHES: u64 = 5;
+    let t = Instant::now();
+    black_box(f());
+    let estimate = (t.elapsed().as_nanos() as u64).max(1);
+    let n = (BUDGET_NS / BATCHES / estimate).clamp(1, 1_000_000);
+    let best = (0..BATCHES)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..n {
+                black_box(f());
+            }
+            t.elapsed().as_nanos() as f64 / n as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    best.max(f64::MIN_POSITIVE)
+}
+
+/// One host-time point: what was timed, at how many flows or slots,
+/// and its cost in nanoseconds per call.
+struct CostPoint {
+    name: &'static str,
+    n: usize,
+    ns: f64,
+}
+
+impl CostPoint {
+    /// Print the point as it is measured, and keep it for the file.
+    fn new(group: &str, name: &'static str, n: usize, ns: f64) -> CostPoint {
+        println!("{:<36} {ns:>10.1} ns/iter", format!("{group}/{name}/{n}"));
+        CostPoint { name, n, ns }
+    }
+}
+
+/// Flow counts for the policy and scheduler sweeps.
+fn flow_counts() -> &'static [usize] {
+    if quick() {
+        &[10, 1000]
+    } else {
+        &[10, 100, 1000, 10_000]
+    }
+}
+
+fn synth_specs(n: usize) -> Vec<FlowSpec> {
+    (0..n as u32)
+        .map(|i| {
+            FlowSpec::builder(FlowId(i))
+                .token_rate(Rate::from_kbps(400.0 + (i % 64) as f64 * 10.0))
+                .bucket(10_000 + (i as u64 % 7) * 1000)
+                .build()
+        })
+        .collect()
+}
+
+const LINK: Rate = Rate::from_bps(48_000_000);
+
+fn bench_policies() -> Vec<CostPoint> {
+    let mut out = Vec::new();
+    for &n in flow_counts() {
+        let specs = synth_specs(n);
+        // Buffer scaled with N so per-flow room stays comparable.
+        let buffer = 10_000u64 * n as u64;
+        for kind in [
+            PolicyKind::None,
+            PolicyKind::Threshold,
+            PolicyKind::Sharing {
+                headroom_bytes: buffer / 10,
+            },
+        ] {
+            let mut policy = kind.build(buffer, LINK, &specs);
+            let mut i = 0u32;
+            let ns = time_ns(|| {
+                let flow = FlowId(i % n as u32);
+                i = i.wrapping_add(1);
+                // Admit + immediate release: steady-state cost, state
+                // returns to empty so the loop never saturates the
+                // buffer.
+                if policy.admit(black_box(flow), 500).admitted() {
+                    policy.release(flow, 500);
+                }
+            });
+            out.push(CostPoint::new("policy_admit_release", kind.label(), n, ns));
+        }
+    }
+    out
+}
+
+fn pkt(flow: u32, seq: u64) -> PacketRef {
+    PacketRef {
+        flow: FlowId(flow),
+        len: 500,
+        arrival: Time::ZERO,
+        seq,
+        green: true,
+    }
+}
+
+/// Steady-state enqueue+dequeue with `n` flows kept backlogged: the
+/// scheduler is primed with one packet per flow, then every call
+/// enqueues one packet and dequeues one, so it holds ~n packets
+/// throughout and its sorted state reflects the flow count. The clock
+/// advances by `tick` per call.
+fn time_sched<S: Scheduler>(mut s: S, n: usize, tick: Dur) -> f64 {
+    for i in 0..n {
+        s.enqueue(Time::ZERO, pkt(i as u32, i as u64));
+    }
+    let mut seq = n as u64;
+    let mut now = Time::ZERO;
+    time_ns(|| {
+        let f = (seq % n as u64) as u32;
+        now += tick;
+        s.enqueue(now, black_box(pkt(f, seq)));
+        seq += 1;
+        s.dequeue(now)
+    })
+}
+
+fn bench_schedulers() -> Vec<CostPoint> {
+    let mut out = Vec::new();
+    for &n in flow_counts() {
+        let weights: Vec<u64> = (0..n).map(|i| 400_000 + (i as u64 % 64) * 10_000).collect();
+        // One 500 B packet time at 48 Mb/s.
+        let tick = Dur(83_333);
+        for (name, ns) in [
+            ("fifo", time_sched(Fifo::new(), n, Dur::ZERO)),
+            ("drr", time_sched(Drr::new(weights.clone()), n, Dur::ZERO)),
+            (
+                "vclock",
+                time_sched(VirtualClock::new(weights.clone()), n, tick),
+            ),
+            ("wfq", time_sched(Wfq::new(LINK, weights), n, tick)),
+        ] {
+            out.push(CostPoint::new("sched_enqueue_dequeue", name, n, ns));
+        }
+    }
+    out
+}
 
 fn shards() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
@@ -61,33 +225,35 @@ fn splitmix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn bench_active_set(c: &mut Criterion) {
-    let mut g = c.benchmark_group("active_set");
-    g.sample_size(3);
-    g.throughput(Throughput::Elements(1));
-    for &n in slot_counts() {
-        for (name, layout) in LAYOUTS {
-            let mut set = ActiveSet::with_layout(n, layout);
-            let mut rng = 0x5eed ^ n as u64;
-            for i in 0..n {
-                set.set(i, VirtualTime::from_raw(1 + (splitmix(&mut rng) >> 32)), 0);
-            }
-            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                let mut s = 0u64;
-                b.iter(|| {
-                    s += 1;
-                    let (w, tag, _) = set.peek().unwrap();
-                    set.set(
-                        w,
-                        tag.saturating_add(VirtualTime::from_raw(1 + (s & 63))),
-                        s,
-                    );
-                    black_box(set.len())
-                });
-            });
-        }
-    }
-    g.finish();
+/// Per slot count, the churn cost under each of [`LAYOUTS`], in order.
+fn bench_active_set() -> Vec<(usize, [f64; 3])> {
+    slot_counts()
+        .iter()
+        .map(|&n| {
+            (
+                n,
+                LAYOUTS.map(|(name, layout)| {
+                    let mut set = ActiveSet::with_layout(n, layout);
+                    let mut rng = 0x5eed ^ n as u64;
+                    for i in 0..n {
+                        set.set(i, VirtualTime::from_raw(1 + (splitmix(&mut rng) >> 32)), 0);
+                    }
+                    let mut s = 0u64;
+                    let ns = time_ns(|| {
+                        s += 1;
+                        let (w, tag, _) = set.peek().unwrap();
+                        set.set(
+                            w,
+                            tag.saturating_add(VirtualTime::from_raw(1 + (s & 63))),
+                            s,
+                        );
+                        set.len()
+                    });
+                    CostPoint::new("active_set", name, n, ns).ns
+                }),
+            )
+        })
+        .collect()
 }
 
 /// One measured fabric point: flow count, simulated horizon, events
@@ -217,99 +383,87 @@ fn main() -> std::io::Result<()> {
     // Construction first, on a fresh heap, so its resident-memory
     // deltas are not absorbed by memory the other sections freed.
     let built = bench_construction();
-    let mut criterion = Criterion::default();
-    bench_active_set(&mut criterion);
+    let policies = bench_policies();
+    let schedulers = bench_schedulers();
+    let layouts = bench_active_set();
     let scale = bench_fabric_scale();
-    let results = criterion.results();
 
-    let mean_of = |layout: &str, n: usize| {
-        results
-            .iter()
-            .find(|r| r.id == format!("{layout}/{n}"))
-            .map(|r| r.mean_ns)
-    };
-
-    let mut json = String::from("{\n  \"bench\": \"sched_scale\",\n");
-    json.push_str(
-        "  \"workload\": \"ActiveSet peek+set churn per layout per slot count; \
-         subscriber_tree fabric end-to-end events/sec per flow count\",\n",
-    );
-    json.push_str(&format!("  \"quick\": {},\n", quick()));
-    json.push_str(&format!("  \"shard_threads\": {},\n", shards()));
-    json.push_str(&format!(
-        "  \"scan_tree_crossover\": {SCAN_TREE_CROSSOVER},\n"
-    ));
-
-    json.push_str("  \"active_set\": [\n");
-    let rows: Vec<String> = slot_counts()
-        .iter()
-        .map(|&n| {
-            let (s, t, a) = (
-                mean_of("scan", n),
-                mean_of("tree", n),
-                mean_of("adaptive", n),
-            );
-            let ratio = match (s, a) {
-                (Some(s), Some(a)) if a > 0.0 => format!("{:.4}", s / a),
-                _ => "null".to_string(),
-            };
-            format!(
-                "    {{\"slots\": {n}, \"scan_ns\": {}, \"tree_ns\": {}, \
-                 \"adaptive_ns\": {}, \"adaptive_over_scan\": {ratio}}}",
-                fmt_opt(s),
-                fmt_opt(t),
-                fmt_opt(a)
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n");
-
-    json.push_str("  \"fabric_scale\": [\n");
-    let rows: Vec<String> = scale
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"flows\": {}, \"links\": {}, \"sim_secs\": {}, \"events\": {}, \
-                 \"events_per_sec\": {:.0}}}",
-                p.flows, p.links, p.sim_secs, p.events, p.events_per_sec
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n");
-
-    json.push_str("  \"construction\": [\n");
-    let rows: Vec<String> = built
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"flows\": {}, \"links\": {}, \"build_secs\": {:.3}, \
-                 \"rss_bytes_per_flow\": {}}}",
-                p.flows,
-                p.links,
-                p.build_secs,
-                fmt_opt(p.rss_bytes_per_flow)
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ]");
-
+    let mut members = vec![
+        "\"bench\": \"sched_scale\"".to_string(),
+        "\"workload\": \"500 B admit+release per policy and enqueue+dequeue per scheduler per \
+         flow count; ActiveSet peek+set churn per layout per slot count; subscriber_tree \
+         fabric end-to-end events/sec per flow count\""
+            .to_string(),
+        format!("\"quick\": {}", quick()),
+        format!("\"shard_threads\": {}", shards()),
+        format!("\"scan_tree_crossover\": {SCAN_TREE_CROSSOVER}"),
+        array(
+            "active_set",
+            layouts.iter().map(|&(n, [s, t, a])| {
+                format!(
+                    "{{\"slots\": {n}, \"scan_ns\": {s:.2}, \"tree_ns\": {t:.2}, \
+                     \"adaptive_ns\": {a:.2}, \"adaptive_over_scan\": {:.4}}}",
+                    s / a
+                )
+            }),
+        ),
+        array(
+            "fabric_scale",
+            scale.iter().map(|p| {
+                format!(
+                    "{{\"flows\": {}, \"links\": {}, \"sim_secs\": {}, \"events\": {}, \
+                     \"events_per_sec\": {:.0}}}",
+                    p.flows, p.links, p.sim_secs, p.events, p.events_per_sec
+                )
+            }),
+        ),
+        array(
+            "construction",
+            built.iter().map(|p| {
+                format!(
+                    "{{\"flows\": {}, \"links\": {}, \"build_secs\": {:.3}, \
+                     \"rss_bytes_per_flow\": {}}}",
+                    p.flows,
+                    p.links,
+                    p.build_secs,
+                    fmt_opt(p.rss_bytes_per_flow)
+                )
+            }),
+        ),
+    ];
+    for (key, field, points) in [
+        ("policy_admit_release", "policy", &policies),
+        ("sched_enqueue_dequeue", "scheduler", &schedulers),
+    ] {
+        members.push(array(
+            key,
+            points.iter().map(|p| {
+                format!(
+                    "{{\"{field}\": \"{}\", \"flows\": {}, \"ns\": {:.2}}}",
+                    p.name, p.n, p.ns
+                )
+            }),
+        ));
+    }
     // Acceptance figures: adaptive must dominate scan at ISP slot
     // counts and track it within noise at the paper's class counts.
-    if let (Some(s), Some(a)) = (mean_of("scan", 10_000), mean_of("adaptive", 10_000)) {
-        json.push_str(&format!(",\n  \"adaptive_over_scan_at_10k\": {:.4}", s / a));
-        println!("adaptive over scan at 10k slots: {:.2}x", s / a);
-    }
-    for n in [9usize, 30] {
-        if let (Some(s), Some(a)) = (mean_of("scan", n), mean_of("adaptive", n)) {
-            json.push_str(&format!(",\n  \"adaptive_over_scan_at_{n}\": {:.4}", s / a));
-            println!("adaptive over scan at {n} slots: {:.3}x", s / a);
+    for (n, key) in [(10_000, "10k"), (9, "9"), (30, "30")] {
+        if let Some(&(_, [s, _, a])) = layouts.iter().find(|&&(slots, _)| slots == n) {
+            members.push(format!("\"adaptive_over_scan_at_{key}\": {:.4}", s / a));
+            println!("adaptive over scan at {key} slots: {:.3}x", s / a);
         }
     }
-    json.push_str("\n}\n");
-    bench_file::write("BENCH_scale.json", &json)
+
+    let json = format!("{{\n  {}\n}}\n", members.join(",\n  "));
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+    std::fs::write(path, json)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("could not write {path}: {e}")))
+}
+
+/// The member `"key": [rows…]`, one row per line.
+fn array(key: &str, rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.map(|r| format!("    {r}")).collect();
+    format!("\"{key}\": [\n{}\n  ]", rows.join(",\n"))
 }
 
 fn fmt_opt(v: Option<f64>) -> String {

@@ -882,8 +882,8 @@ pub fn tandem_text(profile: &RunProfile) -> String {
 /// 9·k flows (k = 1..32), FIFO+thresholds at B = 2 MiB. The paper's
 /// whole pitch is that per-flow state stays O(1) as sessions multiply:
 /// conformant protection must survive the split. The per-flow cost
-/// side is host time, measured by the `policy_overhead` bench and
-/// perfbench, not here.
+/// side is host time, measured by the `sched_scale` bench's
+/// `policy_admit_release` rows and perfbench, not here.
 pub fn ablate_scale(profile: &RunProfile) -> Figure {
     let b = ByteSize::from_mib(2).bytes();
     let scheme = thresh("fifo+thresh", SchedKind::Fifo);

@@ -10,15 +10,14 @@
 //! * the `paper` binary (`cargo run -p qbm-bench --release --bin paper
 //!   -- <id>`) renders them as aligned text series and JSON under
 //!   `results/`;
-//! * the Criterion benches (`benches/`) measure the per-packet costs
-//!   behind the paper's scalability argument: O(1) policy admission vs
-//!   O(log N) WFQ scheduling; those that keep a committed `BENCH_*.json`
-//!   write it through [`bench_file`].
+//! * the `sched_scale` bench (`benches/`) times the per-packet costs
+//!   behind the paper's scalability argument — O(1) policy admission vs
+//!   sorted schedulers — alongside ActiveSet layouts and fabric scale,
+//!   and writes them to `BENCH_scale.json`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bench_file;
 pub mod figures;
 pub mod report;
 

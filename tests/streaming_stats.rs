@@ -134,6 +134,45 @@ fn heatmap_window_golden() {
     );
 }
 
+/// The same window golden with the link overloaded: both flows' token
+/// and average rates ×20 (400 kb/s each against the 480 kb/s link) and
+/// a 3.2 Mb/s peak, so the run drops packets and the live cells merge
+/// many values each.
+#[test]
+fn heatmap_window_golden_under_overload() {
+    let mut c = cfg(Dur::from_secs(22));
+    c.specs = (0..2u32)
+        .map(|i| {
+            FlowSpec::builder(FlowId(i))
+                .peak(Rate::from_bps(3_200_000))
+                .avg(Rate::from_bps(400_000))
+                .bucket(5 * 1024)
+                .token_rate(Rate::from_bps(400_000))
+                .class(Conformance::Conformant)
+                .build()
+        })
+        .collect();
+    let mut hm = HeatmapObserver::default();
+    let res = c.run_once_with(1, &mut hm);
+    assert!(res.flows.iter().map(|f| f.dropped_pkts).sum::<u64>() > 0);
+    let (mut drop_cells, mut max_count) = (0, 0);
+    hm.drops.visit_cells(|_, _, cell| {
+        drop_cells += 1;
+        max_count = max_count.max(cell.count());
+    });
+    assert!(drop_cells > 0, "overload left the drop heatmap empty");
+    assert!(max_count > 1, "no drop cell merged more than one value");
+    let mut text = String::new();
+    for h in [&hm.delay, &hm.occupancy, &hm.drops] {
+        h.visit_cells(|start, end, cell| text.push_str(&format!("{start} {end} {cell:?}\n")));
+    }
+    assert_eq!(
+        fnv64(&text),
+        0x3eda_303a_6748_dc6e,
+        "overloaded heatmap window drifted"
+    );
+}
+
 /// Bytes a directly recorded default-precision sketch stores: its
 /// [min, max] value span rounded out to whole exponent groups of 2^5
 /// buckets (group 0 holds 0..32, group g ≥ 1 holds [2^(g+4), 2^(g+5))).
