@@ -16,7 +16,11 @@
 //! small service increment — under all three layouts at each slot
 //! count. Scan pays O(n) per peek, the tournament tree O(log n) per
 //! set; the sweep shows where they cross and that [`Layout::Adaptive`]
-//! tracks the better of the two on both sides of the crossover.
+//! tracks the better of the two on both sides of the crossover. Every
+//! slot is occupied there, which no scheduler's set is for long, so a
+//! second sweep keeps one or two slots occupied — the §4 hybrid's
+//! regime — and churns them the way queues turn busy and drain: `set`
+//! an empty slot, `peek` the winner, `clear` it.
 //!
 //! Section 4 runs the `subscriber_tree` scenario family end to end at
 //! growing flow counts (sites × APs × subscribers, heavy-tailed plan
@@ -225,6 +229,16 @@ fn splitmix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Slot counts for the sparse sweep: class counts up to the crossover
+/// (the paper's 9 and 30, the `isp_tree` core's 25) and two past it.
+fn sparse_slot_counts() -> &'static [usize] {
+    if quick() {
+        &[9, 30]
+    } else {
+        &[9, 16, 25, 30, 64, 256, 1024]
+    }
+}
+
 /// Per slot count, the churn cost under each of [`LAYOUTS`], in order.
 fn bench_active_set() -> Vec<(usize, [f64; 3])> {
     slot_counts()
@@ -250,6 +264,41 @@ fn bench_active_set() -> Vec<(usize, [f64; 3])> {
                         set.len()
                     });
                     CostPoint::new("active_set", name, n, ns).ns
+                }),
+            )
+        })
+        .collect()
+}
+
+/// Per slot count, the cost under each of [`LAYOUTS`] of one busy
+/// period at one or two occupants: an empty slot turns busy at or after
+/// the current virtual time, then the winner is served out, so one slot
+/// stays occupied between calls.
+fn bench_active_set_sparse() -> Vec<(usize, [f64; 3])> {
+    sparse_slot_counts()
+        .iter()
+        .map(|&n| {
+            (
+                n,
+                LAYOUTS.map(|(name, layout)| {
+                    let mut set = ActiveSet::with_layout(n, layout);
+                    let mut rng = 0x5eed ^ n as u64;
+                    set.set(0, VirtualTime::from_raw(1), 0);
+                    let (mut now, mut s) = (1u64, 0u64);
+                    let ns = time_ns(|| {
+                        s += 1;
+                        let r = splitmix(&mut rng);
+                        let mut i = (r % n as u64) as usize;
+                        if set.contains(i) {
+                            i = (i + 1) % n;
+                        }
+                        set.set(i, VirtualTime::from_raw(now + (r >> 58)), s);
+                        let (w, tag, _) = set.peek().unwrap();
+                        now = tag.raw();
+                        set.clear(w);
+                        set.len()
+                    });
+                    CostPoint::new("active_set_sparse", name, n, ns).ns
                 }),
             )
         })
@@ -386,27 +435,21 @@ fn main() -> std::io::Result<()> {
     let policies = bench_policies();
     let schedulers = bench_schedulers();
     let layouts = bench_active_set();
+    let sparse = bench_active_set_sparse();
     let scale = bench_fabric_scale();
 
     let mut members = vec![
         "\"bench\": \"sched_scale\"".to_string(),
         "\"workload\": \"500 B admit+release per policy and enqueue+dequeue per scheduler per \
-         flow count; ActiveSet peek+set churn per layout per slot count; subscriber_tree \
+         flow count; ActiveSet peek+set churn per layout per slot count, dense and at 1-2 \
+         occupants (set+peek+clear); subscriber_tree \
          fabric end-to-end events/sec per flow count\""
             .to_string(),
         format!("\"quick\": {}", quick()),
         format!("\"shard_threads\": {}", shards()),
         format!("\"scan_tree_crossover\": {SCAN_TREE_CROSSOVER}"),
-        array(
-            "active_set",
-            layouts.iter().map(|&(n, [s, t, a])| {
-                format!(
-                    "{{\"slots\": {n}, \"scan_ns\": {s:.2}, \"tree_ns\": {t:.2}, \
-                     \"adaptive_ns\": {a:.2}, \"adaptive_over_scan\": {:.4}}}",
-                    s / a
-                )
-            }),
-        ),
+        array("active_set", layouts.iter().map(layout_row)),
+        array("active_set_sparse", sparse.iter().map(layout_row)),
         array(
             "fabric_scale",
             scale.iter().map(|p| {
@@ -458,6 +501,15 @@ fn main() -> std::io::Result<()> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     std::fs::write(path, json)
         .map_err(|e| std::io::Error::new(e.kind(), format!("could not write {path}: {e}")))
+}
+
+/// One `active_set` row: a slot count's cost under each layout.
+fn layout_row(&(n, [s, t, a]): &(usize, [f64; 3])) -> String {
+    format!(
+        "{{\"slots\": {n}, \"scan_ns\": {s:.2}, \"tree_ns\": {t:.2}, \
+         \"adaptive_ns\": {a:.2}, \"adaptive_over_scan\": {:.4}}}",
+        s / a
+    )
 }
 
 /// The member `"key": [rows…]`, one row per line.

@@ -58,8 +58,8 @@ use qbm_core::analysis::hybrid::{
     single_fifo_buffer_eq13, Grouping,
 };
 use qbm_core::units::{ByteSize, Dur, Rate};
-use qbm_obs::{verify_trace, CountingObserver, TimeSeriesProbe, Tracer};
-use qbm_sim::{MultiRun, SourceSel};
+use qbm_obs::{verify_trace, TimeSeriesProbe, Tracer};
+use qbm_sim::{SimResult, SourceSel};
 
 /// Options shared by the subcommands, parsed from anywhere on the line.
 struct Options {
@@ -119,7 +119,7 @@ fn main() {
             print!("{}", percentile_report(&multi, mode));
             if opts.profile {
                 println!();
-                print!("{}", prof.finish(sim_events(&multi)).render());
+                print!("{}", prof.finish(sim_events(&multi.runs)).render());
             }
         }
         "run" => {
@@ -135,7 +135,7 @@ fn main() {
                 println!();
                 print!("{}", percentile_report(&multi, mode));
             }
-            let mut events = sim_events(&multi);
+            let mut events = sim_events(&multi.runs);
             if let Some(path) = &opts.trace {
                 events += traced_run(&scenario, path, opts.probe_interval);
                 prof.phase("trace");
@@ -247,12 +247,10 @@ fn flag_error(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Events processed across all replications (arrivals + departures;
-/// drops are part of arrivals).
-fn sim_events(multi: &MultiRun) -> u64 {
-    multi
-        .runs
-        .iter()
+/// Events processed across `runs`: in-window arrivals plus departures
+/// (drops are part of arrivals).
+fn sim_events(runs: &[SimResult]) -> u64 {
+    runs.iter()
         .flat_map(|r| r.flows.iter())
         .map(|f| f.offered_pkts + f.delivered_pkts)
         .sum()
@@ -260,19 +258,16 @@ fn sim_events(multi: &MultiRun) -> u64 {
 
 /// Re-run the scenario's first seed with a tracer (and optionally a
 /// time-series probe) attached, and write the artifacts. Returns the
-/// number of hook events observed.
+/// re-run's [`sim_events`].
 fn traced_run(s: &Scenario, trace_path: &str, probe_interval: Option<Dur>) -> u64 {
     // Seed 1 = the first replication of `run`'s protocol
     // (`run_many_threaded(1, …)` uses seeds 1..=seeds).
     let seed = 1;
     // A disabled probe's first tick sits at u64::MAX ns — never reached.
     let interval = probe_interval.unwrap_or(Dur(u64::MAX));
-    let mut obs = (
-        Tracer::default(),
-        (TimeSeriesProbe::new(interval), CountingObserver::default()),
-    );
-    let _ = s.to_config().run_once_with(seed, &mut obs);
-    let (tracer, (probe, counter)) = obs;
+    let mut obs = (Tracer::default(), TimeSeriesProbe::new(interval));
+    let res = s.to_config().run_once_with(seed, &mut obs);
+    let (tracer, probe) = obs;
     write_or_die(trace_path, &tracer.to_jsonl());
     println!(
         "trace: {trace_path} ({} records, {} truncated, seed {seed})",
@@ -291,7 +286,7 @@ fn traced_run(s: &Scenario, trace_path: &str, probe_interval: Option<Dur>) -> u6
             );
         }
     }
-    counter.counts.total()
+    sim_events(std::slice::from_ref(&res))
 }
 
 /// Run the scenario's flow mix through a multi-link fabric and report
@@ -545,7 +540,7 @@ fn trace_check(path: &str) {
     match verify_trace(&text) {
         Ok(sum) => {
             println!(
-                "{path}: ok — {} records (arr {} | enq {} | drop {} | dep {} | thr {} | share {} | fb {} | cells {}), {} truncated",
+                "{path}: ok — {} records (arr {} | enq {} | drop {} | dep {} | thr {} | share {} | fb {}), {} truncated",
                 sum.records,
                 sum.arrivals,
                 sum.enqueues,
@@ -554,7 +549,6 @@ fn trace_check(path: &str) {
                 sum.crossings,
                 sum.sharing,
                 sum.feedback,
-                sum.cells,
                 sum.truncated
             );
         }

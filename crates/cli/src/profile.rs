@@ -26,8 +26,9 @@ pub struct RunReport {
     /// Total wall-clock time from [`Profiler::start`] to
     /// [`Profiler::finish`].
     pub total: Duration,
-    /// Simulation events processed (arrivals + departures + drops
-    /// across all replications), for the events/sec figure.
+    /// Simulation events processed: in-window arrivals plus departures
+    /// (drops are part of arrivals) over every run the invocation
+    /// made, for the events/sec figure.
     pub events: u64,
 }
 

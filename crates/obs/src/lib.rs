@@ -31,8 +31,6 @@
 //! - [`TimeSeriesProbe`] — samples per-flow/aggregate occupancy and the
 //!   sharing pools at a fixed sim-time interval, for figure-style
 //!   occupancy-vs-time plots (CSV export).
-//! - [`CountingObserver`] — cheap event counters (events/sec in the
-//!   CLI's self-profiling report).
 //! - [`HeatmapObserver`] — bounded-memory temporal heatmaps (a ring of
 //!   the last 32 × 100 ms slots, one quantile-sketch cell each) over
 //!   delay, occupancy, and drops; built on [`QuantileSketch`].
@@ -164,87 +162,6 @@ impl Observer for NullObserver {
     const ENABLED: bool = false;
 }
 
-/// Per-hook event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// Packets offered (arrival hook).
-    pub arrivals: u64,
-    /// Packets admitted (enqueue hook).
-    pub enqueues: u64,
-    /// Packets refused (drop hook).
-    pub drops: u64,
-    /// Packets transmitted (departure hook).
-    pub departures: u64,
-    /// Threshold-crossing records (both directions).
-    pub crossings: u64,
-    /// Sharing-pool transition records.
-    pub sharing: u64,
-    /// Feedback signals routed to closed-loop sources.
-    pub feedback: u64,
-}
-
-impl EventCounts {
-    /// Total hook invocations — the "events" in events/sec.
-    pub fn total(&self) -> u64 {
-        self.arrivals
-            + self.enqueues
-            + self.drops
-            + self.departures
-            + self.crossings
-            + self.sharing
-            + self.feedback
-    }
-}
-
-/// An enabled observer that only counts hook invocations — the cheapest
-/// possible *live* observer, used by the CLI's events/sec profiling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingObserver {
-    /// Counter state.
-    pub counts: EventCounts,
-}
-
-impl Observer for CountingObserver {
-    fn on_arrival(&mut self, _now: Time, _flow: FlowId, _len: u32, _link: u32) {
-        self.counts.arrivals += 1;
-    }
-    fn on_enqueue(&mut self, _now: Time, _flow: FlowId, _len: u32, _fo: u64, _to: u64, _link: u32) {
-        self.counts.enqueues += 1;
-    }
-    fn on_drop(&mut self, _now: Time, _flow: FlowId, _len: u32, _reason: DropReason, _link: u32) {
-        self.counts.drops += 1;
-    }
-    fn on_departure(&mut self, _now: Time, _flow: FlowId, _len: u32, _arrival: Time, _link: u32) {
-        self.counts.departures += 1;
-    }
-    fn on_threshold(
-        &mut self,
-        _now: Time,
-        _flow: FlowId,
-        _occ: u64,
-        _limit: u64,
-        _up: bool,
-        _link: u32,
-    ) {
-        self.counts.crossings += 1;
-    }
-    fn on_sharing(&mut self, _now: Time, _holes: u64, _headroom: u64, _link: u32) {
-        self.counts.sharing += 1;
-    }
-    fn on_feedback(
-        &mut self,
-        _now: Time,
-        _flow: FlowId,
-        _delivered: bool,
-        _len: u32,
-        _delay: Dur,
-        _cause: Option<DropReason>,
-        _link: u32,
-    ) {
-        self.counts.feedback += 1;
-    }
-}
-
 /// Fan-out combinator: a pair of observers is an observer. `ENABLED`
 /// is the OR of the halves, so pairing with [`NullObserver`] costs
 /// nothing extra for the null half.
@@ -352,42 +269,34 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn pair_enabled_is_or_of_halves() {
-        assert!(<(CountingObserver, NullObserver) as Observer>::ENABLED);
-        assert!(<(NullObserver, CountingObserver) as Observer>::ENABLED);
+        assert!(<(Tracer, NullObserver) as Observer>::ENABLED);
+        assert!(<(NullObserver, Tracer) as Observer>::ENABLED);
     }
 
     #[test]
-    fn counting_observer_counts_every_hook() {
-        let mut c = CountingObserver::default();
+    fn pair_fans_out_to_both_halves() {
+        let mut pair = (Tracer::new(16), Tracer::new(16));
         let t = Time::from_secs(1);
-        c.on_arrival(t, FlowId(0), 500, 0);
-        c.on_enqueue(t, FlowId(0), 500, 500, 500, 0);
-        c.on_drop(t, FlowId(1), 500, DropReason::BufferFull, 0);
-        c.on_departure(t, FlowId(0), 500, Time::ZERO, 0);
-        c.on_threshold(t, FlowId(1), 900, 800, true, 0);
-        c.on_sharing(t, 100, 200, 0);
-        c.on_feedback(
+        pair.on_arrival(t, FlowId(0), 500, 3);
+        pair.on_enqueue(t, FlowId(0), 500, 500, 500, 3);
+        pair.on_drop(t, FlowId(1), 500, DropReason::OverThreshold, 3);
+        pair.on_departure(t, FlowId(0), 500, Time::ZERO, 3);
+        pair.on_threshold(t, FlowId(1), 900, 800, true, 3);
+        pair.on_sharing(t, 100, 200, 3);
+        pair.on_feedback(
             t,
             FlowId(1),
             false,
             500,
             Dur::ZERO,
             Some(DropReason::BufferFull),
-            0,
+            3,
         );
-        c.on_end(t, 0);
-        assert_eq!(c.counts.total(), 7);
-        assert_eq!(c.counts.arrivals, 1);
-        assert_eq!(c.counts.drops, 1);
-        assert_eq!(c.counts.feedback, 1);
-    }
-
-    #[test]
-    fn pair_fans_out_to_both_halves() {
-        let mut pair = (CountingObserver::default(), CountingObserver::default());
-        pair.on_arrival(Time::ZERO, FlowId(0), 100, 3);
-        pair.on_drop(Time::ZERO, FlowId(0), 100, DropReason::OverThreshold, 3);
-        assert_eq!(pair.0.counts.total(), 2);
-        assert_eq!(pair.1.counts.total(), 2);
+        pair.on_end(t, 3);
+        let kinds = |tr: &Tracer| tr.records().map(TraceRecord::kind).collect::<Vec<_>>();
+        let all = ["arr", "enq", "drop", "dep", "thr", "share", "fb"];
+        assert_eq!(kinds(&pair.0), all);
+        assert_eq!(kinds(&pair.1), all);
+        assert!(pair.0.records().all(|r| r.link() == 3));
     }
 }

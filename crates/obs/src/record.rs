@@ -20,9 +20,8 @@
 //! | `thr` | `flow`, `q`, `limit`, `up` | threshold crossing (hysteresis band, DESIGN.md §9) |
 //! | `share` | `holes`, `headroom` | §3.3 pool transition |
 //! | `fb` | `flow`, `ok`, `len`, `delay` \| `cause` | closed-loop feedback signal routed to the flow's source (v2 only): `ok:true` carries the delivery `delay` in ns, `ok:false` the drop `cause` |
-//! | `cell` | `cell`, `seed` | campaign cell boundary in a merged trace; resets the time watermark |
 //!
-//! Every event record additionally carries an optional `link` field —
+//! Every record additionally carries an optional `link` field —
 //! the emitting link's index in a multi-link fabric — emitted only in a
 //! merged fabric trace ([`crate::Tracer::merged_links_jsonl`]).
 //! Single-link traces omit it entirely, so their bytes are unchanged
@@ -159,17 +158,10 @@ pub enum TraceRecord {
         /// Emitting link index (fabric dimension).
         link: u32,
     },
-    /// Campaign cell boundary marker (merged traces only).
-    Cell {
-        /// Cell index in campaign order.
-        cell: u64,
-        /// The cell's derived seed.
-        seed: u64,
-    },
 }
 
 impl TraceRecord {
-    /// The record's sim-time stamp ([`Time::ZERO`] for cell markers).
+    /// The record's sim-time stamp.
     pub fn time(&self) -> Time {
         match *self {
             TraceRecord::Arrival { t, .. }
@@ -179,7 +171,6 @@ impl TraceRecord {
             | TraceRecord::Threshold { t, .. }
             | TraceRecord::Sharing { t, .. }
             | TraceRecord::Feedback { t, .. } => t,
-            TraceRecord::Cell { .. } => Time::ZERO,
         }
     }
 
@@ -193,7 +184,6 @@ impl TraceRecord {
             TraceRecord::Threshold { .. } => "thr",
             TraceRecord::Sharing { .. } => "share",
             TraceRecord::Feedback { .. } => "fb",
-            TraceRecord::Cell { .. } => "cell",
         }
     }
 
@@ -297,15 +287,11 @@ impl TraceRecord {
                     reason_label(reason)
                 ),
             },
-            TraceRecord::Cell { cell, seed } => {
-                format!("{{\"ev\":\"cell\",\"t\":0,\"cell\":{cell},\"seed\":{seed}}}")
-            }
         }
     }
 
-    /// The record's link index, if it carries one (`cell` markers are
-    /// global and do not).
-    pub fn link(&self) -> Option<u32> {
+    /// The record's link index.
+    pub fn link(&self) -> u32 {
         match *self {
             TraceRecord::Arrival { link, .. }
             | TraceRecord::Enqueue { link, .. }
@@ -313,22 +299,18 @@ impl TraceRecord {
             | TraceRecord::Departure { link, .. }
             | TraceRecord::Threshold { link, .. }
             | TraceRecord::Sharing { link, .. }
-            | TraceRecord::Feedback { link, .. } => Some(link),
-            TraceRecord::Cell { .. } => None,
+            | TraceRecord::Feedback { link, .. } => link,
         }
     }
 
     /// [`TraceRecord::to_json`] with the link dimension appended as a
-    /// final `"link":N` field (event records only — `cell` markers are
-    /// global). Used by link-dimensioned tracers; plain tracers call
-    /// [`TraceRecord::to_json`] so single-link traces keep their exact
-    /// pre-fabric bytes.
+    /// final `"link":N` field. Used by link-dimensioned tracers; plain
+    /// tracers call [`TraceRecord::to_json`] so single-link traces keep
+    /// their exact pre-fabric bytes.
     pub fn to_json_with_link(&self) -> String {
         let mut s = self.to_json();
-        if let Some(link) = self.link() {
-            s.pop();
-            s.push_str(&format!(",\"link\":{link}}}"));
-        }
+        s.pop();
+        s.push_str(&format!(",\"link\":{}}}", self.link()));
         s
     }
 }
@@ -361,8 +343,6 @@ pub struct TraceSummary {
     pub sharing: u64,
     /// `fb` records (schema v2).
     pub feedback: u64,
-    /// `cell` markers.
-    pub cells: u64,
     /// The header's `truncated` count.
     pub truncated: u64,
 }
@@ -409,8 +389,8 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 }
 
 /// Validate a JSONL trace: header shape and version, known record
-/// kinds, required per-kind fields, and non-decreasing timestamps
-/// (reset at `cell` markers). Returns counts per kind.
+/// kinds, required per-kind fields, and non-decreasing timestamps.
+/// Returns counts per kind.
 pub fn verify_trace(text: &str) -> Result<TraceSummary, TraceError> {
     let mut lines = text.lines().enumerate();
     let Some((_, head)) = lines.next() else {
@@ -499,11 +479,6 @@ pub fn verify_trace(text: &str) -> Result<TraceSummary, TraceError> {
                 }
                 &["flow", "len"]
             }
-            "\"cell\"" => {
-                sum.cells += 1;
-                last_t = 0;
-                &["cell", "seed"]
-            }
             _ => return Err(bad("unknown ev kind")),
         };
         for key in required {
@@ -512,21 +487,14 @@ pub fn verify_trace(text: &str) -> Result<TraceSummary, TraceError> {
             }
         }
         // The optional fabric dimension: if present it must be a valid
-        // link index, and `cell` markers (global) must not carry it.
-        if field(line, "link").is_some() {
-            if ev == "\"cell\"" {
-                return Err(bad("cell marker with a link field"));
-            }
-            if field_u64(line, "link").is_none() {
-                return Err(bad("link must be an integer"));
-            }
+        // link index.
+        if field(line, "link").is_some() && field_u64(line, "link").is_none() {
+            return Err(bad("link must be an integer"));
         }
-        if ev != "\"cell\"" {
-            if t < last_t {
-                return Err(bad("timestamp went backwards"));
-            }
-            last_t = t;
+        if t < last_t {
+            return Err(bad("timestamp went backwards"));
         }
+        last_t = t;
         sum.records += 1;
     }
     Ok(sum)
@@ -633,19 +601,5 @@ mod tests {
             verify_trace(&bad_cause),
             Err(TraceError::BadRecord(2, _))
         ));
-    }
-
-    #[test]
-    fn cell_marker_resets_the_time_watermark() {
-        let text = format!(
-            "{}\n{}\n{}\n{}\n",
-            header_with_version(1, 0, SCHEMA_VERSION_V1),
-            rec_arr(100).to_json(),
-            TraceRecord::Cell { cell: 1, seed: 2 }.to_json(),
-            rec_arr(10).to_json()
-        );
-        let sum = verify_trace(&text).expect("cell resets watermark");
-        assert_eq!(sum.cells, 1);
-        assert_eq!(sum.arrivals, 2);
     }
 }

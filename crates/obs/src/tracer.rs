@@ -106,44 +106,9 @@ impl Tracer {
     pub fn to_jsonl(&self) -> String {
         let mut out = header_with_version(self.flows, self.truncated, self.version());
         out.push('\n');
-        self.body_jsonl(&mut out);
-        out
-    }
-
-    /// Append only the record lines (no header) to `out` — the
-    /// building block for campaign-merged traces.
-    fn body_jsonl(&self, out: &mut String) {
         for rec in &self.buf {
             out.push_str(&rec.to_json());
             out.push('\n');
-        }
-    }
-
-    /// Merge per-cell tracers into one trace in cell order: a single
-    /// header (summed `truncated`, max `flows`), then each cell's
-    /// records prefixed by a `cell` marker carrying its seed. Cell
-    /// order is the campaign's deterministic cell index, so the merged
-    /// trace is byte-identical for any worker count.
-    pub fn merged_jsonl(cells: &[(u64, Tracer)]) -> String {
-        let flows = cells.iter().map(|(_, t)| t.flows).max().unwrap_or(0);
-        let truncated = cells.iter().map(|(_, t)| t.truncated).sum();
-        let version = cells
-            .iter()
-            .map(|(_, t)| t.version())
-            .max()
-            .unwrap_or(SCHEMA_VERSION_V1);
-        let mut out = header_with_version(flows, truncated, version);
-        out.push('\n');
-        for (idx, (seed, tr)) in cells.iter().enumerate() {
-            out.push_str(
-                &TraceRecord::Cell {
-                    cell: idx as u64,
-                    seed: *seed,
-                }
-                .to_json(),
-            );
-            out.push('\n');
-            tr.body_jsonl(&mut out);
         }
         out
     }
@@ -302,18 +267,6 @@ mod tests {
         assert_eq!(sum.records, 3);
         assert_eq!(sum.departures, 1);
         assert!(text.starts_with("{\"schema\":\"qbm-trace\",\"version\":1,\"flows\":2,"));
-    }
-
-    #[test]
-    fn merged_trace_verifies_across_cells() {
-        let mut a = Tracer::new(4);
-        a.on_arrival(Time(100), FlowId(0), 1, 0);
-        let mut b = Tracer::new(4);
-        b.on_arrival(Time(10), FlowId(0), 1, 0); // earlier than a's last
-        let text = Tracer::merged_jsonl(&[(11, a), (12, b)]);
-        let sum = verify_trace(&text).expect("cell markers reset the watermark");
-        assert_eq!(sum.cells, 2);
-        assert_eq!(sum.arrivals, 2);
     }
 
     #[test]

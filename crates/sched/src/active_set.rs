@@ -44,11 +44,17 @@ use crate::vclock::VirtualTime;
 /// Empty-slot sentinel: loses to every real key.
 const EMPTY: u128 = u128::MAX;
 
-/// Slot count at or below which the occupied-slot scan is kept,
-/// measured by `sched_scale`'s `active_set` sweep (9–2²⁰ slots,
-/// `BENCH_scale.json`, DESIGN.md §15): up to 64 slots the two layouts
-/// run at parity end to end, and by 256 slots the tree is several times
-/// faster on dense sets. At or below it the bitmap is one word.
+/// Slot count at or below which the occupied-slot scan is kept (DESIGN.md
+/// §11.3). Schedulers' sets hold one or two occupants most of the time,
+/// and there the scan wins: `sched_scale`'s `active_set_sparse` rows
+/// (`BENCH_scale.json`) read it 2.9–4.2× ahead of the tree at 9–64
+/// slots (21.1 vs 84.6 ns at the `isp_tree` core's 25). The dense
+/// `active_set` rows, every slot occupied, have the tree ahead from 9
+/// slots and the scan O(n) behind it past 64, so large per-flow sets
+/// take the tree. End to end, forcing the tree at every slot count made
+/// perfbench's `isp_tree` and `paper_campaign` slower in every one of
+/// 10 alternating 20 s pairs, medians 18–20 % lower in two such sets.
+/// At or below it the bitmap is one word.
 pub const SCAN_TREE_CROSSOVER: usize = 64;
 
 /// `(tag, tie)` packed so lexicographic order becomes one wide integer

@@ -283,31 +283,15 @@ impl<'a> Campaign<'a> {
     /// Run the whole grid; returns one [`MultiRun`] per point, with
     /// replications in order.
     pub fn run(&self) -> Vec<MultiRun> {
-        self.run_observed(|_| NullObserver).0
-    }
-
-    /// Run the grid with one observer per cell. `make(idx)` builds cell
-    /// `idx`'s observer (cell `idx` = point `idx / replications`,
-    /// replication `idx % replications`); the finished observers come
-    /// back in cell order alongside the results, scattered into their
-    /// slots by index exactly like the [`SimResult`]s — so per-cell
-    /// traces are byte-identical for any worker count.
-    pub fn run_observed<O, F>(&self, make: F) -> (Vec<MultiRun>, Vec<O>)
-    where
-        O: Observer + Send,
-        F: Fn(usize) -> O + Sync,
-    {
         assert!(self.replications >= 1, "campaign without replications");
         assert!(!self.points.is_empty(), "campaign without points");
         let cells = self.points.len() * self.replications;
         let workers = self.worker_count(cells);
 
-        let mut slots: Vec<Option<(SimResult, O)>> = (0..cells).map(|_| None).collect();
+        let mut slots: Vec<Option<SimResult>> = (0..cells).map(|_| None).collect();
         if workers <= 1 {
             for (idx, slot) in slots.iter_mut().enumerate() {
-                let mut obs = make(idx);
-                let res = self.run_cell_with(idx, &mut obs);
-                *slot = Some((res, obs));
+                *slot = Some(self.run_cell(idx));
             }
         } else {
             // Workers claim cells dynamically — a cheap cell never
@@ -316,21 +300,17 @@ impl<'a> Campaign<'a> {
             // the grid, so neither claim nor completion order can
             // reorder results.
             let next = AtomicUsize::new(0);
-            let buckets: Vec<Vec<(usize, (SimResult, O))>> = std::thread::scope(|scope| {
+            let buckets: Vec<Vec<(usize, SimResult)>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         let me: &Campaign<'a> = self;
-                        let (make, next) = (&make, &next);
+                        let next = &next;
                         scope.spawn(move || {
                             std::iter::from_fn(|| {
                                 let idx = next.fetch_add(1, Ordering::Relaxed);
                                 (idx < cells).then_some(idx)
                             })
-                            .map(|idx| {
-                                let mut obs = make(idx);
-                                let res = me.run_cell_with(idx, &mut obs);
-                                (idx, (res, obs))
-                            })
+                            .map(|idx| (idx, me.run_cell(idx)))
                             .collect()
                         })
                     })
@@ -340,31 +320,23 @@ impl<'a> Campaign<'a> {
                     .map(|h| h.join().expect("simulation worker panicked"))
                     .collect()
             });
-            for (idx, cell) in buckets.into_iter().flatten() {
-                slots[idx] = Some(cell);
+            for (idx, res) in buckets.into_iter().flatten() {
+                slots[idx] = Some(res);
             }
         }
 
-        let mut results = Vec::with_capacity(cells);
-        let mut observers = Vec::with_capacity(cells);
-        for slot in slots {
-            let (res, obs) = slot.expect("cell never ran");
-            results.push(res);
-            observers.push(obs);
-        }
-        let mut results = results.into_iter();
-        let multi = (0..self.points.len())
+        let mut results = slots.into_iter().map(|slot| slot.expect("cell never ran"));
+        (0..self.points.len())
             .map(|_| MultiRun {
                 runs: (&mut results).take(self.replications).collect(),
             })
-            .collect();
-        (multi, observers)
+            .collect()
     }
 
-    fn run_cell_with<O: Observer>(&self, idx: usize, obs: &mut O) -> SimResult {
+    fn run_cell(&self, idx: usize) -> SimResult {
         let point = idx / self.replications;
         let replication = idx % self.replications;
-        self.points[point].run_once_with(self.cell_seed(point, replication), obs)
+        self.points[point].run_once(self.cell_seed(point, replication))
     }
 
     fn worker_count(&self, cells: usize) -> usize {

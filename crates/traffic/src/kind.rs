@@ -12,7 +12,6 @@
 use crate::aimd::AimdSource;
 use crate::cbr::CbrSource;
 use crate::onoff::OnOffSource;
-use crate::poisson::PoissonSource;
 use crate::regulator::ShapedSource;
 use crate::source::{Emission, Feedback, Source};
 use crate::trace::TraceSource;
@@ -27,8 +26,6 @@ pub enum SourceKind {
     Cbr(CbrSource),
     /// Markov-modulated ON-OFF source (the paper's traffic model).
     OnOff(OnOffSource),
-    /// Poisson arrivals.
-    Poisson(PoissonSource),
     /// Replay of a recorded emission trace (fixtures, and the empty
     /// stub behind every fabric relay flow).
     Trace(TraceSource),
@@ -46,7 +43,6 @@ impl Source for SourceKind {
         match self {
             SourceKind::Cbr(s) => s.next_emission(),
             SourceKind::OnOff(s) => s.next_emission(),
-            SourceKind::Poisson(s) => s.next_emission(),
             SourceKind::Trace(s) => s.next_emission(),
             SourceKind::Regulated(s) => s.next_emission(),
             SourceKind::Aimd(s) => s.next_emission(),
@@ -61,7 +57,6 @@ impl Source for SourceKind {
         match self {
             SourceKind::Cbr(_) => None,
             SourceKind::OnOff(_) => None,
-            SourceKind::Poisson(_) => None,
             SourceKind::Trace(_) => None,
             SourceKind::Regulated(_) => None,
             SourceKind::Aimd(s) => s.on_feedback(now, fb),
@@ -104,12 +99,6 @@ impl From<OnOffSource> for SourceKind {
     }
 }
 
-impl From<PoissonSource> for SourceKind {
-    fn from(s: PoissonSource) -> SourceKind {
-        SourceKind::Poisson(s)
-    }
-}
-
 impl From<TraceSource> for SourceKind {
     fn from(s: TraceSource) -> SourceKind {
         SourceKind::Trace(s)
@@ -133,7 +122,6 @@ impl std::fmt::Debug for SourceKind {
         let name = match self {
             SourceKind::Cbr(_) => "Cbr",
             SourceKind::OnOff(_) => "OnOff",
-            SourceKind::Poisson(_) => "Poisson",
             SourceKind::Trace(_) => "Trace",
             SourceKind::Regulated(_) => "Regulated",
             SourceKind::Aimd(_) => "Aimd",

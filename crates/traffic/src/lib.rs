@@ -6,9 +6,9 @@
 //! auxiliary source types, and the exact Table 1 / Table 2 workloads.
 //!
 //! Sources follow a **pull model**: the simulator asks a [`Source`] for
-//! its next packet emission, which must be non-decreasing in time. Every
-//! stochastic source owns a seeded [`rand_chacha::ChaCha8Rng`], so a
-//! `(workload, seed)` pair reproduces the exact same packet trace on any
+//! its next packet emission, which must be non-decreasing in time. The
+//! ON-OFF source draws from a seeded [`rand_chacha::ChaCha8Keystream`],
+//! so a `(workload, seed)` pair reproduces the exact same packet trace on any
 //! platform — this is what makes the paper's 5-run confidence intervals
 //! reproducible here.
 
@@ -19,7 +19,6 @@ pub mod aimd;
 pub mod cbr;
 pub mod kind;
 pub mod onoff;
-pub mod poisson;
 pub mod regulator;
 pub mod source;
 pub mod trace;
@@ -29,7 +28,6 @@ pub use aimd::{AimdConfig, AimdSource, AimdStats};
 pub use cbr::CbrSource;
 pub use kind::SourceKind;
 pub use onoff::{OnOffSource, Sojourns};
-pub use poisson::PoissonSource;
 pub use regulator::ShapedSource;
 pub use source::{Emission, Feedback, Source};
 pub use trace::TraceSource;
